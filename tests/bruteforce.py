@@ -144,3 +144,60 @@ def brute_induced_copy(n: int, edges, tree_parent) -> dict[int, int] | None:
         if ok:
             return dict(enumerate(image))
     return None
+
+
+# All-pairs references for the axis-0 pair sweep and the heap peeler. A box
+# is a tuple of per-axis (lo, hi) pairs; box ids are list positions.
+
+
+def overlap_letter(a: tuple, b: tuple) -> str | None:
+    """Overlap type of interval a relative to b (distinct endpoints), or None."""
+    (lo1, hi1), (lo2, hi2) = a, b
+    if hi1 < lo2 or hi2 < lo1:
+        return None
+    if lo1 < lo2:
+        return "C" if hi2 < hi1 else "L"
+    return "c" if hi1 < hi2 else "R"
+
+
+def brute_patterns(sides: list[tuple]) -> dict[tuple[int, int], str]:
+    """Pattern string of u relative to v for every intersecting pair u < v."""
+    out = {}
+    for u, v in combinations(range(len(sides)), 2):
+        letters = [overlap_letter(a, b) for a, b in zip(sides[u], sides[v])]
+        if None not in letters:
+            out[(u, v)] = "".join(letters)
+    return out
+
+
+def brute_decompose(sides: list[tuple]) -> dict[str, set[tuple[int, int]]]:
+    """Arc sets of the nonempty pattern digraphs, keyed by pattern string."""
+    mirror = str.maketrans("CcLR", "cCRL")
+    arcs: dict[str, set[tuple[int, int]]] = {}
+    for (u, v), pattern in brute_patterns(sides).items():
+        arcs.setdefault(pattern, set()).add((u, v))
+        arcs.setdefault(pattern.translate(mirror), set()).add((v, u))
+    return arcs
+
+
+def brute_degeneracy_coloring(n: int, edges, bound: int) -> dict[int, int] | None:
+    """Peel the smallest vertex of remaining degree < bound, rescanning the
+    sorted survivors each step; greedy-color the reversed order."""
+    adj = adjacency(n, edges)
+    degree = {v: len(adj[v]) for v in range(n)}
+    alive = set(range(n))
+    order = []
+    while alive:
+        pick = next((v for v in sorted(alive) if degree[v] < bound), None)
+        if pick is None:
+            return None
+        alive.discard(pick)
+        order.append(pick)
+        for w in adj[pick]:
+            if w in alive:
+                degree[w] -= 1
+    colors: dict[int, int] = {}
+    for v in reversed(order):
+        used = {colors[w] for w in adj[v] if w in colors}
+        colors[v] = next(c for c in range(bound) if c not in used)
+    return colors

@@ -100,6 +100,14 @@ class TestColor:
         assert code == 4
         assert "refus" in capsys.readouterr().err
 
+    def test_understated_omega_bound_is_input_error(self, tmp_path, capsys):
+        # the clique number of this instance is 4; with a bound of 1 the
+        # calm tree search runs out of extension candidates
+        path = write_instance(tmp_path, "u.txt", "random", n=8, d=2, seed=2)
+        code = main(["color", str(path), "--r", "2", "--k", "1", "--omega-bound", "1"])
+        assert code == 2
+        assert "below the clique number" in capsys.readouterr().err
+
 
 class TestVerify:
     def make_pair(self, tmp_path):

@@ -160,6 +160,15 @@ class TestProductColoring:
             with pytest.raises(ValueError):
                 product_coloring(fam, flat)
 
+    def test_rejects_pieces_missing_a_vertex(self):
+        boxes, g, fam = make_instance(7, 5, 1)
+        short = {
+            pd.pattern: Coloring({v: v for v in range(len(boxes) - 1)}, len(boxes))
+            for pd in fam
+        }
+        with pytest.raises(ValueError):
+            product_coloring(fam, short)
+
     def test_missing_pattern(self):
         boxes, g, fam = make_instance(6, 4, 1)
         with pytest.raises(ValueError):
