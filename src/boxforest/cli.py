@@ -32,7 +32,7 @@ from .geometry import boxes_to_text, load_boxes, normalize
 from .graphs import intersection_graph
 from .oracles import DEFAULT_LIMITS, OracleLimitError, OracleLimits, alpha, chi, omega
 from .patterns import decompose as decompose_boxes
-from .patterns import verify_basic
+from .patterns import host_graph, verify_basic
 from .pipeline import (
     ProperColoring,
     certificate_to_json,
@@ -131,8 +131,8 @@ def _flag(value: bool | None) -> str:
 def cmd_decompose(args: argparse.Namespace) -> int:
     boxes = _load_normalized(args.input)
     limits = _resolve_limits(args)
-    g = intersection_graph(boxes)
     family = decompose_boxes(boxes)
+    g = host_graph(family)
     width = max(len("pattern"), max(len(str(pd.pattern)) for pd in family))
     print(f"{'pattern':<{width}}  {'arcs':>6}  acyclic  modest  divergent")
     failed = False
@@ -175,7 +175,6 @@ def cmd_color(args: argparse.Namespace) -> int:
         args.k,
         limits=limits,
         omega_bound=w,
-        threads=args.threads,
     )
     _write_text(certificate_to_json(cert), args.out)
     if isinstance(cert, ProperColoring):
@@ -289,10 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     col.add_argument("input", help="box file")
     col.add_argument("--r", type=_nonnegative, required=True, help="tree depth")
     col.add_argument("--k", type=_positive, required=True, help="tree branching")
-    col.add_argument(
-        "--threads", type=_positive, default=1,
-        help="worker threads for the per-pattern stage",
-    )
     col.add_argument(
         "--omega-bound", type=_positive, default=None,
         help="caller-guaranteed clique number upper bound (skips the oracle)",

@@ -138,15 +138,16 @@ def peel_grading(dg: Digraph, k: int, m: int) -> Grading | LayeredColoring:
     for layer in layers:
         if not layer:
             continue
-        sub_arcs = [(u, v) for u, v in dg.arcs if u in layer and v in layer]
-        order = sorted(layer)
-        index = {v: i for i, v in enumerate(order)}
-        local = Graph(len(order), [(index[u], index[v]) for u, v in sub_arcs])
-        sub = degeneracy_coloring(local, 2 * k - 1)
+        # the layer's underlying graph, read off dg without copying its arcs
+        if len(layer) == dg.n:
+            adj = {v: dg.out[v] | dg.inn[v] for v in range(dg.n)}
+        else:
+            adj = {v: (dg.out[v] | dg.inn[v]) & layer for v in sorted(layer)}
+        sub = degeneracy_coloring(adj, 2 * k - 1)
         if sub is None:  # max out-degree < k forces 2(k-1)-degeneracy
             raise InternalInvariantError("peeled layer failed to color")
-        for i, v in enumerate(order):
-            colors[v] = offset + sub.colors[i]
+        for v in adj:
+            colors[v] = offset + sub.colors[v]
         offset += sub.palette_size
     return LayeredColoring(tuple(layers), Coloring(colors, max(offset, 1) if colors else 0))
 

@@ -38,7 +38,6 @@ __all__ = [
     "intersection_pattern",
     "intersects",
     "load_boxes",
-    "mirror",
     "normalize",
     "save_boxes",
 ]
@@ -145,6 +144,7 @@ class Pattern:
         return len(self.axes)
 
     def mirrored(self) -> "Pattern":
+        """Pattern seen from the other endpoint of the ordered pair."""
         return Pattern(tuple(t.mirrored for t in self.axes))
 
     def __str__(self) -> str:
@@ -156,11 +156,6 @@ class Pattern:
             return cls(tuple(OverlapType(ch) for ch in text))
         except ValueError:
             raise ValueError(f"bad pattern string {text!r}") from None
-
-
-def mirror(pattern: Pattern) -> Pattern:
-    """Pattern seen from the other endpoint of the ordered pair."""
-    return pattern.mirrored()
 
 
 def all_patterns(d: int) -> list[Pattern]:

@@ -1,16 +1,20 @@
 """Graphs, digraphs, rooted trees, colorings, and small exact searches.
 
-Vertices are always 0..n-1, stored as plain adjacency sets. Building the
-intersection graph and degeneracy peeling scale to thousands of boxes
-(an axis-0 sweep and a heap); the induced-copy search backtracks and is
-meant for certificate-scale work, tens of vertices.
+Vertices are always 0..n-1. A graph stores only its adjacency sets and a
+digraph only its out- and in-neighbor sets; edge and arc sets are derived
+when asked for, so no adjacency is held twice. Building the intersection
+graph and degeneracy peeling scale to thousands of boxes (an axis-0 sweep
+and a heap); the pipeline itself derives its host graph from the pattern
+digraphs (``patterns.host_graph``), so one sweep serves both. The
+induced-copy search backtracks and is meant for certificate-scale work,
+tens of vertices.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 # ``intersects`` is imported only to stay a module name: perfbench counts
 # pair tests by rebinding it.
@@ -30,16 +34,18 @@ __all__ = [
 
 
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1.
 
-    __slots__ = ("n", "adj", "edges")
+    Only the adjacency sets are stored; ``edges`` is derived on demand.
+    """
+
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
         adj: list[set[int]] = [set() for _ in range(n)]
-        edge_set: set[tuple[int, int]] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
@@ -47,9 +53,22 @@ class Graph:
                 raise ValueError(f"loop at {u}")
             adj[u].add(v)
             adj[v].add(u)
-            edge_set.add((min(u, v), max(u, v)))
         self.adj = tuple(frozenset(s) for s in adj)
-        self.edges = frozenset(edge_set)
+
+    @classmethod
+    def _from_adjacency(cls, adj: Iterable[frozenset[int]]) -> "Graph":
+        """Wrap adjacency sets that are already symmetric and loop-free."""
+        g = cls.__new__(cls)
+        g.adj = tuple(adj)
+        g.n = len(g.adj)
+        return g
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every edge once as ``(u, v)`` with u < v."""
+        return frozenset(
+            (u, v) for u in range(self.n) for v in self.adj[u] if u < v
+        )
 
     def adjacent(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -81,13 +100,17 @@ class Graph:
         return Graph(len(order), edges), dict(enumerate(order))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={sum(map(len, self.adj)) // 2})"
 
 
 class Digraph:
-    """Simple directed graph; at most one arc per ordered pair, no loops."""
+    """Simple directed graph; at most one arc per ordered pair, no loops.
 
-    __slots__ = ("n", "out", "inn", "arcs")
+    Only the out- and in-neighbor sets are stored; ``arcs`` is derived on
+    demand.
+    """
+
+    __slots__ = ("n", "out", "inn")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -95,7 +118,6 @@ class Digraph:
         self.n = n
         out: list[set[int]] = [set() for _ in range(n)]
         inn: list[set[int]] = [set() for _ in range(n)]
-        arc_set: set[tuple[int, int]] = set()
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u},{v}) out of range")
@@ -103,10 +125,28 @@ class Digraph:
                 raise ValueError(f"loop at {u}")
             out[u].add(v)
             inn[v].add(u)
-            arc_set.add((u, v))
         self.out = tuple(frozenset(s) for s in out)
         self.inn = tuple(frozenset(s) for s in inn)
-        self.arcs = frozenset(arc_set)
+
+    @classmethod
+    def _from_adjacency(
+        cls, out: Sequence[Iterable[int]], inn: Sequence[Iterable[int]]
+    ) -> "Digraph":
+        """Freeze out- and in-neighbor lists that already agree, loop-free.
+
+        Every empty neighborhood shares one frozenset: most pattern
+        digraphs in higher dimensions have no arcs at all.
+        """
+        empty: frozenset[int] = frozenset()
+        dg = cls.__new__(cls)
+        dg.n = len(out)
+        dg.out = tuple(frozenset(s) if s else empty for s in out)
+        dg.inn = tuple(frozenset(s) if s else empty for s in inn)
+        return dg
+
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset((u, v) for u in range(self.n) for v in self.out[u])
 
     def has_arc(self, u: int, v: int) -> bool:
         return v in self.out[u]
@@ -118,7 +158,7 @@ class Digraph:
         return self.inn[u]
 
     def underlying(self) -> Graph:
-        return Graph(self.n, self.arcs)
+        return Graph._from_adjacency(o | i for o, i in zip(self.out, self.inn))
 
     def topological_order(self) -> list[int] | None:
         """Kahn's algorithm; None when a cycle exists. Deterministic."""
@@ -160,7 +200,7 @@ class Digraph:
         return frozenset(seen)
 
     def __repr__(self) -> str:
-        return f"Digraph(n={self.n}, m={len(self.arcs)})"
+        return f"Digraph(n={self.n}, m={sum(map(len, self.out))})"
 
 
 class RootedTree:
@@ -269,9 +309,15 @@ class Coloring:
                 raise ValueError(f"color {c} of vertex {v} outside palette")
 
     def is_proper_on(self, g: Graph) -> bool:
-        if set(self.colors) != set(range(g.n)):
+        colors = self.colors
+        if set(colors) != set(range(g.n)):
             return False
-        return all(self.colors[u] != self.colors[v] for u, v in g.edges)
+        for u, near in enumerate(g.adj):
+            c = colors[u]
+            for v in near:
+                if colors[v] == c:
+                    return False
+        return True
 
 
 def intersection_graph(boxes: Sequence[Box]) -> Graph:
@@ -284,9 +330,13 @@ def intersection_graph(boxes: Sequence[Box]) -> Graph:
     return Graph(len(boxes), ((u, v) for u, v, _ in intersecting_pairs(boxes)))
 
 
-def degeneracy_coloring(g: Graph, bound: int) -> Coloring | None:
+def degeneracy_coloring(
+    g: Graph | Mapping[int, AbstractSet[int]], bound: int
+) -> Coloring | None:
     """Greedy coloring along a peeling order, or None if peeling gets stuck.
 
+    ``g`` is a Graph or an adjacency mapping ``{vertex: neighbors}`` whose
+    neighbors are all keys; the coloring covers exactly those vertices.
     Repeatedly removes the smallest vertex whose remaining degree is below
     ``bound``; coloring the removal order in reverse then sees fewer than
     ``bound`` colored neighbors per vertex, so at most ``bound`` colors.
@@ -295,28 +345,40 @@ def degeneracy_coloring(g: Graph, bound: int) -> Coloring | None:
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    degree = [g.degree(v) for v in range(g.n)]
-    ready = [v for v in range(g.n) if degree[v] < bound]  # sorted: a heap
-    removed = [False] * g.n
+    if isinstance(g, Graph):
+        adj: Mapping[int, AbstractSet[int]] | Sequence[AbstractSet[int]] = g.adj
+        vertices: Sequence[int] = range(g.n)
+    else:
+        adj, vertices = g, sorted(g)
+    degree = {v: len(adj[v]) for v in vertices}
+    ready = [v for v in vertices if degree[v] < bound]  # sorted: a heap
+    removed: set[int] = set()
     order: list[int] = []
+    if len(ready) == len(vertices):
+        # a vertex is pushed only when its degree falls from bound to
+        # bound - 1; with every degree below bound nothing is pushed, and
+        # the heap would pop the vertices in ascending order
+        order, ready = ready, []
     while ready:
         pick = heapq.heappop(ready)
-        removed[pick] = True
+        removed.add(pick)
         order.append(pick)
-        for w in g.adj[pick]:
-            if not removed[w]:
+        for w in adj[pick]:
+            if w not in removed:
                 degree[w] -= 1
                 if degree[w] == bound - 1:
                     heapq.heappush(ready, w)
-    if len(order) < g.n:
+    if len(order) < len(vertices):
         return None
     colors: dict[int, int] = {}
     for v in reversed(order):
-        used = {colors[w] for w in g.adj[v] if w in colors}
-        c = next(c for c in range(bound) if c not in used)
+        used = {colors[w] for w in adj[v] if w in colors}
+        c = 0  # fewer than bound neighbors are colored, so c stays below bound
+        while c in used:
+            c += 1
         colors[v] = c
     palette = 1 + max(colors.values(), default=-1) if colors else 0
-    return Coloring(colors, max(palette, 1) if g.n else 0)
+    return Coloring(colors, max(palette, 1) if vertices else 0)
 
 
 def find_induced_copy(g: Graph, t: RootedTree) -> dict[int, int] | None:

@@ -55,9 +55,9 @@ class OracleLimitError(Exception):
 
 def _adjacency_masks(g: Graph) -> list[int]:
     masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+    for u, near in enumerate(g.adj):
+        for v in near:
+            masks[u] |= 1 << v
     return masks
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "BasicReport",
     "PatternDigraph",
     "decompose",
+    "host_graph",
     "product_coloring",
     "verify_basic",
 ]
@@ -50,7 +51,9 @@ class PatternDigraph:
 def decompose(boxes: Sequence[Box]) -> list[PatternDigraph]:
     """All 4^d pattern digraphs in canonical pattern order, empty ones kept.
 
-    Arcs are filed by the integer pattern codes of ``intersecting_pairs``.
+    Arcs are filed by the integer pattern codes of ``intersecting_pairs``
+    straight into per-vertex neighbor lists; the pair list is gone before
+    the lists are frozen into digraphs.
     """
     if not boxes:
         raise ValueError("empty box collection")
@@ -58,13 +61,32 @@ def decompose(boxes: Sequence[Box]) -> list[PatternDigraph]:
     if sorted(b.id for b in boxes) != list(range(n)):
         raise ValueError("box ids must be 0..n-1")
     patterns = all_patterns(boxes[0].dim)
-    index = {p: i for i, p in enumerate(patterns)}
-    mirrored = [index[p.mirrored()] for p in patterns]
-    arcs: list[list[tuple[int, int]]] = [[] for _ in patterns]
+    flip = (len(patterns) - 1) // 3  # code ^ flip is the mirrored pattern
+    out = [[[] for _ in range(n)] for _ in patterns]
+    inn = [[[] for _ in range(n)] for _ in patterns]
     for u, v, code in intersecting_pairs(boxes):
-        arcs[code].append((u, v))
-        arcs[mirrored[code]].append((v, u))
-    return [PatternDigraph(p, Digraph(n, a)) for p, a in zip(patterns, arcs)]
+        back = code ^ flip
+        out[code][u].append(v)
+        inn[code][v].append(u)
+        out[back][v].append(u)
+        inn[back][u].append(v)
+    return [
+        PatternDigraph(p, Digraph._from_adjacency(o, i))
+        for p, o, i in zip(patterns, out, inn)
+    ]
+
+
+def host_graph(family: Sequence[PatternDigraph]) -> Graph:
+    """The intersection graph that ``decompose`` split into ``family``.
+
+    Every intersecting pair is an arc in one pattern and the reverse arc in
+    the mirrored one, so a vertex's neighbors are its out-neighbors across
+    all patterns; no second sweep is needed.
+    """
+    if not family:
+        raise ValueError("empty pattern family")
+    outs = [pd.digraph.out for pd in family]
+    return Graph._from_adjacency(frozenset().union(*near) for near in zip(*outs))
 
 
 @dataclass(frozen=True)
@@ -176,8 +198,9 @@ def product_coloring(
         if pd.pattern not in colorings:
             raise ValueError(f"missing coloring for pattern {pd.pattern}")
         piece = colorings[pd.pattern].colors
+        out = pd.digraph.out
         if set(piece) != set(range(pd.digraph.n)) or any(
-            piece[u] == piece[v] for u, v in pd.digraph.arcs
+            piece[u] == piece[v] for u in range(pd.digraph.n) for v in out[u]
         ):
             raise ValueError(f"coloring improper on pattern {pd.pattern}")
         pieces.append(piece)

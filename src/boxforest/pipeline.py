@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -29,10 +28,18 @@ from .embedding import (
     find_path_induced_tree,
     peel_grading,
 )
-from .geometry import Box, Pattern, intersects
-from .graphs import Coloring, Graph, RootedTree, complete_kary_tree, intersection_graph
+from .geometry import Box, Pattern, intersecting_pairs, intersects
+# ``intersection_graph`` is imported only to stay a module name: perfbench
+# rebinds it to trace calls.
+from .graphs import (  # noqa: F401
+    Coloring,
+    Graph,
+    RootedTree,
+    complete_kary_tree,
+    intersection_graph,
+)
 from .oracles import DEFAULT_LIMITS, OracleLimits, maximum_independent_set, omega
-from .patterns import PatternDigraph, decompose, product_coloring
+from .patterns import PatternDigraph, decompose, host_graph, product_coloring
 
 __all__ = [
     "BoundReport",
@@ -309,7 +316,6 @@ def color_or_find_forest(
     k: int,
     limits: OracleLimits = DEFAULT_LIMITS,
     omega_bound: int | None = None,
-    threads: int = 1,
 ) -> Certificate:
     """Proper coloring within the derived bound, or an induced tree.
 
@@ -318,17 +324,18 @@ def color_or_find_forest(
     oracle on instances above its limit. With r = 0 the certificate is the
     trivial single-vertex tree (any box is one); d = 1 instances specialize
     to the interval greedy sweep, which colors with exactly omega colors.
+    The pair sweep runs once: the pattern digraphs come from it and the
+    host graph from them.
     """
     if not boxes:
         raise ValueError("empty box collection")
     if r < 0 or k < 1:
         raise ValueError("need r >= 0 and k >= 1")
-    if threads < 1:
-        raise ValueError("threads must be positive")
     if omega_bound is not None and omega_bound < 1:
         raise ValueError("omega bound must be positive")
     d = boxes[0].dim
-    g = intersection_graph(boxes)
+    family = decompose(boxes)
+    g = host_graph(family)
 
     if r == 0:
         cert = InducedTree(RootedTree([None]), {0: 0}, 0, k)
@@ -348,7 +355,6 @@ def color_or_find_forest(
 
     w = omega_bound if omega_bound is not None else omega(g, limits)
     report = chi_bound(d, r, k, w)
-    family = decompose(boxes)
     big_tree = (
         complete_kary_tree(r, report.tree_branching)
         if report.tree_size <= len(boxes)
@@ -366,11 +372,7 @@ def color_or_find_forest(
             pd.digraph, g, big_tree, limits, host_clique_number=w
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_pattern, family))
-    else:
-        results = [run_pattern(pd) for pd in family]
+    results = [run_pattern(pd) for pd in family]
 
     for pd, result in zip(family, results):
         if isinstance(result, CalmEmbedding):
@@ -480,8 +482,11 @@ def verify_certificate(boxes: Sequence[Box], payload: dict) -> tuple[bool, str]:
             return False, (
                 f"palette {palette} exceeds the stated bound {payload['bound']}"
             )
-        g = intersection_graph(boxes)
-        for u, v in sorted(g.edges):
+        if sorted(b.id for b in boxes) != list(range(n)):
+            raise ValueError("box ids must be 0..n-1")
+        # the sweep lists pairs sorted, so the first clash reported is the
+        # smallest one
+        for u, v, _ in intersecting_pairs(boxes):
             if colors[u] == colors[v]:
                 return False, f"adjacent boxes {u} and {v} share color {colors[u]}"
         return True, f"proper coloring with {palette} colors within bound"

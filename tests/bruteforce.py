@@ -7,7 +7,9 @@ Nothing imports from the package except plain data types.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+import json
+
+from itertools import combinations, permutations, product
 
 
 def is_clique(adj: dict[int, set[int]], verts: tuple[int, ...]) -> bool:
@@ -201,3 +203,72 @@ def brute_degeneracy_coloring(n: int, edges, bound: int) -> dict[int, int] | Non
         used = {colors[w] for w in adj[v] if w in colors}
         colors[v] = next(c for c in range(bound) if c not in used)
     return colors
+
+
+def brute_peel_coloring(n: int, arcs, k: int, m: int) -> dict[int, int] | None:
+    """Peel m - 1 rounds of vertices with out-degree < k in the remainder;
+    None when vertices survive (a grading). Otherwise each layer's arcs are
+    filtered out of the full arc list, relabeled to 0.. in id order, and
+    colored by the sorted-scan peeler with 2k - 1 colors, each layer's
+    palette placed after the previous ones."""
+    out: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in arcs:
+        out[u].add(v)
+    remaining = set(range(n))
+    layers = []
+    for _ in range(m - 1):
+        peeled = {v for v in remaining if len(out[v] & remaining) < k}
+        layers.append(peeled)
+        remaining -= peeled
+    if remaining:
+        return None
+    colors: dict[int, int] = {}
+    offset = 0
+    for layer in layers:
+        if not layer:
+            continue
+        order = sorted(layer)
+        index = {v: i for i, v in enumerate(order)}
+        local = [(index[u], index[v]) for u, v in arcs if u in layer and v in layer]
+        sub = brute_degeneracy_coloring(len(order), local, 2 * k - 1)
+        if sub is None:
+            raise AssertionError("a layer of out-degree < k failed to color")
+        for i, v in enumerate(order):
+            colors[v] = offset + sub[i]
+        offset += max(sub.values()) + 1
+    return colors
+
+
+def brute_coloring_certificate(sides: list[tuple], r: int, k: int) -> str | None:
+    """The coloring certificate of the dichotomy for d >= 2 and r >= 1, from
+    the all-pairs decomposition; None when some pattern keeps a grading
+    (the dichotomy then answers with a tree).
+
+    Every pattern is peeled with k = |T|, the size of the complete
+    (k^d omega)-ary depth-r tree, for 1 round when |T| > n and for
+    max(1, r omega - 1) rounds otherwise; the per-pattern colorings combine
+    into tuples numbered by first appearance in id order.
+    """
+    n, d = len(sides), len(sides[0])
+    w = brute_omega(n, brute_patterns(sides))
+    branching = k**d * w
+    size = sum(branching**i for i in range(r + 1))
+    m = 2 if size > n else max(2, r * w)
+    arcs = brute_decompose(sides)
+    pieces = []
+    for letters in product("CcLR", repeat=d):
+        piece = brute_peel_coloring(n, arcs.get("".join(letters), ()), size, m)
+        if piece is None:
+            return None
+        pieces.append(piece)
+    index: dict[tuple[int, ...], int] = {}
+    colors = {}
+    for v in range(n):
+        colors[str(v)] = index.setdefault(tuple(p[v] for p in pieces), len(index))
+    payload = {
+        "kind": "coloring",
+        "palette": len(index),
+        "bound": (2 * r * size * w) ** (4**d),
+        "colors": colors,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

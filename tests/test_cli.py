@@ -183,14 +183,13 @@ class TestEnvLimits:
 
 
 class TestDeterminism:
-    def test_byte_identical_across_runs_and_threads(self, tmp_path):
+    def test_byte_identical_across_runs(self, tmp_path):
         path = write_instance(tmp_path, "d.txt", "random", n=10, d=2, seed=11)
         outs = []
-        for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
+        for name in ("a", "b", "c"):
             cert = tmp_path / f"{name}.json"
             code = main([
-                "color", str(path), "--r", "1", "--k", "2",
-                "--threads", threads, "--out", str(cert),
+                "color", str(path), "--r", "1", "--k", "2", "--out", str(cert),
             ])
             assert code in (0, 3)
             outs.append(cert.read_bytes())

@@ -1,4 +1,10 @@
-"""The axis-0 pair sweep and the heap peeler against all-pairs references."""
+"""The axis-0 pair sweep and the heap peeler against all-pairs references.
+
+Also checks that certify and verify sweep once, and that what they derive
+from the one sweep (pattern digraphs, host graph, layer colorings,
+certificates, the first clash a verifier reports) matches references that
+copy and rescan everything.
+"""
 
 from __future__ import annotations
 
@@ -7,18 +13,37 @@ import random
 import pytest
 
 from boxforest import (
+    InducedTree,
+    LayeredColoring,
+    ProperColoring,
     all_patterns,
     boxes_from_rows,
     burling_like,
+    certificate_to_json,
+    color_or_find_forest,
     decompose,
     degeneracy_coloring,
+    geometry,
+    graphs,
     grid_disjoint_boxes,
     intersecting_pairs,
     intersection_graph,
     nested_chain_boxes,
     normalize,
+    parse_certificate,
+    patterns,
+    peel_grading,
+    pipeline,
+    random_boxes,
+    verify_certificate,
 )
-from bruteforce import brute_decompose, brute_degeneracy_coloring, brute_patterns
+from bruteforce import (
+    brute_coloring_certificate,
+    brute_decompose,
+    brute_degeneracy_coloring,
+    brute_patterns,
+    brute_peel_coloring,
+)
 
 
 def random_instance(rng: random.Random, d: int):
@@ -93,3 +118,141 @@ def test_sweep_rejects_shared_endpoints_and_mixed_dimensions():
     mixed = normalize(boxes_from_rows([[0, 1]])) + normalize(boxes_from_rows([[0, 1, 0, 1]]))
     with pytest.raises(ValueError):
         intersecting_pairs(mixed)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_host_graph_from_the_family_is_the_intersection_graph(name):
+    for boxes in family(name):
+        g = patterns.host_graph(decompose(boxes))
+        assert g.adj == intersection_graph(boxes).adj
+        assert g.edges == set(brute_patterns(plain(boxes)))
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Counts calls of ``intersecting_pairs`` through every module name."""
+    calls = []
+    original = geometry.intersecting_pairs
+
+    def counted(boxes):
+        calls.append(len(boxes))
+        return original(boxes)
+
+    for module in (geometry, graphs, patterns, pipeline):
+        if hasattr(module, "intersecting_pairs"):
+            monkeypatch.setattr(module, "intersecting_pairs", counted)
+    return calls
+
+
+def test_certify_and_verify_sweep_once(sweep_calls):
+    rng = random.Random(3)
+    kinds = set()
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        boxes = random_boxes(rng.randint(2, 14), d, seed=rng.randrange(10**6))
+        r, k = rng.choice(((0, 1), (1, 1), (1, 2), (2, 2)))
+        sweep_calls.clear()
+        cert = color_or_find_forest(boxes, r, k)
+        assert len(sweep_calls) == 1, (d, r, k)
+        payload = parse_certificate(certificate_to_json(cert))
+        sweep_calls.clear()
+        ok, message = verify_certificate(boxes, payload)
+        assert ok, message
+        assert len(sweep_calls) == (1 if isinstance(cert, ProperColoring) else 0)
+        kinds.add(type(cert))
+    assert kinds == {ProperColoring, InducedTree}
+
+
+def _random_digraphs(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        for pd in decompose(random_instance(rng, rng.randint(2, 3))):
+            yield pd.digraph
+
+
+def test_full_layer_colorings_match_copy_and_relabel():
+    checked = 0
+    for dg in _random_digraphs(41, 30):
+        result = peel_grading(dg, dg.n + 1, 2)  # every vertex peels at once
+        assert isinstance(result, LayeredColoring)
+        assert result.layers == (frozenset(range(dg.n)),)
+        assert dict(result.coloring.colors) == brute_peel_coloring(
+            dg.n, dg.arcs, dg.n + 1, 2
+        )
+        checked += 1
+    assert checked >= 100
+
+
+def test_partial_layer_colorings_match_copy_and_relabel():
+    partial = 0
+    for dg in _random_digraphs(42, 25):
+        for k in (1, 2, 3):
+            for m in (2, 3, dg.n + 1):
+                result = peel_grading(dg, k, m)
+                want = brute_peel_coloring(dg.n, dg.arcs, k, m)
+                if want is None:
+                    assert not isinstance(result, LayeredColoring)
+                    continue
+                assert isinstance(result, LayeredColoring)
+                assert dict(result.coloring.colors) == want
+                if sum(1 for layer in result.layers if layer) > 1:
+                    partial += 1
+    assert partial >= 50
+
+
+def test_first_clash_reported_is_the_smallest_pair():
+    rng = random.Random(5)
+    for _ in range(20):
+        boxes = random_boxes(rng.randint(3, 12), 2, seed=rng.randrange(10**6))
+        pairs = sorted(brute_patterns(plain(boxes)))
+        if not pairs:
+            continue
+        cert = color_or_find_forest(boxes, 2, 2)
+        payload = parse_certificate(certificate_to_json(cert))
+        for u, v in rng.sample(pairs, min(3, len(pairs))):
+            payload["colors"][v] = payload["colors"][u]
+        colors = payload["colors"]
+        first = next((a, b) for a, b in pairs if colors[a] == colors[b])
+        ok, message = verify_certificate(boxes, payload)
+        assert not ok
+        assert message == (
+            f"adjacent boxes {first[0]} and {first[1]} share color {colors[first[0]]}"
+        )
+
+
+def fan_instance(rng: random.Random, d: int):
+    """A hub box around disjoint leaves, plus up to two small random boxes."""
+    leaves = rng.randint(3, 9)
+    rows = [
+        [x for side in b.sides for x in (side.lo, side.hi)]
+        for b in grid_disjoint_boxes(leaves, d)
+    ]
+    rows.append([x for _ in range(d) for x in (-1, 2 * leaves)])
+    for _ in range(rng.randint(0, 2)):
+        row = []
+        for _ in range(d):
+            lo = rng.randrange(2 * leaves)
+            row.extend((lo, lo + 1))
+        rows.append(row)
+    return normalize(boxes_from_rows(rows))
+
+
+def test_certificates_match_the_all_pairs_path():
+    rng = random.Random(7)
+    colorings = trees = 0
+    for i in range(40):
+        d = rng.randint(2, 3)
+        if i % 2:
+            boxes = fan_instance(rng, d)
+        else:
+            boxes = random_boxes(rng.randint(3, 14), d, seed=rng.randrange(10**6))
+        r, k = rng.choice(((1, 1), (1, 2), (2, 1), (2, 2)))
+        want = brute_coloring_certificate(plain(boxes), r, k)
+        cert = color_or_find_forest(boxes, r, k)
+        if want is None:
+            assert isinstance(cert, InducedTree)
+            trees += 1
+        else:
+            assert certificate_to_json(cert) == want
+            colorings += 1
+    assert colorings >= 10 and trees >= 1
