@@ -33,7 +33,6 @@ __all__ = [
     "find_path_induced_tree",
     "grading_error",
     "peel_grading",
-    "tournament_size",
     "verify_calm",
 ]
 
@@ -179,11 +178,6 @@ class TournamentOracle:
                 inner, _ = _max_clique_bitset(self._masks, universe)
                 self._cache[key] = 2 + inner
         return self._cache[key]
-
-
-def tournament_size(dg: Digraph, u: int, v: int) -> int:
-    """t(u, v); 0 by convention when no tournament starts at u and ends at v."""
-    return TournamentOracle(dg).size(u, v)
 
 
 @dataclass(frozen=True)

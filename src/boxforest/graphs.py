@@ -1,19 +1,19 @@
-"""Graphs, digraphs, rooted trees, colorings, and small exact searches.
+"""Graphs, digraphs, rooted trees, colorings, and degeneracy peeling.
 
 Vertices are always 0..n-1. A graph stores only its adjacency sets and a
 digraph only its out- and in-neighbor sets; edge and arc sets are derived
-when asked for, so no adjacency is held twice. Building the intersection
-graph and degeneracy peeling scale to thousands of boxes (an axis-0 sweep
-and a heap); the pipeline itself derives its host graph from the pattern
-digraphs (``patterns.host_graph``), so one sweep serves both. The
-induced-copy search backtracks and is meant for certificate-scale work,
-tens of vertices.
+when asked for, so no adjacency is held twice. A pattern digraph's
+in-neighbor sets are its mirror's out-neighbor sets (``patterns.decompose``).
+Building the intersection graph and degeneracy peeling scale to thousands
+of boxes (an axis-0 sweep and a heap); the pipeline itself derives its host
+graph from the pattern digraphs (``patterns.host_graph``), so one sweep
+serves both.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 # ``intersects`` is imported only to stay a module name: perfbench counts
@@ -27,7 +27,6 @@ __all__ = [
     "RootedTree",
     "complete_kary_tree",
     "degeneracy_coloring",
-    "find_induced_copy",
     "intersection_graph",
     "is_path_induced",
 ]
@@ -88,17 +87,6 @@ class Graph:
         ]
         return Graph(self.n, edges)
 
-    def subgraph(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
-        """Induced subgraph relabeled to 0..k-1 plus the new->old map."""
-        order = sorted(set(vertices))
-        index = {v: i for i, v in enumerate(order)}
-        edges = [
-            (index[u], index[v])
-            for u, v in self.edges
-            if u in index and v in index
-        ]
-        return Graph(len(order), edges), dict(enumerate(order))
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={sum(map(len, self.adj)) // 2})"
 
@@ -130,18 +118,17 @@ class Digraph:
 
     @classmethod
     def _from_adjacency(
-        cls, out: Sequence[Iterable[int]], inn: Sequence[Iterable[int]]
+        cls, out: tuple[frozenset[int], ...], inn: tuple[frozenset[int], ...]
     ) -> "Digraph":
-        """Freeze out- and in-neighbor lists that already agree, loop-free.
+        """Wrap frozen out- and in-neighbor sets that already agree, loop-free.
 
-        Every empty neighborhood shares one frozenset: most pattern
-        digraphs in higher dimensions have no arcs at all.
+        Nothing is copied: ``inn`` may be another digraph's ``out``, as for
+        a pattern digraph and its mirror.
         """
-        empty: frozenset[int] = frozenset()
         dg = cls.__new__(cls)
         dg.n = len(out)
-        dg.out = tuple(frozenset(s) if s else empty for s in out)
-        dg.inn = tuple(frozenset(s) if s else empty for s in inn)
+        dg.out = out
+        dg.inn = inn
         return dg
 
     @property
@@ -150,12 +137,6 @@ class Digraph:
 
     def has_arc(self, u: int, v: int) -> bool:
         return v in self.out[u]
-
-    def out_neighbors(self, u: int) -> frozenset[int]:
-        return self.out[u]
-
-    def in_neighbors(self, u: int) -> frozenset[int]:
-        return self.inn[u]
 
     def underlying(self) -> Graph:
         return Graph._from_adjacency(o | i for o, i in zip(self.out, self.inn))
@@ -331,25 +312,21 @@ def intersection_graph(boxes: Sequence[Box]) -> Graph:
 
 
 def degeneracy_coloring(
-    g: Graph | Mapping[int, AbstractSet[int]], bound: int
+    adj: Mapping[int, AbstractSet[int]], bound: int
 ) -> Coloring | None:
     """Greedy coloring along a peeling order, or None if peeling gets stuck.
 
-    ``g`` is a Graph or an adjacency mapping ``{vertex: neighbors}`` whose
-    neighbors are all keys; the coloring covers exactly those vertices.
-    Repeatedly removes the smallest vertex whose remaining degree is below
-    ``bound``; coloring the removal order in reverse then sees fewer than
-    ``bound`` colored neighbors per vertex, so at most ``bound`` colors.
+    ``adj`` maps each vertex to its neighbors, which are all keys; the
+    coloring covers exactly those vertices. Repeatedly removes the smallest
+    vertex whose remaining degree is below ``bound``; coloring the removal
+    order in reverse then sees fewer than ``bound`` colored neighbors per
+    vertex, so at most ``bound`` colors.
     Degrees only fall, so a min-heap of the vertices that dropped below
     ``bound`` always pops that smallest vertex.
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    if isinstance(g, Graph):
-        adj: Mapping[int, AbstractSet[int]] | Sequence[AbstractSet[int]] = g.adj
-        vertices: Sequence[int] = range(g.n)
-    else:
-        adj, vertices = g, sorted(g)
+    vertices = sorted(adj)
     degree = {v: len(adj[v]) for v in vertices}
     ready = [v for v in vertices if degree[v] < bound]  # sorted: a heap
     removed: set[int] = set()
@@ -379,47 +356,6 @@ def degeneracy_coloring(
         colors[v] = c
     palette = 1 + max(colors.values(), default=-1) if colors else 0
     return Coloring(colors, max(palette, 1) if vertices else 0)
-
-
-def find_induced_copy(g: Graph, t: RootedTree) -> dict[int, int] | None:
-    """First induced copy of the tree's underlying graph in g, or None.
-
-    Backtracks over the tree in preorder: a candidate must be adjacent to
-    its parent's image and non-adjacent to every other mapped image, which
-    checks each vertex pair exactly once.
-    """
-    order = t.preorder()
-    image: dict[int, int] = {}
-    used: set[int] = set()
-
-    def place(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        v = order[idx]
-        p = t.parent[v]
-        if p is None:
-            candidates: Iterable[int] = range(g.n)
-        else:
-            candidates = sorted(g.adj[image[p]])
-        for w in candidates:
-            if w in used:
-                continue
-            ok = all(
-                (tv == p) == g.adjacent(w, image[tv])
-                for tv in image
-                if tv != v
-            )
-            if not ok:
-                continue
-            image[v] = w
-            used.add(w)
-            if place(idx + 1):
-                return True
-            used.discard(w)
-            del image[v]
-        return False
-
-    return dict(image) if place(0) else None
 
 
 def is_path_induced(dg: Digraph, t: RootedTree, phi: Mapping[int, int]) -> bool:

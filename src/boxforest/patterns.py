@@ -4,7 +4,8 @@ For every pattern R the pattern digraph has an arc u -> v exactly when box
 u relates to box v by R on every axis. Each intersecting pair contributes
 one arc under its pattern and the reverse arc under the mirrored pattern,
 so the 4^d digraphs' underlying edge sets partition the intersection graph
-once mirror-duplicates are accounted for.
+once mirror-duplicates are accounted for. The mirrored pattern's digraph
+is the reverse digraph, and the two share their neighbor sets.
 
 Every pattern digraph of a normalized family is acyclic, *modest* (the
 vertex set of any directed u->v path with uv an arc is a clique in the host
@@ -52,8 +53,10 @@ def decompose(boxes: Sequence[Box]) -> list[PatternDigraph]:
     """All 4^d pattern digraphs in canonical pattern order, empty ones kept.
 
     Arcs are filed by the integer pattern codes of ``intersecting_pairs``
-    straight into per-vertex neighbor lists; the pair list is gone before
-    the lists are frozen into digraphs.
+    straight into per-vertex out-neighbor lists; the pair list is gone
+    before the lists are frozen. Swapping a pair mirrors its pattern, so a
+    pattern's in-neighbor sets are its mirror's out-neighbor sets and each
+    adjacency is stored once.
     """
     if not boxes:
         raise ValueError("empty box collection")
@@ -63,16 +66,16 @@ def decompose(boxes: Sequence[Box]) -> list[PatternDigraph]:
     patterns = all_patterns(boxes[0].dim)
     flip = (len(patterns) - 1) // 3  # code ^ flip is the mirrored pattern
     out = [[[] for _ in range(n)] for _ in patterns]
-    inn = [[[] for _ in range(n)] for _ in patterns]
     for u, v, code in intersecting_pairs(boxes):
-        back = code ^ flip
         out[code][u].append(v)
-        inn[code][v].append(u)
-        out[back][v].append(u)
-        inn[back][u].append(v)
+        out[code ^ flip][v].append(u)
+    # every empty neighborhood shares one frozenset: most pattern digraphs
+    # in higher dimensions have no arcs at all
+    empty: frozenset[int] = frozenset()
+    frozen = [tuple(frozenset(s) if s else empty for s in lists) for lists in out]
     return [
-        PatternDigraph(p, Digraph._from_adjacency(o, i))
-        for p, o, i in zip(patterns, out, inn)
+        PatternDigraph(p, Digraph._from_adjacency(frozen[c], frozen[c ^ flip]))
+        for c, p in enumerate(patterns)
     ]
 
 

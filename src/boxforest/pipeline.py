@@ -124,9 +124,9 @@ def _interval_mis(boxes: Sequence[Box], axis: int) -> list[int]:
 def _interval_max_clique(boxes: Sequence[Box], axis: int) -> list[int]:
     """Ids of intervals through the first deepest sweep point (exact)."""
     events = sorted(
-        (b.side(axis).lo, 0, b.id) for b in boxes
-    ) + sorted((b.side(axis).hi, 1, b.id) for b in boxes)
-    events.sort()
+        [(b.side(axis).lo, 0, b.id) for b in boxes]
+        + [(b.side(axis).hi, 1, b.id) for b in boxes]
+    )
     active: set[int] = set()
     best: frozenset[int] = frozenset()
     for _, is_hi, bid in events:
@@ -417,22 +417,39 @@ def certificate_to_json(cert: Certificate) -> str:
 
 
 def _int_keyed(entries: dict, label: str) -> dict[int, int]:
-    """Decode a JSON object with decimal-string keys and integer values."""
+    """Decode a JSON object with canonical decimal keys and integer values.
+
+    A key must read back as itself (``"1"``, not ``"01"``, ``"+1"`` or
+    ``"1_0"``), so no two keys can name the same box.
+    """
     out: dict[int, int] = {}
     for key, value in entries.items():
         if type(value) is not int:
             raise ValueError(f"{label} values must be integers")
         try:
-            out[int(key)] = value
+            box_id = int(key)
         except (TypeError, ValueError):
-            raise ValueError(f"{label} keys must be decimal ids") from None
+            box_id = None
+        if box_id is None or str(box_id) != key:
+            raise ValueError(f"{label} keys must be decimal ids, got {key!r}")
+        out[box_id] = value
     return out
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json.loads`` object hook: a repeated key is an error, not an update."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"certificate repeats the key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def parse_certificate(text: str) -> dict:
     """Parse and schema-check a certificate; ValueError on malformed input."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad certificate JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -490,9 +507,12 @@ def verify_certificate(boxes: Sequence[Box], payload: dict) -> tuple[bool, str]:
             if colors[u] == colors[v]:
                 return False, f"adjacent boxes {u} and {v} share color {colors[u]}"
         return True, f"proper coloring with {palette} colors within bound"
-    if tree_vertex_count(payload["r"], payload["k"]) > n:
+    r, k = payload["r"], payload["k"]
+    # a depth-r tree has more than r vertices, and more than k once r >= 1;
+    # refusing those first keeps k ** (r + 1) below n ** n
+    if r >= n or (r >= 1 and k >= n) or tree_vertex_count(r, k) > n:
         raise ValueError("certificate tree has more vertices than there are boxes")
-    tree = complete_kary_tree(payload["r"], payload["k"])
+    tree = complete_kary_tree(r, k)
     mapping: dict[int, int] = payload["map"]
     if set(mapping) != set(range(tree.n)):
         raise ValueError(
@@ -500,10 +520,8 @@ def verify_certificate(boxes: Sequence[Box], payload: dict) -> tuple[bool, str]:
         )
     if any(not 0 <= b < n for b in mapping.values()):
         raise ValueError("certificate map hits a box id out of range")
-    cert = InducedTree(tree, mapping, payload["r"], payload["k"])
+    cert = InducedTree(tree, mapping, r, k)
     problem = _induced_tree_violation(cert, boxes)
     if problem:
         return False, problem
-    return True, (
-        f"induced depth-{payload['r']} {payload['k']}-ary tree on {tree.n} boxes"
-    )
+    return True, f"induced depth-{r} {k}-ary tree on {tree.n} boxes"

@@ -148,6 +148,47 @@ def brute_induced_copy(n: int, edges, tree_parent) -> dict[int, int] | None:
     return None
 
 
+def find_induced_copy(g, t) -> dict[int, int] | None:
+    """First induced copy of rooted tree ``t``'s underlying graph in graph
+    ``g``, or None.
+
+    Backtracks over the tree in preorder: a candidate must be adjacent to
+    its parent's image and non-adjacent to every other mapped image, which
+    checks each vertex pair exactly once. Faster than
+    ``brute_induced_copy`` and checked against it, so tests can search
+    graphs of tens of vertices.
+    """
+    order = t.preorder()
+    image: dict[int, int] = {}
+    used: set[int] = set()
+
+    def place(idx: int) -> bool:
+        if idx == len(order):
+            return True
+        v = order[idx]
+        p = t.parent[v]
+        candidates = range(g.n) if p is None else sorted(g.adj[image[p]])
+        for w in candidates:
+            if w in used:
+                continue
+            ok = all(
+                (tv == p) == g.adjacent(w, image[tv])
+                for tv in image
+                if tv != v
+            )
+            if not ok:
+                continue
+            image[v] = w
+            used.add(w)
+            if place(idx + 1):
+                return True
+            used.discard(w)
+            del image[v]
+        return False
+
+    return dict(image) if place(0) else None
+
+
 # All-pairs references for the axis-0 pair sweep and the heap peeler. A box
 # is a tuple of per-axis (lo, hi) pairs; box ids are list positions.
 

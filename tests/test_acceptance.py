@@ -25,7 +25,6 @@ from boxforest import (
     decompose,
     embed_calm_tree,
     extract_independent,
-    find_induced_copy,
     grading_error,
     intersection_graph,
     intersects,
@@ -39,7 +38,7 @@ from boxforest import (
     verify_calm,
     verify_certificate,
 )
-from bruteforce import brute_alpha, brute_chi, brute_omega
+from bruteforce import brute_alpha, brute_chi, brute_omega, find_induced_copy
 
 
 def _passed(num: int, detail: str) -> None:

@@ -144,6 +144,34 @@ class TestVerify:
         other = write_instance(tmp_path, "other.txt", "random", n=5, d=2, seed=9)
         assert main(["verify", str(other), "--certificate", str(cert)]) == 2
 
+    def make_tree_pair(self, tmp_path):
+        path = tmp_path / "star.txt"
+        path.write_text("2 4\n0 9 0 9\n1 2 1 2\n4 5 4 5\n7 8 7 8\n")
+        cert = tmp_path / "cert.json"
+        code = main(["color", str(path), "--r", "1", "--k", "1", "--out", str(cert)])
+        assert code == 3
+        return path, cert
+
+    @pytest.mark.parametrize("kind", ["coloring", "induced_tree"])
+    def test_keys_naming_one_box_twice_are_input_errors(self, tmp_path, kind):
+        path, cert = (self.make_pair if kind == "coloring" else self.make_tree_pair)(tmp_path)
+        text = cert.read_text()
+        field = "colors" if kind == "coloring" else "map"
+        entries = json.loads(text)[field]
+        assert main(["verify", str(path), "--certificate", str(cert)]) == 0
+        # an alias of box 1 with box 1's own entry, and box 0 listed twice
+        # with its own entry: a parser where the later key wins accepts both
+        for extra in (f'"01":{entries["1"]},', f'"0":{entries["0"]},'):
+            cert.write_text(text.replace(f'"{field}":{{', f'"{field}":{{{extra}', 1))
+            assert main(["verify", str(path), "--certificate", str(cert)]) == 2
+
+    def test_impossible_tree_size_is_input_error(self, tmp_path):
+        path, cert = self.make_tree_pair(tmp_path)
+        payload = json.loads(cert.read_text())
+        payload["r"] = 10**15
+        cert.write_text(json.dumps(payload))
+        assert main(["verify", str(path), "--certificate", str(cert)]) == 2
+
 
 class TestOracle:
     def test_stats(self, tmp_path, capsys):

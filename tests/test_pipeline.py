@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from math import ceil
 
 import pytest
@@ -23,7 +24,6 @@ from boxforest import (
     color_or_find_forest,
     complete_kary_tree,
     extract_independent,
-    find_induced_copy,
     grid_disjoint_boxes,
     intersection_graph,
     intersects,
@@ -31,11 +31,12 @@ from boxforest import (
     normalize,
     omega,
     parse_certificate,
+    pipeline,
     random_boxes,
     tree_vertex_count,
     verify_certificate,
 )
-from bruteforce import brute_alpha
+from bruteforce import brute_alpha, find_induced_copy
 
 
 class TestChiBound:
@@ -259,6 +260,29 @@ class TestCertificateJson:
             with pytest.raises(ValueError):
                 parse_certificate(text)
 
+    @pytest.mark.parametrize(
+        "head, field",
+        [
+            ({"kind": "coloring", "palette": 2, "bound": 2}, "colors"),
+            ({"kind": "induced_tree", "r": 1, "k": 1}, "map"),
+        ],
+    )
+    def test_parse_rejects_keys_naming_one_box_twice(self, head, field):
+        def text(body: str) -> str:
+            return json.dumps(head)[:-1] + f', "{field}": {{{body}}}}}'
+
+        assert parse_certificate(text('"0": 0, "1": 1, "10": 1'))[field] == {
+            0: 0, 1: 1, 10: 1
+        }
+        # "01", " 1", "+1" and "1 " read as 1, "1_0" as 10, "-0" as 0
+        for key in ("01", " 1", "+1", "1 ", "1_0", "-0"):
+            with pytest.raises(ValueError, match="decimal ids"):
+                parse_certificate(text(f'"0": 0, "1": 1, "{key}": 0'))
+        with pytest.raises(ValueError, match="repeats"):
+            parse_certificate(text('"0": 0, "1": 1, "1": 0'))
+        with pytest.raises(ValueError, match="repeats"):
+            parse_certificate(f'{{"kind": "{head["kind"]}", ' + text('"0": 0')[1:])
+
     def test_verify_rejects_tampering(self):
         boxes = random_boxes(9, 2, seed=4)
         cert = color_or_find_forest(boxes, r=1, k=2)
@@ -290,6 +314,39 @@ class TestCertificateJson:
         boxes = random_boxes(5, 2, seed=7)
         payload = {"kind": "induced_tree", "r": 30, "k": 30, "map": {0: 0}}
         with pytest.raises(ValueError):
+            verify_certificate(boxes, payload)
+
+    def test_verify_tree_refuses_impossible_sizes_before_counting(self, monkeypatch):
+        # k ** (r + 1) for a tampered r = 10**15 would need 10**15 bits, so
+        # impossible trees must be refused without counting their vertices
+        boxes = random_boxes(5, 2, seed=7)
+        seen = []
+
+        def spy(depth, branching):
+            seen.append((depth, branching))
+            return len(boxes) + 1
+
+        monkeypatch.setattr(pipeline, "tree_vertex_count", spy)
+        for r, k in [(10**15, 2), (10**15, 1), (5, 1), (1, 10**15), (1, 5)]:
+            payload = {"kind": "induced_tree", "r": r, "k": k, "map": {0: 0}}
+            with pytest.raises(ValueError, match="more vertices"):
+                verify_certificate(boxes, payload)
+        assert seen == []
+
+    def test_verify_tree_refuses_huge_depth_fast(self):
+        boxes = random_boxes(5, 2, seed=7)
+        text = json.dumps({"kind": "induced_tree", "r": 10**15, "k": 2, "map": {"0": 0}})
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more vertices"):
+            verify_certificate(boxes, parse_certificate(text))
+        assert time.perf_counter() - start < 0.5
+
+    def test_verify_tree_keeps_trees_that_fit(self):
+        # a path and a star on all n boxes are checked, not refused (a
+        # refusal raises ValueError)
+        boxes = random_boxes(5, 2, seed=7)
+        for r, k in [(4, 1), (1, 4)]:
+            payload = {"kind": "induced_tree", "r": r, "k": k, "map": {v: v for v in range(5)}}
             verify_certificate(boxes, payload)
 
     def test_verify_tree_rejects_broken_map(self):

@@ -100,13 +100,28 @@ def test_pattern_digraphs_match_all_pairs_decomposition(name):
 
 
 @pytest.mark.parametrize("name", FAMILIES)
+def test_mirrored_patterns_share_one_adjacency(name):
+    for boxes in family(name):
+        pds = decompose(boxes)
+        index = {pd.pattern: c for c, pd in enumerate(pds)}
+        for pd in pds:
+            dg = pd.digraph
+            mirror = pds[index[pd.pattern.mirrored()]].digraph
+            assert mirror is not dg
+            for v in range(dg.n):
+                assert dg.inn[v] is mirror.out[v]
+            into = {(u, v) for v in range(dg.n) for u in dg.inn[v]}
+            assert into == {(u, v) for u in range(dg.n) for v in dg.out[u]}
+
+
+@pytest.mark.parametrize("name", FAMILIES)
 def test_heap_peeler_colors_like_the_sorted_scan(name):
     for boxes in family(name):
         g = intersection_graph(boxes)
         top = max((g.degree(v) for v in range(g.n)), default=0) + 2
         for bound in range(1, top):
             want = brute_degeneracy_coloring(g.n, g.edges, bound)
-            got = degeneracy_coloring(g, bound)
+            got = degeneracy_coloring(dict(enumerate(g.adj)), bound)
             assert (got is None) == (want is None), bound
             if got is not None:
                 assert dict(got.colors) == want
