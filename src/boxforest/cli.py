@@ -143,14 +143,14 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         failed = failed or report.acyclic is False
         failed = failed or report.modest is False or report.divergent is False
         line = (
-            f"{str(pd.pattern):<{width}}  {len(pd.digraph.arcs):>6}  "
+            f"{str(pd.pattern):<{width}}  {sum(map(len, pd.digraph.out)):>6}  "
             f"{_flag(report.acyclic):<7}  {_flag(report.modest):<6}  "
             f"{_flag(report.divergent)}"
         )
         if report.witness:
             line += f"  [{report.witness}]"
         print(line)
-    nonempty = sum(1 for pd in family if pd.digraph.arcs)
+    nonempty = sum(1 for pd in family if any(pd.digraph.out))
     print(f"{len(family)} patterns, {nonempty} with arcs, n={len(boxes)}")
     if skipped:
         print(

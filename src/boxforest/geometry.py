@@ -22,7 +22,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 __all__ = [
     "OverlapType",
@@ -200,7 +200,9 @@ def intersects(a: Box, b: Box) -> bool:
     return all(a.side(i).overlaps(b.side(i)) for i in range(a.dim))
 
 
-def intersecting_pairs(boxes: Sequence[Box]) -> list[tuple[int, int, int]]:
+def intersecting_pairs(
+    boxes: Sequence[Box], labels: Mapping[int, Hashable] | None = None
+) -> list[tuple[int, int, int]]:
     """Every intersecting pair once as ``(u, v, code)``, sorted, ids u < v.
 
     ``code`` is the index of u's pattern relative to v in ``all_patterns``
@@ -213,6 +215,12 @@ def intersecting_pairs(boxes: Sequence[Box]) -> list[tuple[int, int, int]]:
     only, so the cost is O(n log n) plus one test per pair that overlaps on
     axis 0. Boxes must be normalized (distinct endpoints on every axis);
     ValueError otherwise.
+
+    ``labels`` maps every box id to a label, such as its color. When given,
+    the sweep keeps one open list per label and tests an arriving box only
+    against open boxes with its label, so the result is the pairs above
+    whose two boxes share a label, at the cost of one test per such pair
+    that overlaps on axis 0.
     """
     if not boxes:
         return []
@@ -226,13 +234,14 @@ def intersecting_pairs(boxes: Sequence[Box]) -> list[tuple[int, int, int]]:
             raise ValueError(f"shared endpoint on axis {axis}: normalize the boxes first")
     ids = [b.id for b in boxes]
     flip = (4**d - 1) // 3  # the low bit of every base-4 digit
+    tags = [None] * len(ids) if labels is None else [labels[i] for i in ids]
     order = sorted(range(len(boxes)), key=lambda i: sides[i][0][0])
-    active: list[int] = []
+    open_by_tag: dict[Hashable, list[int]] = {}
     found = []
     for j in order:
         mine = sides[j]
         start = mine[0][0]
-        active = [i for i in active if sides[i][0][1] > start]
+        active = [i for i in open_by_tag.get(tags[j], ()) if sides[i][0][1] > start]
         for i in active:
             # code of the open box i relative to the arriving box j
             code = 0
@@ -249,6 +258,7 @@ def intersecting_pairs(boxes: Sequence[Box]) -> list[tuple[int, int, int]]:
                 else:
                     found.append((ids[j], ids[i], code ^ flip))
         active.append(j)
+        open_by_tag[tags[j]] = active
     found.sort()
     return found
 

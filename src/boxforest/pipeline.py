@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import sys
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -103,6 +104,45 @@ def chi_bound(d: int, r: int, k: int, omega: int) -> BoundReport:
         stated_bound=(2 * r * k**d * omega**2) ** patterns,
         derived_bound=(2 * r * size * omega) ** patterns,
     )
+
+
+def _tree_fits(r: int, branching: int, n: int) -> bool:
+    """Whether the complete ``branching``-ary tree of depth ``r`` has at most
+    ``n`` vertices.
+
+    A depth-r tree has more than r vertices, and more than ``branching``
+    once r >= 1; refusing those first keeps the count below n ** n.
+    """
+    return r < n and (r == 0 or branching < n) and tree_vertex_count(r, branching) <= n
+
+
+def _bound_too_long(limit: int) -> str:
+    return (
+        f"coloring bound has more than {limit} digits, the interpreter's limit "
+        f"for writing an integer (sys.get_int_max_str_digits()); lower r or k"
+    )
+
+
+def _writable_bound(d: int, r: int, k: int, omega: int, n: int) -> BoundReport:
+    """``chi_bound`` for a coloring of ``n`` boxes, refused up front when it
+    surely cannot be written.
+
+    When the tree outgrows the boxes the outcome is a coloring, so a bound
+    too long to write is a ValueError before any big integer is built. Its
+    length comes from bit lengths: |T| >= branching^r and |T| > r, so the
+    bound is at least 2^(4^d * bits), and 3 * bits >= 10 * limit gives more
+    than ``limit`` decimal digits, since 2^10 > 10^3. A bound that is not
+    surely too long is computed, and ``certificate_to_json`` refuses it if
+    it is.
+    """
+    limit = sys.get_int_max_str_digits()
+    branching = k**d * omega
+    if limit and not _tree_fits(r, branching, n):
+        tree_bits = max(r * (branching.bit_length() - 1), (r + 1).bit_length() - 1)
+        bits = 4**d * ((2 * r * omega).bit_length() - 1 + tree_bits)
+        if 3 * bits >= 10 * limit:
+            raise ValueError(_bound_too_long(limit))
+    return chi_bound(d, r, k, omega)
 
 
 class Extraction(NamedTuple):
@@ -348,13 +388,13 @@ def color_or_find_forest(
         coloring = _interval_greedy_coloring(boxes)
         if not coloring.is_proper_on(g):
             raise InternalInvariantError("interval sweep produced an improper coloring")
-        report = chi_bound(d, r, k, max(coloring.palette_size, 1))
+        report = _writable_bound(d, r, k, max(coloring.palette_size, 1), len(boxes))
         if coloring.palette_size > report.derived_bound:
             raise InternalInvariantError("interval palette exceeds the derived bound")
         return ProperColoring(coloring, report.derived_bound, {})
 
     w = omega_bound if omega_bound is not None else omega(g, limits)
-    report = chi_bound(d, r, k, w)
+    report = _writable_bound(d, r, k, w, len(boxes))
     big_tree = (
         complete_kary_tree(r, report.tree_branching)
         if report.tree_size <= len(boxes)
@@ -400,6 +440,9 @@ def color_or_find_forest(
 def certificate_to_json(cert: Certificate) -> str:
     """Canonical single-line JSON; byte-stable for identical certificates."""
     if isinstance(cert, ProperColoring):
+        limit = sys.get_int_max_str_digits()
+        if limit and cert.bound >= 10**limit:
+            raise ValueError(_bound_too_long(limit))
         payload = {
             "kind": "coloring",
             "palette": cert.coloring.palette_size,
@@ -481,7 +524,7 @@ def parse_certificate(text: str) -> dict:
 
 
 def verify_certificate(boxes: Sequence[Box], payload: dict) -> tuple[bool, str]:
-    """Re-verify a parsed certificate against the boxes, edge by edge.
+    """Re-verify a parsed certificate against the boxes, class by class.
 
     Returns (ok, message); a mismatched vertex set raises ValueError since
     that is an input error rather than a refutation.
@@ -501,16 +544,15 @@ def verify_certificate(boxes: Sequence[Box], payload: dict) -> tuple[bool, str]:
             )
         if sorted(b.id for b in boxes) != list(range(n)):
             raise ValueError("box ids must be 0..n-1")
-        # the sweep lists pairs sorted, so the first clash reported is the
-        # smallest one
-        for u, v, _ in intersecting_pairs(boxes):
-            if colors[u] == colors[v]:
-                return False, f"adjacent boxes {u} and {v} share color {colors[u]}"
+        # one sweep pairs only boxes of the same color; its pairs are sorted,
+        # so the first clash reported is the smallest one
+        clashes = intersecting_pairs(boxes, colors)
+        if clashes:
+            u, v, _ = clashes[0]
+            return False, f"adjacent boxes {u} and {v} share color {colors[u]}"
         return True, f"proper coloring with {palette} colors within bound"
     r, k = payload["r"], payload["k"]
-    # a depth-r tree has more than r vertices, and more than k once r >= 1;
-    # refusing those first keeps k ** (r + 1) below n ** n
-    if r >= n or (r >= 1 and k >= n) or tree_vertex_count(r, k) > n:
+    if not _tree_fits(r, k, n):
         raise ValueError("certificate tree has more vertices than there are boxes")
     tree = complete_kary_tree(r, k)
     mapping: dict[int, int] = payload["map"]

@@ -213,6 +213,15 @@ def brute_patterns(sides: list[tuple]) -> dict[tuple[int, int], str]:
     return out
 
 
+def brute_first_clash(sides: list[tuple], colors: dict[int, int]) -> tuple[int, int] | None:
+    """The smallest intersecting pair u < v whose boxes share a color, from a
+    scan of all pairs; None when the coloring is proper."""
+    return next(
+        ((u, v) for u, v in sorted(brute_patterns(sides)) if colors[u] == colors[v]),
+        None,
+    )
+
+
 def brute_decompose(sides: list[tuple]) -> dict[str, set[tuple[int, int]]]:
     """Arc sets of the nonempty pattern digraphs, keyed by pattern string."""
     mirror = str.maketrans("CcLR", "cCRL")

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
-from boxforest import load_boxes, normalize, save_boxes
+from boxforest import load_boxes, normalize, random_boxes, save_boxes
 from boxforest.cli import main
 
 
@@ -107,6 +108,23 @@ class TestColor:
         code = main(["color", str(path), "--r", "2", "--k", "1", "--omega-bound", "1"])
         assert code == 2
         assert "below the clique number" in capsys.readouterr().err
+
+
+    def test_bound_too_long_to_write_is_input_error(self, tmp_path, capsys):
+        disjoint = tmp_path / "disjoint.txt"
+        disjoint.write_text("2 3\n0 1 0 1\n2 3 2 3\n4 5 4 5\n")
+        # the tree cannot fit in 3 boxes, so the outcome is a coloring whose
+        # bound has about 4.8M digits; it is refused before it is built
+        start = time.perf_counter()
+        code = main(["color", str(disjoint), "--r", "1000000", "--k", "2"])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "more than 4300 digits" in capsys.readouterr().err
+        # every coloring of these 8 boxes in d = 6 has a bound above 4300 digits
+        wide = tmp_path / "wide.txt"
+        save_boxes(random_boxes(8, 6, 1), str(wide))
+        assert main(["color", str(wide), "--r", "1", "--k", "2"]) == 2
+        assert "more than 4300 digits" in capsys.readouterr().err
 
 
 class TestVerify:

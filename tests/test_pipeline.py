@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import time
 from math import ceil
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxforest import (
+    Coloring,
     InducedTree,
     OracleLimitError,
     OracleLimits,
@@ -239,6 +241,29 @@ class TestCertificateJson:
         assert a == b
         assert a.endswith("\n") and "\n" not in a[:-1]
         assert json.loads(a)["kind"] in ("coloring", "induced_tree")
+
+    def test_bounds_too_long_to_write_are_refused(self):
+        # 3 disjoint boxes, k = 2: the bound of depth 441 has 4298 digits,
+        # the bound of depth 442 more than 4300, the default limit
+        boxes = normalize(boxes_from_rows([[0, 1, 0, 1], [2, 3, 2, 3], [4, 5, 4, 5]]))
+        payload = roundtrip(color_or_find_forest(boxes, r=441, k=2))
+        assert payload["bound"] == chi_bound(2, 441, 2, 1).derived_bound
+        for r in (442, 10**6, 10**50):
+            with pytest.raises(ValueError, match="more than 4300 digits"):
+                certificate_to_json(color_or_find_forest(boxes, r=r, k=2))
+        coloring = Coloring({0: 0}, 1)
+        assert certificate_to_json(ProperColoring(coloring, 10**4300 - 1, {}))
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            certificate_to_json(ProperColoring(coloring, 10**4300, {}))
+
+    def test_bounds_of_any_length_are_written_without_a_limit(self):
+        cert = ProperColoring(Coloring({0: 0}, 1), 10**4300, {})
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert json.loads(certificate_to_json(cert))["bound"] == 10**4300
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_parse_rejects_malformed(self):
         good = {"kind": "coloring", "palette": 1, "bound": 2, "colors": {"0": 0}}

@@ -9,6 +9,7 @@ copy and rescan everything.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -41,6 +42,7 @@ from bruteforce import (
     brute_coloring_certificate,
     brute_decompose,
     brute_degeneracy_coloring,
+    brute_first_clash,
     brute_patterns,
     brute_peel_coloring,
 )
@@ -127,6 +129,76 @@ def test_heap_peeler_colors_like_the_sorted_scan(name):
                 assert dict(got.colors) == want
 
 
+@pytest.mark.parametrize("name", FAMILIES)
+def test_labelled_sweep_keeps_only_pairs_with_one_label(name):
+    rng = random.Random(name)
+    for boxes in family(name):
+        pairs = intersecting_pairs(boxes)
+        n = len(boxes)
+        for count in (1, 2, 3, n):
+            values = rng.sample(range(10 * n), count)
+            if count == n:
+                labels = dict(zip(range(n), values))
+            else:
+                labels = {v: rng.choice(values) for v in range(n)}
+            want = [p for p in pairs if labels[p[0]] == labels[p[1]]]
+            assert intersecting_pairs(boxes, labels) == want
+
+
+def greedy_colors(n: int, pairs) -> dict[int, int]:
+    """A proper coloring: each box in id order takes the smallest color
+    unused by its earlier neighbors."""
+    earlier: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in pairs:
+        earlier[v].add(u)
+    colors: dict[int, int] = {}
+    for v in range(n):
+        used = {colors[u] for u in earlier[v]}
+        colors[v] = next(c for c in range(n) if c not in used)
+    return colors
+
+
+def expected_verdict(boxes, colors: dict[int, int]) -> tuple[bool, str]:
+    clash = brute_first_clash(plain(boxes), colors)
+    if clash is None:
+        return True, f"proper coloring with {max(colors.values()) + 1} colors within bound"
+    u, v = clash
+    return False, f"adjacent boxes {u} and {v} share color {colors[u]}"
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_verify_matches_the_all_pairs_reference(name):
+    rng = random.Random(name)
+    clashes = 0
+    for boxes in family(name):
+        n = len(boxes)
+        pairs = sorted(brute_patterns(plain(boxes)))
+        proper = greedy_colors(n, pairs)
+        tampered = dict(proper)
+        for u, v in rng.sample(pairs, min(3, len(pairs))):
+            tampered[v] = tampered[u]
+        one_color = dict.fromkeys(range(n), 0)
+        for colors in (proper, tampered, one_color):
+            palette = max(colors.values()) + 1
+            payload = {"kind": "coloring", "palette": palette, "bound": palette, "colors": colors}
+            verdict = verify_certificate(boxes, payload)
+            assert verdict == expected_verdict(boxes, colors)
+            clashes += not verdict[0]
+    assert clashes > 0 or name == "grid"
+
+
+def test_verify_cost_follows_the_color_classes():
+    # every pair of these boxes meets (about 1.1M pairs), but no two share a
+    # color, so a verifier that walks all intersecting pairs is far too slow
+    n = 1500
+    boxes = nested_chain_boxes(n, 2)
+    payload = {"kind": "coloring", "palette": n, "bound": n, "colors": {i: i for i in range(n)}}
+    start = time.perf_counter()
+    ok, message = verify_certificate(boxes, payload)
+    assert time.perf_counter() - start < 0.25
+    assert ok, message
+
+
 def test_sweep_rejects_shared_endpoints_and_mixed_dimensions():
     with pytest.raises(ValueError):
         intersecting_pairs(boxes_from_rows([[0, 2], [2, 3]]))
@@ -149,9 +221,9 @@ def sweep_calls(monkeypatch):
     calls = []
     original = geometry.intersecting_pairs
 
-    def counted(boxes):
+    def counted(boxes, *rest):
         calls.append(len(boxes))
-        return original(boxes)
+        return original(boxes, *rest)
 
     for module in (geometry, graphs, patterns, pipeline):
         if hasattr(module, "intersecting_pairs"):
