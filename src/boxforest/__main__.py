@@ -1,0 +1,6 @@
+"""``python -m boxforest`` runs the ``boxforest`` command."""
+
+from .cli import run
+
+if __name__ == "__main__":
+    run()

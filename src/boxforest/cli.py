@@ -28,11 +28,11 @@ from .generators import (
     nested_chain_boxes,
     random_boxes,
 )
-from .geometry import boxes_to_text, load_boxes, normalize
-from .graphs import intersection_graph
+from .geometry import boxes_to_text, intersecting_pairs, load_boxes, normalize
+from .graphs import Graph, intersection_graph
 from .oracles import DEFAULT_LIMITS, OracleLimitError, OracleLimits, alpha, chi, omega
 from .patterns import decompose as decompose_boxes
-from .patterns import host_graph, verify_basic
+from .patterns import verify_basic
 from .pipeline import (
     ProperColoring,
     certificate_to_json,
@@ -131,8 +131,9 @@ def _flag(value: bool | None) -> str:
 def cmd_decompose(args: argparse.Namespace) -> int:
     boxes = _load_normalized(args.input)
     limits = _resolve_limits(args)
-    family = decompose_boxes(boxes)
-    g = host_graph(family)
+    pairs = intersecting_pairs(boxes)
+    family = decompose_boxes(boxes, pairs)
+    g = Graph._from_pairs(len(boxes), pairs)
     width = max(len("pattern"), max(len(str(pd.pattern)) for pd in family))
     print(f"{'pattern':<{width}}  {'arcs':>6}  acyclic  modest  divergent")
     failed = False
@@ -160,30 +161,41 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_FAILED if failed else EXIT_OK
 
 
+def _decimal(value: int) -> str:
+    """``value`` in decimal, or its length when the interpreter will not
+    write that many digits (a tree certificate carries no bound, so its
+    summary must not fail on one)."""
+    limit = sys.get_int_max_str_digits()
+    if limit and value >= 10**limit:
+        return f"of more than {limit} digits"
+    return str(value)
+
+
 def cmd_color(args: argparse.Namespace) -> int:
     boxes = _load_normalized(args.input)
     limits = _resolve_limits(args)
     d = boxes[0].dim
-    w = args.omega_bound
-    if w is None and args.r >= 1 and d >= 2:
-        # resolve omega here so the summary can report it; the pipeline
-        # treats the exact value like any caller-supplied upper bound
-        w = omega(intersection_graph(boxes), limits)
     cert = color_or_find_forest(
         boxes,
         args.r,
         args.k,
         limits=limits,
-        omega_bound=w,
+        omega_bound=args.omega_bound,
     )
     _write_text(certificate_to_json(cert), args.out)
+    w = args.omega_bound
+    if w is None and args.r >= 1 and d >= 2:
+        # the pipeline ran the exact oracle itself, so that a shortfall its
+        # value causes stays a bug; the summary asks the oracle again
+        w = omega(intersection_graph(boxes), limits)
     if isinstance(cert, ProperColoring):
         if w is None:
             w = max(cert.coloring.palette_size, 1)  # d = 1 sweep is optimal
         rep = chi_bound(d, args.r, args.k, w)
         print(
             f"coloring: {cert.coloring.palette_size} colors within bound "
-            f"{rep.derived_bound} (stated form {rep.stated_bound}), omega {w}",
+            f"{_decimal(rep.derived_bound)} (stated form "
+            f"{_decimal(rep.stated_bound)}), omega {w}",
             file=sys.stderr,
         )
         return EXIT_OK
@@ -194,8 +206,8 @@ def cmd_color(args: argparse.Namespace) -> int:
     if w is not None:
         rep = chi_bound(d, args.r, args.k, w)
         summary += (
-            f"; bound {rep.derived_bound} (stated form {rep.stated_bound}), "
-            f"omega {w}"
+            f"; bound {_decimal(rep.derived_bound)} (stated form "
+            f"{_decimal(rep.stated_bound)}), omega {w}"
         )
     print(summary, file=sys.stderr)
     return EXIT_TREE
@@ -332,3 +344,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -203,7 +203,8 @@ def intersects(a: Box, b: Box) -> bool:
 def intersecting_pairs(
     boxes: Sequence[Box], labels: Mapping[int, Hashable] | None = None
 ) -> list[tuple[int, int, int]]:
-    """Every intersecting pair once as ``(u, v, code)``, sorted, ids u < v.
+    """Every intersecting pair once as ``(u, v, code)`` with ids u < v, in no
+    particular order.
 
     ``code`` is the index of u's pattern relative to v in ``all_patterns``
     order: one base-4 digit per axis, axis 0 most significant, digit 0..3
@@ -259,7 +260,6 @@ def intersecting_pairs(
                     found.append((ids[j], ids[i], code ^ flip))
         active.append(j)
         open_by_tag[tags[j]] = active
-    found.sort()
     return found
 
 

@@ -4,10 +4,10 @@ Vertices are always 0..n-1. A graph stores only its adjacency sets and a
 digraph only its out- and in-neighbor sets; edge and arc sets are derived
 when asked for, so no adjacency is held twice. A pattern digraph's
 in-neighbor sets are its mirror's out-neighbor sets (``patterns.decompose``).
-Building the intersection graph and degeneracy peeling scale to thousands
-of boxes (an axis-0 sweep and a heap); the pipeline itself derives its host
-graph from the pattern digraphs (``patterns.host_graph``), so one sweep
-serves both.
+Building the intersection graph, degeneracy peeling and smallest-last
+coloring scale to thousands of boxes (an axis-0 sweep, a heap and a bucket
+queue). The pipeline builds its host graph from the pairs of its one sweep,
+which also feed the pattern digraphs when it needs them.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "degeneracy_coloring",
     "intersection_graph",
     "is_path_induced",
+    "smallest_last_coloring",
 ]
 
 
@@ -61,6 +62,19 @@ class Graph:
         g.adj = tuple(adj)
         g.n = len(g.adj)
         return g
+
+    @classmethod
+    def _from_pairs(cls, n: int, pairs: Iterable[tuple[int, int, int]]) -> "Graph":
+        """The graph of the ``(u, v, code)`` pairs of ``intersecting_pairs``.
+
+        The sweep checked the boxes and emits each pair once with u < v, so
+        the per-edge checks of ``__init__`` are skipped.
+        """
+        near: list[list[int]] = [[] for _ in range(n)]
+        for u, v, _ in pairs:
+            near[u].append(v)
+            near[v].append(u)
+        return cls._from_adjacency(map(frozenset, near))
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -308,7 +322,7 @@ def intersection_graph(boxes: Sequence[Box]) -> Graph:
     """
     if sorted(b.id for b in boxes) != list(range(len(boxes))):
         raise ValueError("box ids must be 0..n-1")
-    return Graph(len(boxes), ((u, v) for u, v, _ in intersecting_pairs(boxes)))
+    return Graph._from_pairs(len(boxes), intersecting_pairs(boxes))
 
 
 def degeneracy_coloring(
@@ -347,15 +361,67 @@ def degeneracy_coloring(
                     heapq.heappush(ready, w)
     if len(order) < len(vertices):
         return None
+    # fewer than bound neighbors are colored first, so colors stay below bound
+    colors = _greedy_in_reverse(order, adj)
+    palette = 1 + max(colors.values(), default=-1) if colors else 0
+    return Coloring(colors, max(palette, 1) if vertices else 0)
+
+
+def smallest_last_coloring(adj: Sequence[AbstractSet[int]]) -> Coloring:
+    """Greedy coloring in smallest-last order (Matula and Beck, 1983).
+
+    ``adj[v]`` holds the neighbors of vertex v. Repeatedly removes, among
+    the vertices of minimum remaining degree, the one with the smallest id;
+    coloring the removal order in reverse then sees at most the degeneracy
+    many colored neighbors per vertex, so the palette is at most the
+    degeneracy + 1. Bucket ``b`` is a min-heap of the vertices whose
+    remaining degree was ``b`` when they entered it; an entry whose vertex
+    has since left or lost degree is stale and skipped. A removal lowers
+    each remaining degree by at most 1, so the minimum degree drops by at
+    most 1 per step.
+    """
+    n = len(adj)
+    degree = [len(near) for near in adj]
+    # ids ascend, so every bucket starts out sorted: a heap
+    buckets: list[list[int]] = [[] for _ in range(max(degree, default=0) + 1)]
+    for v in range(n):
+        buckets[degree[v]].append(v)
+    removed = [False] * n
+    order: list[int] = []
+    low = 0
+    while len(order) < n:
+        bucket = buckets[low]
+        if not bucket:
+            low += 1
+            continue
+        v = heapq.heappop(bucket)
+        if removed[v] or degree[v] != low:
+            continue
+        removed[v] = True
+        order.append(v)
+        for w in adj[v]:
+            if not removed[w]:
+                degree[w] -= 1
+                heapq.heappush(buckets[degree[w]], w)
+        if low:
+            low -= 1
+    colors = _greedy_in_reverse(order, adj)
+    return Coloring(colors, max(colors.values(), default=-1) + 1)
+
+
+def _greedy_in_reverse(
+    order: Sequence[int], adj: Mapping[int, AbstractSet[int]] | Sequence[AbstractSet[int]]
+) -> dict[int, int]:
+    """Color ``order`` back to front, each vertex with the smallest color
+    unused by its neighbors colored before it."""
     colors: dict[int, int] = {}
     for v in reversed(order):
         used = {colors[w] for w in adj[v] if w in colors}
-        c = 0  # fewer than bound neighbors are colored, so c stays below bound
+        c = 0
         while c in used:
             c += 1
         colors[v] = c
-    palette = 1 + max(colors.values(), default=-1) if colors else 0
-    return Coloring(colors, max(palette, 1) if vertices else 0)
+    return colors
 
 
 def is_path_induced(dg: Digraph, t: RootedTree, phi: Mapping[int, int]) -> bool:

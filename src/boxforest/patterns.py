@@ -6,6 +6,9 @@ one arc under its pattern and the reverse arc under the mirrored pattern,
 so the 4^d digraphs' underlying edge sets partition the intersection graph
 once mirror-duplicates are accounted for. The mirrored pattern's digraph
 is the reverse digraph, and the two share their neighbor sets.
+``decompose`` files the pairs of a sweep the caller already ran, so the
+pipeline's host graph and its pattern digraphs come from one sweep; the
+pipeline decomposes only when its tree can fit in the instance.
 
 Every pattern digraph of a normalized family is acyclic, *modest* (the
 vertex set of any directed u->v path with uv an arc is a clique in the host
@@ -17,7 +20,7 @@ non-adjacent first steps end in distinct, non-adjacent vertices).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 # ``intersection_pattern`` is imported only to stay a module name: perfbench
 # counts pair tests by rebinding it.
@@ -25,7 +28,6 @@ from .geometry import (  # noqa: F401
     Box,
     Pattern,
     all_patterns,
-    intersecting_pairs,
     intersection_pattern,
 )
 from .graphs import Coloring, Digraph, Graph
@@ -35,7 +37,6 @@ __all__ = [
     "BasicReport",
     "PatternDigraph",
     "decompose",
-    "host_graph",
     "product_coloring",
     "verify_basic",
 ]
@@ -49,14 +50,18 @@ class PatternDigraph:
     digraph: Digraph
 
 
-def decompose(boxes: Sequence[Box]) -> list[PatternDigraph]:
+def decompose(
+    boxes: Sequence[Box], pairs: Iterable[tuple[int, int, int]]
+) -> list[PatternDigraph]:
     """All 4^d pattern digraphs in canonical pattern order, empty ones kept.
 
-    Arcs are filed by the integer pattern codes of ``intersecting_pairs``
-    straight into per-vertex out-neighbor lists; the pair list is gone
-    before the lists are frozen. Swapping a pair mirrors its pattern, so a
-    pattern's in-neighbor sets are its mirror's out-neighbor sets and each
-    adjacency is stored once.
+    ``pairs`` are the boxes' ``intersecting_pairs``, which the caller has
+    already swept, in any order. Their integer pattern codes file the arcs
+    straight into per-vertex out-neighbor lists. Swapping a pair mirrors its
+    pattern, so a pattern's in-neighbor sets are its mirror's out-neighbor
+    sets and each adjacency is stored once. A pattern gets its own lists
+    only once it has an arc: every arc-free pattern shares one all-empty
+    tuple, and in higher dimensions most patterns are arc-free.
     """
     if not boxes:
         raise ValueError("empty box collection")
@@ -65,31 +70,25 @@ def decompose(boxes: Sequence[Box]) -> list[PatternDigraph]:
         raise ValueError("box ids must be 0..n-1")
     patterns = all_patterns(boxes[0].dim)
     flip = (len(patterns) - 1) // 3  # code ^ flip is the mirrored pattern
-    out = [[[] for _ in range(n)] for _ in patterns]
-    for u, v, code in intersecting_pairs(boxes):
+    out: dict[int, list[list[int]]] = {}
+    for u, v, code in pairs:
+        if code not in out:
+            out[code] = [[] for _ in range(n)]
+            out[code ^ flip] = [[] for _ in range(n)]
         out[code][u].append(v)
         out[code ^ flip][v].append(u)
-    # every empty neighborhood shares one frozenset: most pattern digraphs
-    # in higher dimensions have no arcs at all
+    # every empty neighborhood shares one frozenset, and every arc-free
+    # pattern one tuple of them
     empty: frozenset[int] = frozenset()
-    frozen = [tuple(frozenset(s) if s else empty for s in lists) for lists in out]
+    arc_free = (empty,) * n
+    frozen = [
+        tuple(frozenset(s) if s else empty for s in out[c]) if c in out else arc_free
+        for c in range(len(patterns))
+    ]
     return [
         PatternDigraph(p, Digraph._from_adjacency(frozen[c], frozen[c ^ flip]))
         for c, p in enumerate(patterns)
     ]
-
-
-def host_graph(family: Sequence[PatternDigraph]) -> Graph:
-    """The intersection graph that ``decompose`` split into ``family``.
-
-    Every intersecting pair is an arc in one pattern and the reverse arc in
-    the mirrored one, so a vertex's neighbors are its out-neighbors across
-    all patterns; no second sweep is needed.
-    """
-    if not family:
-        raise ValueError("empty pattern family")
-    outs = [pd.digraph.out for pd in family]
-    return Graph._from_adjacency(frozenset().union(*near) for near in zip(*outs))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
 """End-to-end dichotomy: color within the proven bound or emit a tree.
 
 Given normalized boxes and tree parameters (depth r, branching k), the
-pipeline decomposes the intersections by pattern and runs the grading
-machinery per pattern digraph. If any pattern yields a calm, path-induced
-embedding of the complete (k^d * omega)-ary tree of depth r, pruning each
-vertex's children to k pairwise-disjoint boxes produces an induced copy of
-the depth-r k-ary tree in the host graph. Otherwise every pattern peeled
+pipeline sweeps the intersecting pairs once and builds the host graph from
+them. When the complete (k^d * omega)-ary tree of depth r has more vertices
+than there are boxes, no pattern can embed it and the derived bound
+exceeds n, so the host graph is colored directly in smallest-last order.
+Otherwise the same pairs are split into pattern digraphs and the grading
+machinery runs on each pattern that has arcs. The first calm,
+path-induced embedding is pruned, each vertex's children cut to k
+pairwise-disjoint boxes, into an induced copy of the depth-r k-ary tree
+in the host graph. If no pattern embeds the tree, every pattern peeled
 into layers, and the product of the per-pattern layer colorings is a
 proper coloring whose palette stays within the derived bound.
 
@@ -22,25 +26,26 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from .embedding import (
+# ``peel_grading`` and ``intersection_graph`` are imported only to stay
+# module names: perfbench rebinds them to trace calls.
+from .embedding import (  # noqa: F401
     CalmEmbedding,
+    CalmSearchError,
     InternalInvariantError,
-    LayeredColoring,
     find_path_induced_tree,
     peel_grading,
 )
 from .geometry import Box, Pattern, intersecting_pairs, intersects
-# ``intersection_graph`` is imported only to stay a module name: perfbench
-# rebinds it to trace calls.
 from .graphs import (  # noqa: F401
     Coloring,
     Graph,
     RootedTree,
     complete_kary_tree,
     intersection_graph,
+    smallest_last_coloring,
 )
 from .oracles import DEFAULT_LIMITS, OracleLimits, maximum_independent_set, omega
-from .patterns import PatternDigraph, decompose, host_graph, product_coloring
+from .patterns import decompose, product_coloring
 
 __all__ = [
     "BoundReport",
@@ -143,6 +148,10 @@ def _writable_bound(d: int, r: int, k: int, omega: int, n: int) -> BoundReport:
         if 3 * bits >= 10 * limit:
             raise ValueError(_bound_too_long(limit))
     return chi_bound(d, r, k, omega)
+
+
+class _ChildShortfall(InternalInvariantError):
+    """Too few disjoint children: a bug, unless omega was understated."""
 
 
 class Extraction(NamedTuple):
@@ -274,7 +283,7 @@ def prune_children(
                 chosen_ids = list(ext.ids)
                 shortfall = ext.shortfall
             if shortfall:
-                raise InternalInvariantError(
+                raise _ChildShortfall(
                     f"only {len(chosen_ids)} disjoint children of tree vertex "
                     f"{big_v}, needed {k}; contradicts the containment bound"
                 )
@@ -350,6 +359,16 @@ def _interval_greedy_coloring(boxes: Sequence[Box]) -> Coloring:
     return Coloring(colors, palette)
 
 
+def _check_coloring(source: str, coloring: Coloring, g: Graph, bound: int) -> None:
+    """Re-verify a coloring before it is certified; a failure is a bug."""
+    if not coloring.is_proper_on(g):
+        raise InternalInvariantError(f"{source} improper on the host graph")
+    if coloring.palette_size > bound:
+        raise InternalInvariantError(
+            f"{source}: palette {coloring.palette_size} exceeds derived bound {bound}"
+        )
+
+
 def color_or_find_forest(
     boxes: Sequence[Box],
     r: int,
@@ -364,8 +383,13 @@ def color_or_find_forest(
     oracle on instances above its limit. With r = 0 the certificate is the
     trivial single-vertex tree (any box is one); d = 1 instances specialize
     to the interval greedy sweep, which colors with exactly omega colors.
-    The pair sweep runs once: the pattern digraphs come from it and the
-    host graph from them.
+
+    The pair sweep runs once, and the host graph is built from its pairs.
+    When the tree cannot fit in the instance the derived bound exceeds n,
+    so any proper coloring is within it: the host graph is colored in
+    smallest-last order, with no pattern digraphs at all. Otherwise the
+    same pairs are split into pattern digraphs, which are searched in
+    order until one embeds the tree.
     """
     if not boxes:
         raise ValueError("empty box collection")
@@ -373,9 +397,12 @@ def color_or_find_forest(
         raise ValueError("need r >= 0 and k >= 1")
     if omega_bound is not None and omega_bound < 1:
         raise ValueError("omega bound must be positive")
+    n = len(boxes)
+    if sorted(b.id for b in boxes) != list(range(n)):
+        raise ValueError("box ids must be 0..n-1")
     d = boxes[0].dim
-    family = decompose(boxes)
-    g = host_graph(family)
+    pairs = intersecting_pairs(boxes)
+    g = Graph._from_pairs(n, pairs)
 
     if r == 0:
         cert = InducedTree(RootedTree([None]), {0: 0}, 0, k)
@@ -386,54 +413,45 @@ def color_or_find_forest(
 
     if d == 1:
         coloring = _interval_greedy_coloring(boxes)
-        if not coloring.is_proper_on(g):
-            raise InternalInvariantError("interval sweep produced an improper coloring")
-        report = _writable_bound(d, r, k, max(coloring.palette_size, 1), len(boxes))
-        if coloring.palette_size > report.derived_bound:
-            raise InternalInvariantError("interval palette exceeds the derived bound")
+        report = _writable_bound(d, r, k, max(coloring.palette_size, 1), n)
+        _check_coloring("interval sweep", coloring, g, report.derived_bound)
         return ProperColoring(coloring, report.derived_bound, {})
 
     w = omega_bound if omega_bound is not None else omega(g, limits)
-    report = _writable_bound(d, r, k, w, len(boxes))
-    big_tree = (
-        complete_kary_tree(r, report.tree_branching)
-        if report.tree_size <= len(boxes)
-        else None
-    )
+    report = _writable_bound(d, r, k, w, n)
 
-    def run_pattern(pd: PatternDigraph) -> CalmEmbedding | LayeredColoring:
-        if big_tree is None:
-            # the tree outgrows the instance: every vertex peels immediately
-            result = peel_grading(pd.digraph, report.tree_size, 2)
-            if not isinstance(result, LayeredColoring):
-                raise InternalInvariantError("oversized tree failed to peel out")
-            return result
-        return find_path_induced_tree(
+    if report.tree_size > n:
+        # the bound (2 r |T| w)^(4^d) exceeds |T| > n, so every proper
+        # coloring is within it and the patterns could prove nothing more
+        coloring = smallest_last_coloring(g.adj)
+        _check_coloring("smallest-last coloring", coloring, g, report.derived_bound)
+        return ProperColoring(coloring, report.derived_bound, {})
+
+    family = decompose(boxes, pairs)
+    big_tree = complete_kary_tree(r, report.tree_branching)
+    # an arc-free pattern peels out whole in round 1 and colors with 0
+    constant = Coloring(dict.fromkeys(range(n), 0), 1)
+    colorings: dict[Pattern, Coloring] = {}
+    for pd in family:
+        if not any(pd.digraph.out):
+            colorings[pd.pattern] = constant
+            continue
+        result = find_path_induced_tree(
             pd.digraph, g, big_tree, limits, host_clique_number=w
         )
-
-    results = [run_pattern(pd) for pd in family]
-
-    for pd, result in zip(family, results):
         if isinstance(result, CalmEmbedding):
-            return prune_children(result, boxes, k, limits)
+            try:
+                return prune_children(result, boxes, k, limits)
+            except _ChildShortfall as exc:
+                if omega_bound is None:
+                    raise
+                # with the true clique number the children always suffice
+                raise CalmSearchError(str(exc)) from None
+        colorings[pd.pattern] = result.coloring
 
-    colorings = {
-        pd.pattern: result.coloring
-        for pd, result in zip(family, results)
-        if isinstance(result, LayeredColoring)
-    }
     combined = product_coloring(family, colorings)
-    if not combined.is_proper_on(g):
-        raise InternalInvariantError("product coloring improper on the host graph")
-    if combined.palette_size > report.derived_bound:
-        raise InternalInvariantError(
-            f"palette {combined.palette_size} exceeds derived bound "
-            f"{report.derived_bound}"
-        )
-    per_pattern = {
-        pd.pattern: colorings[pd.pattern].palette_size for pd in family
-    }
+    _check_coloring("product coloring", combined, g, report.derived_bound)
+    per_pattern = {p: c.palette_size for p, c in colorings.items()}
     return ProperColoring(combined, report.derived_bound, per_pattern)
 
 
@@ -544,11 +562,11 @@ def verify_certificate(boxes: Sequence[Box], payload: dict) -> tuple[bool, str]:
             )
         if sorted(b.id for b in boxes) != list(range(n)):
             raise ValueError("box ids must be 0..n-1")
-        # one sweep pairs only boxes of the same color; its pairs are sorted,
-        # so the first clash reported is the smallest one
+        # one sweep pairs only boxes of the same color; the smallest clash
+        # is reported
         clashes = intersecting_pairs(boxes, colors)
         if clashes:
-            u, v, _ = clashes[0]
+            u, v, _ = min(clashes)
             return False, f"adjacent boxes {u} and {v} share color {colors[u]}"
         return True, f"proper coloring with {palette} colors within bound"
     r, k = payload["r"], payload["k"]

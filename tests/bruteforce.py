@@ -289,21 +289,29 @@ def brute_peel_coloring(n: int, arcs, k: int, m: int) -> dict[int, int] | None:
     return colors
 
 
-def brute_coloring_certificate(sides: list[tuple], r: int, k: int) -> str | None:
-    """The coloring certificate of the dichotomy for d >= 2 and r >= 1, from
-    the all-pairs decomposition; None when some pattern keeps a grading
-    (the dichotomy then answers with a tree).
+def brute_smallest_last_coloring(n: int, edges) -> dict[int, int]:
+    """Remove the smallest vertex of minimum remaining degree, rescanning
+    the sorted survivors each step; greedy-color the reversed order."""
+    adj = adjacency(n, edges)
+    alive = set(range(n))
+    order = []
+    while alive:
+        pick = min(sorted(alive), key=lambda v: len(adj[v] & alive))
+        alive.discard(pick)
+        order.append(pick)
+    colors: dict[int, int] = {}
+    for v in reversed(order):
+        used = {colors[w] for w in adj[v] if w in colors}
+        colors[v] = next(c for c in range(n) if c not in used)
+    return colors
 
-    Every pattern is peeled with k = |T|, the size of the complete
-    (k^d omega)-ary depth-r tree, for 1 round when |T| > n and for
-    max(1, r omega - 1) rounds otherwise; the per-pattern colorings combine
-    into tuples numbered by first appearance in id order.
-    """
+
+def brute_product_coloring(sides: list[tuple], size: int, m: int) -> dict[int, int] | None:
+    """The paper's product coloring from the all-pairs decomposition: every
+    pattern is peeled with k = ``size`` for m - 1 rounds, and the
+    per-pattern colorings combine into tuples numbered by first appearance
+    in id order. None when some pattern keeps a grading."""
     n, d = len(sides), len(sides[0])
-    w = brute_omega(n, brute_patterns(sides))
-    branching = k**d * w
-    size = sum(branching**i for i in range(r + 1))
-    m = 2 if size > n else max(2, r * w)
     arcs = brute_decompose(sides)
     pieces = []
     for letters in product("CcLR", repeat=d):
@@ -312,13 +320,32 @@ def brute_coloring_certificate(sides: list[tuple], r: int, k: int) -> str | None
             return None
         pieces.append(piece)
     index: dict[tuple[int, ...], int] = {}
-    colors = {}
-    for v in range(n):
-        colors[str(v)] = index.setdefault(tuple(p[v] for p in pieces), len(index))
+    return {v: index.setdefault(tuple(p[v] for p in pieces), len(index)) for v in range(n)}
+
+
+def brute_coloring_certificate(sides: list[tuple], r: int, k: int) -> str | None:
+    """The coloring certificate of the dichotomy for d >= 2 and r >= 1, from
+    all-pairs scans; None when some pattern keeps a grading (the dichotomy
+    then answers with a tree).
+
+    |T| is the size of the complete (k^d omega)-ary depth-r tree. When
+    |T| > n the host graph is colored smallest-last; otherwise the product
+    coloring peels every pattern for max(1, r omega - 1) rounds.
+    """
+    n, d = len(sides), len(sides[0])
+    w = brute_omega(n, brute_patterns(sides))
+    branching = k**d * w
+    size = sum(branching**i for i in range(r + 1))
+    if size > n:
+        colors = brute_smallest_last_coloring(n, brute_patterns(sides))
+    else:
+        colors = brute_product_coloring(sides, size, max(2, r * w))
+        if colors is None:
+            return None
     payload = {
         "kind": "coloring",
-        "palette": len(index),
+        "palette": max(colors.values()) + 1,
         "bound": (2 * r * size * w) ** (4**d),
-        "colors": colors,
+        "colors": {str(v): c for v, c in colors.items()},
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

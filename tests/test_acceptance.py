@@ -26,6 +26,7 @@ from boxforest import (
     embed_calm_tree,
     extract_independent,
     grading_error,
+    intersecting_pairs,
     intersection_graph,
     intersects,
     normalize,
@@ -54,7 +55,7 @@ def test_criterion_1_pattern_digraphs_are_acyclic_modest_divergent():
         n = rng.randint(1, 12)
         boxes = random_boxes(n, d, seed=rng.randrange(10**9))
         g = intersection_graph(boxes)
-        for pd in decompose(boxes):
+        for pd in decompose(boxes, intersecting_pairs(boxes)):
             report = verify_basic(pd, g)
             assert report.acyclic is True, (d, n, str(pd.pattern), report)
             assert report.modest is True, (d, n, str(pd.pattern), report)
@@ -98,7 +99,7 @@ def test_criterion_3_gradings_calm_embeddings_and_layerings():
         d = rng.randint(1, 2)
         n = rng.randint(2, 12)
         boxes = random_boxes(n, d, seed=rng.randrange(10**9))
-        for pd in decompose(boxes):
+        for pd in decompose(boxes, intersecting_pairs(boxes)):
             dg = pd.digraph
             digraphs += 1
             if dg.arcs:

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
-from boxforest import load_boxes, normalize, random_boxes, save_boxes
+import boxforest
+from boxforest import boxes_from_rows, load_boxes, normalize, random_boxes, save_boxes
 from boxforest.cli import main
 
 
@@ -109,6 +113,31 @@ class TestColor:
         assert code == 2
         assert "below the clique number" in capsys.readouterr().err
 
+
+    def test_bound_below_omega_with_too_few_disjoint_children_is_input_error(
+        self, tmp_path, capsys
+    ):
+        # omega is 7; with a bound of 1 the tree embeds, but its root has
+        # only one disjoint child where the pruning needs two
+        path = tmp_path / "r.txt"
+        save_boxes(random_boxes(12, 2, 0), str(path))
+        code = main(["color", str(path), "--r", "1", "--k", "2", "--omega-bound", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "disjoint children" in err and "below the clique number" in err
+
+    def test_tree_summary_with_a_bound_too_long_to_write(self, tmp_path, capsys):
+        # a d = 6 hub holding 3 disjoint leaves: the tree fits, and the
+        # bound it would carry, 12^4096, has more than 4300 digits
+        rows = [[0, 9] * 6] + [[a, a + 1] * 6 for a in (1, 4, 7)]
+        path = tmp_path / "hub6.txt"
+        save_boxes(boxes_from_rows(rows), str(path))
+        cert = tmp_path / "cert.json"
+        code = main(["color", str(path), "--r", "1", "--k", "1", "--out", str(cert)])
+        assert code == 3
+        assert "bound of more than 4300 digits" in capsys.readouterr().err
+        assert json.loads(cert.read_text())["kind"] == "induced_tree"
+        assert main(["verify", str(path), "--certificate", str(cert)]) == 0
 
     def test_bound_too_long_to_write_is_input_error(self, tmp_path, capsys):
         disjoint = tmp_path / "disjoint.txt"
@@ -240,3 +269,27 @@ class TestDeterminism:
             assert code in (0, 3)
             outs.append(cert.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+
+class TestModuleEntryPoints:
+    def run(self, module, *argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(boxforest.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    @pytest.mark.parametrize("module", ["boxforest", "boxforest.cli"])
+    def test_help(self, module):
+        proc = self.run(module, "--help")
+        assert proc.returncode == 0
+        assert "usage: boxforest" in proc.stdout
+
+    def test_verify(self, tmp_path):
+        path = write_instance(tmp_path, "v.txt", "random", n=8, d=2, seed=5)
+        cert = tmp_path / "cert.json"
+        assert main(["color", str(path), "--r", "1", "--k", "2", "--out", str(cert)]) == 0
+        proc = self.run("boxforest", "verify", str(path), "--certificate", str(cert))
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("proper coloring")

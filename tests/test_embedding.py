@@ -27,6 +27,7 @@ from boxforest import (
     embed_calm_tree,
     find_path_induced_tree,
     grading_error,
+    intersecting_pairs,
     intersection_graph,
     is_path_induced,
     normalize,
@@ -355,7 +356,7 @@ class TestFindPathInducedTree:
         boxes = normalize(boxes_from_rows(rows))
         g = intersection_graph(boxes)
         t = complete_kary_tree(*shape)
-        for pd in decompose(boxes):
+        for pd in decompose(boxes, intersecting_pairs(boxes)):
             res = find_path_induced_tree(pd.digraph, g, t)
             if isinstance(res, LayeredColoring):
                 assert res.coloring.is_proper_on(pd.digraph.underlying())

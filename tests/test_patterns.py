@@ -17,6 +17,7 @@ from boxforest import (
     all_patterns,
     boxes_from_rows,
     decompose,
+    intersecting_pairs,
     intersection_graph,
     intersection_pattern,
     intersects,
@@ -41,7 +42,7 @@ def random_boxes_rows(rng: random.Random, n: int, d: int) -> list[list[int]]:
 def make_instance(seed: int, n: int, d: int):
     rng = random.Random(seed)
     boxes = normalize(boxes_from_rows(random_boxes_rows(rng, n, d)))
-    return boxes, intersection_graph(boxes), decompose(boxes)
+    return boxes, intersection_graph(boxes), decompose(boxes, intersecting_pairs(boxes))
 
 
 class TestDecompose:
@@ -80,7 +81,7 @@ class TestDecompose:
 
     def test_nested_intervals_concentrate_in_one_pattern(self):
         boxes = normalize(boxes_from_rows([[0, 9], [1, 8], [2, 7]]))
-        fam = decompose(boxes)
+        fam = decompose(boxes, intersecting_pairs(boxes))
         arcs = {str(pd.pattern): pd.digraph.arcs for pd in fam}
         assert arcs["C"] == {(0, 1), (0, 2), (1, 2)}
         assert arcs["c"] == {(1, 0), (2, 0), (2, 1)}
@@ -92,7 +93,7 @@ class TestDecompose:
         )
         bad[1] = bad[1].__class__(1, bad[1].sides)
         with pytest.raises(ValueError):
-            decompose(bad)
+            decompose(bad, intersecting_pairs(bad))
 
 
 class TestVerifyBasic:

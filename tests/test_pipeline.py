@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxforest import (
+    CalmSearchError,
     Coloring,
     InducedTree,
+    InternalInvariantError,
     OracleLimitError,
     OracleLimits,
     ProperColoring,
@@ -199,6 +201,17 @@ class TestColorOrFindForest:
         cert = color_or_find_forest(boxes, r=1, k=1, omega_bound=1)
         assert isinstance(cert, ProperColoring)
         assert cert.coloring.palette_size == 1
+
+    def test_bound_below_omega_is_a_search_error_not_a_bug(self, monkeypatch):
+        # omega is 7; a caller's bound of 1 embeds a tree whose root has only
+        # one disjoint child, which proves the bound wrong
+        boxes = random_boxes(12, 2, seed=0)
+        with pytest.raises(CalmSearchError, match="disjoint children"):
+            color_or_find_forest(boxes, r=1, k=2, omega_bound=1)
+        # the same shortfall with omega from the exact oracle is a bug
+        monkeypatch.setattr(pipeline, "omega", lambda g, limits: 1)
+        with pytest.raises(InternalInvariantError, match="disjoint children"):
+            color_or_find_forest(boxes, r=1, k=2)
 
     def test_reruns_agree(self):
         boxes = random_boxes(10, 2, seed=11)

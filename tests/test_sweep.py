@@ -14,6 +14,7 @@ import time
 import pytest
 
 from boxforest import (
+    CalmEmbedding,
     InducedTree,
     LayeredColoring,
     ProperColoring,
@@ -36,15 +37,20 @@ from boxforest import (
     peel_grading,
     pipeline,
     random_boxes,
+    tree_vertex_count,
     verify_certificate,
 )
+from boxforest.graphs import smallest_last_coloring
 from bruteforce import (
     brute_coloring_certificate,
     brute_decompose,
     brute_degeneracy_coloring,
     brute_first_clash,
+    brute_omega,
     brute_patterns,
     brute_peel_coloring,
+    brute_product_coloring,
+    brute_smallest_last_coloring,
 )
 
 
@@ -87,7 +93,6 @@ def test_sweep_finds_every_pair_once_with_its_pattern(name):
     for boxes in family(name):
         names = [str(p) for p in all_patterns(boxes[0].dim)]
         pairs = intersecting_pairs(boxes)
-        assert pairs == sorted(pairs)
         found = {(u, v): names[code] for u, v, code in pairs}
         assert len(found) == len(pairs)
         assert found == brute_patterns(plain(boxes))
@@ -97,14 +102,15 @@ def test_sweep_finds_every_pair_once_with_its_pattern(name):
 def test_pattern_digraphs_match_all_pairs_decomposition(name):
     for boxes in family(name):
         want = brute_decompose(plain(boxes))
-        got = {str(pd.pattern): set(pd.digraph.arcs) for pd in decompose(boxes)}
+        pds = decompose(boxes, intersecting_pairs(boxes))
+        got = {str(pd.pattern): set(pd.digraph.arcs) for pd in pds}
         assert {p: a for p, a in got.items() if a} == want
 
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_mirrored_patterns_share_one_adjacency(name):
     for boxes in family(name):
-        pds = decompose(boxes)
+        pds = decompose(boxes, intersecting_pairs(boxes))
         index = {pd.pattern: c for c, pd in enumerate(pds)}
         for pd in pds:
             dg = pd.digraph
@@ -142,7 +148,7 @@ def test_labelled_sweep_keeps_only_pairs_with_one_label(name):
             else:
                 labels = {v: rng.choice(values) for v in range(n)}
             want = [p for p in pairs if labels[p[0]] == labels[p[1]]]
-            assert intersecting_pairs(boxes, labels) == want
+            assert sorted(intersecting_pairs(boxes, labels)) == sorted(want)
 
 
 def greedy_colors(n: int, pairs) -> dict[int, int]:
@@ -210,8 +216,9 @@ def test_sweep_rejects_shared_endpoints_and_mixed_dimensions():
 @pytest.mark.parametrize("name", FAMILIES)
 def test_host_graph_from_the_family_is_the_intersection_graph(name):
     for boxes in family(name):
-        g = patterns.host_graph(decompose(boxes))
-        assert g.adj == intersection_graph(boxes).adj
+        outs = [pd.digraph.out for pd in decompose(boxes, intersecting_pairs(boxes))]
+        g = intersection_graph(boxes)
+        assert tuple(frozenset().union(*near) for near in zip(*outs)) == g.adj
         assert g.edges == set(brute_patterns(plain(boxes)))
 
 
@@ -253,7 +260,8 @@ def test_certify_and_verify_sweep_once(sweep_calls):
 def _random_digraphs(seed: int, count: int):
     rng = random.Random(seed)
     for _ in range(count):
-        for pd in decompose(random_instance(rng, rng.randint(2, 3))):
+        boxes = random_instance(rng, rng.randint(2, 3))
+        for pd in decompose(boxes, intersecting_pairs(boxes)):
             yield pd.digraph
 
 
@@ -324,16 +332,21 @@ def fan_instance(rng: random.Random, d: int):
     return normalize(boxes_from_rows(rows))
 
 
-def test_certificates_match_the_all_pairs_path():
+def all_pairs_cases():
+    """(boxes, r, k): fans and small random instances in d = 2 and 3."""
     rng = random.Random(7)
-    colorings = trees = 0
     for i in range(40):
         d = rng.randint(2, 3)
         if i % 2:
             boxes = fan_instance(rng, d)
         else:
             boxes = random_boxes(rng.randint(3, 14), d, seed=rng.randrange(10**6))
-        r, k = rng.choice(((1, 1), (1, 2), (2, 1), (2, 2)))
+        yield boxes, *rng.choice(((1, 1), (1, 2), (2, 1), (2, 2)))
+
+
+def test_certificates_match_the_all_pairs_path():
+    colorings = trees = 0
+    for boxes, r, k in all_pairs_cases():
         want = brute_coloring_certificate(plain(boxes), r, k)
         cert = color_or_find_forest(boxes, r, k)
         if want is None:
@@ -343,3 +356,81 @@ def test_certificates_match_the_all_pairs_path():
             assert certificate_to_json(cert) == want
             colorings += 1
     assert colorings >= 10 and trees >= 1
+
+
+def test_smallest_last_palette_never_exceeds_the_product_palette():
+    # where the tree cannot fit, the paper's product coloring (each pattern
+    # peeled in one round) is still a valid certificate; smallest-last on
+    # the host graph must never need more colors
+    cant_fit = 0
+    for boxes, r, k in all_pairs_cases():
+        sides = plain(boxes)
+        w = brute_omega(len(sides), brute_patterns(sides))
+        size = tree_vertex_count(r, k ** len(sides[0]) * w)
+        if size <= len(boxes):
+            continue
+        cert = color_or_find_forest(boxes, r, k)
+        assert isinstance(cert, ProperColoring)
+        assert cert.per_pattern == {}
+        product_palette = max(brute_product_coloring(sides, size, 2).values()) + 1
+        assert cert.coloring.palette_size <= product_palette
+        cant_fit += 1
+    assert cant_fit >= 10
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_smallest_last_colors_like_the_sorted_scan(name):
+    for boxes in family(name):
+        g = intersection_graph(boxes)
+        got = smallest_last_coloring(g.adj)
+        assert dict(got.colors) == brute_smallest_last_coloring(g.n, g.edges)
+        assert got.is_proper_on(g)
+        # degeneracy + 1 is the least bound below which every remaining
+        # degree can be peeled
+        least = next(
+            b for b in range(1, g.n + 2)
+            if brute_degeneracy_coloring(g.n, g.edges, b) is not None
+        )
+        assert got.palette_size <= least
+
+
+@pytest.fixture
+def tree_searches(monkeypatch):
+    """(pattern digraph, result) of every per-pattern tree search."""
+    calls = []
+    original = pipeline.find_path_induced_tree
+
+    def spy(dg, *rest, **kwargs):
+        result = original(dg, *rest, **kwargs)
+        calls.append((dg, result))
+        return result
+
+    monkeypatch.setattr(pipeline, "find_path_induced_tree", spy)
+    return calls
+
+
+def test_tree_search_skips_arc_free_patterns_and_stops_at_the_first_tree(tree_searches):
+    kinds = set()
+    for boxes, r, k in all_pairs_cases():
+        tree_searches.clear()
+        cert = color_or_find_forest(boxes, r, k)
+        kinds.add(type(cert))
+        assert all(any(dg.out) for dg, _ in tree_searches)
+        embedded = [isinstance(result, CalmEmbedding) for _, result in tree_searches]
+        # only the last search may embed, and it does exactly when the
+        # certificate is a tree
+        assert not any(embedded[:-1])
+        assert (embedded[-1:] == [True]) == isinstance(cert, InducedTree)
+    assert kinds == {ProperColoring, InducedTree}
+
+
+def test_fans_stop_after_the_first_embedding(tree_searches):
+    boxes = fan_instance(random.Random(3), 3)
+    with_arcs = sum(
+        1 for pd in decompose(boxes, intersecting_pairs(boxes)) if any(pd.digraph.out)
+    )
+    cert = color_or_find_forest(boxes, 1, 1)
+    assert isinstance(cert, InducedTree)
+    # the hub's pattern comes first; its mirror and the rest are never searched
+    assert len(tree_searches) == 1 < with_arcs
+    assert isinstance(tree_searches[0][1], CalmEmbedding)
