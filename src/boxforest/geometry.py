@@ -13,6 +13,11 @@ intervals falls into exactly one of four strict types:
 The d-tuple of per-axis types is the ordered pair's *pattern*; swapping the
 pair mirrors the pattern coordinatewise (CONTAINS <-> CONTAINED,
 LEFT <-> RIGHT).
+
+``intersecting_pairs`` finds every intersecting pair with its pattern in
+one event sweep along axis 0, testing only pairs that are open together on
+axis 0 and share a cell of an index on axis 1, so its work follows the
+pairs that meet on two axes rather than n^2.
 """
 
 from __future__ import annotations
@@ -20,9 +25,11 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "OverlapType",
@@ -211,56 +218,110 @@ def intersecting_pairs(
     for CONTAINS, CONTAINED, LEFT, RIGHT. Mirroring flips the low bit of
     every digit.
 
-    One sweep over axis 0 in order of lower endpoints keeps the boxes whose
-    axis-0 side is still open and tests each arriving box against those
-    only, so the cost is O(n log n) plus one test per pair that overlaps on
-    axis 0. Boxes must be normalized (distinct endpoints on every axis);
-    ValueError otherwise.
+    One event sweep over the 2n axis-0 endpoints keeps the boxes whose
+    axis-0 side is open in a cell index on axis 1. That axis is cut into
+    cells one mean axis-1 side wide; an open box is filed under the cell
+    where its axis-1 side starts and under each later cell the side passes
+    through. An arriving box tests the open boxes passing through its first
+    cell and those starting in any of its cells, which reaches every open
+    box that meets it on axis 1 exactly once, and it knows its axis-0
+    overlap type without a test: the open box started first. So the cost is
+    O(n log n), plus at most about 3n cell entries, plus one test per pair
+    that overlaps on axis 0 and shares a cell on axis 1. Boxes must be
+    normalized (distinct endpoints on every axis); ValueError otherwise.
 
     ``labels`` maps every box id to a label, such as its color. When given,
-    the sweep keeps one open list per label and tests an arriving box only
-    against open boxes with its label, so the result is the pairs above
-    whose two boxes share a label, at the cost of one test per such pair
-    that overlaps on axis 0.
+    every label gets cells of its own, as many times wider as there are
+    labels, and an arriving box tests only open boxes with its label. The
+    result is the pairs above whose two boxes share a label, at the cost of
+    one test per such pair that overlaps on axis 0 and shares a cell.
     """
+    return list(_sweep(boxes, labels))
+
+
+def _sweep(
+    boxes: Sequence[Box], labels: Mapping[int, Hashable] | None
+) -> Iterator[tuple[int, int, int]]:
+    """The pairs of ``intersecting_pairs``, one at a time, so a caller that
+    wants only some of them need not hold them all."""
     if not boxes:
-        return []
+        return
+    n = len(boxes)
     d = boxes[0].dim
     for b in boxes:
-        if b.dim != d:
+        if len(b.sides) != d:
             raise ValueError(f"dimension mismatch: box {b.id} has {b.dim} axes, expected {d}")
-    sides = [tuple((s.lo, s.hi) for s in b.sides) for b in boxes]
+    lows = [[b.sides[axis].lo for b in boxes] for axis in range(d)]
+    highs = [[b.sides[axis].hi for b in boxes] for axis in range(d)]
     for axis in range(d):
-        if len({x for bounds in sides for x in bounds[axis]}) != 2 * len(boxes):
+        if len(set(lows[axis] + highs[axis])) != 2 * n:
             raise ValueError(f"shared endpoint on axis {axis}: normalize the boxes first")
     ids = [b.id for b in boxes]
     flip = (4**d - 1) // 3  # the low bit of every base-4 digit
-    tags = [None] * len(ids) if labels is None else [labels[i] for i in ids]
-    order = sorted(range(len(boxes)), key=lambda i: sides[i][0][0])
-    open_by_tag: dict[Hashable, list[int]] = {}
-    found = []
-    for j in order:
-        mine = sides[j]
-        start = mine[0][0]
-        active = [i for i in open_by_tag.get(tags[j], ()) if sides[i][0][1] > start]
-        for i in active:
-            # code of the open box i relative to the arriving box j
-            code = 0
-            for (lo, hi), (olo, ohi) in zip(sides[i], mine):
-                if hi < olo or ohi < lo:
-                    break
-                if lo < olo:
-                    code = 4 * code + (0 if ohi < hi else 2)
+    # labels become dense integers 0..kinds-1, and the index key of cell c
+    # for label t is c * kinds + t, so every label has cells of its own
+    if labels is None:
+        kinds, tags = 1, [0] * n
+    else:
+        named = list(map(labels.__getitem__, ids))
+        dense = {label: t for t, label in enumerate(dict.fromkeys(named))}
+        kinds, tags = len(dense), list(map(dense.__getitem__, named))
+    if d == 1:
+        first = last = tags  # one cell: every open box meets on axis 0
+    else:
+        # cells are one mean axis-1 side wide times the number of labels:
+        # a label has n / kinds boxes on average, so its cells hold about
+        # as many of them as unlabelled cells hold boxes
+        base = min(lows[1])
+        total = (sum(highs[1]) - sum(lows[1])) * kinds
+        width = total // n if isinstance(total, int) else total / n
+        first = [(x - base) // width * kinds + t for x, t in zip(lows[1], tags)]
+        last = [(x - base) // width * kinds + t for x, t in zip(highs[1], tags)]
+        if not isinstance(width, int):  # a float floors to a float
+            first, last = list(map(int, first)), list(map(int, last))
+    hi0 = highs[0]
+    # rest[i] holds box i's (lo, hi) on axes 1..d-1
+    rest = list(zip(*(zip(lows[axis], highs[axis]) for axis in range(1, d)))) or [()] * n
+    ends = lows[0] + hi0  # event e < n: box e arrives; e >= n: box e - n leaves
+    # an open box is filed under its first cell in ``starting`` and under
+    # each later cell it spans in ``passing``
+    starting: defaultdict[int, dict[int, None]] = defaultdict(dict)
+    passing: defaultdict[int, dict[int, None]] = defaultdict(dict)
+    for j in sorted(range(2 * n), key=ends.__getitem__):
+        if j >= n:  # box j - n leaves
+            j -= n
+            lo_cell, hi_cell = first[j], last[j]
+            del starting[lo_cell][j]
+            if hi_cell != lo_cell:
+                for c in range(lo_cell + kinds, hi_cell + 1, kinds):
+                    del passing[c][j]
+            continue
+        lo_cell, hi_cell = first[j], last[j]
+        top, mine = hi0[j], rest[j]
+        # the open boxes passing through j's first cell, then those that
+        # start in one of j's cells: each open box that meets j on axis 1
+        # is among them exactly once
+        for c in range(lo_cell - kinds, hi_cell + 1, kinds):
+            for i in passing.get(lo_cell, ()) if c < lo_cell else starting.get(c, ()):
+                # code of the open box i relative to the arriving box j; i
+                # opened first, so on axis 0 it contains j or sticks out left
+                code = 0 if top < hi0[i] else 2
+                for (lo, hi), (olo, ohi) in zip(rest[i], mine):
+                    if hi < olo or ohi < lo:
+                        break
+                    if lo < olo:
+                        code = 4 * code + (0 if ohi < hi else 2)
+                    else:
+                        code = 4 * code + (1 if hi < ohi else 3)
                 else:
-                    code = 4 * code + (1 if hi < ohi else 3)
-            else:
-                if ids[i] < ids[j]:
-                    found.append((ids[i], ids[j], code))
-                else:
-                    found.append((ids[j], ids[i], code ^ flip))
-        active.append(j)
-        open_by_tag[tags[j]] = active
-    return found
+                    if ids[i] < ids[j]:
+                        yield ids[i], ids[j], code
+                    else:
+                        yield ids[j], ids[i], code ^ flip
+        starting[lo_cell][j] = None
+        if hi_cell != lo_cell:
+            for c in range(lo_cell + kinds, hi_cell + 1, kinds):
+                passing[c][j] = None
 
 
 def normalize(boxes: Sequence[Box]) -> list[Box]:
@@ -298,7 +359,13 @@ def normalize(boxes: Sequence[Box]) -> list[Box]:
     ]
 
 
+# a plain ASCII integer token, which int() reads far faster than Fraction()
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_number(token: str) -> Number:
+    if _INTEGER.fullmatch(token):
+        return int(token)
     frac = Fraction(token)
     return int(frac) if frac.denominator == 1 else frac
 

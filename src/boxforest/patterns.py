@@ -191,21 +191,29 @@ def product_coloring(
     Any host edge appears as an arc in some pattern digraph, where the two
     endpoints' component colors differ, so the tuples differ. Raises
     ValueError when an input coloring is improper on its pattern graph.
+
+    A one-color piece of an arc-free pattern is the same component in
+    every tuple, so it is left out: the tuples stay distinct exactly when
+    they were, and the numbering is unchanged.
     """
     if not family:
         raise ValueError("empty pattern family")
     n = family[0].digraph.n
+    vertices = set(range(n))
     pieces = []
     for pd in family:
         if pd.pattern not in colorings:
             raise ValueError(f"missing coloring for pattern {pd.pattern}")
-        piece = colorings[pd.pattern].colors
+        coloring = colorings[pd.pattern]
+        piece = coloring.colors
         out = pd.digraph.out
-        if set(piece) != set(range(pd.digraph.n)) or any(
-            piece[u] == piece[v] for u in range(pd.digraph.n) for v in out[u]
+        has_arcs = any(out)
+        if piece.keys() != vertices or has_arcs and any(
+            piece[u] == piece[v] for u in range(n) for v in out[u]
         ):
             raise ValueError(f"coloring improper on pattern {pd.pattern}")
-        pieces.append(piece)
+        if has_arcs or coloring.palette_size > 1:
+            pieces.append(piece)
     index: dict[tuple[int, ...], int] = {}
     colors = {}
     for v in range(n):

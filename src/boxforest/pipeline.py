@@ -35,7 +35,7 @@ from .embedding import (  # noqa: F401
     find_path_induced_tree,
     peel_grading,
 )
-from .geometry import Box, Pattern, intersecting_pairs, intersects
+from .geometry import Box, Pattern, _sweep, intersecting_pairs, intersects
 from .graphs import (  # noqa: F401
     Coloring,
     Graph,
@@ -562,11 +562,11 @@ def verify_certificate(boxes: Sequence[Box], payload: dict) -> tuple[bool, str]:
             )
         if sorted(b.id for b in boxes) != list(range(n)):
             raise ValueError("box ids must be 0..n-1")
-        # one sweep pairs only boxes of the same color; the smallest clash
-        # is reported
-        clashes = intersecting_pairs(boxes, colors)
-        if clashes:
-            u, v, _ = min(clashes)
+        # one sweep pairs only boxes of the same color and keeps only the
+        # smallest clash, so a large color class costs time but no memory
+        clash = min(_sweep(boxes, colors), default=None)
+        if clash is not None:
+            u, v, _ = clash
             return False, f"adjacent boxes {u} and {v} share color {colors[u]}"
         return True, f"proper coloring with {palette} colors within bound"
     r, k = payload["r"], payload["k"]

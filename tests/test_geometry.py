@@ -25,6 +25,7 @@ from boxforest import (
     normalize,
     save_boxes,
 )
+from boxforest.geometry import _parse_number
 
 
 class TestClassifyOverlap:
@@ -232,6 +233,21 @@ class TestFiles:
         save_boxes(bs, path)
         back = load_boxes(path)
         assert back[0].side(0) == Interval(Fraction(1, 3), Fraction(1, 2))
+
+    @pytest.mark.parametrize(
+        "token", ["007", "-0", "+5", "1_000", "١٢", "1e3", "3/1", "2.50", "--5", "0x10"]
+    )
+    def test_integer_tokens_parse_as_through_fraction(self, token):
+        # the int() shortcut must give what the Fraction route gives
+        try:
+            frac = Fraction(token)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _parse_number(token)
+            return
+        want = int(frac) if frac.denominator == 1 else frac
+        got = _parse_number(token)
+        assert (got, type(got)) == (want, type(want))
 
     def test_bad_inputs(self, tmp_path):
         cases = [

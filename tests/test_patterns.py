@@ -151,6 +151,35 @@ class TestProductColoring:
         combined = product_coloring(fam, colorings)
         assert combined.is_proper_on(g)
 
+    @pytest.mark.parametrize("seed,d", [(2, 2), (2, 3), (3, 4)])
+    def test_constant_pieces_are_skipped_without_changing_the_product(self, seed, d):
+        boxes, g, fam = make_instance(seed, 12, d)
+        n = len(boxes)
+        constant = Coloring(dict.fromkeys(range(n), 0), 1)
+        colorings = {}
+        arc_free = [pd.pattern for pd in fam if not any(pd.digraph.out)]
+        for pd in fam:
+            und = pd.digraph.underlying()
+            greedy: dict[int, int] = {}
+            for v in range(n):
+                used = {greedy[u] for u in und.neighbors(v) if u in greedy}
+                greedy[v] = next(c for c in range(n + 1) if c not in used)
+            colorings[pd.pattern] = Coloring(greedy, max(greedy.values()) + 1)
+        for pattern in arc_free[1:]:
+            colorings[pattern] = constant
+        # an arc-free pattern may still carry a coloring that is not constant
+        colorings[arc_free[0]] = Coloring({v: v % 2 for v in range(n)}, 2)
+        keys = [tuple(colorings[pd.pattern].colors[v] for pd in fam) for v in range(n)]
+        first_seen = {key: None for key in keys}
+        number = {key: i for i, key in enumerate(first_seen)}
+        combined = product_coloring(fam, colorings)
+        assert dict(combined.colors) == {v: number[key] for v, key in enumerate(keys)}
+        assert combined.palette_size == len(number)
+        # a constant piece is refused on a pattern with arcs
+        with_arcs = next(pd.pattern for pd in fam if any(pd.digraph.out))
+        with pytest.raises(ValueError):
+            product_coloring(fam, {**colorings, with_arcs: constant})
+
     def test_rejects_improper_pieces(self):
         boxes, g, fam = make_instance(5, 5, 1)
         flat = {

@@ -1,4 +1,4 @@
-"""The axis-0 pair sweep and the heap peeler against all-pairs references.
+"""The pair sweep and the heap peeler against all-pairs references.
 
 Also checks that certify and verify sweep once, and that what they derive
 from the one sweep (pattern digraphs, host graph, layer colorings,
@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -205,6 +207,112 @@ def test_verify_cost_follows_the_color_classes():
     assert ok, message
 
 
+def test_verify_holds_one_clash_not_all():
+    # all 19,900 pairs meet and share the one color; only the smallest is
+    # reported, so memory must not grow with the number of clashes
+    n = 200
+    boxes = nested_chain_boxes(n, 2)
+    payload = {"kind": "coloring", "palette": 1, "bound": 1, "colors": dict.fromkeys(range(n), 0)}
+    tracemalloc.start()
+    try:
+        ok, message = verify_certificate(boxes, payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (ok, message) == (False, "adjacent boxes 0 and 1 share color 0")
+    assert peak < 2000 * n
+
+
+def raw_rows(rng: random.Random, n: int, d: int, side: tuple[int, int]) -> list[list[int]]:
+    """n random boxes in [0, 10^6)^d with sides drawn from ``side``."""
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(d):
+            length = rng.randint(*side)
+            lo = rng.randrange(10**6 - length)
+            row.extend((lo, lo + length))
+        rows.append(row)
+    return rows
+
+
+def cell_instance(name: str):
+    """Instances for the sweep's axis-1 cells: many small cells, boxes that
+    span all of axis 1, raw coordinates and other dimensions."""
+    rng = random.Random(name)
+    small = (10**4, 5 * 10**4)  # 1-5 % of the range: many cells
+    if name.startswith("small-sides"):
+        return normalize(boxes_from_rows(raw_rows(rng, int(name[-3:]), 2, small)))
+    if name == "full-span":
+        rows = raw_rows(rng, 200, 2, small)
+        for row in rng.sample(rows, 4):
+            row[2:] = [-1 - rng.randrange(9), 10**6 + rng.randrange(9)]
+        return normalize(boxes_from_rows(rows))
+    if name == "raw-coordinates":
+        # distinct but not normalized: x -> x / 3 - 250 maps ranks to
+        # negative values, ints and Fractions mixed; two boxes sit far out,
+        # one with a float bound
+        ranks = [[x for side in b.sides for x in (side.lo, side.hi)]
+                 for b in normalize(boxes_from_rows(raw_rows(rng, 300, 2, small)))]
+        rows = [[x // 3 - 250 if x % 3 == 0 else Fraction(x, 3) - 250 for x in row]
+                for row in ranks]
+        rows += [[10**30, 10**30 + 1, -(10**30), -(10**30) + 5],
+                 [-(10**30), 10**30 + 2, -0.5, 10**30]]
+        return boxes_from_rows(rows)
+    d = int(name[-1])
+    return normalize(boxes_from_rows(raw_rows(rng, 150, d, (10**4, 4 * 10**5))))
+
+
+CELL_CASES = [
+    "small-sides-200", "small-sides-500", "full-span", "raw-coordinates", "d1", "d3", "d4"
+]
+
+
+@pytest.mark.parametrize("name", CELL_CASES)
+def test_cell_sweep_matches_the_all_pairs_reference(name):
+    boxes = cell_instance(name)
+    n = len(boxes)
+    names = [str(p) for p in all_patterns(boxes[0].dim)]
+    want = brute_patterns(plain(boxes))
+    assert want
+    pairs = intersecting_pairs(boxes)
+    assert len(pairs) == len(want)
+    assert {(u, v): names[code] for u, v, code in pairs} == want
+    rng = random.Random(name)
+    for values in ([0], ["red", "green", "blue"], rng.sample(range(10 * n), n)):
+        if len(values) == n:
+            labels = dict(zip(range(n), values))
+        else:
+            labels = {v: rng.choice(values) for v in range(n)}
+        same = {p: pattern for p, pattern in want.items() if labels[p[0]] == labels[p[1]]}
+        labelled = intersecting_pairs(boxes, labels)
+        assert len(labelled) == len(same)
+        assert {(u, v): names[code] for u, v, code in labelled} == same
+
+
+def test_sweep_cost_follows_the_pairs_that_meet_on_two_axes():
+    # every strip spans axis 0, so all 3000 are open at once and a sweep
+    # that tests every open box would make about 4.5M tests for ~1.3k pairs
+    rng = random.Random(1)
+    rows = []
+    for i in range(3000):
+        lo = rng.randrange(10**6 - 300)
+        rows.append([i, 10**6 + i, lo, lo + rng.randint(1, 300)])
+    boxes = normalize(boxes_from_rows(rows))
+    start = time.perf_counter()
+    pairs = intersecting_pairs(boxes)
+    assert time.perf_counter() - start < 0.25
+    # the strips meet exactly where their axis-1 sides overlap
+    by_lo = sorted(range(len(boxes)), key=lambda v: boxes[v].side(1).lo)
+    want = set()
+    for a, u in enumerate(by_lo):
+        for v in by_lo[a + 1:]:
+            if boxes[v].side(1).lo > boxes[u].side(1).hi:
+                break
+            want.add((min(u, v), max(u, v)))
+    assert {(u, v) for u, v, _ in pairs} == want
+
+
 def test_sweep_rejects_shared_endpoints_and_mixed_dimensions():
     with pytest.raises(ValueError):
         intersecting_pairs(boxes_from_rows([[0, 2], [2, 3]]))
@@ -224,17 +332,19 @@ def test_host_graph_from_the_family_is_the_intersection_graph(name):
 
 @pytest.fixture
 def sweep_calls(monkeypatch):
-    """Counts calls of ``intersecting_pairs`` through every module name."""
+    """Counts pair sweeps: calls of the generator behind ``intersecting_pairs``
+    through every module name, so a caller that reads the pairs one at a
+    time is counted too."""
     calls = []
-    original = geometry.intersecting_pairs
+    original = geometry._sweep
 
     def counted(boxes, *rest):
         calls.append(len(boxes))
         return original(boxes, *rest)
 
     for module in (geometry, graphs, patterns, pipeline):
-        if hasattr(module, "intersecting_pairs"):
-            monkeypatch.setattr(module, "intersecting_pairs", counted)
+        if hasattr(module, "_sweep"):
+            monkeypatch.setattr(module, "_sweep", counted)
     return calls
 
 
