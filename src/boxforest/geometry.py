@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import operator
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -89,7 +90,7 @@ class Interval:
     hi: Number
 
     def __post_init__(self) -> None:
-        if self.lo > self.hi:
+        if not self.lo <= self.hi:  # also refuses a NaN endpoint
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     def overlaps(self, other: "Interval") -> bool:
@@ -132,7 +133,7 @@ def boxes_from_rows(rows: Sequence[Sequence[Number]]) -> list[Box]:
             width = len(row)
         elif len(row) != width:
             raise ValueError(f"row {i}: expected {width} bounds, got {len(row)}")
-        out.append(box(i, *[(row[j], row[j + 1]) for j in range(0, len(row), 2)]))
+        out.append(Box(i, tuple(map(Interval, row[0::2], row[1::2]))))
     return out
 
 
@@ -327,12 +328,20 @@ def _sweep(
 def normalize(boxes: Sequence[Box]) -> list[Box]:
     """Replace coordinates by per-axis integer ranks; exact and idempotent.
 
-    On each axis the 2n endpoints are sorted by (value, box id, lo-before-hi)
-    and replaced by their rank 0..2n-1, so all endpoints become distinct
-    while the relative order of distinct input values is preserved. The tie
-    rule resolves shared endpoints deterministically (the earlier box id
-    wins the smaller rank) and widens zero-width sides, since a box's lo
-    always ranks before its own equal hi.
+    On each axis the 2n endpoints are ranked 0..2n-1 by (value, box id,
+    lo-before-hi), so all endpoints become distinct while the relative
+    order of distinct input values is preserved. The tie rule resolves
+    shared endpoints deterministically (the earlier box id wins the smaller
+    rank) and widens zero-width sides, since a box's lo always ranks before
+    its own equal hi. Each axis is ranked by one stable sort of endpoint
+    indices, with the endpoints laid out ``lo, hi`` box by box in ascending
+    id order, so the sort's own tie order is the tie rule.
+
+    Boxes come back in input order, each built once. When the input is
+    already normalized (on every axis its coordinates are the ints
+    0..2n-1, which are then their own ranks), the result is a new list of
+    the same box objects. Otherwise every box is rebuilt, so a coordinate
+    such as ``Fraction(3)``, ``3.0`` or ``True`` becomes an int.
     """
     if not boxes:
         raise ValueError("empty box collection")
@@ -340,27 +349,45 @@ def normalize(boxes: Sequence[Box]) -> list[Box]:
     for b in boxes:
         if b.dim != d:
             raise ValueError(f"dimension mismatch: box {b.id} has {b.dim} axes, expected {d}")
-    ranked: dict[int, list[list[int]]] = {b.id: [[0, 0] for _ in range(d)] for b in boxes}
-    if len(ranked) != len(boxes):
-        raise ValueError("duplicate box ids")
+    ids = [b.id for b in boxes]
+    ordered = boxes
+    if not all(map(operator.lt, ids, ids[1:])):  # strictly ascending ids are distinct
+        if len(set(ids)) != len(ids):
+            raise ValueError("duplicate box ids")
+        ordered = sorted(boxes, key=operator.attrgetter("id"))
+        ids = [b.id for b in ordered]
+    size = 2 * len(ids)
+    every = set(range(size))
+    ranked = []
+    unchanged = True
     for axis in range(d):
-        # endpoint record: (value, box id, 0 for lo / 1 for hi)
-        records = []
-        for b in boxes:
-            side = b.side(axis)
-            records.append((side.lo, b.id, 0))
-            records.append((side.hi, b.id, 1))
-        records.sort()
-        for rank, (_, bid, which) in enumerate(records):
-            ranked[bid][axis][which] = rank
-    return [
-        Box(b.id, tuple(Interval(lo, hi) for lo, hi in ranked[b.id]))
-        for b in boxes
-    ]
+        sides = [b.sides[axis] for b in ordered]
+        vals: list[Number] = [0] * size
+        vals[0::2] = [s.lo for s in sides]
+        vals[1::2] = [s.hi for s in sides]
+        if {*map(type, vals)} == {int} and set(vals) == every:
+            ranked.append(vals)  # the ints 0..2n-1 are their own ranks
+            continue
+        unchanged = False
+        ranks = [0] * size
+        for rank, j in enumerate(sorted(range(size), key=vals.__getitem__)):
+            ranks[j] = rank
+        ranked.append(ranks)
+    if unchanged:
+        return list(boxes)
+    axes = [map(Interval, ranks[0::2], ranks[1::2]) for ranks in ranked]
+    built = list(map(Box, ids, zip(*axes)))
+    if ordered is boxes:
+        return built
+    by_id = dict(zip(ids, built))
+    return [by_id[b.id] for b in boxes]
 
 
 # a plain ASCII integer token, which int() reads far faster than Fraction()
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+# text made only of these characters splits into tokens that int() accepts
+# exactly when they match _INTEGER, and then reads as _parse_number does
+_INTEGER_TEXT = re.compile(r"[0-9+\-\s]*")
 
 
 def _parse_number(token: str) -> Number:
@@ -375,6 +402,9 @@ def load_boxes(path: str) -> list[Box]:
 
     A JSON mirror is accepted: an object with a ``boxes`` key whose entries
     are per-axis ``[lo, hi]`` pairs. Ids are assigned by 0-based order.
+    A text file of plain ASCII integers is read token by token with
+    ``int``; any other file goes through ``Fraction`` where a token is not
+    a plain integer. Each box and interval is built once.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -397,12 +427,13 @@ def load_boxes(path: str) -> list[Box]:
         raise ValueError("box count must be at least 1")
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} box rows, found {len(lines) - 1}")
+    parse = int if text.isascii() and _INTEGER_TEXT.fullmatch(text) else _parse_number
     rows = []
     for ln in lines[1:]:
         tokens = ln.split()
         if len(tokens) != 2 * d:
             raise ValueError(f"row {ln!r}: expected {2 * d} bounds")
-        rows.append([_parse_number(t) for t in tokens])
+        rows.append([parse(t) for t in tokens])
     return boxes_from_rows(rows)
 
 
@@ -411,6 +442,8 @@ def _boxes_from_json(text: str) -> list[Box]:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad JSON box file: {exc}") from None
+    except RecursionError:
+        raise ValueError("bad JSON box file: nested too deeply") from None
     if not isinstance(payload, dict) or "boxes" not in payload:
         raise ValueError("JSON box file needs a 'boxes' key")
     entries = payload["boxes"]

@@ -513,6 +513,8 @@ def parse_certificate(text: str) -> dict:
         payload = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad certificate JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("bad certificate JSON: nested too deeply") from None
     if not isinstance(payload, dict):
         raise ValueError("certificate must be a JSON object")
     kind = payload.get("kind")

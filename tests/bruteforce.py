@@ -189,6 +189,24 @@ def find_induced_copy(g, t) -> dict[int, int] | None:
     return dict(image) if place(0) else None
 
 
+def brute_normalize(boxes) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+    """Per-axis ranks by sorting ``(value, box id, 0 for lo / 1 for hi)``
+    records, as ``(id, ((lo, hi), ...))`` per box in input order. Takes
+    anything with ``.id`` and ``.sides`` of ``.lo``/``.hi``."""
+    d = len(boxes[0].sides)
+    ranked = {b.id: [[0, 0] for _ in range(d)] for b in boxes}
+    for axis in range(d):
+        records = []
+        for b in boxes:
+            side = b.sides[axis]
+            records.append((side.lo, b.id, 0))
+            records.append((side.hi, b.id, 1))
+        records.sort()
+        for rank, (_, bid, which) in enumerate(records):
+            ranked[bid][axis][which] = rank
+    return [(b.id, tuple(map(tuple, ranked[b.id]))) for b in boxes]
+
+
 # All-pairs references for the axis-0 pair sweep and the heap peeler. A box
 # is a tuple of per-axis (lo, hi) pairs; box ids are list positions.
 

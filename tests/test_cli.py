@@ -113,6 +113,12 @@ class TestColor:
         assert code == 2
         assert "below the clique number" in capsys.readouterr().err
 
+    def test_deeply_nested_json_box_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"boxes": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        assert main(["color", str(path), "--r", "1", "--k", "1"]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
 
     def test_bound_below_omega_with_too_few_disjoint_children_is_input_error(
         self, tmp_path, capsys
@@ -185,6 +191,12 @@ class TestVerify:
         path, cert = self.make_pair(tmp_path)
         cert.write_text("{not json")
         assert main(["verify", str(path), "--certificate", str(cert)]) == 2
+
+    def test_deeply_nested_certificate_is_input_error(self, tmp_path, capsys):
+        path, cert = self.make_pair(tmp_path)
+        cert.write_text('{"kind": "coloring", "colors": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        assert main(["verify", str(path), "--certificate", str(cert)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
 
     def test_mismatched_instance_is_input_error(self, tmp_path):
         path, cert = self.make_pair(tmp_path)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,9 +24,11 @@ from boxforest import (
     intersects,
     load_boxes,
     normalize,
+    random_boxes,
     save_boxes,
 )
 from boxforest.geometry import _parse_number
+from bruteforce import brute_normalize
 
 
 class TestClassifyOverlap:
@@ -109,6 +112,11 @@ class TestBoxes:
         assert box(0, (2, 2)).side(0) == Interval(2, 2)
         with pytest.raises(ValueError):
             box(0, (5, 1))
+
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 1), (0, math.nan), (math.nan, math.nan)])
+    def test_nan_endpoint_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="empty interval"):
+            Interval(lo, hi)
 
     def test_boxes_from_rows(self):
         bs = boxes_from_rows([[0, 1, 0, 1], [2, 3, 2, 3]])
@@ -205,6 +213,47 @@ class TestNormalize:
                     assert after is not None and after == before
 
 
+def _coordinate(kind: int, x: int):
+    return (x, Fraction(x, 3), x / 2, Fraction(x))[kind]
+
+
+class TestNormalizeAgainstTupleSort:
+    """``normalize`` against the tuple-sort reference in ``bruteforce``."""
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_same_ids_ranks_and_types(self, data):
+        n = data.draw(st.integers(1, 8))
+        d = data.draw(st.integers(1, 4))
+        # non-contiguous ids in shuffled order
+        ids = data.draw(st.lists(st.integers(0, 60), min_size=n, max_size=n, unique=True))
+        # a small value range makes shared endpoints and zero-width sides
+        coord = st.builds(_coordinate, st.integers(0, 3), st.integers(0, 6))
+        bs = []
+        for i in ids:
+            sides = [tuple(sorted(data.draw(st.tuples(coord, coord)))) for _ in range(d)]
+            bs.append(box(i, *sides))
+        got = normalize(bs)
+        assert [(b.id, tuple((s.lo, s.hi) for s in b.sides)) for b in got] == brute_normalize(bs)
+        assert all(type(v) is int for b in got for s in b.sides for v in (s.lo, s.hi))
+        again = normalize(got)
+        assert again is not got
+        assert all(a is b for a, b in zip(again, got)) and len(again) == len(got)
+
+    def test_normalized_input_is_not_rebuilt(self):
+        bs = random_boxes(2000, 3, 1)
+        out = normalize(bs)
+        assert out is not bs
+        assert len(out) == len(bs) and all(a is b for a, b in zip(out, bs))
+
+    @pytest.mark.parametrize("value", [Fraction(0), 0.0, False])
+    def test_int_equal_coordinates_are_rebuilt_as_int(self, value):
+        bs = [box(0, (value, 1))]
+        (out,) = normalize(bs)
+        assert out is not bs[0]
+        assert type(out.sides[0].lo) is int and out.sides[0] == Interval(0, 1)
+
+
 class TestFiles:
     def test_text_roundtrip(self, tmp_path):
         bs = normalize(boxes_from_rows([[0, 3, 1, 4], [2, 5, 0, 2]]))
@@ -248,6 +297,29 @@ class TestFiles:
         want = int(frac) if frac.denominator == 1 else frac
         got = _parse_number(token)
         assert (got, type(got)) == (want, type(want))
+
+    @pytest.mark.parametrize(
+        "tokens",
+        ["007 9", "-0 +5", "--5 9", "5- 9", "1_000 2000", "١٢ 99", "2.50 3/1", "-0 007 +5 9"],
+    )
+    def test_file_loads_as_token_by_token(self, tmp_path, tokens):
+        # a file of ASCII integer characters takes the int() route; it must
+        # give what _parse_number gives token by token, types included
+        path = tmp_path / "t.txt"
+        words = tokens.split()
+        rows = [words[j:j + 2] for j in range(0, len(words), 2)]
+        path.write_text(f"1 {len(rows)}\n" + "".join(f"{lo} {hi}\n" for lo, hi in rows))
+        try:
+            want = boxes_from_rows([list(map(_parse_number, row)) for row in rows])
+        except ValueError:
+            with pytest.raises(ValueError):
+                load_boxes(path)
+            return
+        got = load_boxes(path)
+        assert got == want
+        assert [type(v) for b in got for s in b.sides for v in (s.lo, s.hi)] == [
+            type(v) for b in want for s in b.sides for v in (s.lo, s.hi)
+        ]
 
     def test_bad_inputs(self, tmp_path):
         cases = [
