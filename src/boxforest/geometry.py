@@ -437,6 +437,9 @@ def load_boxes(path: str) -> list[Box]:
     return boxes_from_rows(rows)
 
 
+_JSON_TYPE_NAMES = {list: "array", dict: "object", bool: "boolean", type(None): "null"}
+
+
 def _boxes_from_json(text: str) -> list[Box]:
     try:
         payload = json.loads(text)
@@ -457,7 +460,18 @@ def _boxes_from_json(text: str) -> list[Box]:
         for pair in entry:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ValueError(f"box {i}: each axis must be a [lo, hi] pair")
-            flat.extend(_parse_number(str(v)) for v in pair)
+            for v in pair:
+                kind = type(v)
+                if kind is int:
+                    flat.append(v)
+                elif kind in (float, str):
+                    flat.append(_parse_number(str(v)))
+                else:
+                    # never str() the value: it may be a huge nested list
+                    raise ValueError(
+                        f"box {i}: a bound must be a number or a numeric string, "
+                        f"not JSON {_JSON_TYPE_NAMES[kind]}"
+                    )
         rows.append(flat)
     return boxes_from_rows(rows)
 

@@ -3,10 +3,12 @@
 Given normalized boxes and tree parameters (depth r, branching k), the
 pipeline sweeps the intersecting pairs once and builds the host graph from
 them. When the complete (k^d * omega)-ary tree of depth r has more vertices
-than there are boxes, no pattern can embed it and the derived bound
-exceeds n, so the host graph is colored directly in smallest-last order.
-Otherwise the same pairs are split into pattern digraphs and the grading
-machinery runs on each pattern that has arcs. The first calm,
+|T| than the host graph's maximum degree, every pattern peels out whole in
+its first round, since a pattern out-degree is at most the host degree, so
+no pattern can embed the tree; the host graph is then colored directly in
+smallest-last order, with at most degeneracy + 1 <= |T| colors, within the
+derived bound. Otherwise the same pairs are split into pattern digraphs and
+the grading machinery runs on each pattern that has arcs. The first calm,
 path-induced embedding is pruned, each vertex's children cut to k
 pairwise-disjoint boxes, into an induced copy of the depth-r k-ary tree
 in the host graph. If no pattern embeds the tree, every pattern peeled
@@ -385,11 +387,13 @@ def color_or_find_forest(
     to the interval greedy sweep, which colors with exactly omega colors.
 
     The pair sweep runs once, and the host graph is built from its pairs.
-    When the tree cannot fit in the instance the derived bound exceeds n,
-    so any proper coloring is within it: the host graph is colored in
-    smallest-last order, with no pattern digraphs at all. Otherwise the
-    same pairs are split into pattern digraphs, which are searched in
-    order until one embeds the tree.
+    When the tree has more vertices |T| than the host graph's maximum
+    degree, no pattern can keep a grading with k = |T|, so the outcome is a
+    coloring: the host graph is colored in smallest-last order, with no
+    pattern digraphs at all, in at most degeneracy + 1 <= |T| colors, which
+    is within the derived bound. Otherwise the same pairs are split into
+    pattern digraphs, which are searched in order until one embeds the
+    tree.
     """
     if not boxes:
         raise ValueError("empty box collection")
@@ -420,9 +424,11 @@ def color_or_find_forest(
     w = omega_bound if omega_bound is not None else omega(g, limits)
     report = _writable_bound(d, r, k, w, n)
 
-    if report.tree_size > n:
-        # the bound (2 r |T| w)^(4^d) exceeds |T| > n, so every proper
-        # coloring is within it and the patterns could prove nothing more
+    if report.tree_size > max(map(len, g.adj)):
+        # a pattern out-degree is at most the host degree, below |T|, so
+        # every pattern peels out whole in round 1 and none embeds the tree;
+        # smallest-last needs at most degeneracy + 1 <= |T| colors, within
+        # the bound (2 r |T| w)^(4^d)
         coloring = smallest_last_coloring(g.adj)
         _check_coloring("smallest-last coloring", coloring, g, report.derived_bound)
         return ProperColoring(coloring, report.derived_bound, {})

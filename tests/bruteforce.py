@@ -28,6 +28,10 @@ def adjacency(n: int, edges) -> dict[int, set[int]]:
     return adj
 
 
+def brute_max_degree(n: int, edges) -> int:
+    return max(len(near) for near in adjacency(n, edges).values())
+
+
 def brute_omega(n: int, edges) -> int:
     adj = adjacency(n, edges)
     for size in range(n, 0, -1):
@@ -347,15 +351,17 @@ def brute_coloring_certificate(sides: list[tuple], r: int, k: int) -> str | None
     then answers with a tree).
 
     |T| is the size of the complete (k^d omega)-ary depth-r tree. When
-    |T| > n the host graph is colored smallest-last; otherwise the product
-    coloring peels every pattern for max(1, r omega - 1) rounds.
+    |T| exceeds the host graph's maximum degree the host graph is colored
+    smallest-last; otherwise the product coloring peels every pattern for
+    max(1, r omega - 1) rounds.
     """
     n, d = len(sides), len(sides[0])
-    w = brute_omega(n, brute_patterns(sides))
+    edges = brute_patterns(sides)
+    w = brute_omega(n, edges)
     branching = k**d * w
     size = sum(branching**i for i in range(r + 1))
-    if size > n:
-        colors = brute_smallest_last_coloring(n, brute_patterns(sides))
+    if size > brute_max_degree(n, edges):
+        colors = brute_smallest_last_coloring(n, edges)
     else:
         colors = brute_product_coloring(sides, size, max(2, r * w))
         if colors is None:

@@ -119,6 +119,14 @@ class TestColor:
         assert main(["color", str(path), "--r", "1", "--k", "1"]) == 2
         assert "nested too deeply" in capsys.readouterr().err
 
+    def test_json_bound_that_is_a_list_gives_a_short_input_error(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        bound = [[[list(range(3000))]]]
+        path.write_text(json.dumps({"boxes": [[[0, 1]], [[0, bound]]]}))
+        assert main(["color", str(path), "--r", "1", "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "box 1" in err and "JSON array" in err
+        assert len(err) < 200
 
     def test_bound_below_omega_with_too_few_disjoint_children_is_input_error(
         self, tmp_path, capsys

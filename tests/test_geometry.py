@@ -341,3 +341,31 @@ class TestFiles:
         path.write_text(json.dumps({"boxes": [[[0, 1]], [[0, 1], [2, 3]]]}))
         with pytest.raises(ValueError):
             load_boxes(path)
+
+    @pytest.mark.parametrize(
+        "bound, name",
+        [
+            ([[list(range(3000))]], "array"),
+            ({"lo": 0}, "object"),
+            (True, "boolean"),
+            (None, "null"),
+        ],
+    )
+    def test_json_bound_of_the_wrong_type_is_named_not_printed(self, tmp_path, bound, name):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"boxes": [[[0, 4], [0, 4]], [[1, 2], [1, bound]]]}))
+        with pytest.raises(ValueError) as info:
+            load_boxes(path)
+        assert str(info.value) == (
+            f"box 1: a bound must be a number or a numeric string, not JSON {name}"
+        )
+
+    def test_json_numeric_strings_and_floats_still_load(self, tmp_path):
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps({"boxes": [[["1/2", 3.5]], [["-7", "2.25"]]]}))
+        back = load_boxes(path)
+        assert [b.side(0) for b in back] == [
+            Interval(Fraction(1, 2), Fraction(7, 2)),
+            Interval(-7, Fraction(9, 4)),
+        ]
+        assert type(back[1].side(0).lo) is int

@@ -14,6 +14,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from boxforest import (
     CalmEmbedding,
@@ -27,6 +29,7 @@ from boxforest import (
     color_or_find_forest,
     decompose,
     degeneracy_coloring,
+    embedding,
     geometry,
     graphs,
     grid_disjoint_boxes,
@@ -48,6 +51,7 @@ from bruteforce import (
     brute_decompose,
     brute_degeneracy_coloring,
     brute_first_clash,
+    brute_max_degree,
     brute_omega,
     brute_patterns,
     brute_peel_coloring,
@@ -425,14 +429,20 @@ def test_first_clash_reported_is_the_smallest_pair():
         )
 
 
-def fan_instance(rng: random.Random, d: int):
-    """A hub box around disjoint leaves, plus up to two small random boxes."""
-    leaves = rng.randint(3, 9)
+def hub_rows(leaves: int, d: int) -> list[list[int]]:
+    """Rows of ``leaves`` disjoint boxes and, last, one hub box around them."""
     rows = [
         [x for side in b.sides for x in (side.lo, side.hi)]
         for b in grid_disjoint_boxes(leaves, d)
     ]
     rows.append([x for _ in range(d) for x in (-1, 2 * leaves)])
+    return rows
+
+
+def fan_instance(rng: random.Random, d: int):
+    """A hub box around disjoint leaves, plus up to two small random boxes."""
+    leaves = rng.randint(3, 9)
+    rows = hub_rows(leaves, d)
     for _ in range(rng.randint(0, 2)):
         row = []
         for _ in range(d):
@@ -442,8 +452,24 @@ def fan_instance(rng: random.Random, d: int):
     return normalize(boxes_from_rows(rows))
 
 
+def sparse_instance(rng: random.Random, d: int):
+    """9 to 16 boxes with short sides: few neighbors each, a small omega."""
+    n = rng.randint(9, 16)
+    cap = n if d == 3 else n // 2
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(d):
+            lo = rng.randrange(2 * n)
+            row.extend((lo, lo + rng.randint(1, cap)))
+        rows.append(row)
+    return normalize(boxes_from_rows(rows))
+
+
 def all_pairs_cases():
-    """(boxes, r, k): fans and small random instances in d = 2 and 3."""
+    """(boxes, r, k): fans and small random instances in d = 2 and 3, then
+    sparse ones whose depth-2 tree mostly fits in n but outgrows every
+    degree."""
     rng = random.Random(7)
     for i in range(40):
         d = rng.randint(2, 3)
@@ -452,6 +478,54 @@ def all_pairs_cases():
         else:
             boxes = random_boxes(rng.randint(3, 14), d, seed=rng.randrange(10**6))
         yield boxes, *rng.choice(((1, 1), (1, 2), (2, 1), (2, 2)))
+    rng = random.Random(11)
+    for i in range(14):
+        yield sparse_instance(rng, 2 + i % 2), 2, 1
+
+
+def brute_sizes(boxes, r: int, k: int) -> tuple[int, int, int, int]:
+    """n, the maximum degree, omega and |T|, from all-pairs scans."""
+    sides = plain(boxes)
+    n = len(sides)
+    edges = brute_patterns(sides)
+    w = brute_omega(n, edges)
+    return n, brute_max_degree(n, edges), w, tree_vertex_count(r, k ** len(sides[0]) * w)
+
+
+def test_no_pattern_keeps_a_grading_where_the_tree_outgrows_every_degree():
+    # a pattern out-degree is at most the host degree, so with k = |T| every
+    # pattern peels out whole in round 1 and the product coloring exists
+    below = 0
+    for boxes, r, k in all_pairs_cases():
+        n, degree, w, size = brute_sizes(boxes, r, k)
+        if degree < size <= n:
+            assert brute_product_coloring(plain(boxes), size, max(2, r * w)) is not None
+            below += 1
+    assert below >= 10
+
+
+@st.composite
+def small_instances(draw):
+    """2 to 10 boxes in d = 2 or 3 on a lattice of 2n + 1 points per axis."""
+    d = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(2, 10))
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(d):
+            lo = draw(st.integers(0, 2 * n))
+            row.extend((lo, lo + draw(st.integers(0, n))))
+        rows.append(row)
+    return normalize(boxes_from_rows(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances(), st.sampled_from(((1, 1), (1, 2), (2, 1))))
+def test_no_pattern_keeps_a_grading_on_small_instances(boxes, rk):
+    r, k = rk
+    n, degree, w, size = brute_sizes(boxes, r, k)
+    assume(degree < size <= n)
+    assert brute_product_coloring(plain(boxes), size, max(2, r * w)) is not None
 
 
 def test_certificates_match_the_all_pairs_path():
@@ -469,23 +543,83 @@ def test_certificates_match_the_all_pairs_path():
 
 
 def test_smallest_last_palette_never_exceeds_the_product_palette():
-    # where the tree cannot fit, the paper's product coloring (each pattern
-    # peeled in one round) is still a valid certificate; smallest-last on
-    # the host graph must never need more colors
-    cant_fit = 0
-    for boxes, r, k in all_pairs_cases():
-        sides = plain(boxes)
-        w = brute_omega(len(sides), brute_patterns(sides))
-        size = tree_vertex_count(r, k ** len(sides[0]) * w)
-        if size <= len(boxes):
+    # where the tree has more vertices than any box has neighbors, every
+    # pattern peels out whole in round 1, so the paper's product coloring
+    # is still a valid certificate; smallest-last on the host graph must
+    # never need more colors, nor more than the maximum degree + 1 <= |T|
+    above_n = below_n = 0
+    for boxes, r, k in [*all_pairs_cases(), (burling_like(3), 1, 1)]:
+        n, degree, w, size = brute_sizes(boxes, r, k)
+        if size <= degree:
             continue
         cert = color_or_find_forest(boxes, r, k)
         assert isinstance(cert, ProperColoring)
         assert cert.per_pattern == {}
-        product_palette = max(brute_product_coloring(sides, size, 2).values()) + 1
-        assert cert.coloring.palette_size <= product_palette
-        cant_fit += 1
-    assert cant_fit >= 10
+        product = brute_product_coloring(plain(boxes), size, max(2, r * w))
+        assert cert.coloring.palette_size <= max(product.values()) + 1
+        assert cert.coloring.palette_size <= degree + 1 <= size
+        above_n += size > n
+        below_n += size <= n
+    assert above_n >= 10 and below_n >= 10
+
+
+@pytest.fixture
+def pattern_work(monkeypatch):
+    """Names of the pattern decompositions and per-pattern tree searches
+    called, through every module name they go by."""
+    calls = []
+    for name, homes in (
+        ("decompose", (patterns, pipeline)),
+        ("find_path_induced_tree", (embedding, pipeline)),
+    ):
+        original = getattr(pipeline, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in homes:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_certify_skips_the_patterns_where_the_tree_outgrows_every_degree(pattern_work):
+    below = 0
+    for boxes, r, k in all_pairs_cases():
+        n, degree, _, size = brute_sizes(boxes, r, k)
+        pattern_work.clear()
+        cert = color_or_find_forest(boxes, r, k)
+        if degree < size <= n:
+            assert isinstance(cert, ProperColoring)
+            assert pattern_work == []
+            below += 1
+        elif size <= degree:
+            assert pattern_work[0] == "decompose"
+    assert below >= 10
+
+
+@pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (3, 1)])
+def test_a_hub_embeds_the_tree_exactly_when_its_degree_reaches_the_tree_size(
+    d, k, pattern_work
+):
+    # omega is 2, so |T| = 1 + 2 k^d; the hub's degree is its leaf count
+    size = tree_vertex_count(1, 2 * k**d)
+    for leaves in (size, size - 1):
+        boxes = normalize(boxes_from_rows(hub_rows(leaves, d)))
+        assert brute_sizes(boxes, 1, k) == (leaves + 1, leaves, 2, size)
+        pattern_work.clear()
+        cert = color_or_find_forest(boxes, 1, k)
+        want = brute_coloring_certificate(plain(boxes), 1, k)
+        if leaves == size:
+            assert want is None
+            assert isinstance(cert, InducedTree)
+            assert cert.mapping[0] == leaves  # the hub is the root
+            assert pattern_work[0] == "decompose"
+        else:
+            assert certificate_to_json(cert) == want
+            assert pattern_work == []
+        ok, message = verify_certificate(boxes, parse_certificate(certificate_to_json(cert)))
+        assert ok, message
 
 
 @pytest.mark.parametrize("name", FAMILIES)
