@@ -28,8 +28,8 @@ from .generators import (
     nested_chain_boxes,
     random_boxes,
 )
-from .geometry import boxes_to_text, intersecting_pairs, load_boxes, normalize
-from .graphs import Graph, intersection_graph
+from .geometry import _pattern_codes, _quote, boxes_to_text, load_boxes, normalize
+from .graphs import intersection_graph
 from .oracles import DEFAULT_LIMITS, OracleLimitError, OracleLimits, alpha, chi, omega
 from .patterns import decompose as decompose_boxes
 from .patterns import verify_basic
@@ -54,7 +54,7 @@ def _positive(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        raise argparse.ArgumentTypeError(f"{_quote(text)} is not an integer") from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
@@ -64,7 +64,7 @@ def _nonnegative(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        raise argparse.ArgumentTypeError(f"{_quote(text)} is not an integer") from None
     if value < 0:
         raise argparse.ArgumentTypeError("must be a nonnegative integer")
     return value
@@ -77,7 +77,7 @@ def _env_limit(name: str) -> int | None:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{name} must be an integer, got {_quote(raw)}") from None
     if value < 1:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
@@ -131,9 +131,8 @@ def _flag(value: bool | None) -> str:
 def cmd_decompose(args: argparse.Namespace) -> int:
     boxes = _load_normalized(args.input)
     limits = _resolve_limits(args)
-    pairs = intersecting_pairs(boxes)
-    family = decompose_boxes(boxes, pairs)
-    g = Graph._from_pairs(len(boxes), pairs)
+    g = intersection_graph(boxes)
+    family = decompose_boxes(boxes, _pattern_codes(boxes, g.edges))
     width = max(len("pattern"), max(len(str(pd.pattern)) for pd in family))
     print(f"{'pattern':<{width}}  {'arcs':>6}  acyclic  modest  divergent")
     failed = False

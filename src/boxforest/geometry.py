@@ -14,10 +14,10 @@ The d-tuple of per-axis types is the ordered pair's *pattern*; swapping the
 pair mirrors the pattern coordinatewise (CONTAINS <-> CONTAINED,
 LEFT <-> RIGHT).
 
-``intersecting_pairs`` finds every intersecting pair with its pattern in
-one event sweep along axis 0, testing only pairs that are open together on
-axis 0 and share a cell of an index on axis 1, so its work follows the
-pairs that meet on two axes rather than n^2.
+One event sweep along axis 0 gathers, per arriving box, the open boxes
+that share a cell of an index on axis 1 and filters them axis by axis, so
+its work follows the pairs that meet on two axes rather than n^2. Only
+``intersecting_pairs`` and the pattern decomposition classify the pairs.
 """
 
 from __future__ import annotations
@@ -212,39 +212,56 @@ def intersecting_pairs(
     boxes: Sequence[Box], labels: Mapping[int, Hashable] | None = None
 ) -> list[tuple[int, int, int]]:
     """Every intersecting pair once as ``(u, v, code)`` with ids u < v, in no
-    particular order.
+    particular order: the batches of ``_sweep``, classified by
+    ``_pattern_codes`` (``code`` is u's pattern relative to v).
 
-    ``code`` is the index of u's pattern relative to v in ``all_patterns``
-    order: one base-4 digit per axis, axis 0 most significant, digit 0..3
-    for CONTAINS, CONTAINED, LEFT, RIGHT. Mirroring flips the low bit of
-    every digit.
+    The sweep passes over the 2n axis-0 endpoints and files each open box in
+    a cell index on axis 1, cells one mean axis-1 side wide, under the cell
+    where its axis-1 side starts and each later cell it passes through. An
+    arriving box gathers the open boxes passing through its first cell and
+    those starting in one of its cells: each open box that meets it on axis
+    1, once, and all of them meet it on axis 0. The batch is then filtered
+    axis by axis, axes 1 to d - 1. So the cost is O(n log n), at most about
+    3n cell entries, and a test per axis per pair that overlaps on axis 0
+    and shares a cell on axis 1. Boxes must be normalized (distinct
+    endpoints on every axis); ValueError otherwise.
 
-    One event sweep over the 2n axis-0 endpoints keeps the boxes whose
-    axis-0 side is open in a cell index on axis 1. That axis is cut into
-    cells one mean axis-1 side wide; an open box is filed under the cell
-    where its axis-1 side starts and under each later cell the side passes
-    through. An arriving box tests the open boxes passing through its first
-    cell and those starting in any of its cells, which reaches every open
-    box that meets it on axis 1 exactly once, and it knows its axis-0
-    overlap type without a test: the open box started first. So the cost is
-    O(n log n), plus at most about 3n cell entries, plus one test per pair
-    that overlaps on axis 0 and shares a cell on axis 1. Boxes must be
-    normalized (distinct endpoints on every axis); ValueError otherwise.
-
-    ``labels`` maps every box id to a label, such as its color. When given,
-    every label gets cells of its own, as many times wider as there are
-    labels, and an arriving box tests only open boxes with its label. The
-    result is the pairs above whose two boxes share a label, at the cost of
-    one test per such pair that overlaps on axis 0 and shares a cell.
+    ``labels`` maps every box id to a label, such as its color. Each label
+    then gets cells of its own, as many times wider as there are labels,
+    and only pairs of boxes with one label are gathered and returned.
     """
-    return list(_sweep(boxes, labels))
+    return _pattern_codes(
+        boxes, ((min(i, j), max(i, j)) for j, hits in _sweep(boxes, labels) for i in hits)
+    )
+
+
+def _pattern_codes(
+    boxes: Sequence[Box], pairs: Iterable[tuple[int, int]]
+) -> list[tuple[int, int, int]]:
+    """``(u, v, code)`` per pair of ids of meeting boxes, where ``code`` is
+    u's pattern relative to v as an index into ``all_patterns``: one base-4
+    digit per axis, axis 0 most significant, 0..3 for CONTAINS, CONTAINED,
+    LEFT, RIGHT. Mirroring flips the low bit of every digit."""
+    sides = {b.id: [(s.lo, s.hi) for s in b.sides] for b in boxes}
+    out = []
+    for u, v in pairs:
+        code = 0
+        for (lo, hi), (olo, ohi) in zip(sides[u], sides[v]):
+            if lo < olo:
+                code = 4 * code + (0 if ohi < hi else 2)
+            else:
+                code = 4 * code + (1 if hi < ohi else 3)
+        out.append((u, v, code))
+    return out
 
 
 def _sweep(
     boxes: Sequence[Box], labels: Mapping[int, Hashable] | None
-) -> Iterator[tuple[int, int, int]]:
-    """The pairs of ``intersecting_pairs``, one at a time, so a caller that
-    wants only some of them need not hold them all."""
+) -> Iterator[tuple[int, list[int]]]:
+    """The sweep of ``intersecting_pairs`` in batches ``(j, hits)``: the id
+    of an arriving box and the ids of the open boxes that meet it (and share
+    its label), in a fixed order. Each pair is in one batch, and a batch
+    holds at most the open boxes of one label."""
     if not boxes:
         return
     n = len(boxes)
@@ -258,7 +275,7 @@ def _sweep(
         if len(set(lows[axis] + highs[axis])) != 2 * n:
             raise ValueError(f"shared endpoint on axis {axis}: normalize the boxes first")
     ids = [b.id for b in boxes]
-    flip = (4**d - 1) // 3  # the low bit of every base-4 digit
+    renamed = ids != list(range(n))  # positions are not the ids
     # labels become dense integers 0..kinds-1, and the index key of cell c
     # for label t is c * kinds + t, so every label has cells of its own
     if labels is None:
@@ -280,10 +297,8 @@ def _sweep(
         last = [(x - base) // width * kinds + t for x, t in zip(highs[1], tags)]
         if not isinstance(width, int):  # a float floors to a float
             first, last = list(map(int, first)), list(map(int, last))
-    hi0 = highs[0]
-    # rest[i] holds box i's (lo, hi) on axes 1..d-1
-    rest = list(zip(*(zip(lows[axis], highs[axis]) for axis in range(1, d)))) or [()] * n
-    ends = lows[0] + hi0  # event e < n: box e arrives; e >= n: box e - n leaves
+    filters = list(zip(lows[1:], highs[1:]))  # axes 1..d-1
+    ends = lows[0] + highs[0]  # event e < n: box e arrives; e >= n: box e - n leaves
     # an open box is filed under its first cell in ``starting`` and under
     # each later cell it spans in ``passing``
     starting: defaultdict[int, dict[int, None]] = defaultdict(dict)
@@ -298,27 +313,19 @@ def _sweep(
                     del passing[c][j]
             continue
         lo_cell, hi_cell = first[j], last[j]
-        top, mine = hi0[j], rest[j]
         # the open boxes passing through j's first cell, then those that
-        # start in one of j's cells: each open box that meets j on axis 1
-        # is among them exactly once
-        for c in range(lo_cell - kinds, hi_cell + 1, kinds):
-            for i in passing.get(lo_cell, ()) if c < lo_cell else starting.get(c, ()):
-                # code of the open box i relative to the arriving box j; i
-                # opened first, so on axis 0 it contains j or sticks out left
-                code = 0 if top < hi0[i] else 2
-                for (lo, hi), (olo, ohi) in zip(rest[i], mine):
-                    if hi < olo or ohi < lo:
-                        break
-                    if lo < olo:
-                        code = 4 * code + (0 if ohi < hi else 2)
-                    else:
-                        code = 4 * code + (1 if hi < ohi else 3)
-                else:
-                    if ids[i] < ids[j]:
-                        yield ids[i], ids[j], code
-                    else:
-                        yield ids[j], ids[i], code ^ flip
+        # start in one of j's cells: once each open box that meets j on axis
+        # 1, and every open box meets j on axis 0
+        hits = [*passing.get(lo_cell, ())]
+        for c in range(lo_cell, hi_cell + 1, kinds):
+            hits += starting.get(c, ())
+        for lo, hi in filters:
+            if not hits:
+                break
+            bottom, top = lo[j], hi[j]
+            hits = [i for i in hits if lo[i] < top and bottom < hi[i]]
+        if hits:
+            yield (ids[j], [ids[i] for i in hits]) if renamed else (j, hits)
         starting[lo_cell][j] = None
         if hi_cell != lo_cell:
             for c in range(lo_cell + kinds, hi_cell + 1, kinds):
@@ -390,10 +397,18 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _INTEGER_TEXT = re.compile(r"[0-9+\-\s]*")
 
 
+def _quote(text: str) -> str:
+    """``text`` quoted for an error message, a long one by a short prefix."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _parse_number(token: str) -> Number:
     if _INTEGER.fullmatch(token):
         return int(token)
-    frac = Fraction(token)
+    try:
+        frac = Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"bad number {_quote(token)}") from None
     return int(frac) if frac.denominator == 1 else frac
 
 
@@ -414,25 +429,24 @@ def load_boxes(path: str) -> list[Box]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty box file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"bad header {lines[0]!r}: expected 'd n'")
     try:
-        d, n = int(header[0]), int(header[1])
-    except ValueError:
-        raise ValueError(f"bad header {lines[0]!r}: expected integers") from None
+        d, n = map(int, lines[0].split())
+    except ValueError:  # not two tokens, or not integers
+        raise ValueError(f"bad header {_quote(lines[0])}: expected two integers 'd n'") from None
     if d < 1:
         raise ValueError("dimension must be at least 1")
     if n < 1:
         raise ValueError("box count must be at least 1")
     if len(lines) - 1 != n:
-        raise ValueError(f"expected {n} box rows, found {len(lines) - 1}")
+        raise ValueError(f"header {_quote(lines[0])} does not match the {len(lines) - 1} box rows")
     parse = int if text.isascii() and _INTEGER_TEXT.fullmatch(text) else _parse_number
     rows = []
-    for ln in lines[1:]:
+    for i, ln in enumerate(lines[1:]):
         tokens = ln.split()
         if len(tokens) != 2 * d:
-            raise ValueError(f"row {ln!r}: expected {2 * d} bounds")
+            raise ValueError(
+                f"row {i} {_quote(ln)}: expected 2d bounds for header {_quote(lines[0])}"
+            )
         rows.append([parse(t) for t in tokens])
     return boxes_from_rows(rows)
 

@@ -6,8 +6,9 @@ when asked for, so no adjacency is held twice. A pattern digraph's
 in-neighbor sets are its mirror's out-neighbor sets (``patterns.decompose``).
 Building the intersection graph, degeneracy peeling and smallest-last
 coloring scale to thousands of boxes (an axis-0 sweep, a heap and a bucket
-queue). The pipeline builds its host graph from the pairs of its one sweep,
-which also feed the pattern digraphs when it needs them.
+queue). The pipeline's host graph is ``intersection_graph``, built from the
+batches of its one sweep; the pattern digraphs, when it needs them, come
+from that graph's edges.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 # ``intersects`` is imported only to stay a module name: perfbench counts
 # pair tests by rebinding it.
-from .geometry import Box, intersecting_pairs, intersects  # noqa: F401
+from .geometry import Box, _sweep, intersects  # noqa: F401
 
 __all__ = [
     "Coloring",
@@ -62,19 +63,6 @@ class Graph:
         g.adj = tuple(adj)
         g.n = len(g.adj)
         return g
-
-    @classmethod
-    def _from_pairs(cls, n: int, pairs: Iterable[tuple[int, int, int]]) -> "Graph":
-        """The graph of the ``(u, v, code)`` pairs of ``intersecting_pairs``.
-
-        The sweep checked the boxes and emits each pair once with u < v, so
-        the per-edge checks of ``__init__`` are skipped.
-        """
-        near: list[list[int]] = [[] for _ in range(n)]
-        for u, v, _ in pairs:
-            near[u].append(v)
-            near[v].append(u)
-        return cls._from_adjacency(map(frozenset, near))
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -316,13 +304,16 @@ class Coloring:
 
 
 def intersection_graph(boxes: Sequence[Box]) -> Graph:
-    """Edge uv iff boxes u and v overlap on every axis (normalized input).
-
-    The edges come from the axis-0 sweep of ``intersecting_pairs``.
-    """
+    """Edge uv iff boxes u and v overlap on every axis (normalized input),
+    filled in straight from the batches of ``intersecting_pairs``' sweep."""
     if sorted(b.id for b in boxes) != list(range(len(boxes))):
         raise ValueError("box ids must be 0..n-1")
-    return Graph._from_pairs(len(boxes), intersecting_pairs(boxes))
+    near: list[list[int]] = [[] for _ in boxes]
+    for j, hits in _sweep(boxes, None):
+        near[j] += hits
+        for i in hits:
+            near[i].append(j)
+    return Graph._from_adjacency(map(frozenset, near))
 
 
 def degeneracy_coloring(

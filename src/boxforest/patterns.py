@@ -6,9 +6,9 @@ one arc under its pattern and the reverse arc under the mirrored pattern,
 so the 4^d digraphs' underlying edge sets partition the intersection graph
 once mirror-duplicates are accounted for. The mirrored pattern's digraph
 is the reverse digraph, and the two share their neighbor sets.
-``decompose`` files the pairs of a sweep the caller already ran, so the
-pipeline's host graph and its pattern digraphs come from one sweep; the
-pipeline decomposes only when its tree can fit in the instance.
+``decompose`` files pairs the caller has classified, and the pipeline
+classifies its host graph's edges only when the tree could embed, so the
+host graph and its pattern digraphs come from one sweep.
 
 Every pattern digraph of a normalized family is acyclic, *modest* (the
 vertex set of any directed u->v path with uv an arc is a clique in the host
@@ -55,8 +55,9 @@ def decompose(
 ) -> list[PatternDigraph]:
     """All 4^d pattern digraphs in canonical pattern order, empty ones kept.
 
-    ``pairs`` are the boxes' ``intersecting_pairs``, which the caller has
-    already swept, in any order. Their integer pattern codes file the arcs
+    ``pairs`` are ``(u, v, code)`` triples, in any order, as given by
+    ``intersecting_pairs`` or by classifying a host graph's edges with
+    ``geometry._pattern_codes``. Their integer pattern codes file the arcs
     straight into per-vertex out-neighbor lists. Swapping a pair mirrors its
     pattern, so a pattern's in-neighbor sets are its mirror's out-neighbor
     sets and each adjacency is stored once. A pattern gets its own lists

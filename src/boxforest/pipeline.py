@@ -1,19 +1,20 @@
 """End-to-end dichotomy: color within the proven bound or emit a tree.
 
 Given normalized boxes and tree parameters (depth r, branching k), the
-pipeline sweeps the intersecting pairs once and builds the host graph from
-them. When the complete (k^d * omega)-ary tree of depth r has more vertices
-|T| than the host graph's maximum degree, every pattern peels out whole in
-its first round, since a pattern out-degree is at most the host degree, so
-no pattern can embed the tree; the host graph is then colored directly in
-smallest-last order, with at most degeneracy + 1 <= |T| colors, within the
-derived bound. Otherwise the same pairs are split into pattern digraphs and
-the grading machinery runs on each pattern that has arcs. The first calm,
-path-induced embedding is pruned, each vertex's children cut to k
-pairwise-disjoint boxes, into an induced copy of the depth-r k-ary tree
-in the host graph. If no pattern embeds the tree, every pattern peeled
-into layers, and the product of the per-pattern layer colorings is a
-proper coloring whose palette stays within the derived bound.
+pipeline builds the host graph from one sweep. When the complete
+(k^d * omega)-ary tree of depth r has more vertices |T| than the host
+graph's maximum degree, every pattern peels out whole in its first round,
+since a pattern out-degree is at most the host degree, so no pattern can
+embed the tree; the host graph is then colored directly in smallest-last
+order, with at most degeneracy + 1 <= |T| colors, within the derived bound.
+Otherwise the host graph's edges are classified by pattern into pattern
+digraphs, and the grading machinery runs on each pattern that has arcs.
+The first calm, path-induced embedding is pruned, each vertex's children
+cut to k pairwise-disjoint boxes, into an induced copy of the depth-r
+k-ary tree in the host graph. If no pattern embeds the tree, every
+pattern peeled into layers, and the product of the per-pattern layer
+colorings is a proper coloring whose palette stays within the derived
+bound.
 
 Both outcomes are re-verified from scratch before being returned; a
 verification failure raises InternalInvariantError because it can only
@@ -28,8 +29,8 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-# ``peel_grading`` and ``intersection_graph`` are imported only to stay
-# module names: perfbench rebinds them to trace calls.
+# ``peel_grading`` is imported only to stay a module name: perfbench
+# rebinds it to trace calls.
 from .embedding import (  # noqa: F401
     CalmEmbedding,
     CalmSearchError,
@@ -37,8 +38,8 @@ from .embedding import (  # noqa: F401
     find_path_induced_tree,
     peel_grading,
 )
-from .geometry import Box, Pattern, _sweep, intersecting_pairs, intersects
-from .graphs import (  # noqa: F401
+from .geometry import Box, Pattern, _pattern_codes, _sweep, intersects
+from .graphs import (
     Coloring,
     Graph,
     RootedTree,
@@ -386,14 +387,11 @@ def color_or_find_forest(
     trivial single-vertex tree (any box is one); d = 1 instances specialize
     to the interval greedy sweep, which colors with exactly omega colors.
 
-    The pair sweep runs once, and the host graph is built from its pairs.
-    When the tree has more vertices |T| than the host graph's maximum
-    degree, no pattern can keep a grading with k = |T|, so the outcome is a
-    coloring: the host graph is colored in smallest-last order, with no
-    pattern digraphs at all, in at most degeneracy + 1 <= |T| colors, which
-    is within the derived bound. Otherwise the same pairs are split into
-    pattern digraphs, which are searched in order until one embeds the
-    tree.
+    The host graph comes from one sweep. When the tree has more vertices
+    |T| than its maximum degree, it is colored smallest-last, no pair is
+    classified by pattern, and no pattern digraph is built; otherwise its
+    edges are classified and decomposed, and the pattern digraphs are
+    searched in order until one embeds the tree.
     """
     if not boxes:
         raise ValueError("empty box collection")
@@ -402,11 +400,8 @@ def color_or_find_forest(
     if omega_bound is not None and omega_bound < 1:
         raise ValueError("omega bound must be positive")
     n = len(boxes)
-    if sorted(b.id for b in boxes) != list(range(n)):
-        raise ValueError("box ids must be 0..n-1")
     d = boxes[0].dim
-    pairs = intersecting_pairs(boxes)
-    g = Graph._from_pairs(n, pairs)
+    g = intersection_graph(boxes)  # checks the ids are 0..n-1
 
     if r == 0:
         cert = InducedTree(RootedTree([None]), {0: 0}, 0, k)
@@ -433,7 +428,7 @@ def color_or_find_forest(
         _check_coloring("smallest-last coloring", coloring, g, report.derived_bound)
         return ProperColoring(coloring, report.derived_bound, {})
 
-    family = decompose(boxes, pairs)
+    family = decompose(boxes, _pattern_codes(boxes, g.edges))
     big_tree = complete_kary_tree(r, report.tree_branching)
     # an arc-free pattern peels out whole in round 1 and colors with 0
     constant = Coloring(dict.fromkeys(range(n), 0), 1)
@@ -570,11 +565,11 @@ def verify_certificate(boxes: Sequence[Box], payload: dict) -> tuple[bool, str]:
             )
         if sorted(b.id for b in boxes) != list(range(n)):
             raise ValueError("box ids must be 0..n-1")
-        # one sweep pairs only boxes of the same color and keeps only the
-        # smallest clash, so a large color class costs time but no memory
-        clash = min(_sweep(boxes, colors), default=None)
+        # one sweep pairs only boxes of one color, and only the smallest
+        # pair of each batch is kept: a large color class costs no memory
+        clash = min((sorted((j, min(hits))) for j, hits in _sweep(boxes, colors)), default=None)
         if clash is not None:
-            u, v, _ = clash
+            u, v = clash
             return False, f"adjacent boxes {u} and {v} share color {colors[u]}"
         return True, f"proper coloring with {palette} colors within bound"
     r, k = payload["r"], payload["k"]

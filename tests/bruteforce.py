@@ -345,7 +345,9 @@ def brute_product_coloring(sides: list[tuple], size: int, m: int) -> dict[int, i
     return {v: index.setdefault(tuple(p[v] for p in pieces), len(index)) for v in range(n)}
 
 
-def brute_coloring_certificate(sides: list[tuple], r: int, k: int) -> str | None:
+def brute_coloring_certificate(
+    sides: list[tuple], r: int, k: int, omega: int | None = None
+) -> str | None:
     """The coloring certificate of the dichotomy for d >= 2 and r >= 1, from
     all-pairs scans; None when some pattern keeps a grading (the dichotomy
     then answers with a tree).
@@ -353,11 +355,12 @@ def brute_coloring_certificate(sides: list[tuple], r: int, k: int) -> str | None
     |T| is the size of the complete (k^d omega)-ary depth-r tree. When
     |T| exceeds the host graph's maximum degree the host graph is colored
     smallest-last; otherwise the product coloring peels every pattern for
-    max(1, r omega - 1) rounds.
+    max(1, r omega - 1) rounds. ``omega`` is the clique number, found by
+    subset scan when not given: pass it for instances too large to scan.
     """
     n, d = len(sides), len(sides[0])
     edges = brute_patterns(sides)
-    w = brute_omega(n, edges)
+    w = brute_omega(n, edges) if omega is None else omega
     branching = k**d * w
     size = sum(branching**i for i in range(r + 1))
     if size > brute_max_degree(n, edges):

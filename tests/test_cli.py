@@ -128,6 +128,41 @@ class TestColor:
         assert "box 1" in err and "JSON array" in err
         assert len(err) < 200
 
+    # file name: (contents, what the error must quote)
+    BAD_INPUTS = {
+        "token.txt": ("2 2\n0 1 0 1\n0 1 0 1" + "x" * 5046 + "\n", "bad number '1x"),
+        "bound.json": (
+            json.dumps({"boxes": [[[0, 1]], [[0, "1/" + "x" * 5000]]]}),
+            "bad number '1/x",
+        ),
+        "row.txt": ("2 2\n0 1 0 1\n" + "0 1 " * 1300 + "\n", "row 1 '0 1 0 1"),
+        "header.txt": ("2 " + "x" * 5000 + "\n0 1 0 1\n", "bad header '2 x"),
+        "zero.txt": ("1 1\n1/0 2\n", "bad number '1/0'"),
+        "rows.txt": ("2 " + "9" * 4000 + "\n0 1 0 1\n", "does not match the 1 box rows"),
+        "width.txt": ("9" * 4000 + " 1\n0 1 0 1\n", "row 0 '0 1 0 1': expected 2d bounds"),
+    }
+
+    @pytest.mark.parametrize("name", BAD_INPUTS)
+    def test_bad_input_is_quoted_short(self, tmp_path, capsys, name):
+        # a huge token, bound, row or header line is quoted by a short
+        # prefix and its length, so stderr stays short
+        text, quoted = self.BAD_INPUTS[name]
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["color", str(path), "--r", "1", "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert quoted in err
+        assert len(err) < 200
+
+    def test_bad_integer_flag_is_quoted_short(self, tmp_path, capsys):
+        path = write_instance(tmp_path, "f.txt", "random", n=5, d=2, seed=1)
+        with pytest.raises(SystemExit) as exc:
+            main(["color", str(path), "--r", "9" * 5000, "--k", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "(5000 characters) is not an integer" in err
+        assert len(err) < 500  # the usage lines and one short error
+
     def test_bound_below_omega_with_too_few_disjoint_children_is_input_error(
         self, tmp_path, capsys
     ):
@@ -275,6 +310,13 @@ class TestEnvLimits:
         monkeypatch.setenv("BOXFOREST_OMEGA_LIMIT", "zero")
         assert main(["oracle", str(path), "--stat", "omega"]) == 2
         assert "BOXFOREST_OMEGA_LIMIT" in capsys.readouterr().err
+
+    def test_long_env_value_is_quoted_short(self, tmp_path, monkeypatch, capsys):
+        path = write_instance(tmp_path, "z.txt", "random", n=5, d=2, seed=8)
+        monkeypatch.setenv("BOXFOREST_OMEGA_LIMIT", "9" * 5000)
+        assert main(["oracle", str(path), "--stat", "omega"]) == 2
+        err = capsys.readouterr().err
+        assert "(5000 characters)" in err and len(err) < 200
 
 
 class TestDeterminism:

@@ -18,14 +18,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxforest import (
+    Box,
     CalmEmbedding,
+    Graph,
     InducedTree,
     LayeredColoring,
+    OracleLimits,
     ProperColoring,
     all_patterns,
     boxes_from_rows,
     burling_like,
     certificate_to_json,
+    cli,
     color_or_find_forest,
     decompose,
     degeneracy_coloring,
@@ -37,6 +41,7 @@ from boxforest import (
     intersection_graph,
     nested_chain_boxes,
     normalize,
+    omega,
     parse_certificate,
     patterns,
     peel_grading,
@@ -294,6 +299,55 @@ def test_cell_sweep_matches_the_all_pairs_reference(name):
         assert {(u, v): names[code] for u, v, code in labelled} == same
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_long_candidate_lists_match_the_all_pairs_reference(d):
+    # about half of the pairs of 200 random boxes meet on each axis, so an
+    # arrival gathers dozens of open boxes and filters them axis by axis
+    boxes = random_boxes(200, d, seed=d)
+    n = len(boxes)
+    sides = plain(boxes)
+    names = [str(p) for p in all_patterns(d)]
+    want = brute_patterns(sides)
+    assert intersection_graph(boxes).edges == set(want)
+    # the same boxes in reverse order, and again under other ids
+    backwards = boxes[::-1]
+    assert intersection_graph(backwards).edges == set(want)
+    moved = [Box(3 * b.id + 7, b.sides) for b in backwards]
+    assert sorted(intersecting_pairs(moved)) == sorted(
+        (3 * u + 7, 3 * v + 7, code) for u, v, code in intersecting_pairs(boxes)
+    )
+    rng = random.Random(d)
+    for count in (None, 1, 3, n):
+        same, labels = want, None
+        if count is not None:
+            values = rng.sample(range(10 * n), count)
+            if count == n:
+                labels = dict(zip(range(n), values))
+            else:
+                labels = {v: rng.choice(values) for v in range(n)}
+            same = {p: name for p, name in want.items() if labels[p[0]] == labels[p[1]]}
+        for order in (boxes, backwards):
+            pairs = intersecting_pairs(order, labels)
+            assert len(pairs) == len(same)
+            assert {(u, v): names[code] for u, v, code in pairs} == same
+    limits = OracleLimits(omega=n)
+    w = omega(Graph(n, want), limits)
+    for r, k in ((1, 1), (2, 2)):  # the product coloring, then smallest-last
+        cert = color_or_find_forest(boxes, r, k, limits=limits)
+        data = certificate_to_json(cert)
+        assert data == brute_coloring_certificate(sides, r, k, omega=w)
+        colors = parse_certificate(data)["colors"]
+        tampered = dict(colors)
+        for u, v in rng.sample(sorted(want), 3):
+            tampered[v] = tampered[u]
+        for painted in (colors, tampered):
+            palette = max(painted.values()) + 1
+            payload = {
+                "kind": "coloring", "palette": palette, "bound": palette, "colors": painted
+            }
+            assert verify_certificate(boxes, payload) == expected_verdict(boxes, painted)
+
+
 def test_sweep_cost_follows_the_pairs_that_meet_on_two_axes():
     # every strip spans axis 0, so all 3000 are open at once and a sweep
     # that tests every open box would make about 4.5M tests for ~1.3k pairs
@@ -337,7 +391,7 @@ def test_host_graph_from_the_family_is_the_intersection_graph(name):
 @pytest.fixture
 def sweep_calls(monkeypatch):
     """Counts pair sweeps: calls of the generator behind ``intersecting_pairs``
-    through every module name, so a caller that reads the pairs one at a
+    through every module name, so a caller that reads its batches one at a
     time is counted too."""
     calls = []
     original = geometry._sweep
@@ -369,6 +423,47 @@ def test_certify_and_verify_sweep_once(sweep_calls):
         assert len(sweep_calls) == (1 if isinstance(cert, ProperColoring) else 0)
         kinds.add(type(cert))
     assert kinds == {ProperColoring, InducedTree}
+
+
+@pytest.fixture
+def classifier_calls(monkeypatch):
+    """Counts calls of the pattern classifier ``_pattern_codes`` through
+    every module name."""
+    calls = []
+    original = geometry._pattern_codes
+
+    def counted(boxes, pairs):
+        calls.append(len(boxes))
+        return original(boxes, pairs)
+
+    for module in (geometry, graphs, patterns, pipeline, cli):
+        if hasattr(module, "_pattern_codes"):
+            monkeypatch.setattr(module, "_pattern_codes", counted)
+    return calls
+
+
+def test_patterns_are_classified_only_where_they_are_decomposed(classifier_calls):
+    # where the tree outgrows every degree no pattern digraph is built, so
+    # neither certify nor verify classifies a single pair
+    below = 0
+    for boxes, r, k in [*all_pairs_cases(), (random_boxes(9, 1, seed=1), 1, 1)]:
+        n, degree, _, size = brute_sizes(boxes, r, k)
+        classifier_calls.clear()
+        cert = color_or_find_forest(boxes, r, k)
+        if degree < size or boxes[0].dim == 1:
+            assert classifier_calls == []
+            below += degree < size
+        else:
+            assert classifier_calls == [n]
+        if isinstance(cert, ProperColoring):
+            classifier_calls.clear()
+            verify_certificate(boxes, parse_certificate(certificate_to_json(cert)))
+            assert classifier_calls == []
+    assert below >= 10
+    boxes = fan_instance(random.Random(3), 3)
+    classifier_calls.clear()
+    assert isinstance(color_or_find_forest(boxes, 1, 1), InducedTree)
+    assert classifier_calls == [len(boxes)]
 
 
 def _random_digraphs(seed: int, count: int):
