@@ -188,8 +188,8 @@ def cmd_color(args: argparse.Namespace) -> int:
         # value causes stays a bug; the summary asks the oracle again
         w = omega(intersection_graph(boxes), limits)
     if isinstance(cert, ProperColoring):
-        if w is None:
-            w = max(cert.coloring.palette_size, 1)  # d = 1 sweep is optimal
+        if d == 1:  # the sweep is optimal, and its bound is keyed on the palette
+            w = max(cert.coloring.palette_size, 1)
         rep = chi_bound(d, args.r, args.k, w)
         print(
             f"coloring: {cert.coloring.palette_size} colors within bound "

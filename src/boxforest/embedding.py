@@ -4,7 +4,7 @@ A (k, m)-grading of a digraph is a nested chain X_1 <= ... <= X_m covering
 all vertices, X_1 nonempty, where every vertex of X_i (i < m) keeps at
 least k out-neighbors inside X_{i+1}. Peeling low-out-degree vertices
 either produces such a chain or layers the whole digraph into pieces of
-max out-degree < k, which color greedily.
+max out-degree < k.
 
 A *calm* copy of a rooted tree is an arc-preserving embedding whose root
 lands in X_1 and whose every tree arc (u, v) satisfies the slack condition
@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .graphs import Coloring, Digraph, Graph, RootedTree, degeneracy_coloring, is_path_induced
+# ``degeneracy_coloring`` is imported only to stay a module name: perfbench
+# rebinds it to trace calls.
+from .graphs import Digraph, Graph, RootedTree, degeneracy_coloring, is_path_induced  # noqa: F401
 from .oracles import DEFAULT_LIMITS, OracleLimits, _adjacency_masks, _max_clique_bitset, omega
 
 __all__ = [
@@ -27,7 +29,7 @@ __all__ = [
     "Grading",
     "HostGraphError",
     "InternalInvariantError",
-    "LayeredColoring",
+    "Layering",
     "TournamentOracle",
     "embed_calm_tree",
     "find_path_induced_tree",
@@ -78,11 +80,10 @@ class Grading:
 
 
 @dataclass(frozen=True)
-class LayeredColoring:
-    """Peeling layers plus a proper coloring with <= 2k(m-1) colors."""
+class Layering:
+    """Peeled layers, one per round, partitioning the digraph."""
 
     layers: tuple[frozenset[int], ...]
-    coloring: Coloring
 
 
 def grading_error(dg: Digraph, grading: Grading) -> str | None:
@@ -105,16 +106,15 @@ def grading_error(dg: Digraph, grading: Grading) -> str | None:
     return None
 
 
-def peel_grading(dg: Digraph, k: int, m: int) -> Grading | LayeredColoring:
+def peel_grading(dg: Digraph, k: int, m: int) -> Grading | Layering:
     """Peel m-1 rounds of out-degree < k vertices; grade the survivors.
 
     Round i removes every vertex whose out-degree inside the current
     remainder Z_i is below k. If survivors remain after m-1 rounds, the
     reversed chain X_i = Z_{m-i+1} is a (k, m)-grading (a survivor of round
     i kept >= k out-neighbors in Z_i, which is the next reversed level).
-    Otherwise the removed layers partition the digraph and each layer's
-    underlying graph is 2(k-1)-degenerate, so it colors greedily with at
-    most 2k-1 colors from a per-layer disjoint palette.
+    Otherwise the removed layers, which partition the digraph, are returned
+    (the paper colors each with 2k-1 colors; the pipeline does not).
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -132,23 +132,7 @@ def peel_grading(dg: Digraph, k: int, m: int) -> Grading | LayeredColoring:
         chain.append(current - peeled)
     if chain[-1]:
         return Grading(tuple(reversed(chain)), k)
-    colors: dict[int, int] = {}
-    offset = 0
-    for layer in layers:
-        if not layer:
-            continue
-        # the layer's underlying graph, read off dg without copying its arcs
-        if len(layer) == dg.n:
-            adj = {v: dg.out[v] | dg.inn[v] for v in range(dg.n)}
-        else:
-            adj = {v: (dg.out[v] | dg.inn[v]) & layer for v in sorted(layer)}
-        sub = degeneracy_coloring(adj, 2 * k - 1)
-        if sub is None:  # max out-degree < k forces 2(k-1)-degeneracy
-            raise InternalInvariantError("peeled layer failed to color")
-        for v in adj:
-            colors[v] = offset + sub.colors[v]
-        offset += sub.palette_size
-    return LayeredColoring(tuple(layers), Coloring(colors, max(offset, 1) if colors else 0))
+    return Layering(tuple(layers))
 
 
 class TournamentOracle:
@@ -306,8 +290,8 @@ def find_path_induced_tree(
     t: RootedTree,
     limits: OracleLimits = DEFAULT_LIMITS,
     host_clique_number: int | None = None,
-) -> CalmEmbedding | LayeredColoring:
-    """Either path-induced-embed the tree into dg or layer-color dg.
+) -> CalmEmbedding | Layering:
+    """Either path-induced-embed the tree into dg or peel dg into layers.
 
     Runs the dichotomy with k = t.n and m = depth * omega (bumped to 2
     when the digraph has no arcs so that peeling can exhaust it; a lone
@@ -323,7 +307,7 @@ def find_path_induced_tree(
     if dg.n != g.n:
         raise ValueError("digraph and host graph disagree on vertex count")
     if dg.n == 0:
-        return LayeredColoring((), Coloring({}, 0))
+        return Layering(())
     if host_clique_number is not None and host_clique_number < 1:
         raise ValueError("clique number bound must be positive")
     w = (
@@ -334,7 +318,7 @@ def find_path_induced_tree(
     depth = t.depth()
     m = 1 if depth == 0 else max(2, depth * w)
     result = peel_grading(dg, t.n, m)
-    if isinstance(result, LayeredColoring):
+    if isinstance(result, Layering):
         return result
     emb = embed_calm_tree(dg, result, t, host_clique_number=w, limits=limits)
     if emb is None:  # we built the grading, so its preconditions hold

@@ -395,6 +395,9 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 # text made only of these characters splits into tokens that int() accepts
 # exactly when they match _INTEGER, and then reads as _parse_number does
 _INTEGER_TEXT = re.compile(r"[0-9+\-\s]*")
+# Fraction builds 10 ** exponent (1e99999999999 would take ~10^11 digits),
+# so an exponent above the interpreter's default digit limit is refused
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
 
 
 def _quote(text: str) -> str:
@@ -405,6 +408,10 @@ def _quote(text: str) -> str:
 def _parse_number(token: str) -> Number:
     if _INTEGER.fullmatch(token):
         return int(token)
+    exponent = _EXPONENT.search(token)
+    digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > 4 or int(digits or 0) > 4300:
+        raise ValueError(f"bad number {_quote(token)}: exponent above 4300")
     try:
         frac = Fraction(token)
     except (ValueError, ZeroDivisionError):

@@ -327,7 +327,9 @@ def degeneracy_coloring(
     order in reverse then sees fewer than ``bound`` colored neighbors per
     vertex, so at most ``bound`` colors.
     Degrees only fall, so a min-heap of the vertices that dropped below
-    ``bound`` always pops that smallest vertex.
+    ``bound`` always pops that smallest vertex. It colors one peeled layer
+    of a pattern digraph in the paper's construction; the pipeline does not
+    call it.
     """
     if bound < 1:
         raise ValueError("bound must be positive")

@@ -187,6 +187,9 @@ def product_coloring(
 ) -> Coloring:
     """Combine per-pattern colorings into one proper coloring of the host.
 
+    This is the paper's proof that a coloring within the bound exists; the
+    pipeline colors the host graph smallest-last instead and never calls it.
+
     Each vertex receives the tuple of its per-pattern colors; distinct
     tuples are renumbered to 0.. in order of first appearance by vertex id.
     Any host edge appears as an arc in some pattern digraph, where the two

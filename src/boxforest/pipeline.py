@@ -5,16 +5,16 @@ pipeline builds the host graph from one sweep. When the complete
 (k^d * omega)-ary tree of depth r has more vertices |T| than the host
 graph's maximum degree, every pattern peels out whole in its first round,
 since a pattern out-degree is at most the host degree, so no pattern can
-embed the tree; the host graph is then colored directly in smallest-last
-order, with at most degeneracy + 1 <= |T| colors, within the derived bound.
-Otherwise the host graph's edges are classified by pattern into pattern
-digraphs, and the grading machinery runs on each pattern that has arcs.
-The first calm, path-induced embedding is pruned, each vertex's children
-cut to k pairwise-disjoint boxes, into an induced copy of the depth-r
-k-ary tree in the host graph. If no pattern embeds the tree, every
-pattern peeled into layers, and the product of the per-pattern layer
-colorings is a proper coloring whose palette stays within the derived
-bound.
+embed the tree. Otherwise the host graph's edges are classified by pattern
+into pattern digraphs, and the grading machinery runs on each pattern that
+has arcs. The first calm, path-induced embedding is pruned, each vertex's
+children cut to k pairwise-disjoint boxes, into an induced copy of the
+depth-r k-ary tree in the host graph.
+
+If no pattern embeds the tree, the host graph is colored smallest-last.
+The paper's product of per-pattern layer colorings proves that a coloring
+within the derived bound exists; the certificate needs only one, and
+smallest-last uses at most n colors, below the bound's 4^16 for d >= 2.
 
 Both outcomes are re-verified from scratch before being returned; a
 verification failure raises InternalInvariantError because it can only
@@ -29,8 +29,8 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-# ``peel_grading`` is imported only to stay a module name: perfbench
-# rebinds it to trace calls.
+# ``peel_grading`` and ``product_coloring`` are imported only to stay module
+# names: perfbench rebinds them to trace calls.
 from .embedding import (  # noqa: F401
     CalmEmbedding,
     CalmSearchError,
@@ -38,7 +38,7 @@ from .embedding import (  # noqa: F401
     find_path_induced_tree,
     peel_grading,
 )
-from .geometry import Box, Pattern, _pattern_codes, _sweep, intersects
+from .geometry import Box, _pattern_codes, _sweep, intersects
 from .graphs import (
     Coloring,
     Graph,
@@ -48,7 +48,7 @@ from .graphs import (
     smallest_last_coloring,
 )
 from .oracles import DEFAULT_LIMITS, OracleLimits, maximum_independent_set, omega
-from .patterns import decompose, product_coloring
+from .patterns import decompose, product_coloring  # noqa: F401
 
 __all__ = [
     "BoundReport",
@@ -232,7 +232,6 @@ class ProperColoring:
 
     coloring: Coloring
     bound: int
-    per_pattern: Mapping[Pattern, int]
 
 
 @dataclass(frozen=True)
@@ -388,10 +387,11 @@ def color_or_find_forest(
     to the interval greedy sweep, which colors with exactly omega colors.
 
     The host graph comes from one sweep. When the tree has more vertices
-    |T| than its maximum degree, it is colored smallest-last, no pair is
-    classified by pattern, and no pattern digraph is built; otherwise its
-    edges are classified and decomposed, and the pattern digraphs are
-    searched in order until one embeds the tree.
+    |T| than its maximum degree, no pattern can embed the tree, so no pair
+    is classified by pattern and no pattern digraph is built; otherwise
+    its edges are classified and decomposed, and the pattern digraphs are
+    searched in order until one embeds the tree. Failing that, on either
+    branch, the host graph is colored smallest-last.
     """
     if not boxes:
         raise ValueError("empty box collection")
@@ -414,46 +414,36 @@ def color_or_find_forest(
         coloring = _interval_greedy_coloring(boxes)
         report = _writable_bound(d, r, k, max(coloring.palette_size, 1), n)
         _check_coloring("interval sweep", coloring, g, report.derived_bound)
-        return ProperColoring(coloring, report.derived_bound, {})
+        return ProperColoring(coloring, report.derived_bound)
 
     w = omega_bound if omega_bound is not None else omega(g, limits)
     report = _writable_bound(d, r, k, w, n)
 
-    if report.tree_size > max(map(len, g.adj)):
-        # a pattern out-degree is at most the host degree, below |T|, so
-        # every pattern peels out whole in round 1 and none embeds the tree;
-        # smallest-last needs at most degeneracy + 1 <= |T| colors, within
-        # the bound (2 r |T| w)^(4^d)
-        coloring = smallest_last_coloring(g.adj)
-        _check_coloring("smallest-last coloring", coloring, g, report.derived_bound)
-        return ProperColoring(coloring, report.derived_bound, {})
+    # a pattern out-degree is at most the host degree, so when that is below
+    # |T| every pattern peels out whole in round 1 and none is searched
+    if report.tree_size <= max(map(len, g.adj)):
+        family = decompose(boxes, _pattern_codes(boxes, g.edges))
+        big_tree = complete_kary_tree(r, report.tree_branching)
+        for pd in family:
+            if not any(pd.digraph.out):  # peels out whole in round 1
+                continue
+            result = find_path_induced_tree(
+                pd.digraph, g, big_tree, limits, host_clique_number=w
+            )
+            if isinstance(result, CalmEmbedding):
+                try:
+                    return prune_children(result, boxes, k, limits)
+                except _ChildShortfall as exc:
+                    if omega_bound is None:
+                        raise
+                    # with the true clique number the children always suffice
+                    raise CalmSearchError(str(exc)) from None
 
-    family = decompose(boxes, _pattern_codes(boxes, g.edges))
-    big_tree = complete_kary_tree(r, report.tree_branching)
-    # an arc-free pattern peels out whole in round 1 and colors with 0
-    constant = Coloring(dict.fromkeys(range(n), 0), 1)
-    colorings: dict[Pattern, Coloring] = {}
-    for pd in family:
-        if not any(pd.digraph.out):
-            colorings[pd.pattern] = constant
-            continue
-        result = find_path_induced_tree(
-            pd.digraph, g, big_tree, limits, host_clique_number=w
-        )
-        if isinstance(result, CalmEmbedding):
-            try:
-                return prune_children(result, boxes, k, limits)
-            except _ChildShortfall as exc:
-                if omega_bound is None:
-                    raise
-                # with the true clique number the children always suffice
-                raise CalmSearchError(str(exc)) from None
-        colorings[pd.pattern] = result.coloring
-
-    combined = product_coloring(family, colorings)
-    _check_coloring("product coloring", combined, g, report.derived_bound)
-    per_pattern = {p: c.palette_size for p, c in colorings.items()}
-    return ProperColoring(combined, report.derived_bound, per_pattern)
+    # at most Delta + 1 <= n colors; d >= 2 and |T| >= 2 put the bound
+    # (2 r |T| w)^(4^d) at 4^16 or more
+    coloring = smallest_last_coloring(g.adj)
+    _check_coloring("smallest-last coloring", coloring, g, report.derived_bound)
+    return ProperColoring(coloring, report.derived_bound)
 
 
 def certificate_to_json(cert: Certificate) -> str:

@@ -277,12 +277,9 @@ def brute_degeneracy_coloring(n: int, edges, bound: int) -> dict[int, int] | Non
     return colors
 
 
-def brute_peel_coloring(n: int, arcs, k: int, m: int) -> dict[int, int] | None:
+def brute_peel_layers(n: int, arcs, k: int, m: int) -> list[set[int]] | None:
     """Peel m - 1 rounds of vertices with out-degree < k in the remainder;
-    None when vertices survive (a grading). Otherwise each layer's arcs are
-    filtered out of the full arc list, relabeled to 0.. in id order, and
-    colored by the sorted-scan peeler with 2k - 1 colors, each layer's
-    palette placed after the previous ones."""
+    None when vertices survive (a grading), else the m - 1 layers."""
     out: dict[int, set[int]] = {v: set() for v in range(n)}
     for u, v in arcs:
         out[u].add(v)
@@ -292,7 +289,33 @@ def brute_peel_coloring(n: int, arcs, k: int, m: int) -> dict[int, int] | None:
         peeled = {v for v in remaining if len(out[v] & remaining) < k}
         layers.append(peeled)
         remaining -= peeled
-    if remaining:
+    return None if remaining else layers
+
+
+def check_layering(n: int, arcs, k: int, m: int, layers) -> None:
+    """Assert that ``layers`` partition 0..n-1, equal the layers of
+    ``brute_peel_layers``, and that every vertex of a round's layer has
+    fewer than k out-neighbors among the vertices left at that round."""
+    assert sum(map(len, layers)) == n
+    assert set().union(*layers) == set(range(n))
+    assert [set(layer) for layer in layers] == brute_peel_layers(n, arcs, k, m)
+    out: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in arcs:
+        out[u].add(v)
+    remaining = set(range(n))
+    for layer in layers:
+        assert all(len(out[v] & remaining) < k for v in layer)
+        remaining -= layer
+
+
+def brute_peel_coloring(n: int, arcs, k: int, m: int) -> dict[int, int] | None:
+    """The paper's coloring of a peel: None when vertices survive (a
+    grading). Otherwise each layer's arcs are filtered out of the full arc
+    list, relabeled to 0.. in id order, and colored by the sorted-scan
+    peeler with 2k - 1 colors, each layer's palette placed after the
+    previous ones. Raises AssertionError when a layer needs more."""
+    layers = brute_peel_layers(n, arcs, k, m)
+    if layers is None:
         return None
     colors: dict[int, int] = {}
     offset = 0
@@ -352,23 +375,23 @@ def brute_coloring_certificate(
     all-pairs scans; None when some pattern keeps a grading (the dichotomy
     then answers with a tree).
 
-    |T| is the size of the complete (k^d omega)-ary depth-r tree. When
-    |T| exceeds the host graph's maximum degree the host graph is colored
-    smallest-last; otherwise the product coloring peels every pattern for
-    max(1, r omega - 1) rounds. ``omega`` is the clique number, found by
-    subset scan when not given: pass it for instances too large to scan.
+    |T| is the size of the complete (k^d omega)-ary depth-r tree. Where it
+    exceeds the host graph's maximum degree no pattern keeps a grading;
+    elsewhere the paper's product coloring, which peels every pattern for
+    max(1, r omega - 1) rounds, exists exactly when none does. Every
+    coloring certificate colors the host graph smallest-last. ``omega`` is
+    the clique number, found by subset scan when not given: pass it for
+    instances too large to scan.
     """
     n, d = len(sides), len(sides[0])
     edges = brute_patterns(sides)
     w = brute_omega(n, edges) if omega is None else omega
     branching = k**d * w
     size = sum(branching**i for i in range(r + 1))
-    if size > brute_max_degree(n, edges):
-        colors = brute_smallest_last_coloring(n, edges)
-    else:
-        colors = brute_product_coloring(sides, size, max(2, r * w))
-        if colors is None:
+    if size <= brute_max_degree(n, edges):
+        if brute_product_coloring(sides, size, max(2, r * w)) is None:
             return None
+    colors = brute_smallest_last_coloring(n, edges)
     payload = {
         "kind": "coloring",
         "palette": max(colors.values()) + 1,

@@ -14,7 +14,7 @@ from boxforest import (
     CalmEmbedding,
     Grading,
     InducedTree,
-    LayeredColoring,
+    Layering,
     ProperColoring,
     alpha,
     certificate_to_json,
@@ -39,7 +39,14 @@ from boxforest import (
     verify_calm,
     verify_certificate,
 )
-from bruteforce import brute_alpha, brute_chi, brute_omega, find_induced_copy
+from bruteforce import (
+    brute_alpha,
+    brute_chi,
+    brute_omega,
+    brute_peel_coloring,
+    check_layering,
+    find_induced_copy,
+)
 
 
 def _passed(num: int, detail: str) -> None:
@@ -114,10 +121,14 @@ def test_criterion_3_gradings_calm_embeddings_and_layerings():
                         assert verify_calm(dg, result, emb)
                         embeddings += 1
                 else:
-                    cover = frozenset().union(*result.layers)
-                    assert cover == frozenset(range(dg.n))
-                    assert result.coloring.is_proper_on(dg.underlying())
-                    assert result.coloring.palette_size <= 2 * k * (m - 1)
+                    # the layers partition the digraph as the all-pairs peel
+                    # does, and the paper colors them within 2k - 1 colors
+                    # each (brute_peel_coloring raises otherwise)
+                    assert isinstance(result, Layering)
+                    check_layering(dg.n, dg.arcs, k, m, result.layers)
+                    colors = brute_peel_coloring(dg.n, dg.arcs, k, m)
+                    assert all(colors[u] != colors[v] for u, v in dg.arcs)
+                    assert max(colors.values()) < 2 * k * (m - 1)
                     layerings += 1
     assert with_arcs >= 30
     assert embeddings >= 1

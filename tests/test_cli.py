@@ -15,6 +15,16 @@ from boxforest import boxes_from_rows, load_boxes, normalize, random_boxes, save
 from boxforest.cli import main
 
 
+def run_module(module, *argv):
+    """``python -m module argv`` in a fresh interpreter, killed after 60 s."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(boxforest.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 def write_instance(tmp_path, name, kind, **kw):
     path = tmp_path / name
     argv = ["gen", "--kind", kind, "--out", str(path)]
@@ -87,6 +97,55 @@ class TestColor:
         assert payload["palette"] <= payload["bound"]
         summary = capsys.readouterr().err
         assert "coloring" in summary
+
+    @pytest.mark.parametrize("omega_bound", [None, "9", "2"])
+    def test_interval_summary_prints_the_certificate_bound(
+        self, tmp_path, capsys, omega_bound
+    ):
+        # d = 1 colors with exactly omega colors and keys its bound on the
+        # palette, whatever --omega-bound says
+        path = write_instance(tmp_path, "c.txt", "random", n=9, d=1, seed=3)
+        cert_path = tmp_path / "cert.json"
+        argv = ["color", str(path), "--r", "1", "--k", "1", "--out", str(cert_path)]
+        if omega_bound is not None:
+            argv += ["--omega-bound", omega_bound]
+        assert main(argv) == 0
+        payload = json.loads(cert_path.read_text())
+        summary = capsys.readouterr().err
+        assert f"within bound {payload['bound']} " in summary
+        assert summary.rstrip().endswith(f"omega {payload['palette']}")
+
+    # file name: (contents, what the error must quote); Fraction would build
+    # 10 ** (10 ** 11) for each of these exponents
+    HUGE_EXPONENTS = {
+        "huge.txt": ("1 1\n1e99999999999 2\n", "bad number '1e99999999999'"),
+        "tiny.txt": ("1 1\n1e-99999999999 2\n", "bad number '1e-99999999999'"),
+        "huge.json": (
+            json.dumps({"boxes": [[["1e99999999999", 2]]]}),
+            "bad number '1e99999999999'",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", HUGE_EXPONENTS)
+    def test_huge_exponent_is_refused_before_it_is_built(self, tmp_path, name):
+        text, quoted = self.HUGE_EXPONENTS[name]
+        path = tmp_path / name
+        path.write_text(text)
+        proc = run_module("boxforest", "color", str(path), "--r", "1", "--k", "1")
+        assert proc.returncode == 2
+        assert quoted in proc.stderr and "exponent above 4300" in proc.stderr
+        assert len(proc.stderr) < 200
+
+    def test_exponents_up_to_4300_load(self, tmp_path, capsys):
+        path = tmp_path / "e300.txt"
+        path.write_text("1 1\n0 1e300\n")
+        proc = run_module("boxforest", "color", str(path), "--r", "1", "--k", "1")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["palette"] == 1
+        for exponent, code in (("4300", 0), ("-4300", 0), ("4301", 2), ("0_4301", 2)):
+            path.write_text(f"1 1\n0 1e{exponent}\n")
+            assert main(["color", str(path), "--r", "1", "--k", "1"]) == code, exponent
+        assert "exponent above 4300" in capsys.readouterr().err
 
     def test_tree_certificate_exit_code(self, tmp_path, capsys):
         rows = "2 4\n0 9 0 9\n1 2 1 2\n4 5 4 5\n7 8 7 8\n"
@@ -334,17 +393,9 @@ class TestDeterminism:
 
 
 class TestModuleEntryPoints:
-    def run(self, module, *argv):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(boxforest.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        return subprocess.run(
-            [sys.executable, "-m", module, *argv],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-
     @pytest.mark.parametrize("module", ["boxforest", "boxforest.cli"])
     def test_help(self, module):
-        proc = self.run(module, "--help")
+        proc = run_module(module, "--help")
         assert proc.returncode == 0
         assert "usage: boxforest" in proc.stdout
 
@@ -352,6 +403,6 @@ class TestModuleEntryPoints:
         path = write_instance(tmp_path, "v.txt", "random", n=8, d=2, seed=5)
         cert = tmp_path / "cert.json"
         assert main(["color", str(path), "--r", "1", "--k", "2", "--out", str(cert)]) == 0
-        proc = self.run("boxforest", "verify", str(path), "--certificate", str(cert))
+        proc = run_module("boxforest", "verify", str(path), "--certificate", str(cert))
         assert proc.returncode == 0
         assert proc.stdout.startswith("proper coloring")

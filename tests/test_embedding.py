@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 from boxforest import (
     CalmEmbedding,
     CalmSearchError,
-    Coloring,
     Digraph,
     Grading,
     Graph,
     HostGraphError,
-    LayeredColoring,
+    Layering,
     RootedTree,
     TournamentOracle,
     boxes_from_rows,
@@ -34,7 +33,13 @@ from boxforest import (
     peel_grading,
     verify_calm,
 )
-from bruteforce import adjacency, is_clique
+from bruteforce import (
+    adjacency,
+    brute_omega,
+    brute_peel_coloring,
+    check_layering,
+    is_clique,
+)
 
 
 def transitive_tournament(n: int) -> Digraph:
@@ -127,12 +132,11 @@ class TestPeelGrading:
         assert grading_error(dg, res) is None
 
     def test_exhaustion_layers(self):
+        # an arc-free digraph peels out whole in round 1, and round 2 is empty
         dg = Digraph(5, [])
         res = peel_grading(dg, 1, 3)
-        assert isinstance(res, LayeredColoring)
-        assert res.layers[0] == frozenset(range(5))
-        assert res.coloring.is_proper_on(Graph(5, []))
-        assert res.coloring.palette_size <= 2 * 1 * (3 - 1)
+        assert res == Layering((frozenset(range(5)), frozenset()))
+        check_layering(5, [], 1, 3, res.layers)
 
     def test_single_level_is_trivial_grading(self):
         dg = Digraph(3, [])
@@ -155,11 +159,14 @@ class TestPeelGrading:
             assert res.m == m and res.k == k
             assert grading_error(dg, res) is None
         else:
-            assert len(res.layers) == m - 1
-            covered = frozenset().union(*res.layers) if res.layers else frozenset()
-            assert covered == frozenset(range(dg.n))
-            assert res.coloring.is_proper_on(dg.underlying())
-            assert res.coloring.palette_size <= 2 * k * (m - 1)
+            # the layers are the all-pairs peel's, and the paper's coloring
+            # of them (2k - 1 colors a layer, or brute_peel_coloring raises)
+            # is proper within 2k(m - 1) colors
+            assert isinstance(res, Layering) and len(res.layers) == m - 1
+            check_layering(dg.n, dg.arcs, k, m, res.layers)
+            colors = brute_peel_coloring(dg.n, dg.arcs, k, m)
+            assert all(colors[u] != colors[v] for u, v in dg.arcs)
+            assert max(colors.values(), default=-1) < 2 * k * (m - 1)
 
 
 class TestTournamentSize:
@@ -303,10 +310,11 @@ class TestFindPathInducedTree:
         assert res.phi[0] == 0
 
     def test_edgeless_layers(self):
+        # m is bumped to 2, so the one round peels every vertex
         dg = Digraph(4, [])
         res = find_path_induced_tree(dg, Graph(4, []), complete_kary_tree(1, 1))
-        assert isinstance(res, LayeredColoring)
-        assert res.coloring.palette_size == 1
+        assert res == Layering((frozenset(range(4)),))
+        check_layering(4, [], complete_kary_tree(1, 1).n, 2, res.layers)
 
     def test_deep_tree_embeds_in_branching_dag(self):
         dg = branching_dag(3, 3)
@@ -334,8 +342,7 @@ class TestFindPathInducedTree:
         res = find_path_induced_tree(
             Digraph(0, []), Graph(0, []), complete_kary_tree(1, 1)
         )
-        assert isinstance(res, LayeredColoring)
-        assert res.coloring.colors == {}
+        assert res == Layering(())
 
     @given(
         st.integers(0, 10**6),
@@ -358,8 +365,10 @@ class TestFindPathInducedTree:
         t = complete_kary_tree(*shape)
         for pd in decompose(boxes, intersecting_pairs(boxes)):
             res = find_path_induced_tree(pd.digraph, g, t)
-            if isinstance(res, LayeredColoring):
-                assert res.coloring.is_proper_on(pd.digraph.underlying())
+            if isinstance(res, Layering):
+                # find_path_induced_tree peels with k = |T| and m = depth * omega
+                m = max(2, t.depth() * brute_omega(g.n, pd.digraph.underlying().edges))
+                check_layering(g.n, pd.digraph.arcs, t.n, m, res.layers)
             else:
                 assert is_path_induced(pd.digraph, t, res.phi)
                 for v in range(t.n):

@@ -178,7 +178,7 @@ class TestColorOrFindForest:
 
     def test_oversized_tree_short_circuits_to_coloring(self):
         # K = k^d * omega makes the complete tree bigger than the instance,
-        # so every pattern must peel out and the product coloring applies.
+        # so no pattern can embed it and the host graph colors smallest-last
         boxes = random_boxes(6, 2, seed=3)
         cert = color_or_find_forest(boxes, r=3, k=3)
         assert isinstance(cert, ProperColoring)
@@ -265,12 +265,12 @@ class TestCertificateJson:
             with pytest.raises(ValueError, match="more than 4300 digits"):
                 certificate_to_json(color_or_find_forest(boxes, r=r, k=2))
         coloring = Coloring({0: 0}, 1)
-        assert certificate_to_json(ProperColoring(coloring, 10**4300 - 1, {}))
+        assert certificate_to_json(ProperColoring(coloring, 10**4300 - 1))
         with pytest.raises(ValueError, match="more than 4300 digits"):
-            certificate_to_json(ProperColoring(coloring, 10**4300, {}))
+            certificate_to_json(ProperColoring(coloring, 10**4300))
 
     def test_bounds_of_any_length_are_written_without_a_limit(self):
-        cert = ProperColoring(Coloring({0: 0}, 1), 10**4300, {})
+        cert = ProperColoring(Coloring({0: 0}, 1), 10**4300)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:

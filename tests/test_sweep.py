@@ -1,7 +1,7 @@
 """The pair sweep and the heap peeler against all-pairs references.
 
 Also checks that certify and verify sweep once, and that what they derive
-from the one sweep (pattern digraphs, host graph, layer colorings,
+from the one sweep (pattern digraphs, host graph, peel layers,
 certificates, the first clash a verifier reports) matches references that
 copy and rescan everything.
 """
@@ -9,6 +9,7 @@ copy and rescan everything.
 from __future__ import annotations
 
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -20,9 +21,10 @@ from hypothesis import strategies as st
 from boxforest import (
     Box,
     CalmEmbedding,
+    Grading,
     Graph,
     InducedTree,
-    LayeredColoring,
+    Layering,
     OracleLimits,
     ProperColoring,
     all_patterns,
@@ -59,9 +61,10 @@ from bruteforce import (
     brute_max_degree,
     brute_omega,
     brute_patterns,
-    brute_peel_coloring,
+    brute_peel_layers,
     brute_product_coloring,
     brute_smallest_last_coloring,
+    check_layering,
 )
 
 
@@ -332,7 +335,7 @@ def test_long_candidate_lists_match_the_all_pairs_reference(d):
             assert {(u, v): names[code] for u, v, code in pairs} == same
     limits = OracleLimits(omega=n)
     w = omega(Graph(n, want), limits)
-    for r, k in ((1, 1), (2, 2)):  # the product coloring, then smallest-last
+    for r, k in ((1, 1), (2, 2)):  # decomposed and searched, then not
         cert = color_or_find_forest(boxes, r, k, limits=limits)
         data = certificate_to_json(cert)
         assert data == brute_coloring_certificate(sides, r, k, omega=w)
@@ -474,31 +477,27 @@ def _random_digraphs(seed: int, count: int):
             yield pd.digraph
 
 
-def test_full_layer_colorings_match_copy_and_relabel():
+def test_full_layerings_match_the_all_pairs_peel():
     checked = 0
     for dg in _random_digraphs(41, 30):
         result = peel_grading(dg, dg.n + 1, 2)  # every vertex peels at once
-        assert isinstance(result, LayeredColoring)
-        assert result.layers == (frozenset(range(dg.n)),)
-        assert dict(result.coloring.colors) == brute_peel_coloring(
-            dg.n, dg.arcs, dg.n + 1, 2
-        )
+        assert result == Layering((frozenset(range(dg.n)),))
+        check_layering(dg.n, dg.arcs, dg.n + 1, 2, result.layers)
         checked += 1
     assert checked >= 100
 
 
-def test_partial_layer_colorings_match_copy_and_relabel():
+def test_partial_layerings_match_the_all_pairs_peel():
     partial = 0
     for dg in _random_digraphs(42, 25):
         for k in (1, 2, 3):
             for m in (2, 3, dg.n + 1):
                 result = peel_grading(dg, k, m)
-                want = brute_peel_coloring(dg.n, dg.arcs, k, m)
-                if want is None:
-                    assert not isinstance(result, LayeredColoring)
+                if brute_peel_layers(dg.n, dg.arcs, k, m) is None:
+                    assert isinstance(result, Grading)
                     continue
-                assert isinstance(result, LayeredColoring)
-                assert dict(result.coloring.colors) == want
+                assert isinstance(result, Layering)
+                check_layering(dg.n, dg.arcs, k, m, result.layers)
                 if sum(1 for layer in result.layers if layer) > 1:
                     partial += 1
     assert partial >= 50
@@ -638,24 +637,28 @@ def test_certificates_match_the_all_pairs_path():
 
 
 def test_smallest_last_palette_never_exceeds_the_product_palette():
-    # where the tree has more vertices than any box has neighbors, every
-    # pattern peels out whole in round 1, so the paper's product coloring
-    # is still a valid certificate; smallest-last on the host graph must
-    # never need more colors, nor more than the maximum degree + 1 <= |T|
-    above_n = below_n = 0
-    for boxes, r, k in [*all_pairs_cases(), (burling_like(3), 1, 1)]:
+    # wherever certify colors, the paper's product coloring exists: where
+    # the tree has more vertices than any box has neighbors every pattern
+    # peels out whole in round 1, and where the patterns are decomposed
+    # none kept a grading; smallest-last on the host graph must never need
+    # more colors than the product, nor more than the maximum degree + 1
+    above_n = below_n = decomposed = 0
+    cases = [*all_pairs_cases(), (burling_like(3), 1, 1)]
+    for boxes, r, k in cases + [(boxes, 1, 1) for boxes, _, _ in cases]:
         n, degree, w, size = brute_sizes(boxes, r, k)
-        if size <= degree:
-            continue
         cert = color_or_find_forest(boxes, r, k)
-        assert isinstance(cert, ProperColoring)
-        assert cert.per_pattern == {}
+        if isinstance(cert, InducedTree):
+            assert size <= degree
+            continue
         product = brute_product_coloring(plain(boxes), size, max(2, r * w))
         assert cert.coloring.palette_size <= max(product.values()) + 1
-        assert cert.coloring.palette_size <= degree + 1 <= size
-        above_n += size > n
-        below_n += size <= n
-    assert above_n >= 10 and below_n >= 10
+        assert cert.coloring.palette_size <= degree + 1
+        if size <= degree:
+            decomposed += 1
+        else:
+            above_n += size > n
+            below_n += size <= n
+    assert above_n >= 10 and below_n >= 10 and decomposed >= 10
 
 
 @pytest.fixture
@@ -691,6 +694,53 @@ def test_certify_skips_the_patterns_where_the_tree_outgrows_every_degree(pattern
         elif size <= degree:
             assert pattern_work[0] == "decompose"
     assert below >= 10
+
+
+@pytest.fixture
+def coloring_work(monkeypatch):
+    """Names of the coloring routines called, through every boxforest
+    module that holds them."""
+    calls = []
+    originals = {
+        "smallest_last_coloring": graphs.smallest_last_coloring,
+        "degeneracy_coloring": graphs.degeneracy_coloring,
+        "product_coloring": patterns.product_coloring,
+    }
+    homes = {name: 0 for name in originals}
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "boxforest":
+            continue
+        for name, original in originals.items():
+            if module.__dict__.get(name) is not original:
+                continue
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+            homes[name] += 1
+    # each name is in its own module and in at least one that imports it
+    assert min(homes.values()) >= 2
+    return calls
+
+
+def test_certify_colors_smallest_last_once_where_no_pattern_embeds(
+    pattern_work, coloring_work
+):
+    decomposed = 0
+    for boxes, _, _ in all_pairs_cases():
+        _, degree, _, size = brute_sizes(boxes, 1, 1)
+        pattern_work.clear()
+        coloring_work.clear()
+        cert = color_or_find_forest(boxes, 1, 1)
+        if isinstance(cert, InducedTree):
+            assert coloring_work == []
+        elif size <= degree:
+            assert pattern_work[0] == "decompose"
+            assert coloring_work == ["smallest_last_coloring"]
+            decomposed += 1
+    assert decomposed >= 10
 
 
 @pytest.mark.parametrize("d, k", [(2, 1), (2, 2), (3, 1)])
