@@ -132,7 +132,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     boxes = _load_normalized(args.input)
     limits = _resolve_limits(args)
     g = intersection_graph(boxes)
-    family = decompose_boxes(boxes, _pattern_codes(boxes, g.edges))
+    pairs = ((u, v) for u, near in enumerate(g.adj) for v in near if u < v)
+    family = decompose_boxes(boxes, _pattern_codes(boxes, pairs))
     width = max(len("pattern"), max(len(str(pd.pattern)) for pd in family))
     print(f"{'pattern':<{width}}  {'arcs':>6}  acyclic  modest  divergent")
     failed = False

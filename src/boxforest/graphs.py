@@ -1,21 +1,22 @@
 """Graphs, digraphs, rooted trees, colorings, and degeneracy peeling.
 
-Vertices are always 0..n-1. A graph stores only its adjacency sets and a
+Vertices are always 0..n-1. A graph stores only its adjacency lists and a
 digraph only its out- and in-neighbor sets; edge and arc sets are derived
 when asked for, so no adjacency is held twice. A pattern digraph's
 in-neighbor sets are its mirror's out-neighbor sets (``patterns.decompose``).
 Building the intersection graph, degeneracy peeling and smallest-last
 coloring scale to thousands of boxes (an axis-0 sweep, a heap and a bucket
-queue). The pipeline's host graph is ``intersection_graph``, built from the
-batches of its one sweep; the pattern digraphs, when it needs them, come
-from that graph's edges.
+queue). The pipeline's host graph is ``intersection_graph``: the lists its
+one sweep fills, kept as they are, since coloring and the self-check only
+iterate over them. The pattern digraphs, when it needs them, come from that
+graph's edges, and they hold sets because the grading tests membership.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 # ``intersects`` is imported only to stay a module name: perfbench counts
 # pair tests by rebinding it.
@@ -37,7 +38,9 @@ __all__ = [
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    Only the adjacency sets are stored; ``edges`` is derived on demand.
+    Only the adjacency lists are stored, a tuple of one list per vertex with
+    no repeats and no loops, in no promised order; ``edges`` is derived on
+    demand.
     """
 
     __slots__ = ("n", "adj")
@@ -54,11 +57,12 @@ class Graph:
                 raise ValueError(f"loop at {u}")
             adj[u].add(v)
             adj[v].add(u)
-        self.adj = tuple(frozenset(s) for s in adj)
+        self.adj = tuple(sorted(s) for s in adj)
 
     @classmethod
-    def _from_adjacency(cls, adj: Iterable[frozenset[int]]) -> "Graph":
-        """Wrap adjacency sets that are already symmetric and loop-free."""
+    def _from_adjacency(cls, adj: Iterable[list[int]]) -> "Graph":
+        """Wrap adjacency lists that are already symmetric, loop-free and
+        free of repeats, without copying them."""
         g = cls.__new__(cls)
         g.adj = tuple(adj)
         g.n = len(g.adj)
@@ -72,10 +76,15 @@ class Graph:
         )
 
     def adjacent(self, u: int, v: int) -> bool:
+        """Whether uv is an edge: a scan of u's list, O(deg u). Its callers
+        make few lookups: the embedding's checks of a found tree (|T| times
+        its depth), ``patterns.verify_basic`` (n <= ``limits.verify``) and
+        ``complement`` (the exact oracles, n <= 40)."""
         return v in self.adj[u]
 
     def neighbors(self, u: int) -> frozenset[int]:
-        return self.adj[u]
+        """u's neighbors as a new set; ``adj[u]`` is the list itself."""
+        return frozenset(self.adj[u])
 
     def degree(self, u: int) -> int:
         return len(self.adj[u])
@@ -141,7 +150,7 @@ class Digraph:
         return v in self.out[u]
 
     def underlying(self) -> Graph:
-        return Graph._from_adjacency(o | i for o, i in zip(self.out, self.inn))
+        return Graph._from_adjacency(list(o | i) for o, i in zip(self.out, self.inn))
 
     def topological_order(self) -> list[int] | None:
         """Kahn's algorithm; None when a cycle exists. Deterministic."""
@@ -292,14 +301,15 @@ class Coloring:
                 raise ValueError(f"color {c} of vertex {v} outside palette")
 
     def is_proper_on(self, g: Graph) -> bool:
-        colors = self.colors
-        if set(colors) != set(range(g.n)):
+        """Whether exactly g's vertices are colored and no edge of g has
+        one color at both ends."""
+        if set(self.colors) != set(range(g.n)):
             return False
-        for u, near in enumerate(g.adj):
-            c = colors[u]
-            for v in near:
-                if colors[v] == c:
-                    return False
+        col = list(map(self.colors.__getitem__, range(g.n)))
+        get = col.__getitem__
+        for c, near in zip(col, g.adj):
+            if c in map(get, near):
+                return False
         return True
 
 
@@ -313,11 +323,11 @@ def intersection_graph(boxes: Sequence[Box]) -> Graph:
         near[j] += hits
         for i in hits:
             near[i].append(j)
-    return Graph._from_adjacency(map(frozenset, near))
+    return Graph._from_adjacency(near)
 
 
 def degeneracy_coloring(
-    adj: Mapping[int, AbstractSet[int]], bound: int
+    adj: Mapping[int, Collection[int]], bound: int
 ) -> Coloring | None:
     """Greedy coloring along a peeling order, or None if peeling gets stuck.
 
@@ -355,12 +365,13 @@ def degeneracy_coloring(
     if len(order) < len(vertices):
         return None
     # fewer than bound neighbors are colored first, so colors stay below bound
-    colors = _greedy_in_reverse(order, adj)
+    colors = dict.fromkeys(vertices, -1)
+    _greedy_in_reverse(order, adj, colors)
     palette = 1 + max(colors.values(), default=-1) if colors else 0
     return Coloring(colors, max(palette, 1) if vertices else 0)
 
 
-def smallest_last_coloring(adj: Sequence[AbstractSet[int]]) -> Coloring:
+def smallest_last_coloring(adj: Sequence[Sequence[int]]) -> Coloring:
     """Greedy coloring in smallest-last order (Matula and Beck, 1983).
 
     ``adj[v]`` holds the neighbors of vertex v. Repeatedly removes, among
@@ -371,50 +382,56 @@ def smallest_last_coloring(adj: Sequence[AbstractSet[int]]) -> Coloring:
     remaining degree was ``b`` when they entered it; an entry whose vertex
     has since left or lost degree is stale and skipped. A removal lowers
     each remaining degree by at most 1, so the minimum degree drops by at
-    most 1 per step.
+    most 1 per step. Neither the removal order nor the colors depend on the
+    order in which a vertex's neighbors are listed.
     """
     n = len(adj)
-    degree = [len(near) for near in adj]
+    degree = list(map(len, adj))
     # ids ascend, so every bucket starts out sorted: a heap
     buckets: list[list[int]] = [[] for _ in range(max(degree, default=0) + 1)]
     for v in range(n):
         buckets[degree[v]].append(v)
     removed = [False] * n
     order: list[int] = []
+    heappush, heappop = heapq.heappush, heapq.heappop
     low = 0
-    while len(order) < n:
-        bucket = buckets[low]
-        if not bucket:
-            low += 1
-            continue
-        v = heapq.heappop(bucket)
-        if removed[v] or degree[v] != low:
-            continue
+    for _ in range(n):
+        while True:
+            bucket = buckets[low]
+            if not bucket:
+                low += 1
+                continue
+            v = heappop(bucket)
+            if not removed[v] and degree[v] == low:
+                break
         removed[v] = True
         order.append(v)
         for w in adj[v]:
             if not removed[w]:
                 degree[w] -= 1
-                heapq.heappush(buckets[degree[w]], w)
+                heappush(buckets[degree[w]], w)
         if low:
             low -= 1
-    colors = _greedy_in_reverse(order, adj)
-    return Coloring(colors, max(colors.values(), default=-1) + 1)
+    col = [-1] * n
+    _greedy_in_reverse(order, adj, col)
+    return Coloring(dict(enumerate(col)), max(col, default=-1) + 1)
 
 
 def _greedy_in_reverse(
-    order: Sequence[int], adj: Mapping[int, AbstractSet[int]] | Sequence[AbstractSet[int]]
-) -> dict[int, int]:
+    order: Sequence[int],
+    adj: Mapping[int, Iterable[int]] | Sequence[Iterable[int]],
+    col: dict[int, int] | list[int],
+) -> None:
     """Color ``order`` back to front, each vertex with the smallest color
-    unused by its neighbors colored before it."""
-    colors: dict[int, int] = {}
+    unused by its neighbors colored before it. ``col`` maps every vertex to
+    -1 until it is colored and receives the colors."""
+    get = col.__getitem__
     for v in reversed(order):
-        used = {colors[w] for w in adj[v] if w in colors}
+        used = set(map(get, adj[v]))
         c = 0
         while c in used:
             c += 1
-        colors[v] = c
-    return colors
+        col[v] = c
 
 
 def is_path_induced(dg: Digraph, t: RootedTree, phi: Mapping[int, int]) -> bool:

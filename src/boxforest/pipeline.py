@@ -422,7 +422,8 @@ def color_or_find_forest(
     # a pattern out-degree is at most the host degree, so when that is below
     # |T| every pattern peels out whole in round 1 and none is searched
     if report.tree_size <= max(map(len, g.adj)):
-        family = decompose(boxes, _pattern_codes(boxes, g.edges))
+        pairs = ((u, v) for u, near in enumerate(g.adj) for v in near if u < v)
+        family = decompose(boxes, _pattern_codes(boxes, pairs))
         big_tree = complete_kary_tree(r, report.tree_branching)
         for pd in family:
             if not any(pd.digraph.out):  # peels out whole in round 1

@@ -2,8 +2,11 @@
 
 Each workload's first instance at seed 1 (``make(4)``) is certified as the
 benchmark certifies it, with omega from the geometry, and the certificate
-bytes are pinned by their sha256. A change that alters certificate bytes
-on purpose updates these values and says so.
+bytes are pinned by their sha256. The two coloring workloads are pinned
+again at r = k = 1, where the tree is small enough that certify decomposes
+and searches the pattern digraphs before it colors; no benchmark workload
+times that branch. A change that alters certificate bytes on purpose
+updates these values and says so.
 """
 
 from __future__ import annotations
@@ -26,6 +29,12 @@ PINNED = {
     "fans-3d": "f161b7edfd391228846f09d080cb4a87fa9d5772a4089c65ae01dd9e1f5a848b",
 }
 
+# (sha256, palette) at r = k = 1; both palettes equal omega
+DECOMPOSED = {
+    "dense-2d": ("93645b906c5231873448f6c3f906d59de49d734837cd19771669cc63df9223c8", 216),
+    "sparse-2d": ("3c72889242396352a13f60ff0c34bd387304fda110f069fae8efbdb16a53eff7", 7),
+}
+
 
 @pytest.mark.parametrize("name", PINNED)
 def test_bench_certificate_bytes_are_pinned(name):
@@ -36,3 +45,14 @@ def test_bench_certificate_bytes_are_pinned(name):
     )
     data = certificate_to_json(cert).encode()
     assert hashlib.sha256(data).hexdigest() == PINNED[name]
+
+
+@pytest.mark.parametrize("name", DECOMPOSED)
+def test_decomposed_certificate_bytes_are_pinned(name):
+    boxes = workloads.WORKLOADS[name].make(4)
+    w = workloads.max_depth(boxes)
+    cert = color_or_find_forest(boxes, 1, 1, omega_bound=w)
+    digest, palette = DECOMPOSED[name]
+    assert cert.coloring.palette_size == palette == w
+    data = certificate_to_json(cert).encode()
+    assert hashlib.sha256(data).hexdigest() == digest

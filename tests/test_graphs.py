@@ -21,7 +21,8 @@ from boxforest import (
     is_path_induced,
     normalize,
 )
-from bruteforce import brute_induced_copy, find_induced_copy
+from boxforest.graphs import smallest_last_coloring
+from bruteforce import brute_induced_copy, brute_smallest_last_coloring, find_induced_copy
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -66,6 +67,13 @@ class TestGraph:
     def test_complement(self):
         g = Graph(3, [(0, 1)])
         assert g.complement().edges == {(0, 2), (1, 2)}
+
+    def test_adjacency_is_a_tuple_of_lists(self):
+        g = Graph(4, [(2, 1), (0, 1), (1, 0), (3, 1)])
+        assert g.adj == ([1], [0, 2, 3], [1], [1])  # sorted, repeats collapsed
+        und = Digraph(3, [(0, 1), (1, 0), (2, 1)]).underlying()
+        assert type(und.adj) is tuple and all(type(near) is list for near in und.adj)
+        assert sorted(map(sorted, und.adj)) == [[0, 2], [1], [1]]
 
 
 class TestDigraph:
@@ -150,6 +158,34 @@ class TestColoring:
         assert not Coloring({0: 0, 1: 0}, 1).is_proper_on(g)
         assert Coloring({0: 0, 1: 1}, 2).is_proper_on(g)
         assert not Coloring({0: 0}, 1).is_proper_on(g)  # missing vertex
+
+
+class TestSmallestLastColoring:
+    @given(
+        st.builds(
+            lambda n, seed, p: random_graph(random.Random(seed), n, p),
+            st.integers(0, 30),
+            st.integers(0, 10**6),
+            st.floats(0.05, 0.9),
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_neighbor_order_changes_nothing(self, g, rng):
+        """Lists promise no order, so shuffling every adjacency list must
+        leave the coloring and the self-check's verdicts as they are."""
+        shuffled = Graph._from_adjacency(rng.sample(near, len(near)) for near in g.adj)
+        got = smallest_last_coloring(shuffled.adj)
+        assert got == smallest_last_coloring(g.adj)
+        assert dict(got.colors) == brute_smallest_last_coloring(g.n, g.edges)
+        assert got.is_proper_on(shuffled)
+        for u, v in g.edges:
+            clash = dict(got.colors)
+            clash[v] = clash[u]
+            assert not Coloring(clash, got.palette_size).is_proper_on(shuffled)
+        if g.n:
+            missing = {v: c for v, c in got.colors.items() if v != g.n - 1}
+            assert not Coloring(missing, got.palette_size).is_proper_on(shuffled)
 
 
 class TestIntersectionGraph:

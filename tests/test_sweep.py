@@ -387,7 +387,13 @@ def test_host_graph_from_the_family_is_the_intersection_graph(name):
     for boxes in family(name):
         outs = [pd.digraph.out for pd in decompose(boxes, intersecting_pairs(boxes))]
         g = intersection_graph(boxes)
-        assert tuple(frozenset().union(*near) for near in zip(*outs)) == g.adj
+        union = [frozenset().union(*near) for near in zip(*outs)]
+        assert isinstance(g.adj, tuple) and len(g.adj) == len(union) == len(boxes)
+        for v, near in enumerate(g.adj):
+            # the sweep's lists, kept as they are: no repeat, no loop
+            assert isinstance(near, list)
+            assert len(set(near)) == len(near) and v not in near
+            assert set(near) == union[v]
         assert g.edges == set(brute_patterns(plain(boxes)))
 
 
