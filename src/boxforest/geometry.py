@@ -18,6 +18,12 @@ One event sweep along axis 0 gathers, per arriving box, the open boxes
 that share a cell of an index on axis 1 and filters them axis by axis, so
 its work follows the pairs that meet on two axes rather than n^2. Only
 ``intersecting_pairs`` and the pattern decomposition classify the pairs.
+
+Boxes that come from rows, from a box file or from ``normalize`` are built
+column-wise by ``_boxes_from_columns``: each axis's lower and upper
+endpoints are checked in one pass, and the objects are then made without a
+Python-level call per box. ``box``, ``Interval`` and ``Box`` check each
+object they build themselves.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import itertools
 import json
 import operator
 import re
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
@@ -123,18 +129,73 @@ def box(id: int, *bounds: tuple[Number, Number]) -> Box:
 
 
 def boxes_from_rows(rows: Sequence[Sequence[Number]]) -> list[Box]:
-    """Build boxes from rows of 2d flat bounds ``lo_1 hi_1 ... lo_d hi_d``."""
-    out = []
-    width = None
-    for i, row in enumerate(rows):
-        if len(row) < 2 or len(row) % 2:
-            raise ValueError(f"row {i}: expected an even number of bounds, got {len(row)}")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError(f"row {i}: expected {width} bounds, got {len(row)}")
-        out.append(Box(i, tuple(map(Interval, row[0::2], row[1::2]))))
-    return out
+    """Build boxes from rows of 2d flat bounds ``lo_1 hi_1 ... lo_d hi_d``.
+
+    Box i comes from row i. Every row must have the first row's even,
+    nonzero width. The rows are transposed into per-axis endpoint columns
+    and built by ``_boxes_from_columns``, and the first fault in row order
+    is raised: a row of the wrong width, or an empty side (axis by axis
+    within a row), with the messages a row-by-row build would give.
+    """
+    if not rows:
+        return []
+    widths = list(map(len, rows))
+    width = widths[0]
+    if width < 2 or width % 2 or widths.count(width) != len(widths):
+        bad = next(i for i, w in enumerate(widths) if w < 2 or w % 2 or w != width)
+        boxes_from_rows(rows[:bad])  # the rows before it raise their empty sides first
+        if widths[bad] < 2 or widths[bad] % 2:
+            raise ValueError(f"row {bad}: expected an even number of bounds, got {widths[bad]}")
+        raise ValueError(f"row {bad}: expected {width} bounds, got {widths[bad]}")
+    columns = list(zip(*rows))
+    return _boxes_from_columns(range(len(rows)), columns[0::2], columns[1::2])
+
+
+# building blocks of _boxes_from_columns: a bare instance, each slot's
+# setter, and a sink that runs a map of them to the end in C
+_new = object.__new__
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
+_set_id = Box.id.__set__
+_set_sides = Box.sides.__set__
+_exhaust = deque(maxlen=0).extend
+
+
+def _boxes_from_columns(
+    ids: Sequence[int],
+    los: Sequence[Sequence[Number]],
+    his: Sequence[Sequence[Number]],
+) -> list[Box]:
+    """``Box(ids[i], (Interval(los[0][i], his[0][i]), ...))`` for each i.
+
+    ``los[a]`` and ``his[a]`` are axis a's lower and upper endpoints, one
+    per id, and there is at least one axis. Each axis is checked in one
+    pass of ``operator.le`` (which also refuses NaN); the first empty side
+    in row order, axis by axis within a row, raises ``Interval``'s
+    ValueError. The checked objects are then made with ``object.__new__``
+    and their slots filled through the slot descriptors inside ``map``, so
+    no ``__init__`` or ``__post_init__`` runs per box.
+    """
+    first = None  # (row, axis) of the first empty side
+    for axis, (lo, hi) in enumerate(zip(los, his)):
+        if not all(map(operator.le, lo, hi)):
+            row = next(i for i, ok in enumerate(map(operator.le, lo, hi)) if not ok)
+            if first is None or row < first[0]:
+                first = (row, axis)
+    if first is not None:
+        row, axis = first
+        raise ValueError(f"empty interval [{los[axis][row]}, {his[axis][row]}]")
+    n = len(ids)
+    sides = []
+    for lo, hi in zip(los, his):
+        axis_sides = list(map(_new, itertools.repeat(Interval, n)))
+        _exhaust(map(_set_lo, axis_sides, lo))
+        _exhaust(map(_set_hi, axis_sides, hi))
+        sides.append(axis_sides)
+    boxes = list(map(_new, itertools.repeat(Box, n)))
+    _exhaust(map(_set_id, boxes, ids))
+    _exhaust(map(_set_sides, boxes, zip(*sides)))
+    return boxes
 
 
 @dataclass(frozen=True, slots=True)
@@ -347,8 +408,10 @@ def normalize(boxes: Sequence[Box]) -> list[Box]:
     Boxes come back in input order, each built once. When the input is
     already normalized (on every axis its coordinates are the ints
     0..2n-1, which are then their own ranks), the result is a new list of
-    the same box objects. Otherwise every box is rebuilt, so a coordinate
-    such as ``Fraction(3)``, ``3.0`` or ``True`` becomes an int.
+    the same box objects. Otherwise every box is rebuilt from the per-axis
+    rank columns by ``_boxes_from_columns``, so a coordinate such as
+    ``Fraction(3)``, ``3.0`` or ``True`` becomes an int. Each axis's
+    endpoint and rank lists are dropped once its columns are cut from them.
     """
     if not boxes:
         raise ValueError("empty box collection")
@@ -364,8 +427,10 @@ def normalize(boxes: Sequence[Box]) -> list[Box]:
         ordered = sorted(boxes, key=operator.attrgetter("id"))
         ids = [b.id for b in ordered]
     size = 2 * len(ids)
-    every = set(range(size))
-    ranked = []
+    # one int object per rank, shared by every axis's sort and ranks
+    positions = list(range(size))
+    every = set(positions)
+    los, his = [], []
     unchanged = True
     for axis in range(d):
         sides = [b.sides[axis] for b in ordered]
@@ -373,17 +438,18 @@ def normalize(boxes: Sequence[Box]) -> list[Box]:
         vals[0::2] = [s.lo for s in sides]
         vals[1::2] = [s.hi for s in sides]
         if {*map(type, vals)} == {int} and set(vals) == every:
-            ranked.append(vals)  # the ints 0..2n-1 are their own ranks
-            continue
-        unchanged = False
-        ranks = [0] * size
-        for rank, j in enumerate(sorted(range(size), key=vals.__getitem__)):
-            ranks[j] = rank
-        ranked.append(ranks)
+            ranks = vals  # the ints 0..2n-1 are their own ranks
+        else:
+            unchanged = False
+            ranks = [0] * size
+            _exhaust(map(ranks.__setitem__, sorted(positions, key=vals.__getitem__), positions))
+        los.append(ranks[0::2])
+        his.append(ranks[1::2])
+        del vals, ranks
     if unchanged:
         return list(boxes)
-    axes = [map(Interval, ranks[0::2], ranks[1::2]) for ranks in ranked]
-    built = list(map(Box, ids, zip(*axes)))
+    del positions, every
+    built = _boxes_from_columns(ids, los, his)
     if ordered is boxes:
         return built
     by_id = dict(zip(ids, built))
@@ -407,7 +473,10 @@ def _quote(text: str) -> str:
 
 def _parse_number(token: str) -> Number:
     if _INTEGER.fullmatch(token):
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:  # above the interpreter's limit of 4300 digits
+            raise ValueError(f"bad number {_quote(token)}") from None
     exponent = _EXPONENT.search(token)
     digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
     if len(digits) > 4 or int(digits or 0) > 4300:
@@ -419,43 +488,67 @@ def _parse_number(token: str) -> Number:
     return int(frac) if frac.denominator == 1 else frac
 
 
+def _numbers(tokens: list[str], parse) -> list[Number]:
+    """``tokens`` read by ``parse`` in one pass. The first token refused
+    raises ``_parse_number``'s error, whichever reader refused it."""
+    try:
+        return list(map(parse, tokens))
+    except ValueError:
+        for token in tokens:
+            _parse_number(token)
+        raise
+
+
 def load_boxes(path: str) -> list[Box]:
     """Read a box file (header ``d n``, then n rows of 2d decimals).
 
     A JSON mirror is accepted: an object with a ``boxes`` key whose entries
     are per-axis ``[lo, hi]`` pairs. Ids are assigned by 0-based order.
-    A text file of plain ASCII integers is read token by token with
-    ``int``; any other file goes through ``Fraction`` where a token is not
-    a plain integer. Each box and interval is built once.
+
+    A text file is read column-wise. Each row's width is checked on its
+    own, and the rows are dropped; then the whole text is split into
+    tokens once and read in one pass, by ``int`` when the file is made of
+    plain ASCII integers and by ``_parse_number`` otherwise. Every
+    ``2d``-th number from a given offset is one endpoint column, and
+    ``_boxes_from_columns`` builds the boxes. The first fault in row order
+    is raised: a row of the wrong width or a bad number, and only then an
+    empty side.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _boxes_from_json(stripped)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    if text.lstrip().startswith("{"):
+        return _boxes_from_json(text.lstrip())
+    rows = [ln for ln in text.splitlines() if ln.strip()]
+    if not rows:
         raise ValueError("empty box file")
+    header = rows.pop(0)
     try:
-        d, n = map(int, lines[0].split())
+        d, n = map(int, header.split())
     except ValueError:  # not two tokens, or not integers
-        raise ValueError(f"bad header {_quote(lines[0])}: expected two integers 'd n'") from None
+        raise ValueError(f"bad header {_quote(header)}: expected two integers 'd n'") from None
     if d < 1:
         raise ValueError("dimension must be at least 1")
     if n < 1:
         raise ValueError("box count must be at least 1")
-    if len(lines) - 1 != n:
-        raise ValueError(f"header {_quote(lines[0])} does not match the {len(lines) - 1} box rows")
+    if len(rows) != n:
+        raise ValueError(f"header {_quote(header)} does not match the {len(rows)} box rows")
     parse = int if text.isascii() and _INTEGER_TEXT.fullmatch(text) else _parse_number
-    rows = []
-    for i, ln in enumerate(lines[1:]):
-        tokens = ln.split()
-        if len(tokens) != 2 * d:
-            raise ValueError(
-                f"row {i} {_quote(ln)}: expected 2d bounds for header {_quote(lines[0])}"
-            )
-        rows.append([parse(t) for t in tokens])
-    return boxes_from_rows(rows)
+    width = 2 * d
+    if not all(map(width.__eq__, map(len, map(str.split, rows)))):
+        bad = next(i for i, row in enumerate(rows) if len(row.split()) != width)
+        _numbers(" ".join(rows[:bad]).split(), parse)  # the rows before it raise first
+        raise ValueError(
+            f"row {bad} {_quote(rows[bad])}: expected 2d bounds for header {_quote(header)}"
+        )
+    del rows
+    tokens = text.split()
+    del text, tokens[:2]  # the header's two tokens
+    values = _numbers(tokens, parse)
+    del tokens
+    los = [values[a::width] for a in range(0, width, 2)]
+    his = [values[a::width] for a in range(1, width, 2)]
+    del values
+    return _boxes_from_columns(range(n), los, his)
 
 
 _JSON_TYPE_NAMES = {list: "array", dict: "object", bool: "boolean", type(None): "null"}

@@ -2,7 +2,9 @@
 
 Everything here is written the dumbest defensible way (subset scans and
 backtracking) so that agreement with the package's solvers is meaningful.
-Nothing imports from the package except plain data types.
+Nothing imports from the package except plain data types, and the box-file
+reference, which shares the package's reader of one token and its quoting
+of long text.
 """
 
 from __future__ import annotations
@@ -191,6 +193,99 @@ def find_induced_copy(g, t) -> dict[int, int] | None:
         return False
 
     return dict(image) if place(0) else None
+
+
+def brute_boxes_from_rows(rows) -> list:
+    """Row-by-row build of ``boxes_from_rows``: each row's width is checked,
+    then its box is built through ``Interval`` and ``Box``, so the first
+    fault in row order raises."""
+    from boxforest.geometry import Box, Interval
+
+    out = []
+    width = None
+    for i, row in enumerate(rows):
+        if len(row) < 2 or len(row) % 2:
+            raise ValueError(f"row {i}: expected an even number of bounds, got {len(row)}")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValueError(f"row {i}: expected {width} bounds, got {len(row)}")
+        out.append(Box(i, tuple(map(Interval, row[0::2], row[1::2]))))
+    return out
+
+
+def brute_load_boxes(path) -> list:
+    """Row-by-row reader of ``load_boxes``, text and JSON: each text row's
+    width is checked, then each of its tokens is read by ``_parse_number``,
+    and the rows go to ``brute_boxes_from_rows``."""
+    from boxforest.geometry import _parse_number, _quote
+
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        return _brute_boxes_from_json(text.lstrip())
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty box file")
+    try:
+        d, n = map(int, lines[0].split())
+    except ValueError:
+        raise ValueError(f"bad header {_quote(lines[0])}: expected two integers 'd n'") from None
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
+    if n < 1:
+        raise ValueError("box count must be at least 1")
+    if len(lines) - 1 != n:
+        raise ValueError(f"header {_quote(lines[0])} does not match the {len(lines) - 1} box rows")
+    rows = []
+    for i, ln in enumerate(lines[1:]):
+        tokens = ln.split()
+        if len(tokens) != 2 * d:
+            raise ValueError(
+                f"row {i} {_quote(ln)}: expected 2d bounds for header {_quote(lines[0])}"
+            )
+        rows.append([_parse_number(t) for t in tokens])
+    return brute_boxes_from_rows(rows)
+
+
+_JSON_TYPE_NAMES = {list: "array", dict: "object", bool: "boolean", type(None): "null"}
+
+
+def _brute_boxes_from_json(text: str) -> list:
+    from boxforest.geometry import _parse_number
+
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad JSON box file: {exc}") from None
+    except RecursionError:
+        raise ValueError("bad JSON box file: nested too deeply") from None
+    if not isinstance(payload, dict) or "boxes" not in payload:
+        raise ValueError("JSON box file needs a 'boxes' key")
+    entries = payload["boxes"]
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("'boxes' must be a nonempty list")
+    rows = []
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, list) or not entry:
+            raise ValueError(f"box {i}: expected a list of [lo, hi] pairs")
+        flat = []
+        for pair in entry:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"box {i}: each axis must be a [lo, hi] pair")
+            for v in pair:
+                kind = type(v)
+                if kind is int:
+                    flat.append(v)
+                elif kind in (float, str):
+                    flat.append(_parse_number(str(v)))
+                else:
+                    raise ValueError(
+                        f"box {i}: a bound must be a number or a numeric string, "
+                        f"not JSON {_JSON_TYPE_NAMES[kind]}"
+                    )
+        rows.append(flat)
+    return brute_boxes_from_rows(rows)
 
 
 def brute_normalize(boxes) -> list[tuple[int, tuple[tuple[int, int], ...]]]:

@@ -213,6 +213,29 @@ class TestColor:
         assert quoted in err
         assert len(err) < 200
 
+    # file name: (contents, the whole error); every file but the last is
+    # made of ASCII integer characters, so int() reads it
+    LONG = "bad number '" + "9" * 40 + "'... (5000 characters)"
+    BAD_INTEGERS = {
+        "plus.txt": ("1 1\n+ 2\n", "bad number '+'"),
+        "minus.txt": ("1 1\n0 5-\n", "bad number '5-'"),
+        "double.txt": ("1 2\n0 1\n--5 2\n", "bad number '--5'"),
+        "digits.txt": ("1 1\n0 " + "9" * 5000 + "\n", LONG),
+        "digits-frac.txt": ("1 2\n0 1/2\n0 " + "9" * 5000 + "\n", LONG),
+    }
+
+    @pytest.mark.parametrize("name", BAD_INTEGERS)
+    def test_token_int_refuses_reads_as_a_bad_number(self, tmp_path, capsys, name):
+        # int()'s own messages, "invalid literal" and the 4300-digit limit,
+        # never reach the user
+        text, message = self.BAD_INTEGERS[name]
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["color", str(path), "--r", "1", "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "int()" not in err and "digits" not in err
+
     def test_bad_integer_flag_is_quoted_short(self, tmp_path, capsys):
         path = write_instance(tmp_path, "f.txt", "random", n=5, d=2, seed=1)
         with pytest.raises(SystemExit) as exc:

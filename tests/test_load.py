@@ -1,0 +1,238 @@
+"""Column-wise box building: the same boxes and the same first error as a
+row-by-row build, no per-box ``__post_init__``, and lossless round trips."""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boxforest import (
+    Box,
+    Interval,
+    box,
+    boxes_from_rows,
+    load_boxes,
+    normalize,
+    random_boxes,
+    save_boxes,
+)
+from bruteforce import brute_boxes_from_rows, brute_load_boxes
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+
+import workloads  # noqa: E402
+
+
+def outcome(build, *args):
+    """The boxes ``build`` returns, every coordinate with its type, or the
+    message of the ValueError it raises."""
+    try:
+        boxes = build(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "boxes", [
+        (b.id, [(type(s.lo), s.lo, type(s.hi), s.hi) for s in b.sides]) for b in boxes
+    ]
+
+
+# tokens of a file that int() reads: plain, signed and zero-padded
+# integers, and tokens it refuses, one of them above its digit limit
+INTEGER_TOKENS = ["+3", "-0", "007", "+007", "-12", "+", "5-", "--5", "9" * 4301]
+# tokens that send a file through Fraction: non-ASCII digits, fractions,
+# decimals, NaN, infinities and tokens that are not numbers at all
+OTHER_TOKENS = [
+    "١٢", "٣", "1/3", "-7/2", "2.5", "1e1", "3.0", "nan", "NaN", "inf", "-inf", "x", "1/0",
+]
+small = st.integers(-3, 12).map(str)
+# whitespace inside a row, and line ends: splitlines() also ends a line at
+# \x0b, \x0c and \x1c-\x1e, while str.split() splits at all of them
+in_row = st.sampled_from([" ", "\t", "  \t", "\x1f", " \x1f "])
+line_breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+
+
+@st.composite
+def box_texts(draw) -> str:
+    """A text box file with up to three faults, each in a drawn row: a
+    wrong width, a special token, an inverted side, a line end inside the
+    row, or a blank line after it; and rarely a wrong header."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    specials = INTEGER_TOKENS if draw(st.booleans()) else INTEGER_TOKENS + OTHER_TOKENS
+    kinds = st.sampled_from(["width", "token", "inverted", "break", "blank"])
+    faults = draw(st.lists(st.tuples(kinds, st.integers(0, n - 1)), max_size=3))
+    header = f"{d} {n}"
+    if draw(st.integers(0, 9)) == 4:  # a middle value: Hypothesis favors the ends
+        header = draw(st.sampled_from([f"{d} {n + 1}", f"{d + 1} {n}", "x 1", f"{d}"]))
+    lines = [header]
+    for i in range(n):
+        row = []
+        for _ in range(d):
+            lo = draw(st.integers(-3, 12))
+            row += [str(lo), str(lo + draw(st.integers(0, 3)))]  # zero width too
+        blank = False
+        for kind, where in faults:
+            if where != i:
+                continue
+            if kind == "width":
+                row = row[:-1] if draw(st.booleans()) else row + [draw(small)]
+            elif kind == "token" and row:
+                row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(specials))
+            elif kind == "inverted" and len(row) > 1:
+                axis = draw(st.integers(0, len(row) // 2 - 1))
+                row[2 * axis], row[2 * axis + 1] = row[2 * axis + 1], row[2 * axis]
+            elif kind == "break" and row:
+                row[0] += draw(line_breaks)
+            blank |= kind == "blank"
+        lines.append(draw(in_row).join(row) + draw(in_row) * draw(st.integers(0, 1)))
+        if blank:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    return "".join(line + draw(line_breaks) for line in lines)
+
+
+json_values = st.one_of(
+    *[st.integers(-3, 12)] * 4,
+    st.floats(allow_nan=True, allow_infinity=True, width=16),
+    st.sampled_from(["1/3", "-7", "2.25", "7/1", "nan", "x", "9" * 4301] * 4 + [None, True, [1]]),
+)
+
+
+@st.composite
+def json_texts(draw) -> str:
+    d = draw(st.integers(1, 3))
+    entries = []
+    for _ in range(draw(st.integers(1, 5))):
+        axes = d + draw(st.sampled_from([0, 0, 0, 0, 0, 1, -1]))
+        entry = []
+        for _ in range(axes):
+            width = draw(st.sampled_from([2] * 16 + [1, 3]))
+            entry.append(draw(st.lists(json_values, min_size=width, max_size=width)))
+        entries.append(entry)
+    return json.dumps({"boxes": entries})
+
+
+row_values = st.one_of(
+    st.integers(-3, 12),
+    st.fractions(min_value=-3, max_value=12, max_denominator=4),
+    st.floats(allow_nan=True, allow_infinity=True, width=16),
+)
+
+
+@st.composite
+def row_lists(draw) -> list[list]:
+    d = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        width = 2 * d + draw(st.sampled_from([0, 0, 0, 0, 0, 0, -1, 1, 2, -2 * d]))
+        rows.append(draw(st.lists(row_values, min_size=width, max_size=width)))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def box_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("box-files")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(box_texts(), json_texts()))
+def test_load_matches_the_row_by_row_reader(box_dir, text):
+    path = box_dir / "boxes.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert outcome(load_boxes, path) == outcome(brute_load_boxes, path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=row_lists())
+def test_rows_build_as_row_by_row(rows):
+    assert outcome(boxes_from_rows, rows) == outcome(brute_boxes_from_rows, rows)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a bad number in row 0 comes before row 1's wrong width
+        ("1 2\n0 x\n0 1 2\n", "bad number 'x'"),
+        # a wrong width in row 0 comes before row 1's bad number
+        ("1 2\n0 1 2\n0 x\n", "row 0 '0 1 2': expected 2d bounds for header '1 2'"),
+        # every bad number comes before any empty side
+        ("1 2\n5 1\n0 +\n", "bad number '+'"),
+        # empty sides in row order, axis by axis within a row
+        ("2 2\n0 1 5 1\n9 0 0 1\n", "empty interval [5, 1]"),
+        ("2 2\n0 1 0 1\n1 0 5 1\n", "empty interval [1, 0]"),
+    ],
+)
+def test_first_fault_in_row_order(tmp_path, text, message):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_boxes(path)
+    assert str(info.value) == message
+
+
+def test_rows_raise_an_empty_side_before_a_later_wrong_width():
+    with pytest.raises(ValueError, match=r"^empty interval \[3, 1\]$"):
+        boxes_from_rows([[0, 1], [3, 1], [0, 1, 2, 3]])
+    with pytest.raises(ValueError, match=r"^row 2: expected 2 bounds, got 4$"):
+        boxes_from_rows([[0, 1], [1, 3], [0, 1, 2, 3]])
+    with pytest.raises(ValueError, match=r"^row 0: expected an even number of bounds, got 0$"):
+        boxes_from_rows([[]])
+
+
+@pytest.fixture
+def post_init_calls(monkeypatch):
+    """Counts calls of ``Interval.__post_init__`` and ``Box.__post_init__``."""
+    calls = []
+    for cls in (Interval, Box):
+        original = cls.__post_init__
+
+        def counted(self, original=original, name=cls.__name__):
+            calls.append(name)
+            return original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return calls
+
+
+def test_bench_sized_load_and_normalize_run_no_post_init(tmp_path, post_init_calls):
+    raw = tmp_path / "raw.txt"
+    rows = workloads.sparse_rows(4)
+    raw.write_text(f"2 {len(rows)}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    fans = tmp_path / "fans.txt"
+    save_boxes(workloads.WORKLOADS["fans-3d"].make(4), fans)
+    post_init_calls.clear()
+    loaded = load_boxes(raw)
+    assert post_init_calls == []
+    out = normalize(loaded)
+    assert post_init_calls == [] and out != loaded
+    normalize(load_boxes(fans))
+    boxes_from_rows(rows)
+    assert post_init_calls == []
+    # the public constructors still check every object they build
+    with pytest.raises(ValueError, match="empty interval"):
+        box(0, (5, 1))
+    with pytest.raises(ValueError, match="empty interval"):
+        Interval(math.nan, 1)
+    assert post_init_calls == ["Interval", "Interval"]
+
+
+ROUND_TRIPS = {
+    **{name: (lambda w=w: w.make(4)) for name, w in workloads.WORKLOADS.items()},
+    "random-50-1": lambda: random_boxes(50, 1, 3),
+    "random-50-4": lambda: random_boxes(50, 4, 3),
+}
+
+
+@pytest.mark.parametrize("name", ROUND_TRIPS)
+def test_save_then_load_gives_the_same_boxes(tmp_path, name):
+    boxes = ROUND_TRIPS[name]()
+    path = tmp_path / "boxes.txt"
+    save_boxes(boxes, path)
+    back = load_boxes(path)
+    assert back == boxes
+    assert {type(v) for b in back for s in b.sides for v in (s.lo, s.hi)} == {int}
+
