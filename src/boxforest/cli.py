@@ -28,7 +28,7 @@ from .generators import (
     nested_chain_boxes,
     random_boxes,
 )
-from .geometry import _pattern_codes, _quote, boxes_to_text, load_boxes, normalize
+from .geometry import _quote, boxes_to_text, load_boxes, normalize
 from .graphs import intersection_graph
 from .oracles import DEFAULT_LIMITS, OracleLimitError, OracleLimits, alpha, chi, omega
 from .patterns import decompose as decompose_boxes
@@ -36,7 +36,6 @@ from .patterns import verify_basic
 from .pipeline import (
     ProperColoring,
     certificate_to_json,
-    chi_bound,
     color_or_find_forest,
     extract_independent,
     parse_certificate,
@@ -131,10 +130,10 @@ def _flag(value: bool | None) -> str:
 def cmd_decompose(args: argparse.Namespace) -> int:
     boxes = _load_normalized(args.input)
     limits = _resolve_limits(args)
+    d = boxes[0].dim
     g = intersection_graph(boxes)
-    pairs = ((u, v) for u, near in enumerate(g.adj) for v in near if u < v)
-    family = decompose_boxes(boxes, _pattern_codes(boxes, pairs))
-    width = max(len("pattern"), max(len(str(pd.pattern)) for pd in family))
+    family = decompose_boxes(boxes, g)
+    width = max(len("pattern"), d)
     print(f"{'pattern':<{width}}  {'arcs':>6}  acyclic  modest  divergent")
     failed = False
     skipped = False
@@ -151,8 +150,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         if report.witness:
             line += f"  [{report.witness}]"
         print(line)
-    nonempty = sum(1 for pd in family if any(pd.digraph.out))
-    print(f"{len(family)} patterns, {nonempty} with arcs, n={len(boxes)}")
+    print(f"{4**d} patterns, {len(family)} with arcs, n={len(boxes)}")
     if skipped:
         print(
             f"note: structural checks skipped, n={len(boxes)} exceeds the "
@@ -161,55 +159,28 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_FAILED if failed else EXIT_OK
 
 
-def _decimal(value: int) -> str:
-    """``value`` in decimal, or its length when the interpreter will not
-    write that many digits (a tree certificate carries no bound, so its
-    summary must not fail on one)."""
-    limit = sys.get_int_max_str_digits()
-    if limit and value >= 10**limit:
-        return f"of more than {limit} digits"
-    return str(value)
-
-
 def cmd_color(args: argparse.Namespace) -> int:
     boxes = _load_normalized(args.input)
-    limits = _resolve_limits(args)
-    d = boxes[0].dim
     cert = color_or_find_forest(
         boxes,
         args.r,
         args.k,
-        limits=limits,
+        limits=_resolve_limits(args),
         omega_bound=args.omega_bound,
     )
     _write_text(certificate_to_json(cert), args.out)
-    w = args.omega_bound
-    if w is None and args.r >= 1 and d >= 2:
-        # the pipeline ran the exact oracle itself, so that a shortfall its
-        # value causes stays a bug; the summary asks the oracle again
-        w = omega(intersection_graph(boxes), limits)
     if isinstance(cert, ProperColoring):
-        if d == 1:  # the sweep is optimal, and its bound is keyed on the palette
-            w = max(cert.coloring.palette_size, 1)
-        rep = chi_bound(d, args.r, args.k, w)
+        rep = cert.report
         print(
             f"coloring: {cert.coloring.palette_size} colors within bound "
-            f"{_decimal(rep.derived_bound)} (stated form "
-            f"{_decimal(rep.stated_bound)}), omega {w}",
+            f"{rep.derived_bound} (stated form {rep.stated_bound}), omega {rep.omega}",
             file=sys.stderr,
         )
         return EXIT_OK
-    summary = (
-        f"induced tree: depth {cert.r}, branching {cert.k}, "
-        f"{len(cert.mapping)} boxes"
+    print(
+        f"induced tree: depth {cert.r}, branching {cert.k}, {len(cert.mapping)} boxes",
+        file=sys.stderr,
     )
-    if w is not None:
-        rep = chi_bound(d, args.r, args.k, w)
-        summary += (
-            f"; bound {_decimal(rep.derived_bound)} (stated form "
-            f"{_decimal(rep.stated_bound)}), omega {w}"
-        )
-    print(summary, file=sys.stderr)
     return EXIT_TREE
 
 

@@ -10,11 +10,12 @@ are what forces the clique number to stay at 2 while the family grows.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .geometry import Box, boxes_from_rows, normalize
 
@@ -167,15 +168,19 @@ def _grow(boxes: list[_Row], probes: list[_Probe]) -> tuple[list[_Row], list[_Pr
     return out_boxes, out_probes
 
 
+def _burling_sizes() -> Iterator[int]:
+    """Box counts of the probed recursion at levels 1, 2, 3, ...: 1, 3, 13, ..."""
+    n, p = 1, 1
+    while True:
+        yield n
+        n, p = n + p * (n + p), 2 * p * p
+
+
 def burling_size(level: int) -> int:
     """Box count of the probed recursion at the given level (1, 3, 13, ...)."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    n, p = 1, 1
-    for _ in range(level - 1):
-        n = n + p * (n + p)
-        p = 2 * p * p
-    return n
+    return next(itertools.islice(_burling_sizes(), level - 1, None))
 
 
 def _burling_raw(level: int) -> tuple[list[_Row], list[_Probe]]:
@@ -190,12 +195,12 @@ def burling_like(level: int, limit: int = 2000) -> list[Box]:
 
     Refuses levels whose predicted size exceeds ``limit`` before building
     anything, so callers cannot stumble into the doubly-exponential blowup.
+    The sizes are counted level by level only until one passes ``limit``.
     """
-    size = burling_size(level)
-    if size > limit:
-        raise ValueError(
-            f"level {level} would produce {size} boxes, above the limit {limit}"
-        )
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    if any(size > limit for size in itertools.islice(_burling_sizes(), level)):
+        raise ValueError(f"level {level} would produce more than {limit} boxes")
     raw, _ = _burling_raw(level)
     rows = [list(row) for row in raw]
     return normalize(boxes_from_rows(rows))

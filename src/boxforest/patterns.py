@@ -3,12 +3,12 @@
 For every pattern R the pattern digraph has an arc u -> v exactly when box
 u relates to box v by R on every axis. Each intersecting pair contributes
 one arc under its pattern and the reverse arc under the mirrored pattern,
-so the 4^d digraphs' underlying edge sets partition the intersection graph
-once mirror-duplicates are accounted for. The mirrored pattern's digraph
-is the reverse digraph, and the two share their neighbor sets.
-``decompose`` files pairs the caller has classified, and the pipeline
-classifies its host graph's edges only when the tree could embed, so the
-host graph and its pattern digraphs come from one sweep.
+so the underlying edge sets of the 4^d digraphs partition the
+intersection graph once mirror-duplicates are accounted for. The mirrored
+pattern's digraph is the reverse digraph, and the two share their neighbor
+sets. ``decompose`` classifies the edges of a host graph the caller has
+already built, so the host graph and its pattern digraphs come from one
+sweep, and it builds only the patterns that have arcs.
 
 Every pattern digraph of a normalized family is acyclic, *modest* (the
 vertex set of any directed u->v path with uv an arc is a clique in the host
@@ -20,14 +20,15 @@ non-adjacent first steps end in distinct, non-adjacent vertices).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 # ``intersection_pattern`` is imported only to stay a module name: perfbench
 # counts pair tests by rebinding it.
 from .geometry import (  # noqa: F401
+    _TYPE_ORDER,
     Box,
     Pattern,
-    all_patterns,
+    _pattern_codes,
     intersection_pattern,
 )
 from .graphs import Coloring, Digraph, Graph
@@ -50,45 +51,43 @@ class PatternDigraph:
     digraph: Digraph
 
 
-def decompose(
-    boxes: Sequence[Box], pairs: Iterable[tuple[int, int, int]]
-) -> list[PatternDigraph]:
-    """All 4^d pattern digraphs in canonical pattern order, empty ones kept.
+def decompose(boxes: Sequence[Box], g: Graph) -> list[PatternDigraph]:
+    """The pattern digraphs that have arcs, in canonical pattern order.
 
-    ``pairs`` are ``(u, v, code)`` triples, in any order, as given by
-    ``intersecting_pairs`` or by classifying a host graph's edges with
-    ``geometry._pattern_codes``. Their integer pattern codes file the arcs
-    straight into per-vertex out-neighbor lists. Swapping a pair mirrors its
-    pattern, so a pattern's in-neighbor sets are its mirror's out-neighbor
-    sets and each adjacency is stored once. A pattern gets its own lists
-    only once it has an arc: every arc-free pattern shares one all-empty
-    tuple, and in higher dimensions most patterns are arc-free.
+    ``g`` is the host graph of ``boxes``. Each of its edges is classified by
+    ``geometry._pattern_codes``, whose integer code, one base-4 digit per
+    axis, files the arc straight into per-vertex out-neighbor lists and
+    names the pattern. Swapping a pair mirrors its pattern, so a pattern's
+    in-neighbor sets are its mirror's out-neighbor sets and each adjacency
+    is stored once. An arc-free pattern peels out whole and can embed
+    nothing, so none is built: in higher dimensions most of the 4^d are
+    arc-free.
     """
     if not boxes:
         raise ValueError("empty box collection")
     n = len(boxes)
-    if sorted(b.id for b in boxes) != list(range(n)):
-        raise ValueError("box ids must be 0..n-1")
-    patterns = all_patterns(boxes[0].dim)
-    flip = (len(patterns) - 1) // 3  # code ^ flip is the mirrored pattern
+    if g.n != n or sorted(b.id for b in boxes) != list(range(n)):
+        raise ValueError("box ids must be 0..n-1, the host graph's vertices")
+    d = boxes[0].dim
+    flip = (4**d - 1) // 3  # code ^ flip is the mirrored pattern
+    pairs = ((u, v) for u, near in enumerate(g.adj) for v in near if u < v)
     out: dict[int, list[list[int]]] = {}
-    for u, v, code in pairs:
+    for u, v, code in _pattern_codes(boxes, pairs):
         if code not in out:
             out[code] = [[] for _ in range(n)]
             out[code ^ flip] = [[] for _ in range(n)]
         out[code][u].append(v)
         out[code ^ flip][v].append(u)
-    # every empty neighborhood shares one frozenset, and every arc-free
-    # pattern one tuple of them
-    empty: frozenset[int] = frozenset()
-    arc_free = (empty,) * n
-    frozen = [
-        tuple(frozenset(s) if s else empty for s in out[c]) if c in out else arc_free
-        for c in range(len(patterns))
-    ]
+    empty: frozenset[int] = frozenset()  # shared by every empty neighborhood
+    frozen = {
+        c: tuple(frozenset(s) if s else empty for s in lists) for c, lists in out.items()
+    }
     return [
-        PatternDigraph(p, Digraph._from_adjacency(frozen[c], frozen[c ^ flip]))
-        for c, p in enumerate(patterns)
+        PatternDigraph(
+            Pattern(tuple(_TYPE_ORDER[(c >> 2 * i) & 3] for i in reversed(range(d)))),
+            Digraph._from_adjacency(frozen[c], frozen[c ^ flip]),
+        )
+        for c in sorted(frozen)
     ]
 
 

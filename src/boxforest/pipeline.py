@@ -6,15 +6,18 @@ pipeline builds the host graph from one sweep. When the complete
 graph's maximum degree, every pattern peels out whole in its first round,
 since a pattern out-degree is at most the host degree, so no pattern can
 embed the tree. Otherwise the host graph's edges are classified by pattern
-into pattern digraphs, and the grading machinery runs on each pattern that
-has arcs. The first calm, path-induced embedding is pruned, each vertex's
+into the pattern digraphs that have arcs, and the grading machinery runs
+on each. The first calm, path-induced embedding is pruned, each vertex's
 children cut to k pairwise-disjoint boxes, into an induced copy of the
-depth-r k-ary tree in the host graph.
+depth-r k-ary tree in the host graph. In d = 1 no tree is sought: interval
+graphs are chordal, so smallest-last colors them with exactly omega
+colors, within the bound.
 
-If no pattern embeds the tree, the host graph is colored smallest-last.
-The paper's product of per-pattern layer colorings proves that a coloring
-within the derived bound exists; the certificate needs only one, and
-smallest-last uses at most n colors, below the bound's 4^16 for d >= 2.
+If no pattern embeds the tree, the host graph is colored smallest-last,
+and only then is the bound built. The paper's product of per-pattern layer
+colorings proves that a coloring within the derived bound exists; the
+certificate needs only one, and smallest-last uses at most n colors, below
+the bound's 4^16 for d >= 2.
 
 Both outcomes are re-verified from scratch before being returned; a
 verification failure raises InternalInvariantError because it can only
@@ -23,14 +26,13 @@ mean a bug, not an unlucky input.
 
 from __future__ import annotations
 
-import heapq
 import json
 import sys
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-# ``peel_grading`` and ``product_coloring`` are imported only to stay module
-# names: perfbench rebinds them to trace calls.
+# ``peel_grading``, ``product_coloring`` and ``maximum_independent_set`` are
+# imported only to stay module names: perfbench rebinds them to trace calls.
 from .embedding import (  # noqa: F401
     CalmEmbedding,
     CalmSearchError,
@@ -38,16 +40,20 @@ from .embedding import (  # noqa: F401
     find_path_induced_tree,
     peel_grading,
 )
-from .geometry import Box, _pattern_codes, _sweep, intersects
+from .geometry import Box, _sweep, intersects
 from .graphs import (
     Coloring,
-    Graph,
     RootedTree,
     complete_kary_tree,
     intersection_graph,
     smallest_last_coloring,
 )
-from .oracles import DEFAULT_LIMITS, OracleLimits, maximum_independent_set, omega
+from .oracles import (  # noqa: F401
+    DEFAULT_LIMITS,
+    OracleLimits,
+    maximum_independent_set,
+    omega,
+)
 from .patterns import decompose, product_coloring  # noqa: F401
 
 __all__ = [
@@ -131,21 +137,20 @@ def _bound_too_long(limit: int) -> str:
     )
 
 
-def _writable_bound(d: int, r: int, k: int, omega: int, n: int) -> BoundReport:
-    """``chi_bound`` for a coloring of ``n`` boxes, refused up front when it
-    surely cannot be written.
+def _writable_bound(d: int, r: int, k: int, omega: int) -> BoundReport:
+    """``chi_bound`` for a coloring, refused up front when it surely cannot
+    be written.
 
-    When the tree outgrows the boxes the outcome is a coloring, so a bound
-    too long to write is a ValueError before any big integer is built. Its
-    length comes from bit lengths: |T| >= branching^r and |T| > r, so the
-    bound is at least 2^(4^d * bits), and 3 * bits >= 10 * limit gives more
-    than ``limit`` decimal digits, since 2^10 > 10^3. A bound that is not
-    surely too long is computed, and ``certificate_to_json`` refuses it if
-    it is.
+    A bound too long to write is a ValueError before any big integer is
+    built. Its length comes from bit lengths: |T| >= branching^r and
+    |T| > r, so the bound is at least 2^(4^d * bits), and
+    3 * bits >= 10 * limit gives more than ``limit`` decimal digits, since
+    2^10 > 10^3. A bound that is not surely too long is computed, and
+    ``certificate_to_json`` refuses it if it is.
     """
     limit = sys.get_int_max_str_digits()
-    branching = k**d * omega
-    if limit and not _tree_fits(r, branching, n):
+    if limit:
+        branching = k**d * omega
         tree_bits = max(r * (branching.bit_length() - 1), (r + 1).bit_length() - 1)
         bits = 4**d * ((2 * r * omega).bit_length() - 1 + tree_bits)
         if 3 * bits >= 10 * limit:
@@ -228,10 +233,11 @@ def extract_independent(
 
 @dataclass(frozen=True)
 class ProperColoring:
-    """Coloring certificate: proper on the host graph, palette within bound."""
+    """Coloring certificate: proper on the host graph, palette within the
+    derived bound of ``report``."""
 
     coloring: Coloring
-    bound: int
+    report: BoundReport
 
 
 @dataclass(frozen=True)
@@ -247,20 +253,14 @@ class InducedTree:
 Certificate = ProperColoring | InducedTree
 
 
-def prune_children(
-    emb: CalmEmbedding,
-    boxes: Sequence[Box],
-    k: int,
-    limits: OracleLimits = DEFAULT_LIMITS,
-) -> InducedTree:
+def prune_children(emb: CalmEmbedding, boxes: Sequence[Box], k: int) -> InducedTree:
     """Thin an embedded wide tree down to an induced k-ary certificate.
 
     Level by level each kept vertex selects k of its children whose boxes
-    are pairwise disjoint: by the containment bound the k^d * omega
-    children always contain k disjoint ones. Uses the exact independence
-    oracle when the child count is within limits, else the constructive
-    extraction. The final mapping is re-verified pairwise against the
-    boxes; any failure is a bug, not an input condition.
+    are pairwise disjoint, the first k by id that ``extract_independent``
+    finds: by the containment bound it finds at least k among the
+    k^d * omega children. The final mapping is re-verified pairwise
+    against the boxes; any failure is a bug, not an input condition.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -274,22 +274,13 @@ def prune_children(
         next_frontier = []
         for new_v, big_v in frontier:
             kids = big.children[big_v]
-            kid_boxes = [by_id[emb.phi[c]] for c in kids]
-            if len(kid_boxes) <= limits.omega:
-                sub, back = _disjointness_graph(kid_boxes)
-                witness = maximum_independent_set(sub, limits)
-                chosen_ids = sorted(back[i] for i in witness)[:k]
-                shortfall = len(witness) < k
-            else:
-                ext = extract_independent(kid_boxes, target=k)
-                chosen_ids = list(ext.ids)
-                shortfall = ext.shortfall
-            if shortfall:
+            ext = extract_independent([by_id[emb.phi[c]] for c in kids], target=k)
+            if ext.shortfall:
                 raise _ChildShortfall(
-                    f"only {len(chosen_ids)} disjoint children of tree vertex "
+                    f"only {len(ext.ids)} disjoint children of tree vertex "
                     f"{big_v}, needed {k}; contradicts the containment bound"
                 )
-            chosen_set = set(chosen_ids)
+            chosen_set = set(ext.ids)
             for c in kids:
                 if emb.phi[c] in chosen_set:
                     parent.append(new_v)
@@ -305,18 +296,6 @@ def prune_children(
     if problem:
         raise InternalInvariantError(f"pruned certificate not induced: {problem}")
     return cert
-
-
-def _disjointness_graph(boxes: Sequence[Box]) -> tuple[Graph, dict[int, int]]:
-    """Intersection graph of arbitrary-id boxes, relabeled to 0..k-1."""
-    order = sorted(boxes, key=lambda b: b.id)
-    edges = [
-        (i, j)
-        for i in range(len(order))
-        for j in range(i + 1, len(order))
-        if intersects(order[i], order[j])
-    ]
-    return Graph(len(order), edges), {i: b.id for i, b in enumerate(order)}
 
 
 def _induced_tree_violation(cert: InducedTree, boxes: Sequence[Box]) -> str | None:
@@ -340,37 +319,6 @@ def _induced_tree_violation(cert: InducedTree, boxes: Sequence[Box]) -> str | No
     return None
 
 
-def _interval_greedy_coloring(boxes: Sequence[Box]) -> Coloring:
-    """Left-to-right sweep; uses exactly as many colors as the deepest point."""
-    colors: dict[int, int] = {}
-    active: list[tuple[int, int]] = []  # (hi, color)
-    free: list[int] = []
-    palette = 0
-    for b in sorted(boxes, key=lambda b: (b.side(0).lo, b.id)):
-        lo = b.side(0).lo
-        while active and active[0][0] < lo:
-            _, c = heapq.heappop(active)
-            heapq.heappush(free, c)
-        if free:
-            c = heapq.heappop(free)
-        else:
-            c = palette
-            palette += 1
-        colors[b.id] = c
-        heapq.heappush(active, (b.side(0).hi, c))
-    return Coloring(colors, palette)
-
-
-def _check_coloring(source: str, coloring: Coloring, g: Graph, bound: int) -> None:
-    """Re-verify a coloring before it is certified; a failure is a bug."""
-    if not coloring.is_proper_on(g):
-        raise InternalInvariantError(f"{source} improper on the host graph")
-    if coloring.palette_size > bound:
-        raise InternalInvariantError(
-            f"{source}: palette {coloring.palette_size} exceeds derived bound {bound}"
-        )
-
-
 def color_or_find_forest(
     boxes: Sequence[Box],
     r: int,
@@ -383,15 +331,15 @@ def color_or_find_forest(
     Expects normalized boxes with ids 0..n-1. ``omega_bound`` may supply a
     caller-guaranteed upper bound on the clique number to skip the exact
     oracle on instances above its limit. With r = 0 the certificate is the
-    trivial single-vertex tree (any box is one); d = 1 instances specialize
-    to the interval greedy sweep, which colors with exactly omega colors.
+    trivial single-vertex tree (any box is one).
 
-    The host graph comes from one sweep. When the tree has more vertices
-    |T| than its maximum degree, no pattern can embed the tree, so no pair
-    is classified by pattern and no pattern digraph is built; otherwise
-    its edges are classified and decomposed, and the pattern digraphs are
-    searched in order until one embeds the tree. Failing that, on either
-    branch, the host graph is colored smallest-last.
+    The host graph comes from one sweep. In d >= 2, when the tree has at
+    most as many vertices |T| as the host graph's maximum degree, its
+    edges are classified and decomposed, and the pattern digraphs with arcs
+    are searched in order until one embeds the tree. Failing that, and in
+    d = 1, the host graph is colored smallest-last. The bound is built
+    only for that coloring: in d = 1 interval graphs are chordal, so the
+    palette is omega and keys the bound.
     """
     if not boxes:
         raise ValueError("empty box collection")
@@ -399,7 +347,6 @@ def color_or_find_forest(
         raise ValueError("need r >= 0 and k >= 1")
     if omega_bound is not None and omega_bound < 1:
         raise ValueError("omega bound must be positive")
-    n = len(boxes)
     d = boxes[0].dim
     g = intersection_graph(boxes)  # checks the ids are 0..n-1
 
@@ -410,53 +357,52 @@ def color_or_find_forest(
             raise InternalInvariantError(problem)
         return cert
 
-    if d == 1:
-        coloring = _interval_greedy_coloring(boxes)
-        report = _writable_bound(d, r, k, max(coloring.palette_size, 1), n)
-        _check_coloring("interval sweep", coloring, g, report.derived_bound)
-        return ProperColoring(coloring, report.derived_bound)
-
-    w = omega_bound if omega_bound is not None else omega(g, limits)
-    report = _writable_bound(d, r, k, w, n)
-
-    # a pattern out-degree is at most the host degree, so when that is below
-    # |T| every pattern peels out whole in round 1 and none is searched
-    if report.tree_size <= max(map(len, g.adj)):
-        pairs = ((u, v) for u, near in enumerate(g.adj) for v in near if u < v)
-        family = decompose(boxes, _pattern_codes(boxes, pairs))
-        big_tree = complete_kary_tree(r, report.tree_branching)
-        for pd in family:
-            if not any(pd.digraph.out):  # peels out whole in round 1
-                continue
-            result = find_path_induced_tree(
-                pd.digraph, g, big_tree, limits, host_clique_number=w
-            )
-            if isinstance(result, CalmEmbedding):
-                try:
-                    return prune_children(result, boxes, k, limits)
-                except _ChildShortfall as exc:
-                    if omega_bound is None:
-                        raise
-                    # with the true clique number the children always suffice
-                    raise CalmSearchError(str(exc)) from None
+    w = None
+    if d >= 2:
+        w = omega_bound if omega_bound is not None else omega(g, limits)
+        branching = k**d * w
+        # a pattern out-degree is at most the host degree, so when that is
+        # below |T| every pattern peels out whole in round 1 and none is searched
+        if _tree_fits(r, branching, max(map(len, g.adj))):
+            big_tree = complete_kary_tree(r, branching)
+            for pd in decompose(boxes, g):
+                result = find_path_induced_tree(
+                    pd.digraph, g, big_tree, limits, host_clique_number=w
+                )
+                if isinstance(result, CalmEmbedding):
+                    try:
+                        return prune_children(result, boxes, k)
+                    except _ChildShortfall as exc:
+                        if omega_bound is None:
+                            raise
+                        # with the true clique number the children always suffice
+                        raise CalmSearchError(str(exc)) from None
 
     # at most Delta + 1 <= n colors; d >= 2 and |T| >= 2 put the bound
-    # (2 r |T| w)^(4^d) at 4^16 or more
+    # (2 r |T| w)^(4^d) at 4^16 or more, and in d = 1 the palette is omega
     coloring = smallest_last_coloring(g.adj)
-    _check_coloring("smallest-last coloring", coloring, g, report.derived_bound)
-    return ProperColoring(coloring, report.derived_bound)
+    report = _writable_bound(d, r, k, coloring.palette_size if w is None else w)
+    if not coloring.is_proper_on(g):
+        raise InternalInvariantError("smallest-last coloring improper on the host graph")
+    if coloring.palette_size > report.derived_bound:
+        raise InternalInvariantError(
+            f"smallest-last coloring: palette {coloring.palette_size} exceeds "
+            f"derived bound {report.derived_bound}"
+        )
+    return ProperColoring(coloring, report)
 
 
 def certificate_to_json(cert: Certificate) -> str:
     """Canonical single-line JSON; byte-stable for identical certificates."""
     if isinstance(cert, ProperColoring):
         limit = sys.get_int_max_str_digits()
-        if limit and cert.bound >= 10**limit:
+        bound = cert.report.derived_bound
+        if limit and bound >= 10**limit:
             raise ValueError(_bound_too_long(limit))
         payload = {
             "kind": "coloring",
             "palette": cert.coloring.palette_size,
-            "bound": cert.bound,
+            "bound": bound,
             "colors": {str(v): c for v, c in cert.coloring.colors.items()},
         }
     else:

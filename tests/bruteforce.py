@@ -43,6 +43,14 @@ def brute_omega(n: int, edges) -> int:
     return 0
 
 
+def brute_interval_depth(intervals: list[tuple]) -> int:
+    """Most closed intervals through one point. The deepest point can be
+    taken at some interval's left end, so only those points are tried."""
+    return max(
+        (sum(lo <= x <= hi for lo, hi in intervals) for x, _ in intervals), default=0
+    )
+
+
 def brute_alpha(n: int, edges) -> int:
     adj = adjacency(n, edges)
     for size in range(n, 0, -1):

@@ -26,7 +26,7 @@ import workloads  # noqa: E402
 PINNED = {
     "dense-2d": "78eccc5779de19ac21e28b380de01d1ccbd65c8807d38fdc9842a5c2a756cbae",
     "sparse-2d": "3b10f0a5be8a3504dad2c5c289ca11867986994d7f31109ecd09c10ef6088c4b",
-    "fans-3d": "f161b7edfd391228846f09d080cb4a87fa9d5772a4089c65ae01dd9e1f5a848b",
+    "fans-3d": "88604f7aadccb0ac907f6ac539bc7048e9934006c5048a55d3d288c30d258b15",
 }
 
 # (sha256, palette) at r = k = 1; both palettes equal omega

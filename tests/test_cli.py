@@ -50,6 +50,17 @@ class TestGen:
         out = tmp_path / "big.txt"
         assert main(["gen", "--kind", "burling", "--level", "5", "--out", str(out)]) == 2
 
+    def test_burling_guard_stops_counting_past_the_limit(self, tmp_path, capsys):
+        # the box count of level 40 is doubly exponential in the level; the
+        # guard stops counting at the first level past the limit
+        out = tmp_path / "big.txt"
+        argv = ["gen", "--kind", "burling", "--level", "40", "--limit", "5", "--out", str(out)]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == "error: level 40 would produce more than 5 boxes\n"
+        assert not out.exists()
+
     def test_stdout_default(self, capsys):
         assert main(["gen", "--kind", "grid", "--n", "4", "--d", "1"]) == 0
         header = capsys.readouterr().out.splitlines()[0]
@@ -69,11 +80,12 @@ class TestDecompose:
         assert lines[0].split() == [
             "pattern", "arcs", "acyclic", "modest", "divergent",
         ]
-        rows = [ln for ln in lines[1:] if ln and not ln.startswith("16 patterns")]
-        assert len(rows) == 16
-        assert all("yes" in row for row in rows)
+        # one row per pattern with arcs, then the footer
+        *rows, footer = lines[1:]
+        assert footer.startswith("16 patterns, ") and footer.endswith(" with arcs, n=8")
+        assert len(rows) == int(footer.split()[2]) >= 2
+        assert all(int(row.split()[1]) > 0 and "yes" in row for row in rows)
         assert "NO" not in out
-        assert "16 patterns" in out
 
     def test_skip_notice_above_verify_limit(self, tmp_path, capsys):
         path = write_instance(tmp_path, "big.txt", "random", n=16, d=1, seed=0)
@@ -257,16 +269,16 @@ class TestColor:
         err = capsys.readouterr().err
         assert "disjoint children" in err and "below the clique number" in err
 
-    def test_tree_summary_with_a_bound_too_long_to_write(self, tmp_path, capsys):
-        # a d = 6 hub holding 3 disjoint leaves: the tree fits, and the
-        # bound it would carry, 12^4096, has more than 4300 digits
+    def test_tree_summary_prints_no_bound(self, tmp_path, capsys):
+        # a d = 6 hub holding 3 disjoint leaves: the tree fits, and a tree
+        # carries no bound, so none is built or printed
         rows = [[0, 9] * 6] + [[a, a + 1] * 6 for a in (1, 4, 7)]
         path = tmp_path / "hub6.txt"
         save_boxes(boxes_from_rows(rows), str(path))
         cert = tmp_path / "cert.json"
         code = main(["color", str(path), "--r", "1", "--k", "1", "--out", str(cert)])
         assert code == 3
-        assert "bound of more than 4300 digits" in capsys.readouterr().err
+        assert capsys.readouterr().err == "induced tree: depth 1, branching 1, 2 boxes\n"
         assert json.loads(cert.read_text())["kind"] == "induced_tree"
         assert main(["verify", str(path), "--certificate", str(cert)]) == 0
 
@@ -285,6 +297,41 @@ class TestColor:
         save_boxes(random_boxes(8, 6, 1), str(wide))
         assert main(["color", str(wide), "--r", "1", "--k", "2"]) == 2
         assert "more than 4300 digits" in capsys.readouterr().err
+
+
+class TestSixteenDimensions:
+    """A hub holding three disjoint leaves in d = 16, where neither the 4^d
+    patterns nor a bound raised to the power 4^d can be built."""
+
+    @pytest.fixture
+    def star16(self, tmp_path):
+        rows = [[0, 9] * 16] + [[a, a + 1] * 16 for a in (1, 4, 7)]
+        path = tmp_path / "star16.txt"
+        save_boxes(boxes_from_rows(rows), str(path))
+        return path
+
+    def test_tree_outcome_is_fast(self, star16, capsys):
+        start = time.perf_counter()
+        assert main(["color", str(star16), "--r", "1", "--k", "1"]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == "induced tree: depth 1, branching 1, 2 boxes\n"
+
+    def test_coloring_with_a_bound_too_long_to_write_is_input_error(self, star16, capsys):
+        # the tree outgrows the 4 boxes, so the outcome is a coloring, and
+        # its bound is refused from bit lengths before it is built
+        start = time.perf_counter()
+        assert main(["color", str(star16), "--r", "2", "--k", "2"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "more than 4300 digits" in capsys.readouterr().err
+
+    def test_decompose_tables_only_the_patterns_with_arcs(self, star16, capsys):
+        assert main(["decompose", str(star16)]) == 0
+        header, *rows, footer = capsys.readouterr().out.splitlines()
+        assert [row.split() for row in rows] == [
+            ["C" * 16, "3", "yes", "yes", "yes"],
+            ["c" * 16, "3", "yes", "yes", "yes"],
+        ]
+        assert footer == "4294967296 patterns, 2 with arcs, n=4"
 
 
 class TestVerify:

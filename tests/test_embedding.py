@@ -26,7 +26,6 @@ from boxforest import (
     embed_calm_tree,
     find_path_induced_tree,
     grading_error,
-    intersecting_pairs,
     intersection_graph,
     is_path_induced,
     normalize,
@@ -363,7 +362,7 @@ class TestFindPathInducedTree:
         boxes = normalize(boxes_from_rows(rows))
         g = intersection_graph(boxes)
         t = complete_kary_tree(*shape)
-        for pd in decompose(boxes, intersecting_pairs(boxes)):
+        for pd in decompose(boxes, g):
             res = find_path_induced_tree(pd.digraph, g, t)
             if isinstance(res, Layering):
                 # find_path_induced_tree peels with k = |T| and m = depth * omega

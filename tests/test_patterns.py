@@ -17,7 +17,6 @@ from boxforest import (
     all_patterns,
     boxes_from_rows,
     decompose,
-    intersecting_pairs,
     intersection_graph,
     intersection_pattern,
     intersects,
@@ -42,13 +41,21 @@ def random_boxes_rows(rng: random.Random, n: int, d: int) -> list[list[int]]:
 def make_instance(seed: int, n: int, d: int):
     rng = random.Random(seed)
     boxes = normalize(boxes_from_rows(random_boxes_rows(rng, n, d)))
-    return boxes, intersection_graph(boxes), decompose(boxes, intersecting_pairs(boxes))
+    return boxes, intersection_graph(boxes), decompose(boxes, intersection_graph(boxes))
 
 
 class TestDecompose:
-    def test_covers_all_patterns_in_order(self):
-        _, _, fam = make_instance(0, 5, 2)
-        assert [str(pd.pattern) for pd in fam] == [str(p) for p in all_patterns(2)]
+    def test_lists_the_patterns_with_arcs_in_order(self):
+        for seed in range(20):
+            boxes, _, fam = make_instance(seed, 5, 2)
+            found = {
+                intersection_pattern(a, b)
+                for a in boxes
+                for b in boxes
+                if a is not b and intersects(a, b)
+            }
+            assert [pd.pattern for pd in fam] == [p for p in all_patterns(2) if p in found]
+            assert all(pd.digraph.arcs for pd in fam)
 
     def test_each_pair_once_with_mirror(self):
         boxes, g, fam = make_instance(1, 9, 2)
@@ -81,11 +88,12 @@ class TestDecompose:
 
     def test_nested_intervals_concentrate_in_one_pattern(self):
         boxes = normalize(boxes_from_rows([[0, 9], [1, 8], [2, 7]]))
-        fam = decompose(boxes, intersecting_pairs(boxes))
+        fam = decompose(boxes, intersection_graph(boxes))
         arcs = {str(pd.pattern): pd.digraph.arcs for pd in fam}
-        assert arcs["C"] == {(0, 1), (0, 2), (1, 2)}
-        assert arcs["c"] == {(1, 0), (2, 0), (2, 1)}
-        assert arcs["L"] == frozenset() and arcs["R"] == frozenset()
+        assert arcs == {
+            "C": {(0, 1), (0, 2), (1, 2)},
+            "c": {(1, 0), (2, 0), (2, 1)},
+        }
 
     def test_rejects_mixed_dimension(self):
         bad = normalize(boxes_from_rows([[0, 1]])) + normalize(
@@ -93,7 +101,7 @@ class TestDecompose:
         )
         bad[1] = bad[1].__class__(1, bad[1].sides)
         with pytest.raises(ValueError):
-            decompose(bad, intersecting_pairs(bad))
+            decompose(bad, intersection_graph(bad))
 
 
 class TestVerifyBasic:
@@ -153,8 +161,12 @@ class TestProductColoring:
 
     @pytest.mark.parametrize("seed,d", [(2, 2), (2, 3), (3, 4)])
     def test_constant_pieces_are_skipped_without_changing_the_product(self, seed, d):
-        boxes, g, fam = make_instance(seed, 12, d)
+        boxes, g, with_arcs = make_instance(seed, 12, d)
         n = len(boxes)
+        # decompose lists only the patterns with arcs; the product takes any
+        # family, so the arc-free ones are added as empty digraphs
+        listed = {pd.pattern: pd for pd in with_arcs}
+        fam = [listed.get(p) or PatternDigraph(p, Digraph(n, [])) for p in all_patterns(d)]
         constant = Coloring(dict.fromkeys(range(n), 0), 1)
         colorings = {}
         arc_free = [pd.pattern for pd in fam if not any(pd.digraph.out)]

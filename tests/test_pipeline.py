@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import sys
@@ -9,7 +10,7 @@ import time
 from math import ceil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxforest import (
@@ -94,7 +95,7 @@ class TestChiBound:
 
 
 class TestExtractIndependent:
-    @given(st.integers(0, 10**6), st.integers(1, 12), st.integers(1, 3))
+    @given(st.integers(0, 10**6), st.integers(1, 40), st.integers(1, 4))
     @settings(max_examples=80, deadline=None)
     def test_disjoint_and_large_enough(self, seed, n, d):
         boxes = random_boxes(n, d, seed=seed)
@@ -110,6 +111,39 @@ class TestExtractIndependent:
             need += 1
         assert len(ext.ids) >= need
         assert not ext.shortfall
+
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_finds_k_among_k_to_the_d_times_omega(self, seed, shape):
+        # the child count of a vertex of the embedded tree: the shortest
+        # prefix of 40 random boxes with exactly k^d * omega of them, which
+        # exists once n outgrows k^d * omega, because that gap starts at
+        # k^d - 1 >= 0 and falls by one per box unless omega grows
+        k, d = shape
+        rng = random.Random(seed)
+        rows = []
+        for _ in range(40):
+            row = []
+            for _ in range(d):
+                lo = rng.randrange(100)
+                row.extend((lo, lo + rng.randint(1, 40)))
+            rows.append(row)
+        boxes = normalize(boxes_from_rows(rows))
+        prefix = None
+        for n in range(1, len(boxes) + 1):
+            if n == k**d * omega(intersection_graph(boxes[:n])):
+                prefix = boxes[:n]
+                break
+        assume(prefix is not None)
+        ext = extract_independent(prefix, target=k)
+        assert not ext.shortfall and len(ext.ids) == k
+        picked = [prefix[i] for i in ext.ids]
+        for i, a in enumerate(picked):
+            for b in picked[i + 1:]:
+                assert not intersects(a, b)
 
     def test_exact_on_intervals(self):
         for seed in range(25):
@@ -143,6 +177,11 @@ class TestExtractIndependent:
 
 def roundtrip(cert):
     return parse_certificate(certificate_to_json(cert))
+
+
+def bound_report(derived_bound: int):
+    """A bound report whose derived bound is ``derived_bound``."""
+    return dataclasses.replace(chi_bound(1, 1, 1, 1), derived_bound=derived_bound)
 
 
 class TestColorOrFindForest:
@@ -184,7 +223,24 @@ class TestColorOrFindForest:
         assert isinstance(cert, ProperColoring)
         g = intersection_graph(boxes)
         assert cert.coloring.is_proper_on(g)
-        assert cert.coloring.palette_size <= cert.bound
+        assert cert.coloring.palette_size <= cert.report.derived_bound
+
+    def test_a_tree_outcome_builds_no_bound(self, monkeypatch):
+        # the counter builds nothing: in d = 16 the bound has billions of digits
+        calls = []
+        monkeypatch.setattr(pipeline, "chi_bound", lambda *args: calls.append(args))
+        star = [[0, 9, 0, 9], [1, 2, 1, 2], [4, 5, 4, 5], [7, 8, 7, 8]]
+        star16 = [[0, 9] * 16] + [[a, a + 1] * 16 for a in (1, 4, 7)]
+        for rows, r in ((star, 1), (star16, 1), (star, 0)):
+            cert = color_or_find_forest(normalize(boxes_from_rows(rows)), r=r, k=1)
+            assert isinstance(cert, InducedTree)
+        assert calls == []
+        # a coloring builds its bound once, after it is colored
+        real = chi_bound
+        monkeypatch.setattr(pipeline, "chi_bound", lambda *args: calls.append(args) or real(*args))
+        cert = color_or_find_forest(random_boxes(6, 2, seed=3), r=3, k=3)
+        assert isinstance(cert, ProperColoring)
+        assert calls == [(2, 3, 3, cert.report.omega)]
 
     def test_depth_zero_returns_single_box_tree(self):
         boxes = random_boxes(5, 2, seed=1)
@@ -242,7 +298,7 @@ class TestColorOrFindForest:
         ok, msg = verify_certificate(boxes, roundtrip(cert))
         assert ok, msg
         if isinstance(cert, ProperColoring):
-            assert cert.coloring.palette_size <= cert.bound
+            assert cert.coloring.palette_size <= cert.report.derived_bound
 
 
 class TestCertificateJson:
@@ -265,12 +321,12 @@ class TestCertificateJson:
             with pytest.raises(ValueError, match="more than 4300 digits"):
                 certificate_to_json(color_or_find_forest(boxes, r=r, k=2))
         coloring = Coloring({0: 0}, 1)
-        assert certificate_to_json(ProperColoring(coloring, 10**4300 - 1))
+        assert certificate_to_json(ProperColoring(coloring, bound_report(10**4300 - 1)))
         with pytest.raises(ValueError, match="more than 4300 digits"):
-            certificate_to_json(ProperColoring(coloring, 10**4300))
+            certificate_to_json(ProperColoring(coloring, bound_report(10**4300)))
 
     def test_bounds_of_any_length_are_written_without_a_limit(self):
-        cert = ProperColoring(Coloring({0: 0}, 1), 10**4300)
+        cert = ProperColoring(Coloring({0: 0}, 1), bound_report(10**4300))
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:

@@ -116,15 +116,15 @@ def test_sweep_finds_every_pair_once_with_its_pattern(name):
 def test_pattern_digraphs_match_all_pairs_decomposition(name):
     for boxes in family(name):
         want = brute_decompose(plain(boxes))
-        pds = decompose(boxes, intersecting_pairs(boxes))
+        pds = decompose(boxes, intersection_graph(boxes))
         got = {str(pd.pattern): set(pd.digraph.arcs) for pd in pds}
-        assert {p: a for p, a in got.items() if a} == want
+        assert got == want  # only the patterns with arcs are listed
 
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_mirrored_patterns_share_one_adjacency(name):
     for boxes in family(name):
-        pds = decompose(boxes, intersecting_pairs(boxes))
+        pds = decompose(boxes, intersection_graph(boxes))
         index = {pd.pattern: c for c, pd in enumerate(pds)}
         for pd in pds:
             dg = pd.digraph
@@ -385,9 +385,11 @@ def test_sweep_rejects_shared_endpoints_and_mixed_dimensions():
 @pytest.mark.parametrize("name", FAMILIES)
 def test_host_graph_from_the_family_is_the_intersection_graph(name):
     for boxes in family(name):
-        outs = [pd.digraph.out for pd in decompose(boxes, intersecting_pairs(boxes))]
         g = intersection_graph(boxes)
-        union = [frozenset().union(*near) for near in zip(*outs)]
+        union = [set() for _ in boxes]
+        for pd in decompose(boxes, g):
+            for v, near in enumerate(pd.digraph.out):
+                union[v] |= near
         assert isinstance(g.adj, tuple) and len(g.adj) == len(union) == len(boxes)
         for v, near in enumerate(g.adj):
             # the sweep's lists, kept as they are: no repeat, no loop
@@ -479,7 +481,7 @@ def _random_digraphs(seed: int, count: int):
     rng = random.Random(seed)
     for _ in range(count):
         boxes = random_instance(rng, rng.randint(2, 3))
-        for pd in decompose(boxes, intersecting_pairs(boxes)):
+        for pd in decompose(boxes, intersection_graph(boxes)):
             yield pd.digraph
 
 
@@ -821,9 +823,7 @@ def test_tree_search_skips_arc_free_patterns_and_stops_at_the_first_tree(tree_se
 
 def test_fans_stop_after_the_first_embedding(tree_searches):
     boxes = fan_instance(random.Random(3), 3)
-    with_arcs = sum(
-        1 for pd in decompose(boxes, intersecting_pairs(boxes)) if any(pd.digraph.out)
-    )
+    with_arcs = len(decompose(boxes, intersection_graph(boxes)))
     cert = color_or_find_forest(boxes, 1, 1)
     assert isinstance(cert, InducedTree)
     # the hub's pattern comes first; its mirror and the rest are never searched
