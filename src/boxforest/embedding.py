@@ -16,12 +16,13 @@ the embedded tree (minus v's subtree) reaches a larger tournament.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Mapping
 
 # ``degeneracy_coloring`` is imported only to stay a module name: perfbench
 # rebinds it to trace calls.
 from .graphs import Digraph, Graph, RootedTree, degeneracy_coloring, is_path_induced  # noqa: F401
-from .oracles import DEFAULT_LIMITS, OracleLimits, _adjacency_masks, _max_clique_bitset, omega
+from .oracles import DEFAULT_LIMITS, OracleLimits, _max_clique_bitset, omega
 
 __all__ = [
     "CalmEmbedding",
@@ -120,16 +121,17 @@ def peel_grading(dg: Digraph, k: int, m: int) -> Grading | Layering:
         raise ValueError("k must be positive")
     if m < 1:
         raise ValueError("m must be positive")
-    z = frozenset(range(dg.n))
-    chain = [z]
+    out = dg.out
+    chain = [frozenset(range(dg.n))]
     layers: list[frozenset[int]] = []
-    for _ in range(m - 1):
+    for i in range(m - 1):
         current = chain[-1]
-        peeled = frozenset(
-            v for v in current if len(dg.out[v] & current) < k
-        )
-        layers.append(peeled)
-        chain.append(current - peeled)
+        if i == 0:  # Z_1 is every vertex, so an out-degree is a count in Z_1
+            kept = frozenset(compress(range(dg.n), map(k.__le__, map(len, out))))
+        else:
+            kept = frozenset(v for v in current if len(out[v] & current) >= k)
+        layers.append(current - kept)
+        chain.append(kept)
     if chain[-1]:
         return Grading(tuple(reversed(chain)), k)
     return Layering(tuple(layers))
@@ -140,26 +142,35 @@ class TournamentOracle:
 
     In an acyclic digraph every clique of the underlying graph induces a
     transitive tournament, so t(u, v) = 2 plus the largest underlying
-    clique inside N+(u) & N-(v) when the arc u->v exists, 0 otherwise.
+    clique inside the universe N+(u) & N-(v) when the arc u->v exists, 0
+    otherwise. Nothing is built for the whole digraph: a query numbers the
+    members of its universe 0..s-1 in id order and gives each a bit mask
+    of its arcs, either way, to other members, so it costs what the
+    universe holds and not n.
     """
 
     def __init__(self, dg: Digraph):
         if not dg.is_acyclic():
             raise ValueError("tournament sizes need an acyclic digraph")
         self._dg = dg
-        self._masks = _adjacency_masks(dg.underlying())
         self._cache: dict[tuple[int, int], int] = {}
 
     def size(self, u: int, v: int) -> int:
         key = (u, v)
         if key not in self._cache:
-            if not self._dg.has_arc(u, v):
+            out, inn = self._dg.out, self._dg.inn
+            if v not in out[u]:
                 self._cache[key] = 0
             else:
-                universe = 0
-                for w in self._dg.out[u] & self._dg.inn[v]:
-                    universe |= 1 << w
-                inner, _ = _max_clique_bitset(self._masks, universe)
+                universe = out[u] & inn[v]
+                bit = {w: 1 << i for i, w in enumerate(sorted(universe))}
+                get = bit.__getitem__
+                # acyclic, so no member is both an out- and an in-neighbor
+                masks = [
+                    sum(map(get, out[w] & universe)) + sum(map(get, inn[w] & universe))
+                    for w in bit
+                ]
+                inner, _ = _max_clique_bitset(masks, (1 << len(masks)) - 1)
                 self._cache[key] = 2 + inner
         return self._cache[key]
 

@@ -302,16 +302,27 @@ def _pattern_codes(
     """``(u, v, code)`` per pair of ids of meeting boxes, where ``code`` is
     u's pattern relative to v as an index into ``all_patterns``: one base-4
     digit per axis, axis 0 most significant, 0..3 for CONTAINS, CONTAINED,
-    LEFT, RIGHT. Mirroring flips the low bit of every digit."""
-    sides = {b.id: [(s.lo, s.hi) for s in b.sides] for b in boxes}
+    LEFT, RIGHT. Mirroring flips the low bit of every digit.
+
+    Each axis's endpoints are read as two columns indexed by position; when
+    the ids are not the positions, each column becomes a map from id."""
+    if not boxes:
+        return []
+    ids = [b.id for b in boxes]
+    renamed = ids != list(range(len(boxes)))
+    columns = []
+    for axis in range(boxes[0].dim):
+        sides = [b.sides[axis] for b in boxes]
+        lo, hi = [s.lo for s in sides], [s.hi for s in sides]
+        columns.append((dict(zip(ids, lo)), dict(zip(ids, hi))) if renamed else (lo, hi))
     out = []
     for u, v in pairs:
         code = 0
-        for (lo, hi), (olo, ohi) in zip(sides[u], sides[v]):
-            if lo < olo:
-                code = 4 * code + (0 if ohi < hi else 2)
+        for lo, hi in columns:
+            if lo[u] < lo[v]:
+                code = 4 * code + (0 if hi[v] < hi[u] else 2)
             else:
-                code = 4 * code + (1 if hi < ohi else 3)
+                code = 4 * code + (1 if hi[u] < hi[v] else 3)
         out.append((u, v, code))
     return out
 

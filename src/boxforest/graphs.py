@@ -155,19 +155,32 @@ class Digraph:
     def topological_order(self) -> list[int] | None:
         """Kahn's algorithm; None when a cycle exists. Deterministic."""
         indeg = [len(self.inn[v]) for v in range(self.n)]
-        ready = sorted(v for v in range(self.n) if indeg[v] == 0)
-        order: list[int] = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
+        # ``ready`` is the queue and, walked from its front, the order itself
+        ready = [v for v in range(self.n) if indeg[v] == 0]
+        head = 0
+        while head < len(ready):
+            v = ready[head]
+            head += 1
             for w in sorted(self.out[v]):
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     ready.append(w)
-        return order if len(order) == self.n else None
+        return ready if len(ready) == self.n else None
 
     def is_acyclic(self) -> bool:
-        return self.topological_order() is not None
+        """Kahn's count without an order: a stack of the vertices whose
+        in-arcs are all used up, and nothing sorted."""
+        out = self.out
+        indeg = list(map(len, self.inn))
+        stack = [v for v, d in enumerate(indeg) if not d]
+        done = 0
+        while stack:
+            done += 1
+            for w in out[stack.pop()]:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    stack.append(w)
+        return done == self.n
 
     def reachable_from(self, u: int) -> frozenset[int]:
         """Vertices reachable from u, including u itself."""
@@ -306,11 +319,11 @@ class Coloring:
         if set(self.colors) != set(range(g.n)):
             return False
         col = list(map(self.colors.__getitem__, range(g.n)))
-        get = col.__getitem__
-        for c, near in zip(col, g.adj):
-            if c in map(get, near):
-                return False
-        return True
+        classes: list[set[int]] = [set() for _ in range(self.palette_size)]
+        for v, c in enumerate(col):
+            classes[c].add(v)
+        # v's list must miss v's whole color class
+        return all(map(set.isdisjoint, map(classes.__getitem__, col), g.adj))
 
 
 def intersection_graph(boxes: Sequence[Box]) -> Graph:
@@ -440,8 +453,8 @@ def is_path_induced(dg: Digraph, t: RootedTree, phi: Mapping[int, int]) -> bool:
     ``phi`` must be an arc-preserving injection of the tree into dg
     (ValueError otherwise). Directed tree paths are exactly the
     ancestor-descendant chains, so the condition reduces to: images of
-    ancestor-descendant pairs at tree distance >= 2 are non-adjacent in
-    dg's underlying graph.
+    ancestor-descendant pairs at tree distance >= 2 are joined by no arc
+    in either direction, which is read off dg's out-neighbor sets.
     """
     if set(phi) != set(range(t.n)):
         raise ValueError("mapping must cover exactly the tree vertices")
@@ -450,11 +463,12 @@ def is_path_induced(dg: Digraph, t: RootedTree, phi: Mapping[int, int]) -> bool:
     for u, v in t.arcs():
         if not dg.has_arc(phi[u], phi[v]):
             raise ValueError(f"tree arc ({u},{v}) not preserved")
-    und = dg.underlying()
+    out = dg.out
     for v in range(t.n):
-        anc = t.ancestors(v)
-        # anc[0] is the parent; deeper ancestors are at distance >= 2
-        for a in anc[1:]:
-            if und.adjacent(phi[a], phi[v]):
+        y = phi[v]
+        # the first ancestor is the parent; deeper ones are at distance >= 2
+        for a in t.ancestors(v)[1:]:
+            x = phi[a]
+            if y in out[x] or x in out[y]:
                 return False
     return True

@@ -138,6 +138,20 @@ def brute_divergent(n: int, arcs: set[tuple[int, int]], host_edges) -> bool:
     return True
 
 
+def brute_is_path_induced(arcs, tree_parent, phi: dict[int, int]) -> bool:
+    """Whether no two images of tree vertices at tree distance >= 2 along
+    one root path are adjacent in the underlying graph of ``arcs``."""
+    underlying = {frozenset(arc) for arc in arcs}
+    for v in range(len(tree_parent)):
+        path = [v]  # v, its parent, its grandparent, ...
+        while tree_parent[path[-1]] is not None:
+            path.append(tree_parent[path[-1]])
+        for a in path[2:]:
+            if frozenset((phi[a], phi[v])) in underlying:
+                return False
+    return True
+
+
 def brute_induced_copy(n: int, edges, tree_parent) -> dict[int, int] | None:
     """Induced copy of a rooted tree via raw injections, or None."""
     adj = adjacency(n, edges)

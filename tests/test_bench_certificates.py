@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from boxforest import certificate_to_json, color_or_find_forest
+from boxforest import Digraph, certificate_to_json, color_or_find_forest, oracles
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
 
@@ -56,3 +56,21 @@ def test_decomposed_certificate_bytes_are_pinned(name):
     assert cert.coloring.palette_size == palette == w
     data = certificate_to_json(cert).encode()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_tree_search_builds_nothing_for_the_whole_digraph(monkeypatch):
+    """fans-3d finds its tree with no underlying graph and no whole-graph
+    bit masks: a tournament query builds masks for its universe only, and
+    the path-induced check reads arc sets."""
+
+    def refuse(*args):
+        raise AssertionError("whole-graph structure built on the tree branch")
+
+    monkeypatch.setattr(Digraph, "underlying", refuse)
+    monkeypatch.setattr(oracles, "_adjacency_masks", refuse)
+    workload = workloads.WORKLOADS["fans-3d"]
+    boxes = workload.make(4)
+    w = workloads.max_depth(boxes)
+    cert = color_or_find_forest(boxes, 1, 2, omega_bound=w)
+    data = certificate_to_json(cert).encode()
+    assert hashlib.sha256(data).hexdigest() == PINNED["fans-3d"]

@@ -22,7 +22,12 @@ from boxforest import (
     normalize,
 )
 from boxforest.graphs import smallest_last_coloring
-from bruteforce import brute_induced_copy, brute_smallest_last_coloring, find_induced_copy
+from bruteforce import (
+    brute_induced_copy,
+    brute_is_path_induced,
+    brute_smallest_last_coloring,
+    find_induced_copy,
+)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -99,6 +104,34 @@ class TestDigraph:
         dg = Digraph(3, [(0, 1), (1, 2), (2, 0)])
         assert dg.topological_order() is None
         assert not dg.is_acyclic()
+
+    @given(
+        st.integers(0, 9),
+        st.floats(0.0, 0.6),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_acyclic_exactly_when_kahn_orders_everything(self, n, p, climb, rng):
+        """Arcs that climb a random ranking make a DAG; arcs between any
+        ordered pairs mostly do not once there are a few."""
+        rank = rng.sample(range(n), n)
+        arcs = [
+            (u, v)
+            for u in range(n)
+            for v in range(n)
+            if u != v and (rank[u] < rank[v] or not climb) and rng.random() < p
+        ]
+        dg = Digraph(n, arcs)
+        order = dg.topological_order()
+        assert dg.is_acyclic() == (order is not None)
+        if order is None:
+            assert not climb
+            assert any(u in dg.reachable_from(v) for u, v in arcs)
+        else:
+            assert sorted(order) == list(range(n))
+            place = {v: i for i, v in enumerate(order)}
+            assert all(place[u] < place[v] for u, v in arcs)
 
     def test_reach_includes_self(self):
         dg = Digraph(4, [(0, 1), (1, 2)])
@@ -264,6 +297,38 @@ class TestIsPathInduced:
         assert is_path_induced(chain, t, phi)
         shortcut = Digraph(3, [(0, 1), (1, 2), (0, 2)])
         assert not is_path_induced(shortcut, t, phi)
+
+    @given(
+        st.integers(1, 6),
+        st.integers(0, 5),
+        st.floats(0.0, 1.0),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_underlying_graph_reference(self, size, extra, p, climb, rng):
+        """A random injection sends tree vertices, in id order, to images of
+        rising rank in a random ranking, and the tree's arcs are added, so
+        the map preserves them. The other arcs climb the ranking, making a
+        DAG, or join any ordered pairs, so that an arc can also run from a
+        descendant's image back to an ancestor's."""
+        parent = [None] + [rng.randrange(v) for v in range(1, size)]
+        t = RootedTree(parent)
+        n = size + extra
+        rank = rng.sample(range(n), n)
+        phi = dict(enumerate(sorted(rng.sample(range(n), size), key=rank.__getitem__)))
+        tree_arcs = {(phi[parent[v]], phi[v]) for v in range(1, size)}
+        arcs = tree_arcs | {
+            (u, v)
+            for u in range(n)
+            for v in range(n)
+            if u != v and (rank[u] < rank[v] or not climb) and rng.random() < p
+        }
+        dg = Digraph(n, arcs)
+        assert is_path_induced(dg, t, phi) == brute_is_path_induced(arcs, parent, phi)
+        for arc in tree_arcs:
+            with pytest.raises(ValueError):
+                is_path_induced(Digraph(n, arcs - {arc}), t, phi)
 
     def test_arc_preservation_is_a_precondition(self):
         t = RootedTree([None, 0])

@@ -302,6 +302,24 @@ def test_cell_sweep_matches_the_all_pairs_reference(name):
         assert {(u, v): names[code] for u, v, code in labelled} == same
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.randoms(use_true_random=False))
+def test_pairs_under_shuffled_ids_match_the_all_pairs_reference(d, rng):
+    """Ids that are a permutation of the positions are read through a map
+    from id; the patterns must be those of the boxes the ids name."""
+    boxes = random_instance(rng, d)
+    n = len(boxes)
+    ids = rng.sample(range(n), n)
+    shuffled = [Box(i, b.sides) for i, b in zip(ids, boxes)]
+    by_id = [()] * n
+    for b, side in zip(shuffled, plain(boxes)):
+        by_id[b.id] = side
+    names = [str(p) for p in all_patterns(d)]
+    pairs = intersecting_pairs(shuffled)
+    assert len(pairs) == len({(u, v) for u, v, _ in pairs})
+    assert {(u, v): names[code] for u, v, code in pairs} == brute_patterns(by_id)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_long_candidate_lists_match_the_all_pairs_reference(d):
     # about half of the pairs of 200 random boxes meet on each axis, so an
