@@ -16,7 +16,6 @@ the embedded tree (minus v's subtree) reaches a larger tournament.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Mapping
 
 # ``degeneracy_coloring`` is imported only to stay a module name: perfbench
@@ -121,17 +120,16 @@ def peel_grading(dg: Digraph, k: int, m: int) -> Grading | Layering:
         raise ValueError("k must be positive")
     if m < 1:
         raise ValueError("m must be positive")
-    out = dg.out
-    chain = [frozenset(range(dg.n))]
+    z = frozenset(range(dg.n))
+    chain = [z]
     layers: list[frozenset[int]] = []
-    for i in range(m - 1):
+    for _ in range(m - 1):
         current = chain[-1]
-        if i == 0:  # Z_1 is every vertex, so an out-degree is a count in Z_1
-            kept = frozenset(compress(range(dg.n), map(k.__le__, map(len, out))))
-        else:
-            kept = frozenset(v for v in current if len(out[v] & current) >= k)
-        layers.append(current - kept)
-        chain.append(kept)
+        peeled = frozenset(
+            v for v in current if len(dg.out[v] & current) < k
+        )
+        layers.append(peeled)
+        chain.append(current - peeled)
     if chain[-1]:
         return Grading(tuple(reversed(chain)), k)
     return Layering(tuple(layers))
@@ -143,10 +141,10 @@ class TournamentOracle:
     In an acyclic digraph every clique of the underlying graph induces a
     transitive tournament, so t(u, v) = 2 plus the largest underlying
     clique inside the universe N+(u) & N-(v) when the arc u->v exists, 0
-    otherwise. Nothing is built for the whole digraph: a query numbers the
-    members of its universe 0..s-1 in id order and gives each a bit mask
-    of its arcs, either way, to other members, so it costs what the
-    universe holds and not n.
+    otherwise. No bit mask is built for the whole digraph: a query numbers
+    the members of its universe 0..s-1 in id order and gives each a bit
+    mask of its arcs, either way, to other members, so it costs what the
+    universe holds.
     """
 
     def __init__(self, dg: Digraph):

@@ -304,17 +304,17 @@ def _pattern_codes(
     digit per axis, axis 0 most significant, 0..3 for CONTAINS, CONTAINED,
     LEFT, RIGHT. Mirroring flips the low bit of every digit.
 
-    Each axis's endpoints are read as two columns indexed by position; when
-    the ids are not the positions, each column becomes a map from id."""
+    Each axis's endpoints are read as two columns, maps from id to lo and
+    to hi."""
     if not boxes:
         return []
     ids = [b.id for b in boxes]
-    renamed = ids != list(range(len(boxes)))
     columns = []
     for axis in range(boxes[0].dim):
         sides = [b.sides[axis] for b in boxes]
-        lo, hi = [s.lo for s in sides], [s.hi for s in sides]
-        columns.append((dict(zip(ids, lo)), dict(zip(ids, hi))) if renamed else (lo, hi))
+        columns.append(
+            (dict(zip(ids, [s.lo for s in sides])), dict(zip(ids, [s.hi for s in sides])))
+        )
     out = []
     for u, v in pairs:
         code = 0

@@ -168,19 +168,7 @@ class Digraph:
         return ready if len(ready) == self.n else None
 
     def is_acyclic(self) -> bool:
-        """Kahn's count without an order: a stack of the vertices whose
-        in-arcs are all used up, and nothing sorted."""
-        out = self.out
-        indeg = list(map(len, self.inn))
-        stack = [v for v, d in enumerate(indeg) if not d]
-        done = 0
-        while stack:
-            done += 1
-            for w in out[stack.pop()]:
-                indeg[w] -= 1
-                if not indeg[w]:
-                    stack.append(w)
-        return done == self.n
+        return self.topological_order() is not None
 
     def reachable_from(self, u: int) -> frozenset[int]:
         """Vertices reachable from u, including u itself."""
