@@ -171,9 +171,15 @@ def cmd_color(args: argparse.Namespace) -> int:
     _write_text(certificate_to_json(cert), args.out)
     if isinstance(cert, ProperColoring):
         rep = cert.report
+        palette = cert.coloring.palette_size
+        # in d = 1 the bound keys on the palette, whatever --omega-bound says
+        if rep.d >= 2 and args.omega_bound is not None:
+            omega_text = f"omega bound {rep.omega} (supplied)"
+        else:
+            omega_text = f"omega {rep.omega}"
         print(
-            f"coloring: {cert.coloring.palette_size} colors within bound "
-            f"{rep.derived_bound} (stated form {rep.stated_bound}), omega {rep.omega}",
+            f"coloring: {palette} color{'' if palette == 1 else 's'} within bound "
+            f"{rep.derived_bound} (stated form {rep.stated_bound}), {omega_text}",
             file=sys.stderr,
         )
         return EXIT_OK

@@ -6,7 +6,11 @@ when asked for, so no adjacency is held twice. A pattern digraph's
 in-neighbor sets are its mirror's out-neighbor sets (``patterns.decompose``).
 Building the intersection graph, degeneracy peeling and smallest-last
 coloring scale to thousands of boxes (an axis-0 sweep, a heap and a bucket
-queue). The pipeline's host graph is ``intersection_graph``: the lists its
+queue). The bucket queue files a vertex only once its remaining degree is
+within a horizon a fixed step above the levels searched so far; the others
+wait in one list and are rescanned when the search passes the horizon, so
+the rescans cost O(n + m / step) rather than one heap entry per degree
+decrement. The pipeline's host graph is ``intersection_graph``: the lists its
 one sweep fills, kept as they are, since coloring and the self-check only
 iterate over them. The pattern digraphs, when it needs them, come from that
 graph's edges, and they hold sets because the grading tests membership.
@@ -372,6 +376,11 @@ def degeneracy_coloring(
     return Coloring(colors, max(palette, 1) if vertices else 0)
 
 
+# how far the smallest-last queue's horizon rises each time the search
+# passes it; the first horizon is this many levels above degree 0
+_HORIZON_STEP = 16
+
+
 def smallest_last_coloring(adj: Sequence[Sequence[int]]) -> Coloring:
     """Greedy coloring in smallest-last order (Matula and Beck, 1983).
 
@@ -379,19 +388,35 @@ def smallest_last_coloring(adj: Sequence[Sequence[int]]) -> Coloring:
     the vertices of minimum remaining degree, the one with the smallest id;
     coloring the removal order in reverse then sees at most the degeneracy
     many colored neighbors per vertex, so the palette is at most the
-    degeneracy + 1. Bucket ``b`` is a min-heap of the vertices whose
-    remaining degree was ``b`` when they entered it; an entry whose vertex
-    has since left or lost degree is stale and skipped. A removal lowers
-    each remaining degree by at most 1, so the minimum degree drops by at
-    most 1 per step. Neither the removal order nor the colors depend on the
+    degeneracy + 1. Neither the removal order nor the colors depend on the
     order in which a vertex's neighbors are listed.
+
+    The removal order comes from a bucket queue with a horizon. Bucket
+    ``b`` is a min-heap of vertices whose remaining degree was ``b`` when
+    they entered it; an entry whose vertex has since left or lost degree
+    is stale and skipped. A removal lowers each remaining degree by at most
+    1, so the minimum degree drops by at most 1 per step and the search
+    resumes one level below the last pick. Only levels up to the horizon
+    are filed: a vertex above it waits in one unsorted list and is merely
+    decremented. Invariant: every remaining vertex of degree at most the
+    horizon has an entry in its bucket. So when the search passes the
+    horizon, no remaining degree is at or below it; the horizon rises by
+    ``_HORIZON_STEP`` and one rescan files the waiting vertices that now
+    qualify. A vertex of degree D survives at most D / step rescans, so
+    the rescans cost O(n + m / step) in all, while the decrements of the
+    many vertices far above the minimum push nothing.
     """
     n = len(adj)
     degree = list(map(len, adj))
-    # ids ascend, so every bucket starts out sorted: a heap
     buckets: list[list[int]] = [[] for _ in range(max(degree, default=0) + 1)]
+    horizon = _HORIZON_STEP
+    waiting: list[int] = []
+    # ids ascend, so every bucket is filed sorted: a heap
     for v in range(n):
-        buckets[degree[v]].append(v)
+        if degree[v] <= horizon:
+            buckets[degree[v]].append(v)
+        else:
+            waiting.append(v)
     removed = [False] * n
     order: list[int] = []
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -401,6 +426,21 @@ def smallest_last_coloring(adj: Sequence[Sequence[int]]) -> Coloring:
             bucket = buckets[low]
             if not bucket:
                 low += 1
+                if low > horizon:
+                    # levels above the old horizon were never filed, so
+                    # their buckets are empty and fill sorted; a waiting
+                    # vertex at or below the old horizon was pushed when
+                    # it fell there
+                    below = horizon
+                    horizon += _HORIZON_STEP
+                    still = []
+                    for w in waiting:
+                        dw = degree[w]
+                        if dw > horizon:
+                            still.append(w)
+                        elif dw > below:
+                            buckets[dw].append(w)
+                    waiting = still
                 continue
             v = heappop(bucket)
             if not removed[v] and degree[v] == low:
@@ -409,8 +449,10 @@ def smallest_last_coloring(adj: Sequence[Sequence[int]]) -> Coloring:
         order.append(v)
         for w in adj[v]:
             if not removed[w]:
-                degree[w] -= 1
-                heappush(buckets[degree[w]], w)
+                dw = degree[w] - 1
+                degree[w] = dw
+                if dw <= horizon:
+                    heappush(buckets[dw], w)
         if low:
             low -= 1
     col = [-1] * n
@@ -426,9 +468,8 @@ def _greedy_in_reverse(
     """Color ``order`` back to front, each vertex with the smallest color
     unused by its neighbors colored before it. ``col`` maps every vertex to
     -1 until it is colored and receives the colors."""
-    get = col.__getitem__
     for v in reversed(order):
-        used = set(map(get, adj[v]))
+        used = {col[w] for w in adj[v]}
         c = 0
         while c in used:
             c += 1

@@ -12,12 +12,20 @@ updates these values and says so.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import os
 import sys
 
 import pytest
 
-from boxforest import Digraph, certificate_to_json, color_or_find_forest, oracles
+from boxforest import (
+    Digraph,
+    certificate_to_json,
+    color_or_find_forest,
+    intersection_graph,
+    oracles,
+)
+from boxforest.graphs import smallest_last_coloring
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
 
@@ -74,3 +82,22 @@ def test_tree_search_builds_nothing_for_the_whole_digraph(monkeypatch):
     cert = color_or_find_forest(boxes, 1, 2, omega_bound=w)
     data = certificate_to_json(cert).encode()
     assert hashlib.sha256(data).hexdigest() == PINNED["fans-3d"]
+
+
+def test_smallest_last_pushes_far_fewer_entries_than_edges(monkeypatch):
+    """The bucket queue files a vertex only near the minimum degree, so on
+    dense-2d most of the degree decrements push nothing."""
+    g = intersection_graph(workloads.dense_2d(4))
+    pushes = 0
+    push = heapq.heappush
+
+    def counted(heap, item):
+        nonlocal pushes
+        pushes += 1
+        push(heap, item)
+
+    monkeypatch.setattr(heapq, "heappush", counted)
+    smallest_last_coloring(g.adj)
+    edges = sum(map(len, g.adj)) // 2
+    # about 37.5k of 136,891; one push per decrement would be all of them
+    assert 0 < pushes < edges // 2

@@ -127,6 +127,28 @@ class TestColor:
         assert f"within bound {payload['bound']} " in summary
         assert summary.rstrip().endswith(f"omega {payload['palette']}")
 
+    def test_supplied_omega_bound_is_not_printed_as_omega(self, tmp_path, capsys):
+        # two overlapping squares: omega is 2, and the bound of 30 makes the
+        # tree too big to search, so the host graph is colored
+        path = tmp_path / "pair.txt"
+        save_boxes(boxes_from_rows([[0, 2, 0, 2], [1, 3, 1, 3]]), str(path))
+        argv = ["color", str(path), "--r", "1", "--k", "1", "--out", str(tmp_path / "c.json")]
+        assert main(argv + ["--omega-bound", "30"]) == 0
+        supplied = capsys.readouterr().err
+        assert supplied.startswith("coloring: 2 colors within bound ")
+        assert supplied.rstrip().endswith(", omega bound 30 (supplied)")
+        assert main(argv) == 0
+        assert capsys.readouterr().err.rstrip().endswith(", omega 2")
+
+    def test_one_color_is_singular(self, tmp_path, capsys):
+        path = tmp_path / "apart.txt"
+        save_boxes(boxes_from_rows([[0, 1, 0, 1], [2, 3, 2, 3]]), str(path))
+        argv = ["color", str(path), "--r", "1", "--k", "1", "--out", str(tmp_path / "c.json")]
+        assert main(argv) == 0
+        summary = capsys.readouterr().err
+        assert summary.startswith("coloring: 1 color within bound ")
+        assert summary.rstrip().endswith(", omega 1")
+
     # file name: (contents, what the error must quote); Fraction would build
     # 10 ** (10 ** 11) for each of these exponents
     HUGE_EXPONENTS = {

@@ -20,6 +20,7 @@ from boxforest import (
     intersects,
     is_path_induced,
     normalize,
+    random_boxes,
 )
 from boxforest.graphs import smallest_last_coloring
 from bruteforce import (
@@ -193,7 +194,67 @@ class TestColoring:
         assert not Coloring({0: 0}, 1).is_proper_on(g)  # missing vertex
 
 
+def clique_edges(vertices):
+    return [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1:]]
+
+
+def cliques_with_pendants() -> Graph:
+    """K_40, K_3 and K_60, each with a pendant on its first two vertices:
+    the minimum degree climbs past several horizons in K_40, falls back to
+    0 as it empties, and climbs past them again in K_60."""
+    edges, start = [], 0
+    for size in (40, 3, 60):
+        edges += clique_edges(list(range(start, start + size)))
+        start += size
+    pendants = []
+    for first in (0, 40, 43):
+        for v in (first, first + 1):
+            pendants.append((v, start))
+            start += 1
+    return Graph(start, edges + pendants)
+
+
+def star_over_clique(leaves: int, size: int) -> Graph:
+    """A centre joined to every vertex of K_size and to ``leaves`` leaves,
+    beside a disjoint K_20: the leaves go first and bring the waiting
+    centre down across the horizon, and once the centre's side is gone
+    K_20 pushes the minimum degree past the horizon into a rescan."""
+    centre = size
+    edges = clique_edges(list(range(size)))
+    edges += [(v, centre) for v in range(size)]
+    edges += [(centre, centre + 1 + i) for i in range(leaves)]
+    start = size + 1 + leaves
+    edges += clique_edges(list(range(start, start + 20)))
+    return Graph(start + 20, edges)
+
+
+def horizon_crossing_graphs():
+    yield Graph(0)
+    yield Graph(1)
+    yield cliques_with_pendants()
+    for leaves in (1, 5, 16, 17, 40):
+        for size in (15, 16, 17, 33):
+            yield star_over_clique(leaves, size)
+    for seed in range(4):
+        yield intersection_graph(random_boxes(150, 2, seed))
+
+
 class TestSmallestLastColoring:
+    def test_horizon_rescans_keep_the_sorted_scan_order(self):
+        """The queue files vertices only up to a horizon and rescans the
+        rest when the search passes it; on graphs whose minimum degree
+        crosses several horizons, rises and falls back, the order and the
+        colors are still those of the sorted scan, whatever the order of
+        the lists."""
+        rng = random.Random(5)
+        for g in horizon_crossing_graphs():
+            want = brute_smallest_last_coloring(g.n, g.edges)
+            got = smallest_last_coloring(g.adj)
+            assert dict(got.colors) == want
+            shuffled = Graph._from_adjacency(rng.sample(near, len(near)) for near in g.adj)
+            assert smallest_last_coloring(shuffled.adj) == got
+            assert got.is_proper_on(g)
+
     @given(
         st.builds(
             lambda n, seed, p: random_graph(random.Random(seed), n, p),
