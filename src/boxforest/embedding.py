@@ -11,6 +11,11 @@ lands in X_1 and whose every tree arc (u, v) satisfies the slack condition
 t(u', v') - 1 >= level(v') - level(u'), where t is the largest transitive
 tournament from u' to v', chosen maximally: no eligible competitor outside
 the embedded tree (minus v's subtree) reaches a larger tournament.
+
+In a pattern digraph every member of the universe N+(u) & N-(v) contains
+u & v on every axis, so the members pairwise meet and their arcs form a
+strict partial order: t(u, v) is 2 plus its longest chain, which one Kahn
+pass finds (Mirsky 1971). Given omega, no step here is exponential.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ from typing import Mapping
 # ``degeneracy_coloring`` is imported only to stay a module name: perfbench
 # rebinds it to trace calls.
 from .graphs import Digraph, Graph, RootedTree, degeneracy_coloring, is_path_induced  # noqa: F401
-from .oracles import DEFAULT_LIMITS, OracleLimits, _max_clique_bitset, omega
+# ``omega`` is imported only to stay a module name: perfbench rebinds it to
+# trace calls.
+from .oracles import omega  # noqa: F401
 
 __all__ = [
     "CalmEmbedding",
@@ -136,15 +143,15 @@ def peel_grading(dg: Digraph, k: int, m: int) -> Grading | Layering:
 
 
 class TournamentOracle:
-    """Memoized t(u, v): the largest transitive tournament from u to v.
+    """Memoized t(u, v): 2 plus the longest chain inside U = N+(u) & N-(v).
 
-    In an acyclic digraph every clique of the underlying graph induces a
-    transitive tournament, so t(u, v) = 2 plus the largest underlying
-    clique inside the universe N+(u) & N-(v) when the arc u->v exists, 0
-    otherwise. No bit mask is built for the whole digraph: a query numbers
-    the members of its universe 0..s-1 in id order and gives each a bit
-    mask of its arcs, either way, to other members, so it costs what the
-    universe holds.
+    0 when the arc u->v is missing. In a pattern digraph the arcs inside U
+    are transitive (see the module docstring), so this is 2 plus the largest
+    underlying clique inside U: the largest transitive tournament from u to
+    v. On any acyclic digraph it is never less, since a clique there is a
+    transitive tournament and so a chain, but it can be more (a -> b -> c in
+    U, a and c not adjacent). A query peels U round by round, minimal
+    members first, at most |U| set lookups per member.
     """
 
     def __init__(self, dg: Digraph):
@@ -161,15 +168,19 @@ class TournamentOracle:
                 self._cache[key] = 0
             else:
                 universe = out[u] & inn[v]
-                bit = {w: 1 << i for i, w in enumerate(sorted(universe))}
-                get = bit.__getitem__
-                # acyclic, so no member is both an out- and an in-neighbor
-                masks = [
-                    sum(map(get, out[w] & universe)) + sum(map(get, inn[w] & universe))
-                    for w in bit
-                ]
-                inner, _ = _max_clique_bitset(masks, (1 << len(masks)) - 1)
-                self._cache[key] = 2 + inner
+                pending = {w: len(inn[w] & universe) for w in universe}
+                layer = [w for w, count in pending.items() if not count]
+                height = 0  # rounds, one per member of a longest chain
+                while layer:
+                    height += 1
+                    ready = []
+                    for w in layer:
+                        for x in out[w] & universe:
+                            pending[x] -= 1
+                            if not pending[x]:
+                                ready.append(x)
+                    layer = ready
+                self._cache[key] = 2 + height
         return self._cache[key]
 
 
@@ -183,33 +194,28 @@ class CalmEmbedding:
 
 
 def calm_precondition_error(
-    dg: Digraph,
-    grading: Grading,
-    t: RootedTree,
-    host_clique_number: int | None = None,
-    limits: OracleLimits = DEFAULT_LIMITS,
+    dg: Digraph, grading: Grading, t: RootedTree, host_clique_number: int
 ) -> str | None:
-    """None when the grading is wide and deep enough for the tree, else a reason."""
+    """None when the grading is wide and deep enough for the tree, else a reason.
+
+    ``host_clique_number`` is an upper bound on the clique number of dg's
+    underlying graph; a value below 1 raises ValueError.
+    """
+    if host_clique_number < 1:
+        raise ValueError("clique number bound must be positive")
     err = grading_error(dg, grading)
     if err is not None:
         return f"invalid grading: {err}"
     if grading.k < t.n - 1:
         return f"k={grading.k} below tree size minus one ({t.n - 1})"
-    w = host_clique_number if host_clique_number is not None else omega(
-        dg.underlying(), limits
-    )
-    needed = 1 + (t.depth() - 1) * (w - 1)
+    needed = 1 + (t.depth() - 1) * (host_clique_number - 1)
     if grading.m < needed:
         return f"m={grading.m} below 1+(depth-1)(omega-1)={needed}"
     return None
 
 
 def embed_calm_tree(
-    dg: Digraph,
-    grading: Grading,
-    t: RootedTree,
-    host_clique_number: int | None = None,
-    limits: OracleLimits = DEFAULT_LIMITS,
+    dg: Digraph, grading: Grading, t: RootedTree, host_clique_number: int
 ) -> CalmEmbedding | None:
     """Embed the tree calmly, or None when the preconditions fail.
 
@@ -221,7 +227,7 @@ def embed_calm_tree(
     the grading guarantees (m >= depth * omega when omega >= 2) that
     cannot happen, see calm_precondition_error for the diagnosis hook.
     """
-    if calm_precondition_error(dg, grading, t, host_clique_number, limits) is not None:
+    if calm_precondition_error(dg, grading, t, host_clique_number) is not None:
         return None
     oracle = TournamentOracle(dg)
     phi: dict[int, int] = {t.root: min(grading.levels[0])}
@@ -294,20 +300,16 @@ def verify_calm(dg: Digraph, grading: Grading, emb: CalmEmbedding) -> bool:
 
 
 def find_path_induced_tree(
-    dg: Digraph,
-    g: Graph,
-    t: RootedTree,
-    limits: OracleLimits = DEFAULT_LIMITS,
-    host_clique_number: int | None = None,
+    dg: Digraph, g: Graph, t: RootedTree, host_clique_number: int
 ) -> CalmEmbedding | Layering:
     """Either path-induced-embed the tree into dg or peel dg into layers.
 
     Runs the dichotomy with k = t.n and m = depth * omega (bumped to 2
     when the digraph has no arcs so that peeling can exhaust it; a lone
     level would grade trivially and then have nothing to extend along).
-    ``host_clique_number`` may supply any upper bound on the clique number
-    of dg's underlying graph in place of the exact oracle; a larger bound
-    only adds peel rounds. A returned embedding is re-verified to be
+    ``host_clique_number`` may be any upper bound on the clique number of
+    dg's underlying graph; a larger bound only adds peel rounds, and one
+    below 1 raises ValueError. A returned embedding is re-verified to be
     path-induced in dg (failure raises InternalInvariantError) and checked
     against the host graph (adjacency between path endpoints that dg lacks
     raises HostGraphError, since it means dg is not a faithful, modest
@@ -315,21 +317,17 @@ def find_path_induced_tree(
     """
     if dg.n != g.n:
         raise ValueError("digraph and host graph disagree on vertex count")
+    # checked here as well, since a layering never reaches the precondition
+    if host_clique_number < 1:
+        raise ValueError("clique number bound must be positive")
     if dg.n == 0:
         return Layering(())
-    if host_clique_number is not None and host_clique_number < 1:
-        raise ValueError("clique number bound must be positive")
-    w = (
-        host_clique_number
-        if host_clique_number is not None
-        else omega(dg.underlying(), limits)
-    )
     depth = t.depth()
-    m = 1 if depth == 0 else max(2, depth * w)
+    m = 1 if depth == 0 else max(2, depth * host_clique_number)
     result = peel_grading(dg, t.n, m)
     if isinstance(result, Layering):
         return result
-    emb = embed_calm_tree(dg, result, t, host_clique_number=w, limits=limits)
+    emb = embed_calm_tree(dg, result, t, host_clique_number)
     if emb is None:  # we built the grading, so its preconditions hold
         raise InternalInvariantError("constructed grading rejected by embedder")
     if not is_path_induced(dg, t, emb.phi):

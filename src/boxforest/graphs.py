@@ -153,9 +153,6 @@ class Digraph:
     def has_arc(self, u: int, v: int) -> bool:
         return v in self.out[u]
 
-    def underlying(self) -> Graph:
-        return Graph._from_adjacency(list(o | i) for o, i in zip(self.out, self.inn))
-
     def topological_order(self) -> list[int] | None:
         """Kahn's algorithm; None when a cycle exists. Deterministic."""
         indeg = [len(self.inn[v]) for v in range(self.n)]

@@ -100,9 +100,6 @@ def _max_clique_bitset(adj: Sequence[int], universe: int) -> tuple[int, int]:
             expand(r_mask | bit, r_size + 1, p & adj[v])
 
     expand(0, 0, universe)
-    # ``expand`` holds a cell that holds ``expand``: emptying the cell frees
-    # the closure and ``adj`` now, instead of at the collector's next pass
-    del expand
     return best_size, best_mask
 
 

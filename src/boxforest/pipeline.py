@@ -367,7 +367,7 @@ def color_or_find_forest(
             big_tree = complete_kary_tree(r, branching)
             for pd in decompose(boxes, g):
                 result = find_path_induced_tree(
-                    pd.digraph, g, big_tree, limits, host_clique_number=w
+                    pd.digraph, g, big_tree, host_clique_number=w
                 )
                 if isinstance(result, CalmEmbedding):
                     try:

@@ -114,7 +114,8 @@ def test_criterion_3_gradings_calm_embeddings_and_layerings():
                 if isinstance(result, Grading):
                     assert grading_error(dg, result) is None
                     gradings += 1
-                    emb = embed_calm_tree(dg, result, complete_kary_tree(*shape))
+                    w = brute_omega(dg.n, dg.arcs)
+                    emb = embed_calm_tree(dg, result, complete_kary_tree(*shape), w)
                     if emb is not None:
                         assert verify_calm(dg, result, emb)
                         embeddings += 1

@@ -19,9 +19,9 @@ import sys
 import pytest
 
 from boxforest import (
-    Digraph,
     certificate_to_json,
     color_or_find_forest,
+    embedding,
     intersection_graph,
     oracles,
 )
@@ -67,15 +67,16 @@ def test_decomposed_certificate_bytes_are_pinned(name):
 
 
 def test_tree_search_builds_nothing_for_the_whole_digraph(monkeypatch):
-    """fans-3d finds its tree with no underlying graph and no whole-graph
-    bit masks: a tournament query builds masks for its universe only, and
-    the path-induced check reads arc sets."""
+    """fans-3d finds its tree with no whole-graph bit masks and no clique
+    search: a tournament query is a longest-chain pass over its universe,
+    and the path-induced check reads arc sets."""
 
     def refuse(*args):
-        raise AssertionError("whole-graph structure built on the tree branch")
+        raise AssertionError("bit masks or a clique search on the tree branch")
 
-    monkeypatch.setattr(Digraph, "underlying", refuse)
     monkeypatch.setattr(oracles, "_adjacency_masks", refuse)
+    monkeypatch.setattr(oracles, "_max_clique_bitset", refuse)
+    monkeypatch.setattr(embedding, "_max_clique_bitset", refuse, raising=False)
     workload = workloads.WORKLOADS["fans-3d"]
     boxes = workload.make(4)
     w = workloads.max_depth(boxes)

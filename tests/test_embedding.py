@@ -30,6 +30,7 @@ from boxforest import (
     is_path_induced,
     normalize,
     peel_grading,
+    random_boxes,
     verify_calm,
 )
 from bruteforce import (
@@ -78,6 +79,14 @@ def random_dag(rng: random.Random, n: int, p: float) -> Digraph:
         if rng.random() < p
     ]
     return Digraph(n, arcs)
+
+
+def largest(members: list[int], accepts) -> int:
+    """Size of the largest sorted subset of members that accepts takes."""
+    for size in range(len(members), 0, -1):
+        if any(map(accepts, combinations(members, size))):
+            return size
+    return 0
 
 
 digraph_strategy = st.builds(
@@ -187,11 +196,26 @@ class TestTournamentSize:
         with pytest.raises(ValueError):
             TournamentOracle(Digraph(2, [(0, 1), (1, 0)])).size(0, 1)
 
+    @given(st.integers(0, 10**6), st.integers(2, 10), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_largest_clique_on_pattern_digraphs(self, seed, n, d):
+        # in a pattern digraph the arcs inside a universe are transitive, so
+        # its longest chain is its largest clique
+        boxes = random_boxes(n, d, seed=seed)
+        for pd in decompose(boxes, intersection_graph(boxes)):
+            dg = pd.digraph
+            adj = adjacency(dg.n, dg.arcs)
+            oracle = TournamentOracle(dg)
+            for u, v in dg.arcs:
+                middle = sorted(dg.out[u] & dg.inn[v])
+                assert oracle.size(u, v) == 2 + largest(
+                    middle, lambda c: is_clique(adj, c)
+                )
+
     @given(dag_strategy)
     @settings(max_examples=60, deadline=None)
-    def test_matches_subset_scan(self, dg):
-        und = dg.underlying()
-        adj = adjacency(dg.n, und.edges)
+    def test_equals_longest_chain_on_dags(self, dg):
+        adj = adjacency(dg.n, dg.arcs)
         for u in range(dg.n):
             for v in range(dg.n):
                 if u == v:
@@ -201,22 +225,20 @@ class TestTournamentSize:
                     assert got == 0
                     continue
                 middle = sorted(dg.out[u] & dg.inn[v])
-                best = 0
-                for size in range(len(middle), -1, -1):
-                    if any(
-                        is_clique(adj, c)
-                        for c in combinations(middle, size)
-                    ):
-                        best = size
-                        break
-                assert got == 2 + best
+                # random_dag's arcs rise in id, so a chain is an ascending run
+                chain = largest(
+                    middle, lambda c: all(map(dg.has_arc, c, c[1:]))
+                )
+                assert got == 2 + chain
+                # every clique of a DAG is a transitive tournament, so a chain
+                assert got >= 2 + largest(middle, lambda c: is_clique(adj, c))
 
 
 class TestEmbedCalmTree:
     def test_embeds_edge_with_maximal_tournament(self):
         dg = transitive_tournament(4)
         grading = peel_grading(dg, 1, 2)
-        emb = embed_calm_tree(dg, grading, complete_kary_tree(1, 1))
+        emb = embed_calm_tree(dg, grading, complete_kary_tree(1, 1), 4)
         assert emb is not None
         assert emb.phi == {0: 0, 1: 3}
         assert emb.tournament_sizes == {(0, 1): 4}
@@ -227,33 +249,43 @@ class TestEmbedCalmTree:
         grading = peel_grading(dg, 1, 2)
         # k too small for a two-child star
         star = complete_kary_tree(1, 2)
-        assert calm_precondition_error(dg, grading, star) is not None
-        assert embed_calm_tree(dg, grading, star) is None
+        assert calm_precondition_error(dg, grading, star, 4) is not None
+        assert embed_calm_tree(dg, grading, star, 4) is None
         # m too small for a deep path in a dense digraph
         g2 = peel_grading(dg, 2, 2)
         path = complete_kary_tree(2, 1)
         assert isinstance(g2, Grading)
-        assert calm_precondition_error(dg, g2, path) is not None
-        assert embed_calm_tree(dg, g2, path) is None
+        assert calm_precondition_error(dg, g2, path, 4) is not None
+        assert embed_calm_tree(dg, g2, path, 4) is None
 
     def test_stuck_without_out_arcs(self):
         dg = Digraph(3, [])
         grading = Grading((frozenset({0, 1, 2}),), 1)
         assert grading_error(dg, grading) is None
         t = complete_kary_tree(1, 1)
-        assert calm_precondition_error(dg, grading, t) is None
+        assert calm_precondition_error(dg, grading, t, 1) is None
         with pytest.raises(CalmSearchError):
-            embed_calm_tree(dg, grading, t)
+            embed_calm_tree(dg, grading, t, 1)
 
     def test_deep_embedding_in_branching_dag(self):
         dg = branching_dag(3, 3)
         t = complete_kary_tree(2, 1)
         grading = peel_grading(dg, t.n, 4)
         assert isinstance(grading, Grading)
-        emb = embed_calm_tree(dg, grading, t)
+        emb = embed_calm_tree(dg, grading, t, 2)
         assert emb is not None
         assert verify_calm(dg, grading, emb)
         assert is_path_induced(dg, t, emb.phi)
+
+    @pytest.mark.parametrize("w", [0, -3])
+    def test_clique_number_below_one_is_refused(self, w):
+        dg = transitive_tournament(4)
+        grading = peel_grading(dg, 1, 2)
+        star = complete_kary_tree(1, 2)
+        with pytest.raises(ValueError, match="clique number"):
+            calm_precondition_error(dg, grading, star, w)
+        with pytest.raises(ValueError, match="clique number"):
+            embed_calm_tree(dg, grading, star, w)
 
 
 class TestVerifyCalm:
@@ -261,7 +293,7 @@ class TestVerifyCalm:
         self.dg = transitive_tournament(4)
         self.grading = peel_grading(self.dg, 1, 2)
         self.emb = embed_calm_tree(
-            self.dg, self.grading, complete_kary_tree(1, 1)
+            self.dg, self.grading, complete_kary_tree(1, 1), 4
         )
 
     def test_accepts_honest_embedding(self):
@@ -304,44 +336,52 @@ class TestVerifyCalm:
 class TestFindPathInducedTree:
     def test_star_embeds(self):
         dg = Digraph(4, [(0, 1), (0, 2), (0, 3)])
-        res = find_path_induced_tree(dg, dg.underlying(), complete_kary_tree(1, 2))
+        res = find_path_induced_tree(dg, Graph(dg.n, dg.arcs), complete_kary_tree(1, 2), 2)
         assert isinstance(res, CalmEmbedding)
         assert res.phi[0] == 0
 
     def test_edgeless_layers(self):
         # m is bumped to 2, so the one round peels every vertex
         dg = Digraph(4, [])
-        res = find_path_induced_tree(dg, Graph(4, []), complete_kary_tree(1, 1))
+        res = find_path_induced_tree(dg, Graph(4, []), complete_kary_tree(1, 1), 1)
         assert res == Layering((frozenset(range(4)),))
         check_layering(4, [], complete_kary_tree(1, 1).n, 2, res.layers)
 
     def test_deep_tree_embeds_in_branching_dag(self):
         dg = branching_dag(3, 3)
-        res = find_path_induced_tree(dg, dg.underlying(), complete_kary_tree(2, 1))
+        res = find_path_induced_tree(dg, Graph(dg.n, dg.arcs), complete_kary_tree(2, 1), 2)
         assert isinstance(res, CalmEmbedding)
         assert is_path_induced(dg, res.tree, res.phi)
 
     def test_host_shortcut_edge_detected(self):
         dg = branching_dag(3, 3)
-        res = find_path_induced_tree(dg, dg.underlying(), complete_kary_tree(2, 1))
+        res = find_path_induced_tree(dg, Graph(dg.n, dg.arcs), complete_kary_tree(2, 1), 2)
         assert isinstance(res, CalmEmbedding)
         # plant a host edge joining the embedded root to the grandchild
         u, v = res.phi[0], res.phi[2]
-        host = Graph(dg.n, list(dg.underlying().edges) + [(u, v)])
+        host = Graph(dg.n, [*dg.arcs, (u, v)])
         with pytest.raises(HostGraphError):
-            find_path_induced_tree(dg, host, complete_kary_tree(2, 1))
+            find_path_induced_tree(dg, host, complete_kary_tree(2, 1), 2)
 
     def test_vertex_count_mismatch(self):
         with pytest.raises(ValueError):
             find_path_induced_tree(
-                Digraph(2, []), Graph(3, []), complete_kary_tree(1, 1)
+                Digraph(2, []), Graph(3, []), complete_kary_tree(1, 1), 1
             )
 
     def test_empty_digraph(self):
         res = find_path_induced_tree(
-            Digraph(0, []), Graph(0, []), complete_kary_tree(1, 1)
+            Digraph(0, []), Graph(0, []), complete_kary_tree(1, 1), 1
         )
         assert res == Layering(())
+
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_clique_number_below_one_is_refused(self, n):
+        # refused before peeling, so also where the answer would be layers
+        with pytest.raises(ValueError, match="clique number"):
+            find_path_induced_tree(
+                Digraph(n, []), Graph(n, []), complete_kary_tree(1, 1), 0
+            )
 
     @given(
         st.integers(0, 10**6),
@@ -363,10 +403,11 @@ class TestFindPathInducedTree:
         g = intersection_graph(boxes)
         t = complete_kary_tree(*shape)
         for pd in decompose(boxes, g):
-            res = find_path_induced_tree(pd.digraph, g, t)
+            w = brute_omega(g.n, pd.digraph.arcs)
+            res = find_path_induced_tree(pd.digraph, g, t, w)
             if isinstance(res, Layering):
                 # find_path_induced_tree peels with k = |T| and m = depth * omega
-                m = max(2, t.depth() * brute_omega(g.n, pd.digraph.underlying().edges))
+                m = max(2, t.depth() * w)
                 check_layering(g.n, pd.digraph.arcs, t.n, m, res.layers)
             else:
                 assert is_path_induced(pd.digraph, t, res.phi)

@@ -77,9 +77,10 @@ class TestGraph:
     def test_adjacency_is_a_tuple_of_lists(self):
         g = Graph(4, [(2, 1), (0, 1), (1, 0), (3, 1)])
         assert g.adj == ([1], [0, 2, 3], [1], [1])  # sorted, repeats collapsed
-        und = Digraph(3, [(0, 1), (1, 0), (2, 1)]).underlying()
-        assert type(und.adj) is tuple and all(type(near) is list for near in und.adj)
-        assert sorted(map(sorted, und.adj)) == [[0, 2], [1], [1]]
+        # the sweep's graph wraps the lists it filled, in no promised order
+        swept = intersection_graph(normalize(boxes_from_rows([[0, 2], [1, 4], [3, 5]])))
+        assert type(swept.adj) is tuple and all(type(near) is list for near in swept.adj)
+        assert sorted(map(sorted, swept.adj)) == [[0, 2], [1], [1]]
 
 
 class TestDigraph:
@@ -88,7 +89,8 @@ class TestDigraph:
         assert dg.has_arc(0, 1) and not dg.has_arc(1, 0)
         assert dg.out[1] == {2}
         assert dg.inn[1] == {0}
-        assert dg.underlying().edges == {(0, 1), (1, 2)}
+        # the host graph of a digraph: each arc is added both ways
+        assert Graph(dg.n, dg.arcs).edges == {(0, 1), (1, 2)}
 
     def test_validation(self):
         with pytest.raises(ValueError):

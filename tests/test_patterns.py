@@ -149,7 +149,7 @@ class TestProductColoring:
         boxes, g, fam = make_instance(4, 7, 1)
         colorings = {}
         for pd in fam:
-            und = pd.digraph.underlying()
+            und = Graph(pd.digraph.n, pd.digraph.arcs)
             greedy: dict[int, int] = {}
             for v in range(und.n):
                 used = {greedy[u] for u in und.neighbors(v) if u in greedy}
@@ -171,7 +171,7 @@ class TestProductColoring:
         colorings = {}
         arc_free = [pd.pattern for pd in fam if not any(pd.digraph.out)]
         for pd in fam:
-            und = pd.digraph.underlying()
+            und = Graph(pd.digraph.n, pd.digraph.arcs)
             greedy: dict[int, int] = {}
             for v in range(n):
                 used = {greedy[u] for u in und.neighbors(v) if u in greedy}
