@@ -9,15 +9,15 @@ Exit codes: 0 success (for ``color``: a coloring), 2 bad input, 3 the
 dichotomy produced an induced tree, 4 an exact oracle refused an instance
 above its size limit, 5 a verification failed.
 
-The oracle size limits default from the environment variables
-BOXFOREST_OMEGA_LIMIT, BOXFOREST_CHI_LIMIT and BOXFOREST_VERIFY_LIMIT;
-explicit flags win over the environment.
+The size limits are fixed: 40 boxes for the clique and independence
+oracles, 20 for the chromatic number and 14 for ``decompose``'s modesty
+and divergence checks. ``color`` in d >= 2 goes past 40 boxes only with
+``--omega-bound``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Sequence
 
@@ -30,9 +30,9 @@ from .generators import (
 )
 from .geometry import _quote, boxes_to_text, load_boxes, normalize
 from .graphs import intersection_graph
-from .oracles import DEFAULT_LIMITS, OracleLimitError, OracleLimits, alpha, chi, omega
+from .oracles import OracleLimitError, alpha, chi, omega
+from .patterns import VERIFY_LIMIT, verify_basic
 from .patterns import decompose as decompose_boxes
-from .patterns import verify_basic
 from .pipeline import (
     ProperColoring,
     certificate_to_json,
@@ -69,33 +69,6 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _env_limit(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {_quote(raw)}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
-
-
-def _resolve_limits(args: argparse.Namespace) -> OracleLimits:
-    def pick(flag: int | None, env_name: str, fallback: int) -> int:
-        if flag is not None:
-            return flag
-        env = _env_limit(env_name)
-        return env if env is not None else fallback
-
-    return OracleLimits(
-        omega=pick(args.omega_limit, "BOXFOREST_OMEGA_LIMIT", DEFAULT_LIMITS.omega),
-        chi=pick(args.chi_limit, "BOXFOREST_CHI_LIMIT", DEFAULT_LIMITS.chi),
-        verify=pick(args.verify_limit, "BOXFOREST_VERIFY_LIMIT", DEFAULT_LIMITS.verify),
-    )
-
-
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -129,7 +102,6 @@ def _flag(value: bool | None) -> str:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     boxes = _load_normalized(args.input)
-    limits = _resolve_limits(args)
     d = boxes[0].dim
     g = intersection_graph(boxes)
     family = decompose_boxes(boxes, g)
@@ -138,7 +110,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     failed = False
     skipped = False
     for pd in family:
-        report = verify_basic(pd, g, limits)
+        report = verify_basic(pd, g)
         skipped = skipped or report.modest is None
         failed = failed or report.acyclic is False
         failed = failed or report.modest is False or report.divergent is False
@@ -154,20 +126,14 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if skipped:
         print(
             f"note: structural checks skipped, n={len(boxes)} exceeds the "
-            f"verification limit {limits.verify}"
+            f"verification limit {VERIFY_LIMIT}"
         )
     return EXIT_FAILED if failed else EXIT_OK
 
 
 def cmd_color(args: argparse.Namespace) -> int:
     boxes = _load_normalized(args.input)
-    cert = color_or_find_forest(
-        boxes,
-        args.r,
-        args.k,
-        limits=_resolve_limits(args),
-        omega_bound=args.omega_bound,
-    )
+    cert = color_or_find_forest(boxes, args.r, args.k, omega_bound=args.omega_bound)
     _write_text(certificate_to_json(cert), args.out)
     if isinstance(cert, ProperColoring):
         rep = cert.report
@@ -201,15 +167,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     boxes = _load_normalized(args.input)
-    limits = _resolve_limits(args)
     g = intersection_graph(boxes)
     if args.stat in ("chi", "omega", "alpha"):
         fn = {"chi": chi, "omega": omega, "alpha": alpha}[args.stat]
-        print(f"{args.stat} = {fn(g, limits)}")
+        print(f"{args.stat} = {fn(g)}")
         return EXIT_OK
     n, d = len(boxes), boxes[0].dim
-    w = omega(g, limits)
-    a = alpha(g, limits)
+    w = omega(g)
+    a = alpha(g)
     bound_ok = a**d * w >= n
     need = 1
     while need**d * w < n:
@@ -232,20 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    limit_flags = argparse.ArgumentParser(add_help=False)
-    limit_flags.add_argument(
-        "--omega-limit", type=_positive, default=None,
-        help="max n for the exact clique/independence oracles",
-    )
-    limit_flags.add_argument(
-        "--chi-limit", type=_positive, default=None,
-        help="max n for the exact chromatic number oracle",
-    )
-    limit_flags.add_argument(
-        "--verify-limit", type=_positive, default=None,
-        help="max n for the per-pattern structural checks",
-    )
-
     gen = sub.add_parser("gen", help="generate an instance file")
     gen.add_argument(
         "--kind", required=True, choices=("random", "nested", "grid", "burling")
@@ -264,15 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     dec = sub.add_parser(
-        "decompose", parents=[limit_flags],
-        help="table the per-pattern digraphs and structural checks",
+        "decompose", help="table the per-pattern digraphs and structural checks"
     )
     dec.add_argument("input", help="box file")
     dec.set_defaults(func=cmd_decompose)
 
     col = sub.add_parser(
-        "color", parents=[limit_flags],
-        help="run the dichotomy: proper coloring or induced tree",
+        "color", help="run the dichotomy: proper coloring or induced tree"
     )
     col.add_argument("input", help="box file")
     col.add_argument("--r", type=_nonnegative, required=True, help="tree depth")
@@ -289,9 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--certificate", required=True, help="certificate JSON path")
     ver.set_defaults(func=cmd_verify)
 
-    orc = sub.add_parser(
-        "oracle", parents=[limit_flags], help="run an exact solver on an instance"
-    )
+    orc = sub.add_parser("oracle", help="run an exact solver on an instance")
     orc.add_argument("input", help="box file")
     orc.add_argument(
         "--stat", required=True, choices=("chi", "omega", "alpha", "ehcheck")
@@ -306,7 +253,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except OracleLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # on color only the clique oracle refuses, and a bound replaces it
+        hint = (
+            "; pass --omega-bound, an upper bound on the clique number"
+            if args.func is cmd_color
+            else ""
+        )
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_REFUSED
     except CalmSearchError as exc:
         print(

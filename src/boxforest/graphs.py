@@ -82,8 +82,8 @@ class Graph:
     def adjacent(self, u: int, v: int) -> bool:
         """Whether uv is an edge: a scan of u's list, O(deg u). Its callers
         make few lookups: the embedding's checks of a found tree (|T| times
-        its depth), ``patterns.verify_basic`` (n <= ``limits.verify``) and
-        ``complement`` (the exact oracles, n <= 40)."""
+        its depth), ``patterns.verify_basic`` (n <= ``VERIFY_LIMIT``, 14) and
+        ``complement`` (the exact oracles, n <= ``OMEGA_LIMIT``, 40)."""
         return v in self.adj[u]
 
     def neighbors(self, u: int) -> frozenset[int]:

@@ -2,21 +2,19 @@
 
 These are the ground truth the rest of the package is validated against, so
 they are exhaustive branch-and-bound searches with deterministic order and
-hard size limits. Above a limit they refuse (OracleLimitError) rather than
-approximate; the limits are configuration, not constants.
+fixed size limits: OMEGA_LIMIT vertices for the clique and independence
+oracles, CHI_LIMIT for the chromatic number. Above a limit they refuse
+(OracleLimitError) rather than approximate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Graph
 
 __all__ = [
-    "DEFAULT_LIMITS",
     "OracleLimitError",
-    "OracleLimits",
     "alpha",
     "chi",
     "maximum_clique",
@@ -25,29 +23,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    """Size caps per oracle; ``omega`` also caps alpha (same engine)."""
-
-    omega: int = 40
-    chi: int = 20
-    verify: int = 14  # structural digraph checks, see patterns.verify_basic
-
-    def __post_init__(self) -> None:
-        if min(self.omega, self.chi, self.verify) < 1:
-            raise ValueError("limits must be positive")
-
-
-DEFAULT_LIMITS = OracleLimits()
+OMEGA_LIMIT = 40  # max n for the clique and independence oracles (same engine)
+CHI_LIMIT = 20  # max n for the chromatic number oracle
 
 
 class OracleLimitError(Exception):
-    """An exact oracle refused an instance above its configured limit."""
+    """An exact oracle refused an instance above its size limit."""
 
     def __init__(self, oracle: str, size: int, limit: int):
-        super().__init__(
-            f"{oracle} oracle refuses n={size} above configured limit {limit}"
-        )
+        super().__init__(f"{oracle} oracle refuses n={size} above its limit {limit}")
         self.oracle = oracle
         self.size = size
         self.limit = limit
@@ -103,32 +87,28 @@ def _max_clique_bitset(adj: Sequence[int], universe: int) -> tuple[int, int]:
     return best_size, best_mask
 
 
-def maximum_clique(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> frozenset[int]:
-    if g.n > limits.omega:
-        raise OracleLimitError("omega", g.n, limits.omega)
+def maximum_clique(g: Graph) -> frozenset[int]:
+    if g.n > OMEGA_LIMIT:
+        raise OracleLimitError("omega", g.n, OMEGA_LIMIT)
     _, mask = _max_clique_bitset(_adjacency_masks(g), (1 << g.n) - 1)
     return frozenset(v for v in range(g.n) if mask >> v & 1)
 
 
-def omega(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> int:
-    if g.n > limits.omega:
-        raise OracleLimitError("omega", g.n, limits.omega)
+def omega(g: Graph) -> int:
+    if g.n > OMEGA_LIMIT:
+        raise OracleLimitError("omega", g.n, OMEGA_LIMIT)
     size, _ = _max_clique_bitset(_adjacency_masks(g), (1 << g.n) - 1)
     return size
 
 
-def maximum_independent_set(
-    g: Graph, limits: OracleLimits = DEFAULT_LIMITS
-) -> frozenset[int]:
-    if g.n > limits.omega:
-        raise OracleLimitError("alpha", g.n, limits.omega)
-    return maximum_clique(g.complement(), limits)
+def maximum_independent_set(g: Graph) -> frozenset[int]:
+    if g.n > OMEGA_LIMIT:
+        raise OracleLimitError("alpha", g.n, OMEGA_LIMIT)
+    return maximum_clique(g.complement())
 
 
-def alpha(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> int:
-    if g.n > limits.omega:
-        raise OracleLimitError("alpha", g.n, limits.omega)
-    return len(maximum_independent_set(g, limits))
+def alpha(g: Graph) -> int:
+    return len(maximum_independent_set(g))
 
 
 def _greedy_palette(g: Graph) -> int:
@@ -174,13 +154,13 @@ def _k_colorable(g: Graph, k: int) -> bool:
     return backtrack(0, 0)
 
 
-def chi(g: Graph, limits: OracleLimits = DEFAULT_LIMITS) -> int:
+def chi(g: Graph) -> int:
     """Exact chromatic number by binary search on k-colorability."""
-    if g.n > limits.chi:
-        raise OracleLimitError("chi", g.n, limits.chi)
+    if g.n > CHI_LIMIT:
+        raise OracleLimitError("chi", g.n, CHI_LIMIT)
     if g.n == 0:
         return 0
-    lo = omega(g, OracleLimits(omega=max(limits.omega, g.n), chi=limits.chi))
+    lo = omega(g)  # within OMEGA_LIMIT, since CHI_LIMIT is below it
     hi = _greedy_palette(g)
     while lo < hi:
         mid = (lo + hi) // 2

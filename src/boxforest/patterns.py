@@ -32,7 +32,6 @@ from .geometry import (  # noqa: F401
     intersection_pattern,
 )
 from .graphs import Coloring, Digraph, Graph
-from .oracles import DEFAULT_LIMITS, OracleLimitError, OracleLimits
 
 __all__ = [
     "BasicReport",
@@ -91,9 +90,13 @@ def decompose(boxes: Sequence[Box], g: Graph) -> list[PatternDigraph]:
     ]
 
 
+VERIFY_LIMIT = 14  # max n for the modesty and divergence checks
+
+
 @dataclass(frozen=True)
 class BasicReport:
-    """Outcome of the three structural checks; None means skipped (limit)."""
+    """Outcome of the three structural checks; None means skipped, n above
+    ``VERIFY_LIMIT``."""
 
     acyclic: bool
     modest: bool | None
@@ -105,13 +108,11 @@ class BasicReport:
         return bool(self.acyclic and self.modest and self.divergent)
 
 
-def verify_basic(
-    pd: PatternDigraph, g: Graph, limits: OracleLimits = DEFAULT_LIMITS
-) -> BasicReport:
+def verify_basic(pd: PatternDigraph, g: Graph) -> BasicReport:
     """Check acyclicity, modesty, and divergence of one pattern digraph.
 
-    Acyclicity is always checked. The other two run when n is within
-    ``limits.verify`` and use reachability cones, which is equivalent to
+    Acyclicity is always checked. The other two run when n is at most
+    ``VERIFY_LIMIT`` and use reachability cones, which is equivalent to
     quantifying over all directed paths: two vertices lie on a common
     u->v path iff both sit between u and v and one reaches the other.
     """
@@ -119,7 +120,7 @@ def verify_basic(
     if dg.n != g.n:
         raise ValueError("pattern digraph and host graph disagree on n")
     acyclic = dg.is_acyclic()
-    if dg.n > limits.verify:
+    if dg.n > VERIFY_LIMIT:
         return BasicReport(acyclic, None, None)
     if not acyclic:
         return BasicReport(False, False, False, witness="cycle")

@@ -48,12 +48,7 @@ from .graphs import (
     intersection_graph,
     smallest_last_coloring,
 )
-from .oracles import (  # noqa: F401
-    DEFAULT_LIMITS,
-    OracleLimits,
-    maximum_independent_set,
-    omega,
-)
+from .oracles import maximum_independent_set, omega  # noqa: F401
 from .patterns import decompose, product_coloring  # noqa: F401
 
 __all__ = [
@@ -178,7 +173,7 @@ def _interval_mis(boxes: Sequence[Box], axis: int) -> list[int]:
     return chosen
 
 
-def _interval_max_clique(boxes: Sequence[Box], axis: int) -> list[int]:
+def _interval_max_clique(boxes: Sequence[Box], axis: int) -> frozenset[int]:
     """Ids of intervals through the first deepest sweep point (exact)."""
     events = sorted(
         [(b.side(axis).lo, 0, b.id) for b in boxes]
@@ -193,7 +188,7 @@ def _interval_max_clique(boxes: Sequence[Box], axis: int) -> list[int]:
             active.add(bid)
             if len(active) > len(best):
                 best = frozenset(active)
-    return sorted(best)
+    return best
 
 
 def extract_independent(
@@ -201,11 +196,14 @@ def extract_independent(
 ) -> Extraction:
     """Pairwise-disjoint boxes, at least ceil((n / omega)^(1/d)) of them.
 
-    Recursive: the last axis's intervals form an interval graph; either its
-    exact independent set is large, or its deepest point is covered by many
-    boxes which all meet there, and those recurse one axis down. Truncates
-    to ``target`` when given; flags a shortfall (returning everything
-    found) when the target is out of reach.
+    From the last axis down: each axis's intervals form an interval graph;
+    either its exact independent set is large, or its deepest point is
+    covered by many boxes which all meet there, and only those go on to the
+    next axis down. Folding back up, an axis's independent set wins when it
+    is at least as large as what the axes below it found. One loop over the
+    axes, so any d runs without recursion. Truncates to ``target`` when
+    given; flags a shortfall (returning everything found) when the target
+    is out of reach.
     """
     if not boxes:
         raise ValueError("empty box collection")
@@ -214,15 +212,16 @@ def extract_independent(
     d = boxes[0].dim
     if any(b.dim != d for b in boxes):
         raise ValueError("dimension mismatch")
-    if d == 1:
-        ids = _interval_mis(boxes, 0)
-    else:
-        by_id = {b.id: b for b in boxes}
-        option_a = _interval_mis(boxes, d - 1)
-        stack_ids = _interval_max_clique(boxes, d - 1)
-        projected = [Box(i, by_id[i].sides[:-1]) for i in stack_ids]
-        option_b = list(extract_independent(projected).ids)
-        ids = option_a if len(option_a) >= len(option_b) else option_b
+    pool: Sequence[Box] = boxes
+    upper: list[list[int]] = []  # the interval MIS of axes d-1 down to 1
+    for axis in range(d - 1, 0, -1):
+        upper.append(_interval_mis(pool, axis))
+        stack = _interval_max_clique(pool, axis)
+        pool = [b for b in pool if b.id in stack]
+    ids = _interval_mis(pool, 0)
+    for option in reversed(upper):
+        if len(option) >= len(ids):
+            ids = option
     ids = sorted(ids)
     if target is None:
         return Extraction(tuple(ids), False)
@@ -323,15 +322,15 @@ def color_or_find_forest(
     boxes: Sequence[Box],
     r: int,
     k: int,
-    limits: OracleLimits = DEFAULT_LIMITS,
     omega_bound: int | None = None,
 ) -> Certificate:
     """Proper coloring within the derived bound, or an induced tree.
 
     Expects normalized boxes with ids 0..n-1. ``omega_bound`` may supply a
     caller-guaranteed upper bound on the clique number to skip the exact
-    oracle on instances above its limit. With r = 0 the certificate is the
-    trivial single-vertex tree (any box is one).
+    oracle, which refuses more than ``oracles.OMEGA_LIMIT`` (40) boxes; in
+    d >= 2 it is then required. With r = 0 the certificate is the trivial
+    single-vertex tree (any box is one).
 
     The host graph comes from one sweep. In d >= 2, when the tree has at
     most as many vertices |T| as the host graph's maximum degree, its
@@ -359,7 +358,7 @@ def color_or_find_forest(
 
     w = None
     if d >= 2:
-        w = omega_bound if omega_bound is not None else omega(g, limits)
+        w = omega_bound if omega_bound is not None else omega(g)
         branching = k**d * w
         # a pattern out-degree is at most the host degree, so when that is
         # below |T| every pattern peels out whole in round 1 and none is searched

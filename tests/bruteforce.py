@@ -51,6 +51,42 @@ def brute_interval_depth(intervals: list[tuple]) -> int:
     )
 
 
+def brute_extract_independent(
+    boxes: dict[int, tuple], target: int | None = None
+) -> tuple[tuple[int, ...], bool]:
+    """The containment-bound extraction written recursively, one axis per
+    call, as ``(ids, shortfall)``. ``boxes`` maps an id to its per-axis
+    (lo, hi) pairs.
+
+    The last axis's greedy independent set (by right end, then id) wins
+    when it is at least as large as what the recursion finds among the
+    intervals through that axis's first deepest point, projected to the
+    axes below.
+    """
+
+    def extract(boxes: dict[int, tuple]) -> list[int]:
+        last = {i: sides[-1] for i, sides in boxes.items()}
+        greedy: list[int] = []
+        for i in sorted(last, key=lambda i: (last[i][1], i)):
+            if not greedy or last[i][0] > last[greedy[-1]][1]:
+                greedy.append(i)
+        if len(next(iter(boxes.values()))) == 1:
+            return greedy
+        depth = brute_interval_depth(list(last.values()))
+        point = min(
+            lo for lo, _ in last.values()
+            if sum(a <= lo <= b for a, b in last.values()) == depth
+        )
+        stack = {i: boxes[i][:-1] for i, (lo, hi) in last.items() if lo <= point <= hi}
+        below = extract(stack)
+        return greedy if len(greedy) >= len(below) else below
+
+    ids = sorted(extract(boxes))
+    if target is None or len(ids) >= target:
+        return tuple(ids[:target]), False
+    return tuple(ids), True
+
+
 def brute_alpha(n: int, edges) -> int:
     adj = adjacency(n, edges)
     for size in range(n, 0, -1):

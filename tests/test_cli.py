@@ -1,4 +1,4 @@
-"""Command line surface: subcommands, exit codes, env limits, determinism."""
+"""Command line surface: subcommands, exit codes, refusals, determinism."""
 
 from __future__ import annotations
 
@@ -88,8 +88,9 @@ class TestDecompose:
         assert "NO" not in out
 
     def test_skip_notice_above_verify_limit(self, tmp_path, capsys):
+        # the structural checks stop at 14 boxes
         path = write_instance(tmp_path, "big.txt", "random", n=16, d=1, seed=0)
-        assert main(["decompose", str(path), "--verify-limit", "10"]) == 0
+        assert main(["decompose", str(path)]) == 0
         out = capsys.readouterr().out
         assert "skipped" in out
 
@@ -193,10 +194,15 @@ class TestColor:
         assert payload["r"] == 1 and payload["k"] == 1
 
     def test_refusal_exit_code(self, tmp_path, capsys):
-        path = write_instance(tmp_path, "w.txt", "random", n=30, d=2, seed=1)
-        code = main(["color", str(path), "--r", "1", "--k", "1", "--omega-limit", "10"])
-        assert code == 4
-        assert "refus" in capsys.readouterr().err
+        # the clique oracle stops at 40 boxes, and the message names the way past
+        path = write_instance(tmp_path, "w.txt", "random", n=41, d=2, seed=1)
+        argv = ["color", str(path), "--r", "1", "--k", "1"]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            "error: omega oracle refuses n=41 above its limit 40; "
+            "pass --omega-bound, an upper bound on the clique number\n"
+        )
+        assert main([*argv, "--omega-bound", "41"]) == 0
 
     def test_understated_omega_bound_is_input_error(self, tmp_path, capsys):
         # the clique number of this instance is 4; with a bound of 1 the
@@ -356,6 +362,30 @@ class TestSixteenDimensions:
         assert footer == "4294967296 patterns, 2 with arcs, n=4"
 
 
+class TestThousandDimensions:
+    """A hub holding three disjoint leaves in d = 1000, more axes than the
+    interpreter's default recursion limit."""
+
+    @pytest.fixture
+    def star1000(self, tmp_path):
+        rows = [[0, 9] * 1000] + [[a, a + 1] * 1000 for a in (1, 4, 7)]
+        path = tmp_path / "star1000.txt"
+        save_boxes(boxes_from_rows(rows), str(path))
+        return path
+
+    def test_color_gives_a_tree_that_verifies(self, star1000, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        argv = ["color", str(star1000), "--r", "1", "--k", "1", "--out", str(cert)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "induced tree: depth 1, branching 1, 2 boxes\n"
+        assert main(["verify", str(star1000), "--certificate", str(cert)]) == 0
+
+    def test_ehcheck_passes(self, star1000, capsys):
+        assert main(["oracle", str(star1000), "--stat", "ehcheck"]) == 0
+        out = capsys.readouterr().out
+        assert "extraction found 3 disjoint boxes, needs 2: PASS" in out
+
+
 class TestVerify:
     def make_pair(self, tmp_path):
         path = write_instance(tmp_path, "i.txt", "random", n=8, d=2, seed=5)
@@ -441,33 +471,12 @@ class TestOracle:
         assert out.count("PASS") == 2 and "FAIL" not in out
 
     def test_refusal(self, tmp_path, capsys):
-        path = write_instance(tmp_path, "r.txt", "random", n=25, d=2, seed=6)
-        assert main(["oracle", str(path), "--stat", "chi", "--chi-limit", "10"]) == 4
-
-
-class TestEnvLimits:
-    def test_env_sets_limit(self, tmp_path, monkeypatch, capsys):
-        path = write_instance(tmp_path, "x.txt", "random", n=12, d=2, seed=8)
-        monkeypatch.setenv("BOXFOREST_OMEGA_LIMIT", "5")
-        assert main(["oracle", str(path), "--stat", "omega"]) == 4
-
-    def test_flag_overrides_env(self, tmp_path, monkeypatch, capsys):
-        path = write_instance(tmp_path, "y.txt", "random", n=12, d=2, seed=8)
-        monkeypatch.setenv("BOXFOREST_OMEGA_LIMIT", "5")
-        assert main(["oracle", str(path), "--stat", "omega", "--omega-limit", "40"]) == 0
-
-    def test_bad_env_value_is_input_error(self, tmp_path, monkeypatch, capsys):
-        path = write_instance(tmp_path, "z.txt", "random", n=5, d=2, seed=8)
-        monkeypatch.setenv("BOXFOREST_OMEGA_LIMIT", "zero")
-        assert main(["oracle", str(path), "--stat", "omega"]) == 2
-        assert "BOXFOREST_OMEGA_LIMIT" in capsys.readouterr().err
-
-    def test_long_env_value_is_quoted_short(self, tmp_path, monkeypatch, capsys):
-        path = write_instance(tmp_path, "z.txt", "random", n=5, d=2, seed=8)
-        monkeypatch.setenv("BOXFOREST_OMEGA_LIMIT", "9" * 5000)
-        assert main(["oracle", str(path), "--stat", "omega"]) == 2
-        err = capsys.readouterr().err
-        assert "(5000 characters)" in err and len(err) < 200
+        # the chromatic number oracle stops at 20 boxes
+        path = write_instance(tmp_path, "r.txt", "random", n=21, d=2, seed=6)
+        assert main(["oracle", str(path), "--stat", "chi"]) == 4
+        assert capsys.readouterr().err == (
+            "error: chi oracle refuses n=21 above its limit 20\n"
+        )
 
 
 class TestDeterminism:

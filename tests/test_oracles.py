@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from boxforest import (
     Graph,
     OracleLimitError,
-    OracleLimits,
     alpha,
     chi,
     maximum_clique,
     maximum_independent_set,
     omega,
+    oracles,
 )
 from bruteforce import brute_alpha, brute_chi, brute_omega
 
@@ -77,24 +77,24 @@ class TestValuesAgainstBruteforce:
         assert maximum_independent_set(g) == maximum_independent_set(g)
 
 
+@pytest.fixture
+def limits_of_five(monkeypatch):
+    monkeypatch.setattr(oracles, "OMEGA_LIMIT", 5)
+    monkeypatch.setattr(oracles, "CHI_LIMIT", 5)
+
+
+@pytest.mark.usefixtures("limits_of_five")
 class TestRefusals:
     def test_each_oracle_refuses_above_limit(self):
         g = random_graph(random.Random(1), 6, 0.5)
-        lim = OracleLimits(omega=5, chi=5, verify=5)
-        for fn, name in ((omega, "omega"), (alpha, "omega"), (chi, "chi")):
+        for fn, name in ((omega, "omega"), (alpha, "alpha"), (chi, "chi")):
             with pytest.raises(OracleLimitError) as exc:
-                fn(g, lim)
-            assert exc.value.size == 6
-            assert str(exc.value.limit) in str(exc.value)
-
-    def test_limit_validation(self):
-        with pytest.raises(ValueError):
-            OracleLimits(omega=0, chi=5, verify=5)
-        with pytest.raises(ValueError):
-            OracleLimits(omega=5, chi=-1, verify=5)
+                fn(g)
+            assert exc.value.size == 6 and exc.value.oracle == name
+            assert str(exc.value) == f"{name} oracle refuses n=6 above its limit 5"
 
     def test_at_limit_is_allowed(self):
         g = random_graph(random.Random(2), 5, 0.5)
-        lim = OracleLimits(omega=5, chi=5, verify=5)
-        assert omega(g, lim) == brute_omega(g.n, g.edges)
-        assert chi(g, lim) == brute_chi(g.n, g.edges)
+        assert omega(g) == brute_omega(g.n, g.edges)
+        assert alpha(g) == brute_alpha(g.n, g.edges)
+        assert chi(g) == brute_chi(g.n, g.edges)

@@ -12,7 +12,6 @@ from boxforest import (
     Coloring,
     Digraph,
     Graph,
-    OracleLimits,
     PatternDigraph,
     all_patterns,
     boxes_from_rows,
@@ -117,8 +116,11 @@ class TestVerifyBasic:
             assert brute_divergent(dg.n, set(dg.arcs), g.edges)
 
     def test_skips_above_verify_limit(self):
-        boxes, g, fam = make_instance(3, 6, 1)
-        rep = verify_basic(fam[0], g, OracleLimits(omega=40, chi=20, verify=5))
+        # the limit is 14 boxes
+        _, g, fam = make_instance(3, 14, 1)
+        assert verify_basic(fam[0], g).all_hold
+        _, g, fam = make_instance(3, 15, 1)
+        rep = verify_basic(fam[0], g)
         assert rep.acyclic is True
         assert rep.modest is None and rep.divergent is None
         assert not rep.all_hold

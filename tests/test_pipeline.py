@@ -19,7 +19,6 @@ from boxforest import (
     InducedTree,
     InternalInvariantError,
     OracleLimitError,
-    OracleLimits,
     ProperColoring,
     alpha,
     boxes_from_rows,
@@ -41,7 +40,7 @@ from boxforest import (
     tree_vertex_count,
     verify_certificate,
 )
-from bruteforce import brute_alpha, find_induced_copy
+from bruteforce import brute_alpha, brute_extract_independent, find_induced_copy
 
 
 class TestChiBound:
@@ -144,6 +143,29 @@ class TestExtractIndependent:
         for i, a in enumerate(picked):
             for b in picked[i + 1:]:
                 assert not intersects(a, b)
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 30),
+        st.integers(1, 5),
+        st.none() | st.integers(1, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_recursive_reference(self, seed, n, d, target):
+        # a narrow range gives shared endpoints, and a sample of the boxes
+        # gives ids with gaps, as among a tree vertex's children
+        rng = random.Random(seed)
+        rows = []
+        for _ in range(n):
+            row = []
+            for _ in range(d):
+                lo = rng.randrange(12)
+                row.extend((lo, lo + rng.randrange(6)))
+            rows.append(row)
+        boxes = boxes_from_rows(rows)
+        boxes = rng.sample(boxes, rng.randint(1, n))
+        plain = {b.id: tuple((s.lo, s.hi) for s in b.sides) for b in boxes}
+        assert extract_independent(boxes, target) == brute_extract_independent(plain, target)
 
     def test_exact_on_intervals(self):
         for seed in range(25):
@@ -265,7 +287,7 @@ class TestColorOrFindForest:
         with pytest.raises(CalmSearchError, match="disjoint children"):
             color_or_find_forest(boxes, r=1, k=2, omega_bound=1)
         # the same shortfall with omega from the exact oracle is a bug
-        monkeypatch.setattr(pipeline, "omega", lambda g, limits: 1)
+        monkeypatch.setattr(pipeline, "omega", lambda g: 1)
         with pytest.raises(InternalInvariantError, match="disjoint children"):
             color_or_find_forest(boxes, r=1, k=2)
 

@@ -1,9 +1,13 @@
-"""The README's documented library use runs as written."""
+"""The README's documented library use runs as written, and its flags are
+the command's flags."""
 
 from __future__ import annotations
 
+import argparse
 import re
 from pathlib import Path
+
+from boxforest.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +18,29 @@ def test_library_use_snippet_runs():
     snippet = re.search(r"```python\n(.*?)```", section, re.DOTALL)
     assert snippet is not None, "README 'Library use' has no python block"
     exec(compile(snippet.group(1), "README.md", "exec"), {})
+
+
+def _cli_long_options() -> set[str]:
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return {
+        option
+        for parser in subparsers.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+
+
+def test_every_cli_flag_is_documented():
+    # both ways: a flag the README never names is undocumented, and a flag
+    # the README names that no subcommand defines is stale
+    text = README.read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    defined = _cli_long_options()
+    assert defined - named == set(), "flags missing from README.md"
+    assert named - defined == set(), "README.md names flags the CLI lacks"
+    # nor does the command read any environment variable
+    assert "BOXFOREST_" not in text

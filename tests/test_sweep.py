@@ -25,7 +25,6 @@ from boxforest import (
     Graph,
     InducedTree,
     Layering,
-    OracleLimits,
     ProperColoring,
     all_patterns,
     boxes_from_rows,
@@ -44,6 +43,7 @@ from boxforest import (
     nested_chain_boxes,
     normalize,
     omega,
+    oracles,
     parse_certificate,
     patterns,
     peel_grading,
@@ -321,7 +321,7 @@ def test_pairs_under_shuffled_ids_match_the_all_pairs_reference(d, rng):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_long_candidate_lists_match_the_all_pairs_reference(d):
+def test_long_candidate_lists_match_the_all_pairs_reference(d, monkeypatch):
     # about half of the pairs of 200 random boxes meet on each axis, so an
     # arrival gathers dozens of open boxes and filters them axis by axis
     boxes = random_boxes(200, d, seed=d)
@@ -351,10 +351,11 @@ def test_long_candidate_lists_match_the_all_pairs_reference(d):
             pairs = intersecting_pairs(order, labels)
             assert len(pairs) == len(same)
             assert {(u, v): names[code] for u, v, code in pairs} == same
-    limits = OracleLimits(omega=n)
-    w = omega(Graph(n, want), limits)
+    # raise the clique oracle's limit so that certify computes omega itself
+    monkeypatch.setattr(oracles, "OMEGA_LIMIT", n)
+    w = omega(Graph(n, want))
     for r, k in ((1, 1), (2, 2)):  # decomposed and searched, then not
-        cert = color_or_find_forest(boxes, r, k, limits=limits)
+        cert = color_or_find_forest(boxes, r, k)
         data = certificate_to_json(cert)
         assert data == brute_coloring_certificate(sides, r, k, omega=w)
         colors = parse_certificate(data)["colors"]
