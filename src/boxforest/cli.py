@@ -100,6 +100,15 @@ def _flag(value: bool | None) -> str:
     return "yes" if value else "NO"
 
 
+def _pattern_count(d: int) -> str:
+    """4^d in decimal, or as the power where the decimal has more digits than
+    the interpreter writes (from d = 7143 at its default limit of 4300)."""
+    try:
+        return str(4**d)
+    except ValueError:
+        return f"4^{d}"
+
+
 def cmd_decompose(args: argparse.Namespace) -> int:
     boxes = _load_normalized(args.input)
     d = boxes[0].dim
@@ -122,7 +131,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         if report.witness:
             line += f"  [{report.witness}]"
         print(line)
-    print(f"{4**d} patterns, {len(family)} with arcs, n={len(boxes)}")
+    print(f"{_pattern_count(d)} patterns, {len(family)} with arcs, n={len(boxes)}")
     if skipped:
         print(
             f"note: structural checks skipped, n={len(boxes)} exceeds the "

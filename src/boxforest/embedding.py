@@ -16,11 +16,17 @@ In a pattern digraph every member of the universe N+(u) & N-(v) contains
 u & v on every axis, so the members pairwise meet and their arcs form a
 strict partial order: t(u, v) is 2 plus its longest chain, which one Kahn
 pass finds (Mirsky 1971). Given omega, no step here is exponential.
+
+Peeling's first round, where the remainder is every vertex, reads the
+out-degrees with ``map(len, ...)``; later rounds intersect each remaining
+out-set with the remainder. ``TournamentOracle`` checks the whole digraph
+for cycles once, when it is built (``Digraph.is_acyclic``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Mapping
 
 # ``degeneracy_coloring`` is imported only to stay a module name: perfbench
@@ -127,14 +133,14 @@ def peel_grading(dg: Digraph, k: int, m: int) -> Grading | Layering:
         raise ValueError("k must be positive")
     if m < 1:
         raise ValueError("m must be positive")
-    z = frozenset(range(dg.n))
-    chain = [z]
+    chain = [frozenset(range(dg.n))]
     layers: list[frozenset[int]] = []
-    for _ in range(m - 1):
+    for i in range(m - 1):
         current = chain[-1]
-        peeled = frozenset(
-            v for v in current if len(dg.out[v] & current) < k
-        )
+        if i:
+            peeled = frozenset(v for v in current if len(dg.out[v] & current) < k)
+        else:  # every vertex remains, so its out-degree is its out-set's size
+            peeled = frozenset(compress(range(dg.n), map(k.__gt__, map(len, dg.out))))
         layers.append(peeled)
         chain.append(current - peeled)
     if chain[-1]:

@@ -159,6 +159,7 @@ _set_hi = Interval.hi.__set__
 _set_id = Box.id.__set__
 _set_sides = Box.sides.__set__
 _exhaust = deque(maxlen=0).extend
+_get_id = operator.attrgetter("id")  # the sort key of boxes by id
 
 
 def _boxes_from_columns(
@@ -304,17 +305,23 @@ def _pattern_codes(
     digit per axis, axis 0 most significant, 0..3 for CONTAINS, CONTAINED,
     LEFT, RIGHT. Mirroring flips the low bit of every digit.
 
-    Each axis's endpoints are read as two columns, maps from id to lo and
-    to hi."""
+    Each axis's endpoints are read once as two columns indexed by id: lists
+    when the ids are 0..n-1 (the boxes are sorted by id only when they are
+    listed out of order), maps from id otherwise."""
     if not boxes:
         return []
     ids = [b.id for b in boxes]
+    every = list(range(len(ids)))
+    dense = ids == every
+    if not dense:
+        ordered = sorted(boxes, key=_get_id)
+        if [b.id for b in ordered] == every:
+            boxes, dense = ordered, True
     columns = []
     for axis in range(boxes[0].dim):
         sides = [b.sides[axis] for b in boxes]
-        columns.append(
-            (dict(zip(ids, [s.lo for s in sides])), dict(zip(ids, [s.hi for s in sides])))
-        )
+        lo, hi = [s.lo for s in sides], [s.hi for s in sides]
+        columns.append((lo, hi) if dense else (dict(zip(ids, lo)), dict(zip(ids, hi))))
     out = []
     for u, v in pairs:
         code = 0
@@ -435,7 +442,7 @@ def normalize(boxes: Sequence[Box]) -> list[Box]:
     if not all(map(operator.lt, ids, ids[1:])):  # strictly ascending ids are distinct
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate box ids")
-        ordered = sorted(boxes, key=operator.attrgetter("id"))
+        ordered = sorted(boxes, key=_get_id)
         ids = [b.id for b in ordered]
     size = 2 * len(ids)
     # one int object per rank, shared by every axis's sort and ranks

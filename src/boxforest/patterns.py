@@ -10,15 +10,26 @@ sets. ``decompose`` classifies the edges of a host graph the caller has
 already built, so the host graph and its pattern digraphs come from one
 sweep, and it builds only the patterns that have arcs.
 
+``decompose`` reads each axis's endpoints once, into lists indexed by box
+id, classifies each host edge once, and files an arc only at a vertex that
+has one; a pattern's neighbor tuple is ``n`` references to one shared
+empty set, with a frozenset only where there are arcs. So it costs one
+read of the n d endpoints, d comparisons per edge and one list of n
+references per pattern with arcs.
+
 Every pattern digraph of a normalized family is acyclic, *modest* (the
 vertex set of any directed u->v path with uv an arc is a clique in the host
 graph), and *divergent* (directed paths leaving a vertex through two
-non-adjacent first steps end in distinct, non-adjacent vertices).
+non-adjacent first steps end in distinct, non-adjacent vertices). It is
+acyclic because the axis-0 type fixes the sign of lo_0(v) - lo_0(u) along
+every arc u -> v: positive for CONTAINS and LEFT, negative for CONTAINED
+and RIGHT, so lo_0 rises (or falls) strictly along every directed path.
 ``verify_basic`` checks all three from scratch.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,6 +39,7 @@ from .geometry import (  # noqa: F401
     _TYPE_ORDER,
     Box,
     Pattern,
+    _exhaust,
     _pattern_codes,
     intersection_pattern,
 )
@@ -53,10 +65,11 @@ class PatternDigraph:
 def decompose(boxes: Sequence[Box], g: Graph) -> list[PatternDigraph]:
     """The pattern digraphs that have arcs, in canonical pattern order.
 
-    ``g`` is the host graph of ``boxes``. Each of its edges is classified by
+    ``g`` is the host graph of ``boxes``, whose ids are 0..n-1 in any
+    listing order. Each of its edges u < v is classified once by
     ``geometry._pattern_codes``, whose integer code, one base-4 digit per
-    axis, files the arc straight into per-vertex out-neighbor lists and
-    names the pattern. Swapping a pair mirrors its pattern, so a pattern's
+    axis, names the pattern and files the arc in that pattern's
+    out-neighbor lists of the vertices that have arcs. Swapping a pair mirrors its pattern, so a pattern's
     in-neighbor sets are its mirror's out-neighbor sets and each adjacency
     is stored once. An arc-free pattern peels out whole and can embed
     nothing, so none is built: in higher dimensions most of the 4^d are
@@ -65,22 +78,22 @@ def decompose(boxes: Sequence[Box], g: Graph) -> list[PatternDigraph]:
     if not boxes:
         raise ValueError("empty box collection")
     n = len(boxes)
-    if g.n != n or sorted(b.id for b in boxes) != list(range(n)):
+    if g.n != n or sorted([b.id for b in boxes]) != list(range(n)):
         raise ValueError("box ids must be 0..n-1, the host graph's vertices")
     d = boxes[0].dim
     flip = (4**d - 1) // 3  # code ^ flip is the mirrored pattern
     pairs = ((u, v) for u, near in enumerate(g.adj) for v in near if u < v)
-    out: dict[int, list[list[int]]] = {}
+    # per pattern code, the out-neighbors of each vertex that has some
+    filed: defaultdict[int, defaultdict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
     for u, v, code in _pattern_codes(boxes, pairs):
-        if code not in out:
-            out[code] = [[] for _ in range(n)]
-            out[code ^ flip] = [[] for _ in range(n)]
-        out[code][u].append(v)
-        out[code ^ flip][v].append(u)
+        filed[code][u].append(v)
+        filed[code ^ flip][v].append(u)
     empty: frozenset[int] = frozenset()  # shared by every empty neighborhood
-    frozen = {
-        c: tuple(frozenset(s) if s else empty for s in lists) for c, lists in out.items()
-    }
+    frozen = {}
+    for c, lists in filed.items():
+        sets = [empty] * n
+        _exhaust(map(sets.__setitem__, lists.keys(), map(frozenset, lists.values())))
+        frozen[c] = tuple(sets)
     return [
         PatternDigraph(
             Pattern(tuple(_TYPE_ORDER[(c >> 2 * i) & 3] for i in reversed(range(d)))),

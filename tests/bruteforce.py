@@ -143,6 +143,23 @@ def all_directed_paths(n: int, arcs: set[tuple[int, int]]):
         yield from extend([v])
 
 
+def topological_order(n: int, arcs) -> list[int] | None:
+    """Kahn's algorithm, sources in id order and successors sorted; None
+    when a cycle exists."""
+    indeg = [0] * n
+    out: dict[int, list[int]] = {v: [] for v in range(n)}
+    for u, v in arcs:
+        out[u].append(v)
+        indeg[v] += 1
+    order = [v for v in range(n) if indeg[v] == 0]
+    for v in order:
+        for w in sorted(out[v]):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                order.append(w)
+    return order if len(order) == n else None
+
+
 def brute_modest(n: int, arcs: set[tuple[int, int]], host_edges) -> bool:
     """Every directed path whose endpoints carry an arc spans a host clique."""
     host = adjacency(n, host_edges)

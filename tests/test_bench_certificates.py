@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import os
+import random
 import sys
 
 import pytest
@@ -64,6 +65,23 @@ def test_decomposed_certificate_bytes_are_pinned(name):
     assert cert.coloring.palette_size == palette == w
     data = certificate_to_json(cert).encode()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["fans-3d", "sparse-2d"])
+def test_certificate_bytes_do_not_depend_on_listing_order(name):
+    # fans-3d ends in a tree and sparse-2d in a coloring; the same boxes
+    # listed in another order must give the same certificate
+    workload = workloads.WORKLOADS[name]
+    for seed in (1, 2):
+        boxes = workload.make(seed)
+        shuffled = boxes[:]
+        random.Random(seed).shuffle(shuffled)
+        w = workloads.max_depth(boxes)
+        certs = [
+            certificate_to_json(color_or_find_forest(b, workload.r, workload.k, omega_bound=w))
+            for b in (boxes, shuffled)
+        ]
+        assert certs[0] == certs[1]
 
 
 def test_tree_search_builds_nothing_for_the_whole_digraph(monkeypatch):

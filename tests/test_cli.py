@@ -386,6 +386,26 @@ class TestThousandDimensions:
         assert "extraction found 3 disjoint boxes, needs 2: PASS" in out
 
 
+class TestEightThousandDimensions:
+    """A hub holding three disjoint leaves in d = 8000, where 4^d has more
+    decimal digits than the interpreter writes."""
+
+    def test_decompose_writes_the_table_and_the_count_as_a_power(self, tmp_path, capsys):
+        rows = [[0, 9] * 8000] + [[a, a + 1] * 8000 for a in (1, 4, 7)]
+        path = tmp_path / "star8000.txt"
+        save_boxes(boxes_from_rows(rows), str(path))
+        assert main(["decompose", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        header, *rows, footer = captured.out.splitlines()
+        assert header.split() == ["pattern", "arcs", "acyclic", "modest", "divergent"]
+        assert [row.split() for row in rows] == [
+            ["C" * 8000, "3", "yes", "yes", "yes"],
+            ["c" * 8000, "3", "yes", "yes", "yes"],
+        ]
+        assert footer == "4^8000 patterns, 2 with arcs, n=4"
+
+
 class TestVerify:
     def make_pair(self, tmp_path):
         path = write_instance(tmp_path, "i.txt", "random", n=8, d=2, seed=5)

@@ -196,6 +196,12 @@ class TestTournamentSize:
         with pytest.raises(ValueError):
             TournamentOracle(Digraph(2, [(0, 1), (1, 0)])).size(0, 1)
 
+    def test_refuses_a_cycle_at_construction(self):
+        # the cycle 2 <-> 3 lies outside every universe of the arc 0 -> 1, so
+        # only a check over the whole digraph, before any query, finds it
+        with pytest.raises(ValueError, match="acyclic"):
+            TournamentOracle(Digraph(4, [(0, 1), (2, 3), (3, 2)]))
+
     @given(st.integers(0, 10**6), st.integers(2, 10), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_equals_largest_clique_on_pattern_digraphs(self, seed, n, d):

@@ -28,6 +28,7 @@ from bruteforce import (
     brute_is_path_induced,
     brute_smallest_last_coloring,
     find_induced_copy,
+    topological_order,
 )
 
 
@@ -100,13 +101,20 @@ class TestDigraph:
 
     def test_topological_order(self):
         dg = Digraph(4, [(2, 0), (2, 1), (0, 3), (1, 3)])
-        assert dg.topological_order() == [2, 0, 1, 3]
+        assert topological_order(dg.n, dg.arcs) == [2, 0, 1, 3]
         assert dg.is_acyclic()
 
     def test_cycle_has_no_order(self):
-        dg = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-        assert dg.topological_order() is None
-        assert not dg.is_acyclic()
+        # a bare cycle, one fed by a source, and one beside isolated vertices
+        cyclic = [
+            (3, [(0, 1), (1, 2), (2, 0)]),
+            (3, [(0, 1), (1, 2), (2, 1)]),
+            (5, [(3, 4), (4, 3)]),
+        ]
+        for n, arcs in cyclic:
+            dg = Digraph(n, arcs)
+            assert topological_order(dg.n, dg.arcs) is None
+            assert not dg.is_acyclic()
 
     @given(
         st.integers(0, 9),
@@ -126,7 +134,7 @@ class TestDigraph:
             if u != v and (rank[u] < rank[v] or not climb) and rng.random() < p
         ]
         dg = Digraph(n, arcs)
-        order = dg.topological_order()
+        order = topological_order(n, arcs)
         assert dg.is_acyclic() == (order is not None)
         if order is None:
             assert not climb

@@ -21,6 +21,7 @@ from boxforest import (
     intersects,
     normalize,
     product_coloring,
+    random_boxes,
     verify_basic,
 )
 from bruteforce import brute_divergent, brute_modest
@@ -84,6 +85,24 @@ class TestDecompose:
             for b in boxes[i + 1:]
         )
         assert total == 2 * inter
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_boxes_listed_out_of_id_order(self, d):
+        # the endpoint columns must be indexed by id, not by list position
+        for seed in range(6):
+            boxes = normalize(random_boxes(30, d, seed=seed))
+            shuffled = boxes[:]
+            random.Random(seed).shuffle(shuffled)
+            assert shuffled != boxes
+            g = intersection_graph(shuffled)
+            fam = decompose(shuffled, g)
+            by_id = {b.id: b for b in shuffled}
+            arcs = 0
+            for pd in fam:
+                for u, v in pd.digraph.arcs:
+                    assert intersection_pattern(by_id[u], by_id[v]) == pd.pattern
+                    arcs += 1
+            assert arcs == 2 * len(g.edges)
 
     def test_nested_intervals_concentrate_in_one_pattern(self):
         boxes = normalize(boxes_from_rows([[0, 9], [1, 8], [2, 7]]))
