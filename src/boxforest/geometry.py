@@ -159,7 +159,6 @@ _set_hi = Interval.hi.__set__
 _set_id = Box.id.__set__
 _set_sides = Box.sides.__set__
 _exhaust = deque(maxlen=0).extend
-_get_id = operator.attrgetter("id")  # the sort key of boxes by id
 
 
 def _boxes_from_columns(
@@ -306,17 +305,12 @@ def _pattern_codes(
     LEFT, RIGHT. Mirroring flips the low bit of every digit.
 
     Each axis's endpoints are read once as two columns indexed by id: lists
-    when the ids are 0..n-1 (the boxes are sorted by id only when they are
-    listed out of order), maps from id otherwise."""
+    when the boxes are listed with ids 0..n-1 in order, maps from id
+    otherwise."""
     if not boxes:
         return []
     ids = [b.id for b in boxes]
-    every = list(range(len(ids)))
-    dense = ids == every
-    if not dense:
-        ordered = sorted(boxes, key=_get_id)
-        if [b.id for b in ordered] == every:
-            boxes, dense = ordered, True
+    dense = ids == list(range(len(ids)))
     columns = []
     for axis in range(boxes[0].dim):
         sides = [b.sides[axis] for b in boxes]
@@ -442,7 +436,7 @@ def normalize(boxes: Sequence[Box]) -> list[Box]:
     if not all(map(operator.lt, ids, ids[1:])):  # strictly ascending ids are distinct
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate box ids")
-        ordered = sorted(boxes, key=_get_id)
+        ordered = sorted(boxes, key=operator.attrgetter("id"))
         ids = [b.id for b in ordered]
     size = 2 * len(ids)
     # one int object per rank, shared by every axis's sort and ranks

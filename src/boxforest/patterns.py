@@ -11,7 +11,7 @@ already built, so the host graph and its pattern digraphs come from one
 sweep, and it builds only the patterns that have arcs.
 
 ``decompose`` reads each axis's endpoints once, into lists indexed by box
-id, classifies each host edge once, and files an arc only at a vertex that
+id (maps when the boxes are listed out of id order), classifies each host edge once, and files an arc only at a vertex that
 has one; a pattern's neighbor tuple is ``n`` references to one shared
 empty set, with a frozenset only where there are arcs. So it costs one
 read of the n d endpoints, d comparisons per edge and one list of n
@@ -69,16 +69,16 @@ def decompose(boxes: Sequence[Box], g: Graph) -> list[PatternDigraph]:
     listing order. Each of its edges u < v is classified once by
     ``geometry._pattern_codes``, whose integer code, one base-4 digit per
     axis, names the pattern and files the arc in that pattern's
-    out-neighbor lists of the vertices that have arcs. Swapping a pair mirrors its pattern, so a pattern's
-    in-neighbor sets are its mirror's out-neighbor sets and each adjacency
-    is stored once. An arc-free pattern peels out whole and can embed
+    out-neighbor lists of the vertices that have arcs. Swapping a pair
+    mirrors its pattern, so a pattern's in-neighbor sets are its mirror's
+    out-neighbor sets and each adjacency is stored once. An arc-free pattern peels out whole and can embed
     nothing, so none is built: in higher dimensions most of the 4^d are
     arc-free.
     """
     if not boxes:
         raise ValueError("empty box collection")
     n = len(boxes)
-    if g.n != n or sorted([b.id for b in boxes]) != list(range(n)):
+    if g.n != n or sorted(b.id for b in boxes) != list(range(n)):
         raise ValueError("box ids must be 0..n-1, the host graph's vertices")
     d = boxes[0].dim
     flip = (4**d - 1) // 3  # code ^ flip is the mirrored pattern
