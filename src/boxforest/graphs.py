@@ -10,10 +10,18 @@ queue). The bucket queue files a vertex only once its remaining degree is
 within a horizon a fixed step above the levels searched so far; the others
 wait in one list and are rescanned when the search passes the horizon, so
 the rescans cost O(n + m / step) rather than one heap entry per degree
-decrement. The pipeline's host graph is ``intersection_graph``: the lists its
-one sweep fills, kept as they are, since coloring and the self-check only
-iterate over them. The pattern digraphs, when it needs them, come from that
-graph's edges, and they hold sets because the grading tests membership.
+decrement. The pipeline's host graph is ``intersection_graph``: the lists
+its one sweep fills, kept as they are, since coloring and the self-check
+only iterate over them. A dense host graph (2m >= n^2 / 8) is colored on
+bit rows instead, one int per vertex that ``intersection_rows`` builds
+from the boxes with a sort and 2n mask updates per axis. Smallest-last
+then keeps the degrees as bit-sliced counters, O(n log Delta) operations
+on n-bit ints rather than O(m) interpreter steps. Both paths remove the
+smallest id of minimum remaining degree and give each vertex the smallest
+color no colored neighbor has, so their order and colors are the same;
+the self-check reads the lists either way. The pattern digraphs, when the
+pipeline needs them, come from the host graph's edges, and they hold sets
+because the grading tests membership.
 ``Digraph.is_acyclic`` is a Kahn count that reads the in-degrees and picks
 the sources with out-arcs in C and sorts nothing, so its Python loop runs
 only over vertices with arcs.
@@ -24,7 +32,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import compress
-from operator import not_
+from operator import and_, indexOf, not_, xor
 from typing import Collection, Iterable, Mapping, Sequence
 
 # ``intersects`` is imported only to stay a module name: perfbench counts
@@ -39,6 +47,7 @@ __all__ = [
     "complete_kary_tree",
     "degeneracy_coloring",
     "intersection_graph",
+    "intersection_rows",
     "is_path_induced",
     "smallest_last_coloring",
 ]
@@ -334,6 +343,47 @@ def intersection_graph(boxes: Sequence[Box]) -> Graph:
     return Graph._from_adjacency(near)
 
 
+def intersection_rows(boxes: Sequence[Box]) -> list[int]:
+    """The intersection graph as bit rows, one int per box id: ``rows[v]``
+    has bit n-1-u set exactly when boxes u != v overlap on every axis.
+
+    The boxes must be normalized with ids 0..n-1, in any listing order, as
+    ``intersection_graph`` checks. Each axis is one pass over its 2n
+    endpoints in sorted order that keeps two masks, the boxes started so
+    far and the boxes ended so far; v's lo records the one, v's hi the
+    other. Box u meets v on the axis exactly when u starts before v's hi
+    and does not end before v's lo, and every box that ends before v's lo
+    also starts before v's hi, so v's row on the axis is the XOR of what
+    its two ends recorded. v's row is the AND of its axis rows, less v's
+    own bit. So the cost is a sort and 2n mask updates per axis, with no
+    step per edge.
+    """
+    if not boxes:
+        return []
+    n = len(boxes)
+    bits = [1 << (n - 1 - b.id) for b in boxes]
+    rows = [-1] * n  # every bit set, until the first axis
+    for axis in range(boxes[0].dim):
+        sides = [b.sides[axis] for b in boxes]
+        ends = [s.lo for s in sides] + [s.hi for s in sides]
+        started = ended = 0
+        ended_before_lo = [0] * n
+        started_before_hi = [0] * n
+        for e in sorted(range(2 * n), key=ends.__getitem__):
+            if e < n:
+                ended_before_lo[e] = ended
+                started |= bits[e]
+            else:
+                e -= n
+                started_before_hi[e] = started
+                ended |= bits[e]
+        rows = list(map(and_, rows, map(xor, started_before_hi, ended_before_lo)))
+    by_id = [0] * n
+    for b, row, bit in zip(boxes, rows, bits):
+        by_id[b.id] = row ^ bit
+    return by_id
+
+
 def degeneracy_coloring(
     adj: Mapping[int, Collection[int]], bound: int
 ) -> Coloring | None:
@@ -384,7 +434,9 @@ def degeneracy_coloring(
 _HORIZON_STEP = 16
 
 
-def smallest_last_coloring(adj: Sequence[Sequence[int]]) -> Coloring:
+def smallest_last_coloring(
+    adj: Sequence[Sequence[int]], rows: Sequence[int] | None = None
+) -> Coloring:
     """Greedy coloring in smallest-last order (Matula and Beck, 1983).
 
     ``adj[v]`` holds the neighbors of vertex v. Repeatedly removes, among
@@ -393,6 +445,10 @@ def smallest_last_coloring(adj: Sequence[Sequence[int]]) -> Coloring:
     many colored neighbors per vertex, so the palette is at most the
     degeneracy + 1. Neither the removal order nor the colors depend on the
     order in which a vertex's neighbors are listed.
+
+    ``rows``, when the caller has them, are the same graph as bit rows
+    (``intersection_rows``); the order and colors are then found on them,
+    identical, by ``_smallest_last_on_rows`` and ``adj`` is not read.
 
     The removal order comes from a bucket queue with a horizon. Bucket
     ``b`` is a min-heap of vertices whose remaining degree was ``b`` when
@@ -409,6 +465,8 @@ def smallest_last_coloring(adj: Sequence[Sequence[int]]) -> Coloring:
     the rescans cost O(n + m / step) in all, while the decrements of the
     many vertices far above the minimum push nothing.
     """
+    if rows is not None:
+        return _smallest_last_on_rows(rows)
     n = len(adj)
     degree = list(map(len, adj))
     buckets: list[list[int]] = [[] for _ in range(max(degree, default=0) + 1)]
@@ -461,6 +519,56 @@ def smallest_last_coloring(adj: Sequence[Sequence[int]]) -> Coloring:
     col = [-1] * n
     _greedy_in_reverse(order, adj, col)
     return Coloring(dict(enumerate(col)), max(col, default=-1) + 1)
+
+
+def _smallest_last_on_rows(rows: Sequence[int]) -> Coloring:
+    """``smallest_last_coloring`` on bit rows, vertex v at bit n-1-v, in
+    O(n log Delta) operations on n-bit ints rather than a step per edge.
+
+    The remaining degrees are bit-sliced: ``zeros[b]`` holds the vertices
+    whose degree has bit b clear. Scanning the planes from the top narrows
+    the remaining vertices to those of minimum degree, and the smallest id
+    among them is the highest set bit. Removing v lowers the degree of its
+    remaining neighbors ``rows[v] & alive`` by one, a borrow carried up the
+    planes. Back to front, each vertex then takes the first color class its
+    row misses: the smallest color no colored neighbor has, as on lists.
+    The last class is kept empty, so one is always found.
+    """
+    n = len(rows)
+    degree = list(map(int.bit_count, rows))
+    depth = max(degree, default=0).bit_length()
+    # one binary digit per vertex, vertex 0 first: vertex v lands at bit n-1-v
+    zeros = [
+        int("".join(["10"[dv >> b & 1] for dv in degree]), 2) for b in range(depth)
+    ]
+    top_down = range(depth - 1, -1, -1)
+    alive = (1 << n) - 1
+    order = []
+    for _ in range(n):
+        least = alive
+        for b in top_down:
+            low = least & zeros[b]
+            if low:
+                least = low
+        v = n - least.bit_length()
+        order.append(v)
+        alive ^= 1 << (n - 1 - v)
+        borrow = rows[v] & alive
+        b = 0
+        while borrow:
+            z = zeros[b]
+            zeros[b] = z ^ borrow
+            borrow &= z
+            b += 1
+    col = [0] * n
+    classes = [0]
+    for v in reversed(order):
+        c = indexOf(map(rows[v].__and__, classes), 0)
+        if c == len(classes) - 1:
+            classes.append(0)
+        classes[c] |= 1 << (n - 1 - v)
+        col[v] = c
+    return Coloring(dict(enumerate(col)), len(classes) - 1)
 
 
 def _greedy_in_reverse(

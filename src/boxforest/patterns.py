@@ -11,11 +11,12 @@ already built, so the host graph and its pattern digraphs come from one
 sweep, and it builds only the patterns that have arcs.
 
 ``decompose`` reads each axis's endpoints once, into lists indexed by box
-id (maps when the boxes are listed out of id order), classifies each host edge once, and files an arc only at a vertex that
-has one; a pattern's neighbor tuple is ``n`` references to one shared
-empty set, with a frozenset only where there are arcs. So it costs one
-read of the n d endpoints, d comparisons per edge and one list of n
-references per pattern with arcs.
+id (maps when the boxes are listed out of id order), classifies each host
+edge once, and files an arc only at a vertex that has one; a pattern's
+neighbor tuple is ``n`` references to one shared empty set, with a
+frozenset only where there are arcs. So it costs one read of the n d
+endpoints, d comparisons per edge and one list of n references per
+pattern with arcs.
 
 Every pattern digraph of a normalized family is acyclic, *modest* (the
 vertex set of any directed u->v path with uv an arc is a clique in the host
@@ -71,9 +72,9 @@ def decompose(boxes: Sequence[Box], g: Graph) -> list[PatternDigraph]:
     axis, names the pattern and files the arc in that pattern's
     out-neighbor lists of the vertices that have arcs. Swapping a pair
     mirrors its pattern, so a pattern's in-neighbor sets are its mirror's
-    out-neighbor sets and each adjacency is stored once. An arc-free pattern peels out whole and can embed
-    nothing, so none is built: in higher dimensions most of the 4^d are
-    arc-free.
+    out-neighbor sets and each adjacency is stored once. An arc-free
+    pattern peels out whole and can embed nothing, so none is built: in
+    higher dimensions most of the 4^d are arc-free.
     """
     if not boxes:
         raise ValueError("empty box collection")

@@ -14,10 +14,11 @@ graphs are chordal, so smallest-last colors them with exactly omega
 colors, within the bound.
 
 If no pattern embeds the tree, the host graph is colored smallest-last,
-and only then is the bound built. The paper's product of per-pattern layer
-colorings proves that a coloring within the derived bound exists; the
-certificate needs only one, and smallest-last uses at most n colors, below
-the bound's 4^16 for d >= 2.
+on bit rows built from the boxes when it is dense, and only then is the
+bound built. The paper's product of per-pattern layer colorings proves
+that a coloring within the derived bound exists; the certificate needs
+only one, and smallest-last uses at most n colors, below the bound's 4^16
+for d >= 2.
 
 Both outcomes are re-verified from scratch before being returned; a
 verification failure raises InternalInvariantError because it can only
@@ -46,6 +47,7 @@ from .graphs import (
     RootedTree,
     complete_kary_tree,
     intersection_graph,
+    intersection_rows,
     smallest_last_coloring,
 )
 from .oracles import maximum_independent_set, omega  # noqa: F401
@@ -378,8 +380,14 @@ def color_or_find_forest(
                         raise CalmSearchError(str(exc)) from None
 
     # at most Delta + 1 <= n colors; d >= 2 and |T| >= 2 put the bound
-    # (2 r |T| w)^(4^d) at 4^16 or more, and in d = 1 the palette is omega
-    coloring = smallest_last_coloring(g.adj)
+    # (2 r |T| w)^(4^d) at 4^16 or more, and in d = 1 the palette is omega.
+    # A host graph with 2m >= n^2 / 8 is colored on bit rows: the same order
+    # and colors from O(n log Delta) operations on n-bit ints, not O(m)
+    # interpreter steps. On random 2-d instances (n = 400 to 3200) rows won
+    # from 2m / n^2 = 0.10 up and lost at 0.023 and below (CHANGES.md). The
+    # self-check reads the sweep's lists, so it does not trust the rows.
+    dense = 8 * sum(map(len, g.adj)) >= g.n**2
+    coloring = smallest_last_coloring(g.adj, intersection_rows(boxes) if dense else None)
     report = _writable_bound(d, r, k, coloring.palette_size if w is None else w)
     if not coloring.is_proper_on(g):
         raise InternalInvariantError("smallest-last coloring improper on the host graph")
@@ -507,7 +515,9 @@ def verify_certificate(boxes: Sequence[Box], payload: dict) -> tuple[bool, str]:
         if clash is not None:
             u, v = clash
             return False, f"adjacent boxes {u} and {v} share color {colors[u]}"
-        return True, f"proper coloring with {palette} colors within bound"
+        return True, (
+            f"proper coloring with {palette} color{'' if palette == 1 else 's'} within bound"
+        )
     r, k = payload["r"], payload["k"]
     if not _tree_fits(r, k, n):
         raise ValueError("certificate tree has more vertices than there are boxes")

@@ -25,6 +25,7 @@ from boxforest import (
     embedding,
     intersection_graph,
     oracles,
+    pipeline,
 )
 from boxforest.graphs import smallest_last_coloring
 
@@ -67,10 +68,11 @@ def test_decomposed_certificate_bytes_are_pinned(name):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-@pytest.mark.parametrize("name", ["fans-3d", "sparse-2d"])
+@pytest.mark.parametrize("name", ["fans-3d", "sparse-2d", "dense-2d"])
 def test_certificate_bytes_do_not_depend_on_listing_order(name):
-    # fans-3d ends in a tree and sparse-2d in a coloring; the same boxes
-    # listed in another order must give the same certificate
+    # fans-3d ends in a tree, sparse-2d in a coloring on the host graph's
+    # lists and dense-2d in one on bit rows, which must be indexed by box
+    # id; the same boxes listed in another order give the same certificate
     workload = workloads.WORKLOADS[name]
     for seed in (1, 2):
         boxes = workload.make(seed)
@@ -120,3 +122,25 @@ def test_smallest_last_pushes_far_fewer_entries_than_edges(monkeypatch):
     edges = sum(map(len, g.adj)) // 2
     # about 37.5k of 136,891; one push per decrement would be all of them
     assert 0 < pushes < edges // 2
+
+
+@pytest.mark.parametrize("name, built", [("dense-2d", 1), ("sparse-2d", 0), ("fans-3d", 0)])
+def test_only_the_dense_host_graph_is_colored_on_bit_rows(monkeypatch, name, built):
+    # dense-2d has 2m / n^2 about 0.43, sparse-2d 0.003 and fans-3d 0.002;
+    # rows are built only on the coloring exit of a dense host graph
+    calls = []
+    original = pipeline.intersection_rows
+
+    def counted(boxes):
+        calls.append(len(boxes))
+        return original(boxes)
+
+    monkeypatch.setattr(pipeline, "intersection_rows", counted)
+    workload = workloads.WORKLOADS[name]
+    boxes = workload.make(4)
+    cert = color_or_find_forest(
+        boxes, workload.r, workload.k, omega_bound=workloads.max_depth(boxes)
+    )
+    assert len(calls) == built
+    data = certificate_to_json(cert).encode()
+    assert hashlib.sha256(data).hexdigest() == PINNED[name]

@@ -249,21 +249,56 @@ def horizon_crossing_graphs():
         yield intersection_graph(random_boxes(150, 2, seed))
 
 
+def bit_rows(g: Graph) -> list[int]:
+    """g's adjacency as bit rows, vertex u at bit n-1-u."""
+    return [sum(1 << (g.n - 1 - u) for u in near) for near in g.adj]
+
+
+def tied_graphs():
+    """Graphs where many vertices share the minimum degree at every step:
+    empty graphs, complete graphs, disjoint cliques and a matching."""
+    for n in (1, 2, 3, 17, 64):
+        yield Graph(n)
+        yield Graph(n, clique_edges(list(range(n))))
+    yield Graph(30, clique_edges(list(range(10))) + clique_edges(list(range(10, 20))))
+    yield Graph(40, [(2 * i, 2 * i + 1) for i in range(20)])
+
+
 class TestSmallestLastColoring:
     def test_horizon_rescans_keep_the_sorted_scan_order(self):
         """The queue files vertices only up to a horizon and rescans the
         rest when the search passes it; on graphs whose minimum degree
         crosses several horizons, rises and falls back, the order and the
         colors are still those of the sorted scan, whatever the order of
-        the lists."""
+        the lists. Bit rows give them too, there and on graphs full of
+        degree ties."""
         rng = random.Random(5)
-        for g in horizon_crossing_graphs():
+        for g in [*horizon_crossing_graphs(), *tied_graphs()]:
             want = brute_smallest_last_coloring(g.n, g.edges)
             got = smallest_last_coloring(g.adj)
             assert dict(got.colors) == want
             shuffled = Graph._from_adjacency(rng.sample(near, len(near)) for near in g.adj)
             assert smallest_last_coloring(shuffled.adj) == got
+            assert smallest_last_coloring(g.adj, bit_rows(g)) == got
             assert got.is_proper_on(g)
+
+    @given(
+        st.builds(
+            lambda n, seed, p: random_graph(random.Random(seed), n, p),
+            st.integers(0, 40),
+            st.integers(0, 10**6),
+            st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.02, 0.98)),
+        )
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_rows_color_like_the_lists(self, g):
+        """The bit-sliced degrees and class masks give the lists' removal
+        order and colors, isolated vertices and degree ties included; the
+        lists are not read when rows are given."""
+        want = brute_smallest_last_coloring(g.n, g.edges)
+        got = smallest_last_coloring([None] * g.n, bit_rows(g))
+        assert got == smallest_last_coloring(g.adj)
+        assert dict(got.colors) == want
 
     @given(
         st.builds(

@@ -52,7 +52,7 @@ from boxforest import (
     tree_vertex_count,
     verify_certificate,
 )
-from boxforest.graphs import smallest_last_coloring
+from boxforest.graphs import intersection_rows, smallest_last_coloring
 from bruteforce import (
     brute_coloring_certificate,
     brute_decompose,
@@ -137,6 +137,21 @@ def test_mirrored_patterns_share_one_adjacency(name):
 
 
 @pytest.mark.parametrize("name", FAMILIES)
+def test_rows_are_the_host_graph_in_any_listing_order(name):
+    # rows are indexed by box id, whatever the listing order; a prefix of a
+    # normalized family has distinct endpoints that are not the ranks
+    # 0..2n-1, so the endpoints must be sorted by value
+    rng = random.Random(name)
+    for boxes in family(name):
+        shuffled = rng.sample(boxes, len(boxes))
+        prefix = boxes[: rng.randint(1, len(boxes))]
+        for listing in (boxes, shuffled, prefix):
+            g = intersection_graph(listing)
+            want = [sum(1 << (g.n - 1 - u) for u in near) for near in g.adj]
+            assert intersection_rows(listing) == want
+
+
+@pytest.mark.parametrize("name", FAMILIES)
 def test_heap_peeler_colors_like_the_sorted_scan(name):
     for boxes in family(name):
         g = intersection_graph(boxes)
@@ -181,7 +196,8 @@ def greedy_colors(n: int, pairs) -> dict[int, int]:
 def expected_verdict(boxes, colors: dict[int, int]) -> tuple[bool, str]:
     clash = brute_first_clash(plain(boxes), colors)
     if clash is None:
-        return True, f"proper coloring with {max(colors.values()) + 1} colors within bound"
+        palette = max(colors.values()) + 1
+        return True, f"proper coloring with {palette} color{'' if palette == 1 else 's'} within bound"
     u, v = clash
     return False, f"adjacent boxes {u} and {v} share color {colors[u]}"
 
