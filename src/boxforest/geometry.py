@@ -328,6 +328,21 @@ def _pattern_codes(
     return out
 
 
+def _common_dim(boxes: Sequence[Box]) -> int:
+    """The number of axes every box has; ValueError when two differ."""
+    d = boxes[0].dim
+    for b in boxes:
+        if len(b.sides) != d:
+            raise ValueError(f"dimension mismatch: box {b.id} has {b.dim} axes, expected {d}")
+    return d
+
+
+def _require_ids(boxes: Sequence[Box]) -> None:
+    """ValueError unless the box ids are exactly 0..n-1, in any order."""
+    if sorted(b.id for b in boxes) != list(range(len(boxes))):
+        raise ValueError("box ids must be 0..n-1")
+
+
 def _sweep(
     boxes: Sequence[Box], labels: Mapping[int, Hashable] | None
 ) -> Iterator[tuple[int, list[int]]]:
@@ -338,10 +353,7 @@ def _sweep(
     if not boxes:
         return
     n = len(boxes)
-    d = boxes[0].dim
-    for b in boxes:
-        if len(b.sides) != d:
-            raise ValueError(f"dimension mismatch: box {b.id} has {b.dim} axes, expected {d}")
+    d = _common_dim(boxes)
     lows = [[b.sides[axis].lo for b in boxes] for axis in range(d)]
     highs = [[b.sides[axis].hi for b in boxes] for axis in range(d)]
     for axis in range(d):
@@ -427,10 +439,7 @@ def normalize(boxes: Sequence[Box]) -> list[Box]:
     """
     if not boxes:
         raise ValueError("empty box collection")
-    d = boxes[0].dim
-    for b in boxes:
-        if b.dim != d:
-            raise ValueError(f"dimension mismatch: box {b.id} has {b.dim} axes, expected {d}")
+    d = _common_dim(boxes)
     ids = [b.id for b in boxes]
     ordered = boxes
     if not all(map(operator.lt, ids, ids[1:])):  # strictly ascending ids are distinct

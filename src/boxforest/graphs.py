@@ -18,10 +18,12 @@ from the boxes with a sort and 2n mask updates per axis. Smallest-last
 then keeps the degrees as bit-sliced counters, O(n log Delta) operations
 on n-bit ints rather than O(m) interpreter steps. Both paths remove the
 smallest id of minimum remaining degree and give each vertex the smallest
-color no colored neighbor has, so their order and colors are the same;
-the self-check reads the lists either way. The pattern digraphs, when the
-pipeline needs them, come from the host graph's edges, and they hold sets
-because the grading tests membership.
+color no colored neighbor has, so their order and colors are the same.
+Where no tree can fit, the pipeline builds the rows without the lists
+(``smallest_last_coloring(None, rows)``) and checks the colors against
+the boxes; elsewhere the self-check reads the lists. The pattern
+digraphs, when the pipeline needs them, come from the host graph's
+edges, and they hold sets because the grading tests membership.
 ``Digraph.is_acyclic`` is a Kahn count that reads the in-degrees and picks
 the sources with out-arcs in C and sorts nothing, so its Python loop runs
 only over vertices with arcs.
@@ -37,7 +39,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 # ``intersects`` is imported only to stay a module name: perfbench counts
 # pair tests by rebinding it.
-from .geometry import Box, _sweep, intersects  # noqa: F401
+from .geometry import Box, _require_ids, _sweep, intersects  # noqa: F401
 
 __all__ = [
     "Coloring",
@@ -333,8 +335,7 @@ class Coloring:
 def intersection_graph(boxes: Sequence[Box]) -> Graph:
     """Edge uv iff boxes u and v overlap on every axis (normalized input),
     filled in straight from the batches of ``intersecting_pairs``' sweep."""
-    if sorted(b.id for b in boxes) != list(range(len(boxes))):
-        raise ValueError("box ids must be 0..n-1")
+    _require_ids(boxes)
     near: list[list[int]] = [[] for _ in boxes]
     for j, hits in _sweep(boxes, None):
         near[j] += hits
@@ -435,7 +436,7 @@ _HORIZON_STEP = 16
 
 
 def smallest_last_coloring(
-    adj: Sequence[Sequence[int]], rows: Sequence[int] | None = None
+    adj: Sequence[Sequence[int]] | None, rows: Sequence[int] | None = None
 ) -> Coloring:
     """Greedy coloring in smallest-last order (Matula and Beck, 1983).
 
@@ -448,7 +449,8 @@ def smallest_last_coloring(
 
     ``rows``, when the caller has them, are the same graph as bit rows
     (``intersection_rows``); the order and colors are then found on them,
-    identical, by ``_smallest_last_on_rows`` and ``adj`` is not read.
+    identical, by ``_smallest_last_on_rows`` and ``adj`` is not read, so
+    it may be None.
 
     The removal order comes from a bucket queue with a horizon. Bucket
     ``b`` is a min-heap of vertices whose remaining degree was ``b`` when
@@ -580,7 +582,7 @@ def _greedy_in_reverse(
     unused by its neighbors colored before it. ``col`` maps every vertex to
     -1 until it is colored and receives the colors."""
     for v in reversed(order):
-        used = {col[w] for w in adj[v]}
+        used = set(map(col.__getitem__, adj[v]))
         c = 0
         while c in used:
             c += 1

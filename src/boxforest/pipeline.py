@@ -5,7 +5,11 @@ pipeline builds the host graph from one sweep. When the complete
 (k^d * omega)-ary tree of depth r has more vertices |T| than the host
 graph's maximum degree, every pattern peels out whole in its first round,
 since a pattern out-degree is at most the host degree, so no pattern can
-embed the tree. Otherwise the host graph's edges are classified by pattern
+embed the tree. With omega given and |T| > n - 1, that is known before
+any edge is: a dense host graph is then colored on bit rows built from
+the boxes, and no host graph is built at all; the density is tested first
+from the axes' endpoint sums, and rows are built only up to ``_ROWS_CAP``
+boxes. Otherwise the host graph's edges are classified by pattern
 into the pattern digraphs that have arcs, and the grading machinery runs
 on each. The first calm, path-induced embedding is pruned, each vertex's
 children cut to k pairwise-disjoint boxes, into an induced copy of the
@@ -22,7 +26,9 @@ for d >= 2.
 
 Both outcomes are re-verified from scratch before being returned; a
 verification failure raises InternalInvariantError because it can only
-mean a bug, not an unlucky input.
+mean a bug, not an unlucky input. A coloring is checked on the host
+graph's lists where they were built, and otherwise by the sweep that
+``verify_certificate`` runs, labelled by the colors.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping, NamedTuple, Sequence
 
 # ``peel_grading``, ``product_coloring`` and ``maximum_independent_set`` are
@@ -41,7 +48,7 @@ from .embedding import (  # noqa: F401
     find_path_induced_tree,
     peel_grading,
 )
-from .geometry import Box, _sweep, intersects
+from .geometry import Box, _common_dim, _require_ids, _sweep, intersects
 from .graphs import (
     Coloring,
     RootedTree,
@@ -320,6 +327,58 @@ def _induced_tree_violation(cert: InducedTree, boxes: Sequence[Box]) -> str | No
     return None
 
 
+# Rows take n^2 / 8 bytes before m is known, so the boxes are colored on
+# rows up front only up to this many: 32 MB of rows, about 100 MB at the
+# peak of building them. Above it the sweep's lists decide whether the
+# graph is dense (CHANGES.md has the measured cost)
+_ROWS_CAP = 16_384
+
+
+def _dense(two_m: int, n: int) -> bool:
+    """Whether a graph with 2m adjacency entries on n vertices is colored on
+    bit rows: 2m >= n^2 / 8. On random 2-d instances (n = 400 to 3200) rows
+    won from 2m / n^2 = 0.10 up and lost at 0.023 and below (CHANGES.md)."""
+    return 8 * two_m >= n * n
+
+
+def _may_be_dense(boxes: Sequence[Box]) -> bool:
+    """False when rows are not worth building up front: above ``_ROWS_CAP``
+    boxes, or when one axis alone shows the graph sparse.
+
+    An edge meets on every axis, so m is at most the number of pairs that
+    meet on any one axis. Normalized, an axis's endpoints are the ints
+    0..2n-1, so hi - lo - 1 endpoints lie strictly inside a side, and a
+    pair that meets on the axis puts exactly two of its endpoints inside
+    its sides (one in each when they cross, both in the outer one when one
+    holds the other): twice the axis's pairs is sum(hi) - sum(lo) - n,
+    counted in O(n). Boxes that are not normalized get no rows up front;
+    the host graph's lists decide for them.
+    """
+    n = len(boxes)
+    if n > _ROWS_CAP:
+        return False
+    for axis in range(_common_dim(boxes)):
+        sides = [b.sides[axis] for b in boxes]
+        lows = list(map(attrgetter("lo"), sides))
+        highs = list(map(attrgetter("hi"), sides))
+        # distinct ints in 0..2n-1 are the ranks; shared ones fail the sweep later
+        if {*map(type, lows), *map(type, highs)} != {int} or min(lows) < 0 or max(highs) >= 2 * n:
+            return False
+        if not _dense(sum(highs) - sum(lows) - n, n):
+            return False
+    return True
+
+
+def _within_bound(coloring: Coloring, d: int, r: int, k: int, w: int) -> ProperColoring:
+    report = _writable_bound(d, r, k, w)
+    if coloring.palette_size > report.derived_bound:
+        raise InternalInvariantError(
+            f"smallest-last coloring: palette {coloring.palette_size} exceeds "
+            f"derived bound {report.derived_bound}"
+        )
+    return ProperColoring(coloring, report)
+
+
 def color_or_find_forest(
     boxes: Sequence[Box],
     r: int,
@@ -332,15 +391,19 @@ def color_or_find_forest(
     caller-guaranteed upper bound on the clique number to skip the exact
     oracle, which refuses more than ``oracles.OMEGA_LIMIT`` (40) boxes; in
     d >= 2 it is then required. With r = 0 the certificate is the trivial
-    single-vertex tree (any box is one).
+    single-vertex tree (any box is one), and only the ids are checked.
 
-    The host graph comes from one sweep. In d >= 2, when the tree has at
-    most as many vertices |T| as the host graph's maximum degree, its
-    edges are classified and decomposed, and the pattern digraphs with arcs
-    are searched in order until one embeds the tree. Failing that, and in
-    d = 1, the host graph is colored smallest-last. The bound is built
-    only for that coloring: in d = 1 interval graphs are chordal, so the
-    palette is omega and keys the bound.
+    In d >= 2 with ``omega_bound`` given, a tree with more vertices |T|
+    than n - 1 cannot embed, whatever the edges, so the outcome is a
+    coloring: when the host graph is dense it is colored on bit rows built
+    from the boxes, no host graph is built, and the self-check is a sweep
+    labelled by the colors. Otherwise the host graph comes from one sweep.
+    In d >= 2, when |T| is at most the host graph's maximum degree, its
+    edges are classified and decomposed, and the pattern digraphs with
+    arcs are searched in order until one embeds the tree. Failing that,
+    and in d = 1, the host graph is colored smallest-last. The bound is
+    built only for that coloring: in d = 1 interval graphs are chordal, so
+    the palette is omega and keys the bound.
     """
     if not boxes:
         raise ValueError("empty box collection")
@@ -349,15 +412,32 @@ def color_or_find_forest(
     if omega_bound is not None and omega_bound < 1:
         raise ValueError("omega bound must be positive")
     d = boxes[0].dim
-    g = intersection_graph(boxes)  # checks the ids are 0..n-1
+    n = len(boxes)
 
     if r == 0:
+        _require_ids(boxes)
         cert = InducedTree(RootedTree([None]), {0: 0}, 0, k)
         problem = _induced_tree_violation(cert, boxes)
         if problem:
             raise InternalInvariantError(problem)
         return cert
 
+    if d >= 2 and omega_bound is not None and not _tree_fits(r, k**d * omega_bound, n - 1):
+        # Delta <= n - 1 < |T|: no pattern can embed the tree, so the edges
+        # are needed only to color, and a dense graph's rows come from the
+        # boxes. The rows are not trusted: the sweep, labelled by the
+        # colors, must find no pair of one color that meets
+        if _may_be_dense(boxes):
+            _require_ids(boxes)
+            rows = intersection_rows(boxes)
+            if _dense(sum(map(int.bit_count, rows)), n):
+                coloring = smallest_last_coloring(None, rows)
+                colors = coloring.colors
+                if set(colors) != set(range(n)) or next(_sweep(boxes, colors), None):
+                    raise InternalInvariantError("smallest-last coloring improper on the boxes")
+                return _within_bound(coloring, d, r, k, omega_bound)
+
+    g = intersection_graph(boxes)  # checks the ids are 0..n-1
     w = None
     if d >= 2:
         w = omega_bound if omega_bound is not None else omega(g)
@@ -381,22 +461,15 @@ def color_or_find_forest(
 
     # at most Delta + 1 <= n colors; d >= 2 and |T| >= 2 put the bound
     # (2 r |T| w)^(4^d) at 4^16 or more, and in d = 1 the palette is omega.
-    # A host graph with 2m >= n^2 / 8 is colored on bit rows: the same order
-    # and colors from O(n log Delta) operations on n-bit ints, not O(m)
-    # interpreter steps. On random 2-d instances (n = 400 to 3200) rows won
-    # from 2m / n^2 = 0.10 up and lost at 0.023 and below (CHANGES.md). The
-    # self-check reads the sweep's lists, so it does not trust the rows.
-    dense = 8 * sum(map(len, g.adj)) >= g.n**2
+    # A dense host graph is colored on bit rows: the same order and colors
+    # from O(n log Delta) operations on n-bit ints, not O(m) interpreter
+    # steps. The self-check reads the sweep's lists, so it does not trust
+    # the rows.
+    dense = _dense(sum(map(len, g.adj)), g.n)
     coloring = smallest_last_coloring(g.adj, intersection_rows(boxes) if dense else None)
-    report = _writable_bound(d, r, k, coloring.palette_size if w is None else w)
     if not coloring.is_proper_on(g):
         raise InternalInvariantError("smallest-last coloring improper on the host graph")
-    if coloring.palette_size > report.derived_bound:
-        raise InternalInvariantError(
-            f"smallest-last coloring: palette {coloring.palette_size} exceeds "
-            f"derived bound {report.derived_bound}"
-        )
-    return ProperColoring(coloring, report)
+    return _within_bound(coloring, d, r, k, coloring.palette_size if w is None else w)
 
 
 def certificate_to_json(cert: Certificate) -> str:
@@ -507,8 +580,7 @@ def verify_certificate(boxes: Sequence[Box], payload: dict) -> tuple[bool, str]:
             return False, (
                 f"palette {palette} exceeds the stated bound {payload['bound']}"
             )
-        if sorted(b.id for b in boxes) != list(range(n)):
-            raise ValueError("box ids must be 0..n-1")
+        _require_ids(boxes)
         # one sweep pairs only boxes of one color, and only the smallest
         # pair of each batch is kept: a large color class costs no memory
         clash = min((sorted((j, min(hits))) for j, hits in _sweep(boxes, colors)), default=None)

@@ -20,12 +20,17 @@ import sys
 import pytest
 
 from boxforest import (
+    ProperColoring,
+    boxes_from_rows,
     certificate_to_json,
+    chi_bound,
     color_or_find_forest,
     embedding,
     intersection_graph,
+    normalize,
     oracles,
     pipeline,
+    random_boxes,
 )
 from boxforest.graphs import smallest_last_coloring
 
@@ -124,23 +129,99 @@ def test_smallest_last_pushes_far_fewer_entries_than_edges(monkeypatch):
     assert 0 < pushes < edges // 2
 
 
-@pytest.mark.parametrize("name, built", [("dense-2d", 1), ("sparse-2d", 0), ("fans-3d", 0)])
-def test_only_the_dense_host_graph_is_colored_on_bit_rows(monkeypatch, name, built):
-    # dense-2d has 2m / n^2 about 0.43, sparse-2d 0.003 and fans-3d 0.002;
-    # rows are built only on the coloring exit of a dense host graph
+@pytest.fixture
+def stages(monkeypatch):
+    """Records, in order, each host graph ("graph") and each set of bit rows
+    ("rows") certify builds, and each list-based self-check ("proper")."""
     calls = []
-    original = pipeline.intersection_rows
 
-    def counted(boxes):
-        calls.append(len(boxes))
-        return original(boxes)
+    def counted(label, original):
+        def wrapper(*args):
+            calls.append(label)
+            return original(*args)
 
-    monkeypatch.setattr(pipeline, "intersection_rows", counted)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "intersection_rows", counted("rows", pipeline.intersection_rows))
+    monkeypatch.setattr(
+        pipeline, "intersection_graph", counted("graph", pipeline.intersection_graph)
+    )
+    monkeypatch.setattr(
+        pipeline.Coloring, "is_proper_on", counted("proper", pipeline.Coloring.is_proper_on)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("name, built", [("dense-2d", 1), ("sparse-2d", 0), ("fans-3d", 0)])
+def test_only_the_dense_host_graph_is_colored_on_bit_rows(stages, name, built):
+    # dense-2d has |T| > n - 1 and 2m / n^2 about 0.43, so it is colored on
+    # rows from the boxes, with no host graph and no check on its lists;
+    # sparse-2d (0.003) and fans-3d (0.002) have |T| <= n - 1, build one
+    # host graph and never build rows
     workload = workloads.WORKLOADS[name]
     boxes = workload.make(4)
     cert = color_or_find_forest(
         boxes, workload.r, workload.k, omega_bound=workloads.max_depth(boxes)
     )
-    assert len(calls) == built
+    on_lists = ["graph"] + (["proper"] if isinstance(cert, ProperColoring) else [])
+    assert stages == (["rows"] if built else on_lists)
     data = certificate_to_json(cert).encode()
     assert hashlib.sha256(data).hexdigest() == PINNED[name]
+
+
+def bars(half: int) -> list:
+    """A star in a family where every axis is dense: ``half`` bars long on
+    axis 0 stacked on axis 1, ``half`` bars long on axis 1 side by side
+    on axis 0 and apart from the first stack, and one more long bar on
+    axis 1 that crosses every bar of the first stack. Each stack meets
+    itself on its long axis, so each axis has about n^2 / 8 pairs that
+    meet, while the graph has ``half`` edges."""
+    wide = 3 * half
+    rows = [[0, wide, 3 * i, 3 * i + 1] for i in range(half)]
+    rows += [[wide + 1 + 3 * j, wide + 2 + 3 * j, 0, wide] for j in range(half)]
+    rows.append([1, 2, 0, wide])
+    return normalize(boxes_from_rows(rows))
+
+
+def assert_colored_on_the_lists(boxes, r, k, w):
+    cert = color_or_find_forest(boxes, r, k, omega_bound=w)
+    expected = ProperColoring(
+        smallest_last_coloring(intersection_graph(boxes).adj), chi_bound(2, r, k, w)
+    )
+    assert certificate_to_json(cert) == certificate_to_json(expected)
+
+
+def test_a_sparse_axis_builds_no_rows(stages):
+    # at r = 3 the tree (1 + 28 + 28^2 + 28^3 vertices) has more than
+    # n - 1 = 1599, but axis 0 alone shows 2m / n^2 at most about 0.05
+    boxes = workloads.sparse_2d(4)
+    assert_colored_on_the_lists(boxes, 3, 2, workloads.max_depth(boxes))
+    assert stages == ["graph", "proper"]
+
+
+def test_dense_axes_over_a_sparse_graph_fall_back_to_the_lists(stages):
+    boxes = bars(30)
+    assert_colored_on_the_lists(boxes, 2, 2, 2)
+    # the rows are built, counted sparse and dropped
+    assert stages == ["rows", "graph", "proper"]
+
+
+def test_above_the_cap_no_rows_are_built_up_front(stages, monkeypatch):
+    boxes = random_boxes(40, 2, 1)
+    w = workloads.max_depth(boxes)
+    monkeypatch.setattr(pipeline, "_ROWS_CAP", len(boxes))
+    assert_colored_on_the_lists(boxes, 2, 2, w)
+    assert stages == ["rows"]
+    stages.clear()
+    monkeypatch.setattr(pipeline, "_ROWS_CAP", len(boxes) - 1)
+    assert_colored_on_the_lists(boxes, 2, 2, w)
+    # the host graph is dense, so its exit colors it on rows, after the lists
+    assert stages == ["graph", "rows", "proper"]
+
+
+def test_the_real_cap_holds_back_rows_on_dense_axes(stages):
+    boxes = bars(pipeline._ROWS_CAP // 2)
+    assert len(boxes) == pipeline._ROWS_CAP + 1
+    # 1 + 8 + ... + 8^5 tree vertices, more than n - 1
+    assert_colored_on_the_lists(boxes, 5, 2, 2)
+    assert stages == ["graph", "proper"]

@@ -40,6 +40,7 @@ from boxforest import (
     tree_vertex_count,
     verify_certificate,
 )
+from boxforest.graphs import smallest_last_coloring
 from bruteforce import brute_alpha, brute_extract_independent, find_induced_copy
 
 
@@ -321,6 +322,69 @@ class TestColorOrFindForest:
         assert ok, msg
         if isinstance(cert, ProperColoring):
             assert cert.coloring.palette_size <= cert.report.derived_bound
+
+
+class TestColoringFromTheBoxes:
+    """With omega given in d >= 2 and |T| > n - 1, a dense host graph is
+    colored on bit rows from the boxes, and the coloring is checked by a
+    sweep labelled by its colors, not on the host graph's lists."""
+
+    @pytest.fixture
+    def dense(self, monkeypatch):
+        boxes = random_boxes(40, 2, seed=1)  # 2m / n^2 about 0.42, omega 16
+
+        def refuse(*args):
+            raise AssertionError("host graph built")
+
+        monkeypatch.setattr(pipeline, "intersection_graph", refuse)
+        return boxes
+
+    def test_a_dense_family_is_colored_without_a_host_graph(self, dense):
+        cert = color_or_find_forest(dense, 2, 2, omega_bound=16)
+        assert isinstance(cert, ProperColoring)
+        ok, msg = verify_certificate(dense, roundtrip(cert))
+        assert ok, msg
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            Coloring(dict.fromkeys(range(40), 0), 1),  # every pair clashes
+            Coloring({v: v for v in range(39)}, 39),  # box 39 has no color
+        ],
+        ids=["clash", "missing"],
+    )
+    def test_the_self_check_refuses_a_bad_coloring(self, dense, monkeypatch, bad):
+        monkeypatch.setattr(pipeline, "smallest_last_coloring", lambda adj, rows=None: bad)
+        with pytest.raises(InternalInvariantError, match="improper on the boxes"):
+            color_or_find_forest(dense, 2, 2, omega_bound=16)
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 30),
+        st.integers(2, 3),
+        st.integers(1, 4),
+        st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_the_certificate_is_the_host_graphs(self, seed, n, d, spread, shape):
+        # sides up to ``spread`` quarters of the range: dense and sparse
+        # families, compared with smallest-last on the host graph's lists
+        r, k = shape
+        rng = random.Random(seed)
+        rows = []
+        for _ in range(n):
+            row = []
+            for _ in range(d):
+                lo = rng.randrange(100)
+                row.extend((lo, lo + rng.randint(1, 25 * spread)))
+            rows.append(row)
+        boxes = normalize(boxes_from_rows(rows))
+        g = intersection_graph(boxes)
+        w = omega(g)
+        assume(tree_vertex_count(r, k**d * w) > n - 1)
+        cert = color_or_find_forest(boxes, r, k, omega_bound=w)
+        expected = ProperColoring(smallest_last_coloring(g.adj), chi_bound(d, r, k, w))
+        assert certificate_to_json(cert) == certificate_to_json(expected)
 
 
 class TestCertificateJson:

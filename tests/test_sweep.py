@@ -461,7 +461,8 @@ def test_certify_and_verify_sweep_once(sweep_calls):
         r, k = rng.choice(((0, 1), (1, 1), (1, 2), (2, 2)))
         sweep_calls.clear()
         cert = color_or_find_forest(boxes, r, k)
-        assert len(sweep_calls) == 1, (d, r, k)
+        # r = 0 gives the one-vertex tree from the ids alone
+        assert len(sweep_calls) == (0 if r == 0 else 1), (d, r, k)
         payload = parse_certificate(certificate_to_json(cert))
         sweep_calls.clear()
         ok, message = verify_certificate(boxes, payload)
