@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .geometry import Box, boxes_from_rows, normalize
 
@@ -204,17 +204,3 @@ def burling_like(level: int, limit: int = 2000) -> list[Box]:
     raw, _ = _burling_raw(level)
     rows = [list(row) for row in raw]
     return normalize(boxes_from_rows(rows))
-
-
-def _probe_hits(boxes: Sequence[_Row], probe: _Probe) -> tuple[int, ...]:
-    """Ids of raw boxes meeting the probe's region, by strict overlap."""
-    hits = []
-    for i, (x0, x1, y0, y1, z0, z1) in enumerate(boxes):
-        if x1 <= probe.x0 or x0 >= probe.x1:
-            continue
-        if y1 <= probe.y0 or y0 >= 1:
-            continue
-        if z1 <= probe.z0 or z0 >= probe.z1:
-            continue
-        hits.append(i)
-    return tuple(hits)

@@ -19,11 +19,14 @@ that share a cell of an index on axis 1 and filters them axis by axis, so
 its work follows the pairs that meet on two axes rather than n^2. Only
 ``intersecting_pairs`` and the pattern decomposition classify the pairs.
 
-Boxes that come from rows, from a box file or from ``normalize`` are built
-column-wise by ``_boxes_from_columns``: each axis's lower and upper
-endpoints are checked in one pass, and the objects are then made without a
-Python-level call per box. ``box``, ``Interval`` and ``Box`` check each
-object they build themselves.
+A ``Box`` stores its id and one flat tuple ``bounds = (lo_0, hi_0, ...,
+lo_{d-1}, hi_{d-1})``, the row a box file holds; its ``Interval`` sides
+are derived on each read. The sides of rows and of a box file are checked
+in one pass; their boxes, and those ``normalize`` rebuilds from ranks, are
+then one tuple and one ``Box`` each, made by ``_boxes`` without a
+Python-level call per box. The library reads endpoints as the columns of
+``_columns``, one transpose of the boxes' ``bounds``. ``box``,
+``Interval`` and ``Box`` check each object they build themselves.
 """
 
 from __future__ import annotations
@@ -104,23 +107,60 @@ class Interval:
         return self.lo < other.hi and other.lo < self.hi
 
 
-@dataclass(frozen=True, slots=True)
+# building blocks of the bulk builds: a bare instance, each slot's
+# setter, and a sink that runs a map of them to the end in C
+_new = object.__new__
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
+_exhaust = deque(maxlen=0).extend
+
+
+def _side(lo: Number, hi: Number) -> Interval:
+    """``Interval(lo, hi)`` for endpoints already checked: no check runs."""
+    side = _new(Interval)
+    _set_lo(side, lo)
+    _set_hi(side, hi)
+    return side
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Box:
-    """Axis-aligned box: one closed interval per axis, plus a stable id."""
+    """Axis-aligned box: a stable id and one flat tuple of bounds,
+    ``(lo_0, hi_0, ..., lo_{d-1}, hi_{d-1})``, a box file's row.
+
+    ``Box(id, sides)`` takes one ``Interval`` per axis. Equality and hash
+    follow ``(id, bounds)``; ``sides``, ``side`` and ``dim`` are derived
+    from ``bounds`` when read, and ``sides`` builds its intervals anew on
+    every read, so the library reads ``bounds`` instead.
+    """
 
     id: int
-    sides: tuple[Interval, ...]
+    bounds: tuple[Number, ...]
 
-    def __post_init__(self) -> None:
-        if not self.sides:
+    def __init__(self, id: int, sides: Sequence[Interval]) -> None:
+        if not sides:
             raise ValueError("box needs at least one axis")
+        _set_id(self, id)
+        _set_bounds(self, tuple(itertools.chain.from_iterable(map(_lo_hi, sides))))
 
     @property
     def dim(self) -> int:
-        return len(self.sides)
+        return len(self.bounds) // 2
+
+    @property
+    def sides(self) -> tuple[Interval, ...]:
+        bounds = self.bounds
+        return tuple(map(_side, bounds[0::2], bounds[1::2]))
 
     def side(self, axis: int) -> Interval:
         return self.sides[axis]
+
+
+_set_id = Box.id.__set__
+_set_bounds = Box.bounds.__set__
+_lo_hi = operator.attrgetter("lo", "hi")
+_id = operator.attrgetter("id")
+_bounds = operator.attrgetter("bounds")
 
 
 def box(id: int, *bounds: tuple[Number, Number]) -> Box:
@@ -132,9 +172,9 @@ def boxes_from_rows(rows: Sequence[Sequence[Number]]) -> list[Box]:
     """Build boxes from rows of 2d flat bounds ``lo_1 hi_1 ... lo_d hi_d``.
 
     Box i comes from row i. Every row must have the first row's even,
-    nonzero width. The rows are transposed into per-axis endpoint columns
-    and built by ``_boxes_from_columns``, and the first fault in row order
-    is raised: a row of the wrong width, or an empty side (axis by axis
+    nonzero width. The rows are flattened into one list of endpoints and
+    built by ``_boxes_from_values``, and the first fault in row order is
+    raised: a row of the wrong width, or an empty side (axis by axis
     within a row), with the messages a row-by-row build would give.
     """
     if not rows:
@@ -147,55 +187,58 @@ def boxes_from_rows(rows: Sequence[Sequence[Number]]) -> list[Box]:
         if widths[bad] < 2 or widths[bad] % 2:
             raise ValueError(f"row {bad}: expected an even number of bounds, got {widths[bad]}")
         raise ValueError(f"row {bad}: expected {width} bounds, got {widths[bad]}")
-    columns = list(zip(*rows))
-    return _boxes_from_columns(range(len(rows)), columns[0::2], columns[1::2])
+    return _boxes_from_values(list(itertools.chain.from_iterable(rows)), width)
 
 
-# building blocks of _boxes_from_columns: a bare instance, each slot's
-# setter, and a sink that runs a map of them to the end in C
-_new = object.__new__
-_set_lo = Interval.lo.__set__
-_set_hi = Interval.hi.__set__
-_set_id = Box.id.__set__
-_set_sides = Box.sides.__set__
-_exhaust = deque(maxlen=0).extend
+def _boxes_from_values(values: list[Number], width: int) -> list[Box]:
+    """Boxes 0, 1, ... whose bounds are the consecutive runs of ``width``
+    (an even, nonzero number) values: box i's are
+    ``values[i * width:(i + 1) * width]``.
 
-
-def _boxes_from_columns(
-    ids: Sequence[int],
-    los: Sequence[Sequence[Number]],
-    his: Sequence[Sequence[Number]],
-) -> list[Box]:
-    """``Box(ids[i], (Interval(los[0][i], his[0][i]), ...))`` for each i.
-
-    ``los[a]`` and ``his[a]`` are axis a's lower and upper endpoints, one
-    per id, and there is at least one axis. Each axis is checked in one
-    pass of ``operator.le`` (which also refuses NaN); the first empty side
-    in row order, axis by axis within a row, raises ``Interval``'s
-    ValueError. The checked objects are then made with ``object.__new__``
-    and their slots filled through the slot descriptors inside ``map``, so
-    no ``__init__`` or ``__post_init__`` runs per box.
+    Every side is checked in one pass of ``operator.le`` over the lower
+    and upper endpoints (which also refuses NaN); the first empty side in
+    row order, axis by axis within a row, raises ``Interval``'s
+    ValueError. The bounds are then cut straight from the values and the
+    boxes made by ``_boxes``.
     """
-    first = None  # (row, axis) of the first empty side
-    for axis, (lo, hi) in enumerate(zip(los, his)):
-        if not all(map(operator.le, lo, hi)):
-            row = next(i for i, ok in enumerate(map(operator.le, lo, hi)) if not ok)
-            if first is None or row < first[0]:
-                first = (row, axis)
-    if first is not None:
-        row, axis = first
-        raise ValueError(f"empty interval [{los[axis][row]}, {his[axis][row]}]")
-    n = len(ids)
-    sides = []
-    for lo, hi in zip(los, his):
-        axis_sides = list(map(_new, itertools.repeat(Interval, n)))
-        _exhaust(map(_set_lo, axis_sides, lo))
-        _exhaust(map(_set_hi, axis_sides, hi))
-        sides.append(axis_sides)
-    boxes = list(map(_new, itertools.repeat(Box, n)))
+    los, his = values[0::2], values[1::2]
+    if not all(map(operator.le, los, his)):
+        k = next(i for i, ok in enumerate(map(operator.le, los, his)) if not ok)
+        raise ValueError(f"empty interval [{los[k]}, {his[k]}]")
+    del los, his
+    return _boxes(range(len(values) // width), zip(*[iter(values)] * width))
+
+
+def _boxes(ids: Sequence[int], bounds: Iterable[tuple[Number, ...]]) -> list[Box]:
+    """``Box``es of the given ids and bounds tuples, unchecked: made with
+    ``object.__new__`` and their two slots filled through the slot
+    descriptors inside ``map``, so there is no Python-level call per box."""
+    boxes = list(map(_new, itertools.repeat(Box, len(ids))))
     _exhaust(map(_set_id, boxes, ids))
-    _exhaust(map(_set_sides, boxes, zip(*sides)))
+    _exhaust(map(_set_bounds, boxes, bounds))
     return boxes
+
+
+def _columns(boxes: Sequence[Box]) -> list[tuple[Number, ...]]:
+    """The 2d endpoint columns of the boxes in ``bounds`` order, ``[lo_0,
+    hi_0, lo_1, ...]``, each a tuple in listing order: one transpose of the
+    boxes' ``bounds``, which also checks that they have one dimension
+    (ValueError naming the first box of another)."""
+    try:
+        return list(zip(*map(_bounds, boxes), strict=True))
+    except ValueError:
+        _width(boxes)  # raises, naming the first box of another dimension
+        raise
+
+
+def _width(boxes: Sequence[Box]) -> int:
+    """The length of every box's ``bounds``, twice their common dimension;
+    ValueError naming the first box of another."""
+    width = len(boxes[0].bounds)
+    if not all(map(width.__eq__, map(len, map(_bounds, boxes)))):
+        b = next(b for b in boxes if len(b.bounds) != width)
+        raise ValueError(f"dimension mismatch: box {b.id} has {b.dim} axes, expected {width // 2}")
+    return width
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,22 +284,28 @@ def classify_overlap(a: Interval, b: Interval) -> OverlapType | None:
     raises ValueError on a shared endpoint since the strict types are
     undefined there.
     """
-    if a.lo == b.lo or a.lo == b.hi or a.hi == b.lo or a.hi == b.hi:
-        raise ValueError(f"shared endpoint between [{a.lo},{a.hi}] and [{b.lo},{b.hi}]")
-    if a.hi < b.lo or b.hi < a.lo:
+    return _overlap_type(a.lo, a.hi, b.lo, b.hi)
+
+
+def _overlap_type(alo: Number, ahi: Number, blo: Number, bhi: Number) -> OverlapType | None:
+    """``classify_overlap`` of the sides [alo, ahi] and [blo, bhi]."""
+    if alo == blo or alo == bhi or ahi == blo or ahi == bhi:
+        raise ValueError(f"shared endpoint between [{alo},{ahi}] and [{blo},{bhi}]")
+    if ahi < blo or bhi < alo:
         return None
-    if a.lo < b.lo:
-        return OverlapType.CONTAINS if b.hi < a.hi else OverlapType.LEFT
-    return OverlapType.CONTAINED if a.hi < b.hi else OverlapType.RIGHT
+    if alo < blo:
+        return OverlapType.CONTAINS if bhi < ahi else OverlapType.LEFT
+    return OverlapType.CONTAINED if ahi < bhi else OverlapType.RIGHT
 
 
 def intersection_pattern(a: Box, b: Box) -> Pattern | None:
     """Pattern of ``a`` relative to ``b``; None when the boxes are disjoint."""
-    if a.dim != b.dim:
+    x, y = a.bounds, b.bounds
+    if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     axes = []
-    for i in range(a.dim):
-        t = classify_overlap(a.side(i), b.side(i))
+    for i in range(0, len(x), 2):
+        t = _overlap_type(x[i], x[i + 1], y[i], y[i + 1])
         if t is None:
             return None
         axes.append(t)
@@ -264,9 +313,11 @@ def intersection_pattern(a: Box, b: Box) -> Pattern | None:
 
 
 def intersects(a: Box, b: Box) -> bool:
-    if a.dim != b.dim:
+    """Whether the sides overlap strictly on every axis."""
+    x, y = a.bounds, b.bounds
+    if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return all(a.side(i).overlaps(b.side(i)) for i in range(a.dim))
+    return all(map(operator.lt, x[0::2], y[1::2])) and all(map(operator.lt, y[0::2], x[1::2]))
 
 
 def intersecting_pairs(
@@ -304,17 +355,16 @@ def _pattern_codes(
     digit per axis, axis 0 most significant, 0..3 for CONTAINS, CONTAINED,
     LEFT, RIGHT. Mirroring flips the low bit of every digit.
 
-    Each axis's endpoints are read once as two columns indexed by id: lists
-    when the boxes are listed with ids 0..n-1 in order, maps from id
-    otherwise."""
+    Each axis's endpoints are read once as two columns indexed by id: the
+    columns of ``_columns`` when the boxes are listed with ids 0..n-1 in
+    order, maps from id otherwise."""
     if not boxes:
         return []
-    ids = [b.id for b in boxes]
+    ids = list(map(_id, boxes))
     dense = ids == list(range(len(ids)))
+    ends = _columns(boxes)
     columns = []
-    for axis in range(boxes[0].dim):
-        sides = [b.sides[axis] for b in boxes]
-        lo, hi = [s.lo for s in sides], [s.hi for s in sides]
+    for lo, hi in zip(ends[0::2], ends[1::2]):
         columns.append((lo, hi) if dense else (dict(zip(ids, lo)), dict(zip(ids, hi))))
     out = []
     for u, v in pairs:
@@ -328,18 +378,9 @@ def _pattern_codes(
     return out
 
 
-def _common_dim(boxes: Sequence[Box]) -> int:
-    """The number of axes every box has; ValueError when two differ."""
-    d = boxes[0].dim
-    for b in boxes:
-        if len(b.sides) != d:
-            raise ValueError(f"dimension mismatch: box {b.id} has {b.dim} axes, expected {d}")
-    return d
-
-
 def _require_ids(boxes: Sequence[Box]) -> None:
     """ValueError unless the box ids are exactly 0..n-1, in any order."""
-    if sorted(b.id for b in boxes) != list(range(len(boxes))):
+    if sorted(map(_id, boxes)) != list(range(len(boxes))):
         raise ValueError("box ids must be 0..n-1")
 
 
@@ -353,13 +394,13 @@ def _sweep(
     if not boxes:
         return
     n = len(boxes)
-    d = _common_dim(boxes)
-    lows = [[b.sides[axis].lo for b in boxes] for axis in range(d)]
-    highs = [[b.sides[axis].hi for b in boxes] for axis in range(d)]
+    columns = _columns(boxes)
+    d = len(columns) // 2
+    lows, highs = columns[0::2], columns[1::2]
     for axis in range(d):
         if len(set(lows[axis] + highs[axis])) != 2 * n:
             raise ValueError(f"shared endpoint on axis {axis}: normalize the boxes first")
-    ids = [b.id for b in boxes]
+    ids = list(map(_id, boxes))
     renamed = ids != list(range(n))  # positions are not the ids
     # labels become dense integers 0..kinds-1, and the index key of cell c
     # for label t is c * kinds + t, so every label has cells of its own
@@ -429,48 +470,54 @@ def normalize(boxes: Sequence[Box]) -> list[Box]:
     indices, with the endpoints laid out ``lo, hi`` box by box in ascending
     id order, so the sort's own tie order is the tie rule.
 
-    Boxes come back in input order, each built once. When the input is
-    already normalized (on every axis its coordinates are the ints
-    0..2n-1, which are then their own ranks), the result is a new list of
-    the same box objects. Otherwise every box is rebuilt from the per-axis
-    rank columns by ``_boxes_from_columns``, so a coordinate such as
-    ``Fraction(3)``, ``3.0`` or ``True`` becomes an int. Each axis's
-    endpoint and rank lists are dropped once its columns are cut from them.
+    Boxes come back in input order, each built once. The endpoints are
+    read as the columns of ``_columns``, one transpose of the boxes'
+    ``bounds``. When the input is already normalized (on every axis its
+    coordinates are the ints 0..2n-1, which are then their own ranks), the
+    result is a new list of the same box objects. Otherwise every box gets
+    one new ``bounds`` tuple, cut from the columns with each ranked axis's
+    columns replaced by its ranks, so a coordinate such as ``Fraction(3)``,
+    ``3.0`` or ``True`` becomes an int; ranks are ordered sides, so no
+    check runs. Each axis's endpoint and rank lists are dropped once its
+    columns are cut from them.
     """
     if not boxes:
         raise ValueError("empty box collection")
-    d = _common_dim(boxes)
-    ids = [b.id for b in boxes]
+    columns = _columns(boxes)
+    d = len(columns) // 2
+    ids = list(map(_id, boxes))
     ordered = boxes
     if not all(map(operator.lt, ids, ids[1:])):  # strictly ascending ids are distinct
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate box ids")
-        ordered = sorted(boxes, key=operator.attrgetter("id"))
-        ids = [b.id for b in ordered]
+        ordered = sorted(boxes, key=_id)
+        ids = list(map(_id, ordered))
+        columns = _columns(ordered)
     size = 2 * len(ids)
-    # one int object per rank, shared by every axis's sort and ranks
-    positions = list(range(size))
-    every = set(positions)
-    los, his = [], []
-    unchanged = True
+    positions: list[int] = []  # one int object per rank, shared by every axis's sort and ranks
     for axis in range(d):
-        sides = [b.sides[axis] for b in ordered]
+        lo, hi = columns[2 * axis], columns[2 * axis + 1]
+        # 2n distinct ints between 0 and 2n - 1 (every lo <= its hi) are
+        # the ints 0..2n-1, their own ranks
+        if (
+            max(hi) < size
+            and min(lo) >= 0
+            and len({*lo, *hi}) == size
+            and {*map(type, lo), *map(type, hi)} == {int}
+        ):
+            continue
+        positions = positions or list(range(size))
         vals: list[Number] = [0] * size
-        vals[0::2] = [s.lo for s in sides]
-        vals[1::2] = [s.hi for s in sides]
-        if {*map(type, vals)} == {int} and set(vals) == every:
-            ranks = vals  # the ints 0..2n-1 are their own ranks
-        else:
-            unchanged = False
-            ranks = [0] * size
-            _exhaust(map(ranks.__setitem__, sorted(positions, key=vals.__getitem__), positions))
-        los.append(ranks[0::2])
-        his.append(ranks[1::2])
+        vals[0::2], vals[1::2] = lo, hi
+        ranks = [0] * size
+        _exhaust(map(ranks.__setitem__, sorted(positions, key=vals.__getitem__), positions))
+        columns[2 * axis], columns[2 * axis + 1] = ranks[0::2], ranks[1::2]
         del vals, ranks
-    if unchanged:
+    if not positions:
         return list(boxes)
-    del positions, every
-    built = _boxes_from_columns(ids, los, his)
+    del positions
+    built = _boxes(ids, zip(*columns))
+    del columns
     if ordered is boxes:
         return built
     by_id = dict(zip(ids, built))
@@ -526,20 +573,20 @@ def load_boxes(path: str) -> list[Box]:
     A JSON mirror is accepted: an object with a ``boxes`` key whose entries
     are per-axis ``[lo, hi]`` pairs. Ids are assigned by 0-based order.
 
-    A text file is read column-wise. Each row's width is checked on its
-    own, and the rows are dropped; then the whole text is split into
-    tokens once and read in one pass, by ``int`` when the file is made of
-    plain ASCII integers and by ``_parse_number`` otherwise. Every
-    ``2d``-th number from a given offset is one endpoint column, and
-    ``_boxes_from_columns`` builds the boxes. The first fault in row order
-    is raised: a row of the wrong width or a bad number, and only then an
-    empty side.
+    A text file is read in bulk. Each row's width is checked on its own,
+    and the rows are dropped; then the whole text is split into tokens
+    once and read in one pass, by ``int`` when the file is made of plain
+    ASCII integers and by ``_parse_number`` otherwise. Each run of ``2d``
+    consecutive numbers is one box's ``bounds``, and
+    ``_boxes_from_values`` checks the sides and builds the boxes. The first
+    fault in row order is raised: a row of the wrong width or a bad number,
+    and only then an empty side.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
         return _boxes_from_json(text.lstrip())
-    rows = [ln for ln in text.splitlines() if ln.strip()]
+    rows = list(filter(str.strip, text.splitlines()))  # the nonblank lines
     if not rows:
         raise ValueError("empty box file")
     header = rows.pop(0)
@@ -566,10 +613,7 @@ def load_boxes(path: str) -> list[Box]:
     del text, tokens[:2]  # the header's two tokens
     values = _numbers(tokens, parse)
     del tokens
-    los = [values[a::width] for a in range(0, width, 2)]
-    his = [values[a::width] for a in range(1, width, 2)]
-    del values
-    return _boxes_from_columns(range(n), los, his)
+    return _boxes_from_values(values, width)
 
 
 _JSON_TYPE_NAMES = {list: "array", dict: "object", bool: "boolean", type(None): "null"}
@@ -615,14 +659,12 @@ def boxes_to_text(boxes: Sequence[Box]) -> str:
     """Text box file format (header ``d n``, ids follow row order)."""
     if not boxes:
         raise ValueError("empty box collection")
-    d = boxes[0].dim
-    lines = [f"{d} {len(boxes)}"]
-    for b in sorted(boxes, key=lambda b: b.id):
-        flat: Iterable[str] = (
-            str(v) for side in b.sides for v in (side.lo, side.hi)
-        )
-        lines.append(" ".join(flat))
-    return "\n".join(lines) + "\n"
+    width = _width(boxes)
+    # one row per box in id order, its bounds each written by str, all
+    # filled in by one format
+    row = " ".join(["%s"] * width) + "\n"
+    values = tuple(itertools.chain.from_iterable(map(_bounds, sorted(boxes, key=_id))))
+    return f"{width // 2} {len(boxes)}\n" + row * len(boxes) % values
 
 
 def save_boxes(boxes: Sequence[Box], path: str) -> None:

@@ -34,12 +34,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import compress
-from operator import and_, indexOf, not_, xor
+from operator import indexOf, not_
 from typing import Collection, Iterable, Mapping, Sequence
 
 # ``intersects`` is imported only to stay a module name: perfbench counts
 # pair tests by rebinding it.
-from .geometry import Box, _require_ids, _sweep, intersects  # noqa: F401
+from .geometry import Box, _columns, _require_ids, _sweep, intersects  # noqa: F401
 
 __all__ = [
     "Coloring",
@@ -351,34 +351,34 @@ def intersection_rows(boxes: Sequence[Box]) -> list[int]:
     The boxes must be normalized with ids 0..n-1, in any listing order, as
     ``intersection_graph`` checks. Each axis is one pass over its 2n
     endpoints in sorted order that keeps two masks, the boxes started so
-    far and the boxes ended so far; v's lo records the one, v's hi the
-    other. Box u meets v on the axis exactly when u starts before v's hi
-    and does not end before v's lo, and every box that ends before v's lo
-    also starts before v's hi, so v's row on the axis is the XOR of what
-    its two ends recorded. v's row is the AND of its axis rows, less v's
-    own bit. So the cost is a sort and 2n mask updates per axis, with no
-    step per edge.
+    far and the boxes ended so far. Box u meets v on the axis exactly when
+    u starts before v's hi and does not end before v's lo, and every box
+    that ends before v's lo also starts before v's hi. So v's lo records
+    the boxes ended so far, and at v's hi the boxes started so far less
+    those are v's row on the axis, ANDed into v's row in place; beside the
+    rows, only the masks recorded for the boxes still open are held. v's
+    row is the AND of its axis rows, less v's own bit. So the cost is a
+    sort and 2n mask updates per axis, with no step per edge.
     """
     if not boxes:
         return []
     n = len(boxes)
     bits = [1 << (n - 1 - b.id) for b in boxes]
     rows = [-1] * n  # every bit set, until the first axis
-    for axis in range(boxes[0].dim):
-        sides = [b.sides[axis] for b in boxes]
-        ends = [s.lo for s in sides] + [s.hi for s in sides]
+    ended_before_lo = [0] * n  # each entry is set at a lo and cleared at its hi
+    columns = _columns(boxes)
+    for lo, hi in zip(columns[0::2], columns[1::2]):
+        ends = lo + hi
         started = ended = 0
-        ended_before_lo = [0] * n
-        started_before_hi = [0] * n
         for e in sorted(range(2 * n), key=ends.__getitem__):
             if e < n:
                 ended_before_lo[e] = ended
                 started |= bits[e]
             else:
                 e -= n
-                started_before_hi[e] = started
+                rows[e] &= started ^ ended_before_lo[e]
+                ended_before_lo[e] = 0
                 ended |= bits[e]
-        rows = list(map(and_, rows, map(xor, started_before_hi, ended_before_lo)))
     by_id = [0] * n
     for b, row, bit in zip(boxes, rows, bits):
         by_id[b.id] = row ^ bit

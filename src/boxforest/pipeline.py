@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import repeat
 from typing import Mapping, NamedTuple, Sequence
 
 # ``peel_grading``, ``product_coloring`` and ``maximum_independent_set`` are
@@ -48,7 +48,7 @@ from .embedding import (  # noqa: F401
     find_path_induced_tree,
     peel_grading,
 )
-from .geometry import Box, _common_dim, _require_ids, _sweep, intersects
+from .geometry import Box, _columns, _id, _require_ids, _sweep, intersects
 from .graphs import (
     Coloring,
     RootedTree,
@@ -171,23 +171,21 @@ class Extraction(NamedTuple):
     shortfall: bool
 
 
-def _interval_mis(boxes: Sequence[Box], axis: int) -> list[int]:
-    """Exact maximum independent set of an interval graph, greedy by hi."""
+def _interval_mis(ids: Sequence[int], los: Sequence, his: Sequence) -> list[int]:
+    """Exact maximum independent set of the intervals [los[i], his[i]] of
+    the boxes ``ids[i]``, greedy by hi (ties by id)."""
     chosen: list[int] = []
     last_hi = None
-    for b in sorted(boxes, key=lambda b: (b.side(axis).hi, b.id)):
-        if last_hi is None or b.side(axis).lo > last_hi:
-            chosen.append(b.id)
-            last_hi = b.side(axis).hi
+    for hi, bid, lo in sorted(zip(his, ids, los)):
+        if last_hi is None or lo > last_hi:
+            chosen.append(bid)
+            last_hi = hi
     return chosen
 
 
-def _interval_max_clique(boxes: Sequence[Box], axis: int) -> frozenset[int]:
+def _interval_max_clique(ids: Sequence[int], los: Sequence, his: Sequence) -> frozenset[int]:
     """Ids of intervals through the first deepest sweep point (exact)."""
-    events = sorted(
-        [(b.side(axis).lo, 0, b.id) for b in boxes]
-        + [(b.side(axis).hi, 1, b.id) for b in boxes]
-    )
+    events = sorted([*zip(los, repeat(0), ids), *zip(his, repeat(1), ids)])
     active: set[int] = set()
     best: frozenset[int] = frozenset()
     for _, is_hi, bid in events:
@@ -224,10 +222,12 @@ def extract_independent(
     pool: Sequence[Box] = boxes
     upper: list[list[int]] = []  # the interval MIS of axes d-1 down to 1
     for axis in range(d - 1, 0, -1):
-        upper.append(_interval_mis(pool, axis))
-        stack = _interval_max_clique(pool, axis)
+        ids, columns = list(map(_id, pool)), _columns(pool)
+        upper.append(_interval_mis(ids, columns[2 * axis], columns[2 * axis + 1]))
+        stack = _interval_max_clique(ids, columns[2 * axis], columns[2 * axis + 1])
         pool = [b for b in pool if b.id in stack]
-    ids = _interval_mis(pool, 0)
+    columns = _columns(pool)
+    ids = _interval_mis(list(map(_id, pool)), columns[0], columns[1])
     for option in reversed(upper):
         if len(option) >= len(ids):
             ids = option
@@ -357,10 +357,8 @@ def _may_be_dense(boxes: Sequence[Box]) -> bool:
     n = len(boxes)
     if n > _ROWS_CAP:
         return False
-    for axis in range(_common_dim(boxes)):
-        sides = [b.sides[axis] for b in boxes]
-        lows = list(map(attrgetter("lo"), sides))
-        highs = list(map(attrgetter("hi"), sides))
+    columns = _columns(boxes)
+    for lows, highs in zip(columns[0::2], columns[1::2]):
         # distinct ints in 0..2n-1 are the ranks; shared ones fail the sweep later
         if {*map(type, lows), *map(type, highs)} != {int} or min(lows) < 0 or max(highs) >= 2 * n:
             return False

@@ -20,6 +20,7 @@ import sys
 import pytest
 
 from boxforest import (
+    Box,
     ProperColoring,
     boxes_from_rows,
     certificate_to_json,
@@ -27,10 +28,14 @@ from boxforest import (
     color_or_find_forest,
     embedding,
     intersection_graph,
+    load_boxes,
     normalize,
     oracles,
+    parse_certificate,
     pipeline,
     random_boxes,
+    save_boxes,
+    verify_certificate,
 )
 from boxforest.graphs import smallest_last_coloring
 
@@ -71,6 +76,31 @@ def test_decomposed_certificate_bytes_are_pinned(name):
     assert cert.coloring.palette_size == palette == w
     data = certificate_to_json(cert).encode()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_no_library_path_reads_box_sides(tmp_path, monkeypatch, name):
+    # the library reads endpoints from ``Box.bounds``; ``sides`` and
+    # ``side`` build their intervals anew on each read, for callers only.
+    # fans-3d ends in a tree and prunes its children, the others color
+    workload = workloads.WORKLOADS[name]
+    w = workloads.max_depth(workload.make(4))  # it reads sides itself
+    reads, pruned = [], []
+    sides, side, prune = Box.sides, Box.side, pipeline.prune_children
+    monkeypatch.setattr(Box, "sides", property(lambda b: reads.append("sides") or sides.fget(b)))
+    monkeypatch.setattr(Box, "side", lambda b, axis: reads.append("side") or side(b, axis))
+    monkeypatch.setattr(pipeline, "prune_children", lambda *a: pruned.append(a) or prune(*a))
+    path = tmp_path / "boxes.txt"
+    save_boxes(workload.make(4), path)
+    cert = color_or_find_forest(
+        normalize(load_boxes(path)), workload.r, workload.k, omega_bound=w
+    )
+    payload = parse_certificate(certificate_to_json(cert))
+    assert verify_certificate(normalize(load_boxes(path)), payload)[0]
+    assert reads == []
+    assert len(pruned) == (name == "fans-3d")
+    # the counters do see a read
+    assert load_boxes(path)[0].side(0) and reads == ["side", "sides"]
 
 
 @pytest.mark.parametrize("name", ["fans-3d", "sparse-2d", "dense-2d"])

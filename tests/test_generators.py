@@ -18,7 +18,7 @@ from boxforest import (
     normalize,
     random_boxes,
 )
-from boxforest.generators import _burling_raw, _probe_hits
+from boxforest.generators import _burling_raw
 from boxforest.geometry import boxes_from_rows
 from bruteforce import brute_chi
 
@@ -72,6 +72,20 @@ def edges_of(rows):
         boxes_from_rows([[v for side in r for v in side] for r in rows])
     )
     return boxes
+
+
+def probe_hits(rows, probe) -> tuple[int, ...]:
+    """Ids of the raw Burling rows meeting the probe's region, by strict overlap."""
+    hits = []
+    for i, (x0, x1, y0, y1, z0, z1) in enumerate(rows):
+        if x1 <= probe.x0 or x0 >= probe.x1:
+            continue
+        if y1 <= probe.y0 or y0 >= 1:
+            continue
+        if z1 <= probe.z0 or z0 >= probe.z1:
+            continue
+        hits.append(i)
+    return tuple(hits)
 
 
 class TestBurling:
@@ -134,7 +148,7 @@ class TestBurling:
         for level in (1, 2, 3, 4):
             rows, probes = _burling_raw(level)
             for probe in probes:
-                assert _probe_hits(rows, probe) == probe.roots
+                assert probe_hits(rows, probe) == probe.roots
 
     def test_probe_roots_pairwise_disjoint(self):
         for level in (2, 3, 4):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from boxforest import (
     boxes_from_rows,
     boxes_to_text,
     classify_overlap,
+    intersecting_pairs,
     intersection_pattern,
     intersects,
     load_boxes,
@@ -143,6 +145,73 @@ class TestBoxes:
             intersection_pattern(box(0, (0, 1)), box(1, (0, 1), (0, 1)))
 
 
+class TestFlatBounds:
+    """A box stores its id and one flat tuple of bounds; its sides, one
+    side and its dimension are derived from them when read."""
+
+    def test_bounds_are_the_row_and_sides_are_derived(self):
+        b = box(3, (0, 2), (1, 5))
+        assert b.bounds == (0, 2, 1, 5)
+        assert b.sides == (Interval(0, 2), Interval(1, 5))
+        assert b.side(0) == Interval(0, 2) and b.side(-1) == Interval(1, 5)
+        assert b.dim == 2 and box(0, *[(0, 1)] * 7).dim == 7
+        with pytest.raises(IndexError):
+            b.side(2)
+
+    def test_a_box_rebuilt_from_its_sides_is_equal(self):
+        family = random_boxes(30, 3, 1) + [box(7, (Fraction(1, 3), 2), (-1, 0.5))]
+        for b in family:
+            again = Box(b.id, b.sides)
+            assert again == b and hash(again) == hash(b) and again.bounds == b.bounds
+        assert Box(8, family[-1].sides) != family[-1]
+        assert box(0, (0, 1)) != box(0, (0, 2))
+        assert len({*family, *(Box(b.id, b.sides) for b in family)}) == len(family)
+
+    def test_every_builder_gives_equal_boxes(self, tmp_path):
+        rows = [[0, 3, 1, 2], [1, 2, 0, 3]]
+        built = [box(i, *zip(r[0::2], r[1::2])) for i, r in enumerate(rows)]
+        assert boxes_from_rows(rows) == built
+        path = tmp_path / "boxes.txt"
+        save_boxes(built, path)
+        assert load_boxes(path) == built
+        assert normalize(built) == built
+        # raw boxes are rebuilt from their ranks: 10 < 20 < 30 < 40 and 1 < 5 < 6 < 9
+        ranked = normalize(boxes_from_rows([[10, 40, 5, 6], [20, 30, 1, 9]]))
+        assert ranked == built and {*ranked} == {*built}
+
+    def test_boxes_and_their_sides_cannot_be_assigned(self):
+        b = box(0, (0, 1))
+        for name, value in (("id", 1), ("bounds", (0, 2))):
+            with pytest.raises(FrozenInstanceError):
+                setattr(b, name, value)
+        # a derived name is no field; a frozen slots dataclass refuses it
+        # with AttributeError or, on CPython 3.11, TypeError
+        for name, value in (("sides", ()), ("dim", 2)):
+            with pytest.raises((AttributeError, TypeError)):
+                setattr(b, name, value)
+        with pytest.raises(AttributeError):
+            b.sides[0].lo = 5  # type: ignore[misc]
+        assert b.bounds == (0, 1)
+
+    def test_no_axes_and_mixed_dimensions_are_refused(self):
+        for build in (lambda: Box(0, ()), lambda: box(0)):
+            with pytest.raises(ValueError, match=r"^box needs at least one axis$"):
+                build()
+        wide, narrow = box(0, (0, 1), (0, 1)), box(1, (2, 3))
+        with pytest.raises(ValueError, match=r"^dimension mismatch: box 1 has 1 axes, expected 2$"):
+            normalize([wide, narrow])
+        with pytest.raises(ValueError, match=r"^dimension mismatch: box 1 has 2 axes, expected 1$"):
+            normalize([Box(0, narrow.sides), Box(1, wide.sides)])
+        with pytest.raises(ValueError, match=r"^dimension mismatch: box 1 has 1 axes, expected 2$"):
+            intersecting_pairs([wide, narrow])
+        # a box file holds one dimension: its rows would not line up
+        with pytest.raises(ValueError, match=r"^dimension mismatch: box 1 has 1 axes, expected 2$"):
+            boxes_to_text([wide, narrow, box(2, (4, 5))])
+        for pair_test in (intersects, intersection_pattern):
+            with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 1$"):
+                pair_test(wide, narrow)
+
+
 def _random_rows(draw_ints, n, d):
     rows = []
     it = iter(draw_ints)
@@ -171,6 +240,14 @@ class TestNormalize:
         bs = normalize(boxes_from_rows([[0, 7], [3, 9], [1, 2]]))
         vals = sorted(v for b in bs for v in (b.side(0).lo, b.side(0).hi))
         assert vals == list(range(6))
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1, 5])
+    def test_only_the_ranks_themselves_pass_through(self, shift):
+        # 2n distinct ints on an axis are its ranks only when they are 0..2n-1
+        bs = boxes_from_rows([[2 + shift, 3 + shift, 0, 3], [shift, 1 + shift, 1, 2]])
+        out = normalize(bs)
+        assert out == [box(0, (2, 3), (0, 3)), box(1, (0, 1), (1, 2))]
+        assert all(a is b for a, b in zip(out, bs)) == (shift == 0)
 
     @given(st.data())
     @settings(max_examples=60)

@@ -1,5 +1,5 @@
-"""Column-wise box building: the same boxes and the same first error as a
-row-by-row build, no per-box ``__post_init__``, and lossless round trips."""
+"""Bulk box building: the same boxes and the same first error as a
+row-by-row build, no ``Interval`` built on the way, and lossless round trips."""
 
 from __future__ import annotations
 
@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxforest import (
-    Box,
     Interval,
     box,
     boxes_from_rows,
+    geometry,
     load_boxes,
     normalize,
     random_boxes,
@@ -184,40 +184,51 @@ def test_rows_raise_an_empty_side_before_a_later_wrong_width():
 
 
 @pytest.fixture
-def post_init_calls(monkeypatch):
-    """Counts calls of ``Interval.__post_init__`` and ``Box.__post_init__``."""
+def interval_builds(monkeypatch):
+    """Names every ``Interval`` built: "checked" for each one the public
+    constructor makes (its ``__post_init__`` runs), "derived" for each one
+    that reading ``Box.sides`` or ``Box.side`` makes from ``bounds``
+    (through ``geometry._side``). The library has no other way to build one."""
     calls = []
-    for cls in (Interval, Box):
-        original = cls.__post_init__
+    check = Interval.__post_init__
+    derive = geometry._side
 
-        def counted(self, original=original, name=cls.__name__):
-            calls.append(name)
-            return original(self)
+    def checked(self):
+        calls.append("checked")
+        return check(self)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+    def derived(lo, hi):
+        calls.append("derived")
+        return derive(lo, hi)
+
+    monkeypatch.setattr(Interval, "__post_init__", checked)
+    monkeypatch.setattr(geometry, "_side", derived)
     return calls
 
 
-def test_bench_sized_load_and_normalize_run_no_post_init(tmp_path, post_init_calls):
+def test_bench_sized_load_and_normalize_build_no_interval(tmp_path, interval_builds):
     raw = tmp_path / "raw.txt"
     rows = workloads.sparse_rows(4)
     raw.write_text(f"2 {len(rows)}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
     fans = tmp_path / "fans.txt"
     save_boxes(workloads.WORKLOADS["fans-3d"].make(4), fans)
-    post_init_calls.clear()
+    interval_builds.clear()
     loaded = load_boxes(raw)
-    assert post_init_calls == []
+    assert interval_builds == []
     out = normalize(loaded)
-    assert post_init_calls == [] and out != loaded
+    assert interval_builds == [] and out != loaded
     normalize(load_boxes(fans))
     boxes_from_rows(rows)
-    assert post_init_calls == []
+    assert interval_builds == []
     # the public constructors still check every object they build
     with pytest.raises(ValueError, match="empty interval"):
         box(0, (5, 1))
     with pytest.raises(ValueError, match="empty interval"):
         Interval(math.nan, 1)
-    assert post_init_calls == ["Interval", "Interval"]
+    assert interval_builds == ["checked", "checked"]
+    # and the derived sides are counted too
+    assert out[0].side(1) == out[0].sides[1]
+    assert interval_builds == ["checked", "checked"] + ["derived"] * 4
 
 
 ROUND_TRIPS = {
