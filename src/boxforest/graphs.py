@@ -15,10 +15,12 @@ its one sweep fills, kept as they are, since coloring and the self-check
 only iterate over them. A dense host graph (2m >= n^2 / 8) is colored on
 bit rows instead, one int per vertex that ``intersection_rows`` builds
 from the boxes with a sort and 2n mask updates per axis. Smallest-last
-then keeps the degrees as bit-sliced counters, O(n log Delta) operations
-on n-bit ints rather than O(m) interpreter steps. Both paths remove the
-smallest id of minimum remaining degree and give each vertex the smallest
-color no colored neighbor has, so their order and colors are the same.
+then keeps the degrees as bit-sliced counters and finds each color in a
+binary tree over the color classes whose nodes hold masks of blocked
+vertices: O(n log Delta) operations on n-bit ints rather than O(m)
+interpreter steps. Both paths remove the smallest id of minimum remaining
+degree and give each vertex the smallest color no colored neighbor has,
+so their order and colors are the same.
 Where no tree can fit, the pipeline builds the rows without the lists
 (``smallest_last_coloring(None, rows)``) and checks the colors against
 the boxes; elsewhere the self-check reads the lists. The pattern
@@ -33,8 +35,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import compress
-from operator import indexOf, not_
+from itertools import compress, repeat
+from operator import not_
 from typing import Collection, Iterable, Mapping, Sequence
 
 # ``intersects`` is imported only to stay a module name: perfbench counts
@@ -430,6 +432,9 @@ def degeneracy_coloring(
     return Coloring(colors, max(palette, 1) if vertices else 0)
 
 
+# complements a string of binary digits
+_FLIP = str.maketrans("01", "10")
+
 # how far the smallest-last queue's horizon rises each time the search
 # passes it; the first horizon is this many levels above degree 0
 _HORIZON_STEP = 16
@@ -532,17 +537,30 @@ def _smallest_last_on_rows(rows: Sequence[int]) -> Coloring:
     the remaining vertices to those of minimum degree, and the smallest id
     among them is the highest set bit. Removing v lowers the degree of its
     remaining neighbors ``rows[v] & alive`` by one, a borrow carried up the
-    planes. Back to front, each vertex then takes the first color class its
-    row misses: the smallest color no colored neighbor has, as on lists.
-    The last class is kept empty, so one is always found.
+    planes. The planes are read off one string of every degree's binary
+    digits, one slice per plane.
+
+    Back to front, each vertex then takes the smallest color no colored
+    neighbor has, found in a binary tree over the classes. Leaf c holds
+    ``blocked[c]``, the OR of the rows of class c's members: the vertices
+    with a neighbor in class c. Rows are symmetric, so v is in
+    ``blocked[c]`` exactly when its row meets class c. An inner node holds
+    the AND of its children, the vertices blocked in every class below
+    it, so v descends from the root, going right exactly when its bit is
+    set in the left child, to the first class its row misses, as on
+    lists. Coloring v ORs its row into that leaf and re-ANDs the
+    ancestors up to the first that does not change. There are more than
+    Delta leaves, so a free class is always reached. That is
+    O(log Delta) operations per vertex, where a scan of the classes took
+    one per class below its color.
     """
     n = len(rows)
     degree = list(map(int.bit_count, rows))
     depth = max(degree, default=0).bit_length()
-    # one binary digit per vertex, vertex 0 first: vertex v lands at bit n-1-v
-    zeros = [
-        int("".join(["10"[dv >> b & 1] for dv in degree]), 2) for b in range(depth)
-    ]
+    # each degree as depth binary digits, complemented, vertex 0 first; the
+    # digits of bit b are every depth-th from depth-1-b, vertex v at bit n-1-v
+    digits = "".join(map(format, degree, repeat(f"0{depth}b"))).translate(_FLIP)
+    zeros = [int(digits[depth - 1 - b :: depth], 2) for b in range(depth)]
     top_down = range(depth - 1, -1, -1)
     alive = (1 << n) - 1
     order = []
@@ -562,15 +580,27 @@ def _smallest_last_on_rows(rows: Sequence[int]) -> Coloring:
             zeros[b] = z ^ borrow
             borrow &= z
             b += 1
+    # leaves size..2 size-1 are the classes, more than Delta of them; node i
+    # holds the AND of nodes 2i and 2i+1
+    size = 1 << depth
+    blocked = [0] * (2 * size)
     col = [0] * n
-    classes = [0]
     for v in reversed(order):
-        c = indexOf(map(rows[v].__and__, classes), 0)
-        if c == len(classes) - 1:
-            classes.append(0)
-        classes[c] |= 1 << (n - 1 - v)
-        col[v] = c
-    return Coloring(dict(enumerate(col)), len(classes) - 1)
+        bit = 1 << (n - 1 - v)
+        i = 1
+        while i < size:
+            i <<= 1
+            if blocked[i] & bit:
+                i += 1
+        col[v] = i - size
+        blocked[i] |= rows[v]
+        while i > 1:
+            both = blocked[i] & blocked[i ^ 1]
+            i >>= 1
+            if both == blocked[i]:
+                break
+            blocked[i] = both
+    return Coloring(dict(enumerate(col)), max(col, default=-1) + 1)
 
 
 def _greedy_in_reverse(

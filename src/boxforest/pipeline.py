@@ -134,6 +134,13 @@ def _tree_fits(r: int, branching: int, n: int) -> bool:
     return r < n and (r == 0 or branching < n) and tree_vertex_count(r, branching) <= n
 
 
+def _digit_limit() -> int:
+    """The interpreter's limit on the decimal digits of a written int, 0 for
+    none. CPython before 3.10.7 has no such limit, nor the function."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return get_limit() if get_limit else 0
+
+
 def _bound_too_long(limit: int) -> str:
     return (
         f"coloring bound has more than {limit} digits, the interpreter's limit "
@@ -152,7 +159,7 @@ def _writable_bound(d: int, r: int, k: int, omega: int) -> BoundReport:
     2^10 > 10^3. A bound that is not surely too long is computed, and
     ``certificate_to_json`` refuses it if it is.
     """
-    limit = sys.get_int_max_str_digits()
+    limit = _digit_limit()
     if limit:
         branching = k**d * omega
         tree_bits = max(r * (branching.bit_length() - 1), (r + 1).bit_length() - 1)
@@ -337,7 +344,9 @@ _ROWS_CAP = 16_384
 def _dense(two_m: int, n: int) -> bool:
     """Whether a graph with 2m adjacency entries on n vertices is colored on
     bit rows: 2m >= n^2 / 8. On random 2-d instances (n = 400 to 3200) rows
-    won from 2m / n^2 = 0.10 up and lost at 0.023 and below (CHANGES.md)."""
+    won from 2m / n^2 = 0.11 up and lost at 0.010 and below; between, the
+    crossover falls as n grows, from 0.11 at n = 400 to 0.024 at n = 3200
+    (CHANGES.md)."""
     return 8 * two_m >= n * n
 
 
@@ -473,7 +482,7 @@ def color_or_find_forest(
 def certificate_to_json(cert: Certificate) -> str:
     """Canonical single-line JSON; byte-stable for identical certificates."""
     if isinstance(cert, ProperColoring):
-        limit = sys.get_int_max_str_digits()
+        limit = _digit_limit()
         bound = cert.report.derived_bound
         if limit and bound >= 10**limit:
             raise ValueError(_bound_too_long(limit))

@@ -264,16 +264,25 @@ def tied_graphs():
     yield Graph(40, [(2 * i, 2 * i + 1) for i in range(20)])
 
 
+def complete_graphs():
+    """K_m where the palette m = Delta + 1 is at and around a power of two,
+    so the rows' tree of classes is just full or has just doubled, and an
+    edgeless graph, whose tree is a single leaf."""
+    for m in (1, 2, 3, 4, 5, 15, 16, 17, 31, 32, 33, 63, 64, 65):
+        yield Graph(m, clique_edges(list(range(m))))
+    yield Graph(33)
+
+
 class TestSmallestLastColoring:
     def test_horizon_rescans_keep_the_sorted_scan_order(self):
         """The queue files vertices only up to a horizon and rescans the
         rest when the search passes it; on graphs whose minimum degree
         crosses several horizons, rises and falls back, the order and the
         colors are still those of the sorted scan, whatever the order of
-        the lists. Bit rows give them too, there and on graphs full of
-        degree ties."""
+        the lists. Bit rows give them too, there, on graphs full of degree
+        ties and on cliques that fill the tree of classes."""
         rng = random.Random(5)
-        for g in [*horizon_crossing_graphs(), *tied_graphs()]:
+        for g in [*horizon_crossing_graphs(), *tied_graphs(), *complete_graphs()]:
             want = brute_smallest_last_coloring(g.n, g.edges)
             got = smallest_last_coloring(g.adj)
             assert dict(got.colors) == want

@@ -420,6 +420,18 @@ class TestCertificateJson:
         finally:
             sys.set_int_max_str_digits(limit)
 
+    def test_interpreters_without_a_digit_limit_color_and_verify(self, monkeypatch):
+        """CPython before 3.10.7 has no ``sys.get_int_max_str_digits``; there
+        a coloring is written and verified as where the limit is off."""
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        boxes = normalize(random_boxes(30, 2, 1))
+        cert = color_or_find_forest(boxes, 1, 1, omega_bound=30)
+        assert isinstance(cert, ProperColoring)
+        text = certificate_to_json(cert)
+        assert json.loads(text)["bound"] == cert.report.derived_bound
+        ok, msg = verify_certificate(boxes, parse_certificate(text))
+        assert ok, msg
+
     def test_parse_rejects_malformed(self):
         good = {"kind": "coloring", "palette": 1, "bound": 2, "colors": {"0": 0}}
         cases = [
