@@ -9,6 +9,10 @@ Exit codes: 0 success (for ``color``: a coloring), 2 bad input, 3 the
 dichotomy produced an induced tree, 4 an exact oracle refused an instance
 above its size limit, 5 a verification failed.
 
+A coloring certificate carries r and k, not its bound: ``verify`` works
+the bound out from them and the boxes, and ``color`` prints the palette,
+r and k.
+
 The size limits are fixed: 40 boxes for the clique and independence
 oracles, 20 for the chromatic number and 14 for ``decompose``'s modesty
 and divergence checks. ``color`` in d >= 2 goes past 40 boxes only with
@@ -145,16 +149,10 @@ def cmd_color(args: argparse.Namespace) -> int:
     cert = color_or_find_forest(boxes, args.r, args.k, omega_bound=args.omega_bound)
     _write_text(certificate_to_json(cert), args.out)
     if isinstance(cert, ProperColoring):
-        rep = cert.report
         palette = cert.coloring.palette_size
-        # in d = 1 the bound keys on the palette, whatever --omega-bound says
-        if rep.d >= 2 and args.omega_bound is not None:
-            omega_text = f"omega bound {rep.omega} (supplied)"
-        else:
-            omega_text = f"omega {rep.omega}"
         print(
-            f"coloring: {palette} color{'' if palette == 1 else 's'} within bound "
-            f"{rep.derived_bound} (stated form {rep.stated_bound}), {omega_text}",
+            f"coloring: {palette} color{'' if palette == 1 else 's'} within the bound "
+            f"for depth {cert.r}, branching {cert.k}",
             file=sys.stderr,
         )
         return EXIT_OK

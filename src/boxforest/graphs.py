@@ -248,9 +248,6 @@ class RootedTree:
     def root(self) -> int:
         return 0
 
-    def depth_of(self, v: int) -> int:
-        return self._depths[v]
-
     def depth(self) -> int:
         return max(self._depths)
 
@@ -282,9 +279,6 @@ class RootedTree:
             v = self.parent[v]  # type: ignore[assignment]
             out.append(v)
         return out
-
-    def underlying_edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset((min(u, v), max(u, v)) for u, v in self.arcs())
 
     def __repr__(self) -> str:
         return f"RootedTree(n={self.n}, depth={self.depth()})"

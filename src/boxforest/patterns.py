@@ -117,10 +117,6 @@ class BasicReport:
     divergent: bool | None
     witness: str | None = None
 
-    @property
-    def all_hold(self) -> bool:
-        return bool(self.acyclic and self.modest and self.divergent)
-
 
 def verify_basic(pd: PatternDigraph, g: Graph) -> BasicReport:
     """Check acyclicity, modesty, and divergence of one pattern digraph.

@@ -18,29 +18,32 @@ graphs are chordal, so smallest-last colors them with exactly omega
 colors, within the bound.
 
 If no pattern embeds the tree, the host graph is colored smallest-last,
-on bit rows built from the boxes when it is dense, and only then is the
-bound built. The paper's product of per-pattern layer colorings proves
-that a coloring within the derived bound exists; the certificate needs
-only one, and smallest-last uses at most n colors, below the bound's 4^16
-for d >= 2.
+on bit rows built from the boxes when it is dense. The paper's product of
+per-pattern layer colorings proves that a coloring within the derived
+bound (2 r |T| omega)^(4^d) exists; the certificate needs only one, and
+smallest-last uses at most n colors, below the bound's 4^16 for d >= 2.
+A coloring certificate carries r and k, not the bound: the bound is
+worked out from the boxes wherever it is checked, and built only where
+the palette could reach it.
 
 Both outcomes are re-verified from scratch before being returned; a
 verification failure raises InternalInvariantError because it can only
 mean a bug, not an unlucky input. A coloring is checked on the host
 graph's lists where they were built, and otherwise by the sweep that
-``verify_certificate`` runs, labelled by the colors.
+``verify_certificate`` runs, labelled by the colors; a tree by one sweep
+over the boxes it maps.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Mapping, NamedTuple, Sequence
 
-# ``peel_grading``, ``product_coloring`` and ``maximum_independent_set`` are
-# imported only to stay module names: perfbench rebinds them to trace calls.
+# ``peel_grading``, ``product_coloring``, ``maximum_independent_set`` and
+# ``intersects`` are imported only to stay module names: perfbench rebinds
+# them to trace calls.
 from .embedding import (  # noqa: F401
     CalmEmbedding,
     CalmSearchError,
@@ -48,7 +51,7 @@ from .embedding import (  # noqa: F401
     find_path_induced_tree,
     peel_grading,
 )
-from .geometry import Box, _columns, _id, _require_ids, _sweep, intersects
+from .geometry import Box, _boxes, _columns, _id, _require_ids, _sweep, intersects  # noqa: F401
 from .graphs import (
     Coloring,
     RootedTree,
@@ -134,41 +137,6 @@ def _tree_fits(r: int, branching: int, n: int) -> bool:
     return r < n and (r == 0 or branching < n) and tree_vertex_count(r, branching) <= n
 
 
-def _digit_limit() -> int:
-    """The interpreter's limit on the decimal digits of a written int, 0 for
-    none. CPython before 3.10.7 has no such limit, nor the function."""
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    return get_limit() if get_limit else 0
-
-
-def _bound_too_long(limit: int) -> str:
-    return (
-        f"coloring bound has more than {limit} digits, the interpreter's limit "
-        f"for writing an integer (sys.get_int_max_str_digits()); lower r or k"
-    )
-
-
-def _writable_bound(d: int, r: int, k: int, omega: int) -> BoundReport:
-    """``chi_bound`` for a coloring, refused up front when it surely cannot
-    be written.
-
-    A bound too long to write is a ValueError before any big integer is
-    built. Its length comes from bit lengths: |T| >= branching^r and
-    |T| > r, so the bound is at least 2^(4^d * bits), and
-    3 * bits >= 10 * limit gives more than ``limit`` decimal digits, since
-    2^10 > 10^3. A bound that is not surely too long is computed, and
-    ``certificate_to_json`` refuses it if it is.
-    """
-    limit = _digit_limit()
-    if limit:
-        branching = k**d * omega
-        tree_bits = max(r * (branching.bit_length() - 1), (r + 1).bit_length() - 1)
-        bits = 4**d * ((2 * r * omega).bit_length() - 1 + tree_bits)
-        if 3 * bits >= 10 * limit:
-            raise ValueError(_bound_too_long(limit))
-    return chi_bound(d, r, k, omega)
-
-
 class _ChildShortfall(InternalInvariantError):
     """Too few disjoint children: a bug, unless omega was understated."""
 
@@ -191,18 +159,24 @@ def _interval_mis(ids: Sequence[int], los: Sequence, his: Sequence) -> list[int]
 
 
 def _interval_max_clique(ids: Sequence[int], los: Sequence, his: Sequence) -> frozenset[int]:
-    """Ids of intervals through the first deepest sweep point (exact)."""
+    """Ids of intervals through the first deepest sweep point (exact).
+
+    One pass counts the depth after each event and finds the first
+    deepest; a second replays the events up to it, so the set is built
+    once, not at each new depth."""
     events = sorted([*zip(los, repeat(0), ids), *zip(his, repeat(1), ids)])
+    depth = best = deepest = 0
+    for at, (_, is_hi, _) in enumerate(events):
+        depth += -1 if is_hi else 1
+        if depth > best:
+            best, deepest = depth, at
     active: set[int] = set()
-    best: frozenset[int] = frozenset()
-    for _, is_hi, bid in events:
+    for _, is_hi, bid in events[: deepest + 1]:
         if is_hi:
             active.discard(bid)
         else:
             active.add(bid)
-            if len(active) > len(best):
-                best = frozenset(active)
-    return best
+    return frozenset(active)
 
 
 def extract_independent(
@@ -249,10 +223,11 @@ def extract_independent(
 @dataclass(frozen=True)
 class ProperColoring:
     """Coloring certificate: proper on the host graph, palette within the
-    derived bound of ``report``."""
+    derived bound for depth ``r`` and branching ``k``."""
 
     coloring: Coloring
-    report: BoundReport
+    r: int
+    k: int
 
 
 @dataclass(frozen=True)
@@ -314,7 +289,8 @@ def prune_children(emb: CalmEmbedding, boxes: Sequence[Box], k: int) -> InducedT
 
 
 def _induced_tree_violation(cert: InducedTree, boxes: Sequence[Box]) -> str | None:
-    """Pairwise check that the mapping is an induced copy; None when clean."""
+    """Whether the mapping is an induced copy, from one sweep over the
+    mapped boxes; None when clean, else the smallest tree pair at fault."""
     by_id = {b.id: b for b in boxes}
     t = cert.tree
     if set(cert.mapping) != set(range(t.n)):
@@ -323,15 +299,25 @@ def _induced_tree_violation(cert: InducedTree, boxes: Sequence[Box]) -> str | No
         return "mapping is not injective"
     if any(v not in by_id for v in cert.mapping.values()):
         return "mapping hits an unknown box id"
-    tree_edges = t.underlying_edges()
-    for u in range(t.n):
-        for v in range(u + 1, t.n):
-            expected = (u, v) in tree_edges
-            actual = intersects(by_id[cert.mapping[u]], by_id[cert.mapping[v]])
-            if expected != actual:
-                kind = "missing adjacency" if expected else "extra adjacency"
-                return f"{kind} between tree vertices {u} and {v}"
-    return None
+    # the mapped boxes renamed by tree vertex: the sweep yields each pair of
+    # tree vertices whose boxes meet, and a pair u < v is a tree edge
+    # exactly when u is v's parent
+    mapped = _boxes(range(t.n), [by_id[cert.mapping[v]].bounds for v in range(t.n)])
+    met = [False] * t.n  # whether v's box meets its parent's
+    extra = None
+    for j, hits in _sweep(mapped, None):
+        for i in hits:
+            u, v = (i, j) if i < j else (j, i)
+            if t.parent[v] == u:
+                met[v] = True
+            elif extra is None or (u, v) < extra:
+                extra = (u, v)
+    missing = min(((t.parent[v], v) for v in range(1, t.n) if not met[v]), default=None)
+    faults = [(pair, kind) for pair, kind in ((missing, "missing"), (extra, "extra")) if pair]
+    if not faults:
+        return None
+    (u, v), kind = min(faults)
+    return f"{kind} adjacency between tree vertices {u} and {v}"
 
 
 # Rows take n^2 / 8 bytes before m is known, so the boxes are colored on
@@ -376,14 +362,38 @@ def _may_be_dense(boxes: Sequence[Box]) -> bool:
     return True
 
 
-def _within_bound(coloring: Coloring, d: int, r: int, k: int, w: int) -> ProperColoring:
-    report = _writable_bound(d, r, k, w)
-    if coloring.palette_size > report.derived_bound:
-        raise InternalInvariantError(
-            f"smallest-last coloring: palette {coloring.palette_size} exceeds "
-            f"derived bound {report.derived_bound}"
-        )
-    return ProperColoring(coloring, report)
+def _bound_violation(boxes: Sequence[Box], palette: int, r: int, k: int) -> str | None:
+    """Why ``palette`` (at least 1) exceeds the coloring bound
+    (2 r |T| w)^(4^d) for depth ``r`` and branching ``k``; None if within.
+
+    The bound grows with w, so any w up to the clique number is sound: 1 in
+    d >= 2, the intervals' exact clique in d = 1. A bound the palette
+    cannot reach is not built: with r >= 1 the base is at least 4, so
+    2 * 4^d bits are within; so is a palette below |T|, which the base
+    exceeds, or of at most 4^d * (bits of the base - 1) bits. What is left
+    builds a bound less than 1.5 times as long as the palette.
+    """
+    d = boxes[0].dim
+    w = 1
+    if r:  # depth 0 makes the bound 0, below any palette of a box
+        patterns = 4**d
+        bits = palette.bit_length()
+        if bits <= 2 * patterns:
+            return None
+        if d == 1:
+            columns = _columns(boxes)
+            w = len(_interval_max_clique(list(map(_id, boxes)), columns[0], columns[1]))
+        branching = k**d * w
+        if not _tree_fits(r, branching, palette):
+            return None
+        if bits <= patterns * ((2 * r * tree_vertex_count(r, branching) * w).bit_length() - 1):
+            return None
+        if palette <= chi_bound(d, r, k, w).derived_bound:
+            return None
+    return (
+        f"palette {palette} exceeds the bound (2 r |T| w)^(4^d) for d = {d}, "
+        f"r = {r}, k = {k}, w = {w}"
+    )
 
 
 def color_or_find_forest(
@@ -408,9 +418,9 @@ def color_or_find_forest(
     In d >= 2, when |T| is at most the host graph's maximum degree, its
     edges are classified and decomposed, and the pattern digraphs with
     arcs are searched in order until one embeds the tree. Failing that,
-    and in d = 1, the host graph is colored smallest-last. The bound is
-    built only for that coloring: in d = 1 interval graphs are chordal, so
-    the palette is omega and keys the bound.
+    and in d = 1, the host graph is colored smallest-last, and its palette
+    is checked against the bound as ``verify_certificate`` checks it: in
+    d = 1 interval graphs are chordal, so the palette is omega.
     """
     if not boxes:
         raise ValueError("empty box collection")
@@ -421,14 +431,11 @@ def color_or_find_forest(
     d = boxes[0].dim
     n = len(boxes)
 
-    if r == 0:
+    if r == 0:  # box 0 is a one-vertex tree
         _require_ids(boxes)
-        cert = InducedTree(RootedTree([None]), {0: 0}, 0, k)
-        problem = _induced_tree_violation(cert, boxes)
-        if problem:
-            raise InternalInvariantError(problem)
-        return cert
+        return InducedTree(RootedTree([None]), {0: 0}, 0, k)
 
+    coloring = None
     if d >= 2 and omega_bound is not None and not _tree_fits(r, k**d * omega_bound, n - 1):
         # Delta <= n - 1 < |T|: no pattern can embed the tree, so the edges
         # are needed only to color, and a dense graph's rows come from the
@@ -442,63 +449,57 @@ def color_or_find_forest(
                 colors = coloring.colors
                 if set(colors) != set(range(n)) or next(_sweep(boxes, colors), None):
                     raise InternalInvariantError("smallest-last coloring improper on the boxes")
-                return _within_bound(coloring, d, r, k, omega_bound)
 
-    g = intersection_graph(boxes)  # checks the ids are 0..n-1
-    w = None
-    if d >= 2:
-        w = omega_bound if omega_bound is not None else omega(g)
-        branching = k**d * w
-        # a pattern out-degree is at most the host degree, so when that is
-        # below |T| every pattern peels out whole in round 1 and none is searched
-        if _tree_fits(r, branching, max(map(len, g.adj))):
-            big_tree = complete_kary_tree(r, branching)
-            for pd in decompose(boxes, g):
-                result = find_path_induced_tree(
-                    pd.digraph, g, big_tree, host_clique_number=w
-                )
-                if isinstance(result, CalmEmbedding):
-                    try:
-                        return prune_children(result, boxes, k)
-                    except _ChildShortfall as exc:
-                        if omega_bound is None:
-                            raise
-                        # with the true clique number the children always suffice
-                        raise CalmSearchError(str(exc)) from None
+    if coloring is None:
+        g = intersection_graph(boxes)  # checks the ids are 0..n-1
+        if d >= 2:
+            w = omega_bound if omega_bound is not None else omega(g)
+            branching = k**d * w
+            # a pattern out-degree is at most the host degree, so when that is
+            # below |T| every pattern peels out whole in round 1 and none is searched
+            if _tree_fits(r, branching, max(map(len, g.adj))):
+                big_tree = complete_kary_tree(r, branching)
+                for pd in decompose(boxes, g):
+                    result = find_path_induced_tree(
+                        pd.digraph, g, big_tree, host_clique_number=w
+                    )
+                    if isinstance(result, CalmEmbedding):
+                        try:
+                            return prune_children(result, boxes, k)
+                        except _ChildShortfall as exc:
+                            if omega_bound is None:
+                                raise
+                            # with the true clique number the children always suffice
+                            raise CalmSearchError(str(exc)) from None
 
-    # at most Delta + 1 <= n colors; d >= 2 and |T| >= 2 put the bound
-    # (2 r |T| w)^(4^d) at 4^16 or more, and in d = 1 the palette is omega.
-    # A dense host graph is colored on bit rows: the same order and colors
-    # from O(n log Delta) operations on n-bit ints, not O(m) interpreter
-    # steps. The self-check reads the sweep's lists, so it does not trust
-    # the rows.
-    dense = _dense(sum(map(len, g.adj)), g.n)
-    coloring = smallest_last_coloring(g.adj, intersection_rows(boxes) if dense else None)
-    if not coloring.is_proper_on(g):
-        raise InternalInvariantError("smallest-last coloring improper on the host graph")
-    return _within_bound(coloring, d, r, k, coloring.palette_size if w is None else w)
+        # at most Delta + 1 <= n colors. A dense host graph is colored on
+        # bit rows: the same order and colors from O(n log Delta) operations
+        # on n-bit ints, not O(m) interpreter steps. The self-check reads the
+        # sweep's lists, so it does not trust the rows.
+        dense = _dense(sum(map(len, g.adj)), g.n)
+        coloring = smallest_last_coloring(g.adj, intersection_rows(boxes) if dense else None)
+        if not coloring.is_proper_on(g):
+            raise InternalInvariantError("smallest-last coloring improper on the host graph")
+
+    # d >= 2 and |T| >= 2 put the bound (2 r |T| w)^(4^d) at 4^16 or more,
+    # and in d = 1 the palette is omega
+    problem = _bound_violation(boxes, coloring.palette_size, r, k)
+    if problem:
+        raise InternalInvariantError(f"smallest-last coloring: {problem}")
+    return ProperColoring(coloring, r, k)
 
 
 def certificate_to_json(cert: Certificate) -> str:
     """Canonical single-line JSON; byte-stable for identical certificates."""
     if isinstance(cert, ProperColoring):
-        limit = _digit_limit()
-        bound = cert.report.derived_bound
-        if limit and bound >= 10**limit:
-            raise ValueError(_bound_too_long(limit))
         payload = {
             "kind": "coloring",
             "palette": cert.coloring.palette_size,
-            "bound": bound,
             "colors": {str(v): c for v, c in cert.coloring.colors.items()},
         }
     else:
-        payload = {
-            "kind": "induced_tree",
-            "r": cert.r,
-            "k": cert.k,
-            "map": {str(v): b for v, b in cert.mapping.items()},
-        }
+        payload = {"kind": "induced_tree", "map": {str(v): b for v, b in cert.mapping.items()}}
+    payload.update(r=cert.r, k=cert.k)
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -543,37 +544,34 @@ def parse_certificate(text: str) -> dict:
     if not isinstance(payload, dict):
         raise ValueError("certificate must be a JSON object")
     kind = payload.get("kind")
-    if kind == "coloring":
-        wanted = {"kind", "palette", "bound", "colors"}
-        if set(payload) != wanted:
-            raise ValueError(f"coloring certificate needs keys {sorted(wanted)}")
-        if type(payload["palette"]) is not int or type(payload["bound"]) is not int:
-            raise ValueError("palette and bound must be integers")
-        if not isinstance(payload["colors"], dict):
-            raise ValueError("colors must be an object")
-        payload["colors"] = _int_keyed(payload["colors"], "colors")
-        return payload
-    if kind == "induced_tree":
-        wanted = {"kind", "r", "k", "map"}
-        if set(payload) != wanted:
-            raise ValueError(f"induced-tree certificate needs keys {sorted(wanted)}")
-        if type(payload["r"]) is not int or type(payload["k"]) is not int:
-            raise ValueError("r and k must be integers")
-        if payload["r"] < 0 or payload["k"] < 1:
-            raise ValueError("need r >= 0 and k >= 1")
-        if not isinstance(payload["map"], dict):
-            raise ValueError("map must be an object")
-        payload["map"] = _int_keyed(payload["map"], "map")
-        return payload
-    raise ValueError("certificate kind must be 'coloring' or 'induced_tree'")
+    if kind not in ("coloring", "induced_tree"):
+        raise ValueError("certificate kind must be 'coloring' or 'induced_tree'")
+    # the entries, then the integers besides r and k
+    entries, *numbers = ("colors", "palette") if kind == "coloring" else ("map",)
+    wanted = {"kind", "r", "k", entries, *numbers}
+    if set(payload) != wanted:
+        raise ValueError(f"{kind} certificate needs keys {sorted(wanted)}")
+    for key in ("r", "k", *numbers):
+        if type(payload[key]) is not int:
+            raise ValueError(f"{key} must be an integer")
+    if payload["r"] < 0 or payload["k"] < 1:
+        raise ValueError("need r >= 0 and k >= 1")
+    if not isinstance(payload[entries], dict):
+        raise ValueError(f"{entries} must be an object")
+    payload[entries] = _int_keyed(payload[entries], entries)
+    return payload
 
 
 def verify_certificate(boxes: Sequence[Box], payload: dict) -> tuple[bool, str]:
     """Re-verify a parsed certificate against the boxes, class by class.
 
     Returns (ok, message); a mismatched vertex set raises ValueError since
-    that is an input error rather than a refutation.
+    that is an input error rather than a refutation. A coloring's palette
+    is checked against the bound worked out from the boxes and its r and
+    k; no number the certificate states as a bound is read.
     """
+    if not boxes:
+        raise ValueError("empty box collection")
     n = len(boxes)
     if payload["kind"] == "coloring":
         colors: dict[int, int] = payload["colors"]
@@ -583,11 +581,10 @@ def verify_certificate(boxes: Sequence[Box], payload: dict) -> tuple[bool, str]:
         bad = next((v for v, c in colors.items() if not 0 <= c < palette), None)
         if bad is not None:
             return False, f"color of box {bad} outside the stated palette"
-        if palette > payload["bound"]:
-            return False, (
-                f"palette {palette} exceeds the stated bound {payload['bound']}"
-            )
         _require_ids(boxes)
+        problem = _bound_violation(boxes, palette, payload["r"], payload["k"])
+        if problem:
+            return False, problem
         # one sweep pairs only boxes of one color, and only the smallest
         # pair of each batch is kept: a large color class costs no memory
         clash = min((sorted((j, min(hits))) for j, hits in _sweep(boxes, colors)), default=None)

@@ -565,7 +565,8 @@ def brute_coloring_certificate(
     payload = {
         "kind": "coloring",
         "palette": max(colors.values()) + 1,
-        "bound": (2 * r * size * w) ** (4**d),
         "colors": {str(v): c for v, c in colors.items()},
+        "r": r,
+        "k": k,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

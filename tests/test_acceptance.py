@@ -169,7 +169,8 @@ def test_criterion_4_dichotomy_certificates_verify():
         assert ok, (d, n, r, k, msg)
         if isinstance(cert, ProperColoring):
             colorings += 1
-            assert cert.coloring.palette_size <= cert.report.derived_bound
+            w = omega(intersection_graph(boxes))
+            assert cert.coloring.palette_size <= chi_bound(boxes[0].dim, r, k, w).derived_bound
         else:
             trees += 1
             g = intersection_graph(boxes)
@@ -197,7 +198,7 @@ def test_criterion_5_interval_instances_color_optimally():
         cert = color_or_find_forest(boxes, r=1, k=1)
         assert isinstance(cert, ProperColoring)
         depth = brute_interval_depth([(b.sides[0].lo, b.sides[0].hi) for b in boxes])
-        assert cert.coloring.palette_size == depth == cert.report.omega, (n, depth)
+        assert cert.coloring.palette_size == depth, (n, depth)
         g = intersection_graph(boxes)
         if n <= 20:
             assert depth == omega(g) == chi(g), n

@@ -107,16 +107,17 @@ class TestColor:
         assert code == 0
         payload = json.loads(cert_path.read_text())
         assert payload["kind"] == "coloring"
-        assert payload["palette"] <= payload["bound"]
+        assert sorted(payload) == ["colors", "k", "kind", "palette", "r"]
+        assert (payload["r"], payload["k"]) == (1, 1)
         summary = capsys.readouterr().err
         assert "coloring" in summary
 
     @pytest.mark.parametrize("omega_bound", [None, "9", "2"])
-    def test_interval_summary_prints_the_certificate_bound(
+    def test_interval_summary_prints_the_certificate_fields(
         self, tmp_path, capsys, omega_bound
     ):
-        # d = 1 colors with exactly omega colors and keys its bound on the
-        # palette, whatever --omega-bound says
+        # d = 1 colors with exactly omega colors, whatever --omega-bound
+        # says, and the summary names what the certificate carries
         path = write_instance(tmp_path, "c.txt", "random", n=9, d=1, seed=3)
         cert_path = tmp_path / "cert.json"
         argv = ["color", str(path), "--r", "1", "--k", "1", "--out", str(cert_path)]
@@ -124,31 +125,34 @@ class TestColor:
             argv += ["--omega-bound", omega_bound]
         assert main(argv) == 0
         payload = json.loads(cert_path.read_text())
-        summary = capsys.readouterr().err
-        assert f"within bound {payload['bound']} " in summary
-        assert summary.rstrip().endswith(f"omega {payload['palette']}")
+        assert capsys.readouterr().err == (
+            f"coloring: {payload['palette']} colors within the bound for depth 1, branching 1\n"
+        )
 
     def test_supplied_omega_bound_is_not_printed_as_omega(self, tmp_path, capsys):
         # two overlapping squares: omega is 2, and the bound of 30 makes the
-        # tree too big to search, so the host graph is colored
+        # tree too big to search, so the host graph is colored. The summary
+        # names no omega, supplied or not, and the certificates are equal
         path = tmp_path / "pair.txt"
         save_boxes(boxes_from_rows([[0, 2, 0, 2], [1, 3, 1, 3]]), str(path))
-        argv = ["color", str(path), "--r", "1", "--k", "1", "--out", str(tmp_path / "c.json")]
-        assert main(argv + ["--omega-bound", "30"]) == 0
-        supplied = capsys.readouterr().err
-        assert supplied.startswith("coloring: 2 colors within bound ")
-        assert supplied.rstrip().endswith(", omega bound 30 (supplied)")
-        assert main(argv) == 0
-        assert capsys.readouterr().err.rstrip().endswith(", omega 2")
+        certs = []
+        for extra in (["--omega-bound", "30"], []):
+            certs.append(tmp_path / f"c{len(certs)}.json")
+            argv = ["color", str(path), "--r", "1", "--k", "1", "--out", str(certs[-1])]
+            assert main(argv + extra) == 0
+            assert capsys.readouterr().err == (
+                "coloring: 2 colors within the bound for depth 1, branching 1\n"
+            )
+        assert certs[0].read_bytes() == certs[1].read_bytes()
 
     def test_one_color_is_singular(self, tmp_path, capsys):
         path = tmp_path / "apart.txt"
         save_boxes(boxes_from_rows([[0, 1, 0, 1], [2, 3, 2, 3]]), str(path))
         argv = ["color", str(path), "--r", "1", "--k", "1", "--out", str(tmp_path / "c.json")]
         assert main(argv) == 0
-        summary = capsys.readouterr().err
-        assert summary.startswith("coloring: 1 color within bound ")
-        assert summary.rstrip().endswith(", omega 1")
+        assert capsys.readouterr().err == (
+            "coloring: 1 color within the bound for depth 1, branching 1\n"
+        )
 
     # file name: (contents, what the error must quote); Fraction would build
     # 10 ** (10 ** 11) for each of these exponents
@@ -310,21 +314,29 @@ class TestColor:
         assert json.loads(cert.read_text())["kind"] == "induced_tree"
         assert main(["verify", str(path), "--certificate", str(cert)]) == 0
 
-    def test_bound_too_long_to_write_is_input_error(self, tmp_path, capsys):
-        disjoint = tmp_path / "disjoint.txt"
-        disjoint.write_text("2 3\n0 1 0 1\n2 3 2 3\n4 5 4 5\n")
-        # the tree cannot fit in 3 boxes, so the outcome is a coloring whose
-        # bound has about 4.8M digits; it is refused before it is built
+    @pytest.mark.parametrize(
+        "boxes, r, k",
+        [
+            # the tree cannot fit in 3 boxes; the bound would have about
+            # 4.8M digits, and it is neither written nor built
+            (boxes_from_rows([[0, 1, 0, 1], [2, 3, 2, 3], [4, 5, 4, 5]]), 1_000_000, 2),
+            # every bound of 8 boxes in d >= 6 has more than 4300 digits
+            (random_boxes(8, 6, 1), 1, 2),
+            (random_boxes(8, 7, 1), 1, 1),
+        ],
+        ids=["deep", "d6", "d7"],
+    )
+    def test_colorings_carry_r_and_k_at_once(self, tmp_path, capsys, boxes, r, k):
+        path = tmp_path / "boxes.txt"
+        save_boxes(boxes, str(path))
+        cert = tmp_path / "cert.json"
         start = time.perf_counter()
-        code = main(["color", str(disjoint), "--r", "1000000", "--k", "2"])
+        assert main(["color", str(path), "--r", str(r), "--k", str(k), "--out", str(cert)]) == 0
+        assert main(["verify", str(path), "--certificate", str(cert)]) == 0
         assert time.perf_counter() - start < 1
-        assert code == 2
-        assert "more than 4300 digits" in capsys.readouterr().err
-        # every coloring of these 8 boxes in d = 6 has a bound above 4300 digits
-        wide = tmp_path / "wide.txt"
-        save_boxes(random_boxes(8, 6, 1), str(wide))
-        assert main(["color", str(wide), "--r", "1", "--k", "2"]) == 2
-        assert "more than 4300 digits" in capsys.readouterr().err
+        payload = json.loads(cert.read_text())
+        assert (payload["r"], payload["k"]) == (r, k)
+        assert capsys.readouterr().err.startswith("coloring: ")
 
 
 class TestSixteenDimensions:
@@ -344,13 +356,18 @@ class TestSixteenDimensions:
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err == "induced tree: depth 1, branching 1, 2 boxes\n"
 
-    def test_coloring_with_a_bound_too_long_to_write_is_input_error(self, star16, capsys):
-        # the tree outgrows the 4 boxes, so the outcome is a coloring, and
-        # its bound is refused from bit lengths before it is built
+    def test_coloring_is_written_at_once_and_verifies(self, star16, tmp_path, capsys):
+        # the tree outgrows the 4 boxes, so the outcome is a coloring; its
+        # certificate carries r and k, and no bound is built to write or check
+        cert = tmp_path / "cert.json"
         start = time.perf_counter()
-        assert main(["color", str(star16), "--r", "2", "--k", "2"]) == 2
+        assert main(["color", str(star16), "--r", "2", "--k", "2", "--out", str(cert)]) == 0
+        assert main(["verify", str(star16), "--certificate", str(cert)]) == 0
         assert time.perf_counter() - start < 1
-        assert "more than 4300 digits" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "proper coloring with 2 colors within bound\n",
+            "coloring: 2 colors within the bound for depth 2, branching 2\n",
+        )
 
     def test_decompose_tables_only_the_patterns_with_arcs(self, star16, capsys):
         assert main(["decompose", str(star16)]) == 0
@@ -449,6 +466,52 @@ class TestVerify:
         payload["colors"][str(v)] = payload["colors"][str(u)]
         cert.write_text(json.dumps(payload))
         assert main(["verify", str(path), "--certificate", str(cert)]) == 5
+
+    # the change to the certificate: a key dropped (None) or set; the exit code
+    TAMPERED = {
+        "no-r": ({"r": None}, 2),
+        "no-k": ({"k": None}, 2),
+        "bound": ({"bound": 10**100}, 2),
+        "r-0": ({"r": 0}, 5),
+        "k-0": ({"k": 0}, 2),
+        "r-huge": ({"r": 10**100}, 0),
+    }
+
+    @pytest.mark.parametrize("name", TAMPERED)
+    def test_coloring_fields_are_checked_not_trusted(self, tmp_path, capsys, name):
+        # a leftover bound is refused, never read; depth 0 makes the bound
+        # 0; a depth of 10**100 makes it vast, which is decided at once
+        change, code = self.TAMPERED[name]
+        path, cert = self.make_pair(tmp_path)
+        payload = json.loads(cert.read_text())
+        for key, value in change.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
+        cert.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        assert main(["verify", str(path), "--certificate", str(cert)]) == code
+        assert time.perf_counter() - start < 1
+        if code == 5:
+            assert "exceeds the bound" in capsys.readouterr().out
+
+    def test_interval_palette_above_the_bound_is_refuted(self, tmp_path, capsys):
+        # d = 1 keys the bound (2 r |T| omega)^4 on the intervals' clique number
+        path = write_instance(tmp_path, "c.txt", "random", n=9, d=1, seed=3)
+        cert = tmp_path / "cert.json"
+        assert main(["color", str(path), "--r", "1", "--k", "1", "--out", str(cert)]) == 0
+        payload = json.loads(cert.read_text())
+        w = payload["palette"]  # interval graphs get exactly omega colors
+        bound = (2 * 1 * (1 + w) * w) ** 4
+        for palette, code in ((bound, 0), (bound + 1, 5)):
+            cert.write_text(json.dumps({**payload, "palette": palette}))
+            assert main(["verify", str(path), "--certificate", str(cert)]) == code
+        assert capsys.readouterr().out.splitlines() == [
+            f"proper coloring with {bound} colors within bound",
+            f"palette {bound + 1} exceeds the bound (2 r |T| w)^(4^d) for d = 1, "
+            f"r = 1, k = 1, w = {w}",
+        ]
 
     def test_garbage_certificate_is_input_error(self, tmp_path):
         path, cert = self.make_pair(tmp_path)

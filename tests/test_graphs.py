@@ -157,7 +157,7 @@ class TestRootedTree:
         assert t.root == 0
         assert t.n == 4
         assert t.children[0] == (1, 2)
-        assert t.depth_of(3) == 2
+        assert len(t.ancestors(3)) == 2  # the depth of vertex 3
         assert t.depth() == 2
         assert t.preorder() == [0, 1, 3, 2]
         assert t.subtree(1) == frozenset({1, 3})

@@ -129,7 +129,7 @@ class TestVerifyBasic:
         boxes, g, fam = make_instance(seed, n, d)
         for pd in fam:
             rep = verify_basic(pd, g)
-            assert rep.all_hold, (str(pd.pattern), rep)
+            assert (rep.acyclic, rep.modest, rep.divergent) == (True,) * 3, (str(pd.pattern), rep)
             dg = pd.digraph
             assert brute_modest(dg.n, set(dg.arcs), g.edges)
             assert brute_divergent(dg.n, set(dg.arcs), g.edges)
@@ -137,12 +137,12 @@ class TestVerifyBasic:
     def test_skips_above_verify_limit(self):
         # the limit is 14 boxes
         _, g, fam = make_instance(3, 14, 1)
-        assert verify_basic(fam[0], g).all_hold
+        rep = verify_basic(fam[0], g)
+        assert (rep.acyclic, rep.modest, rep.divergent) == (True,) * 3
         _, g, fam = make_instance(3, 15, 1)
         rep = verify_basic(fam[0], g)
         assert rep.acyclic is True
         assert rep.modest is None and rep.divergent is None
-        assert not rep.all_hold
 
     def test_flags_planted_violations(self):
         # Hand-built digraphs that cannot come from real box families.
@@ -150,7 +150,7 @@ class TestVerifyBasic:
 
         cyc = PatternDigraph(pat, Digraph(2, [(0, 1), (1, 0)]))
         rep = verify_basic(cyc, Graph(2, [(0, 1)]))
-        assert rep.acyclic is False and not rep.all_hold
+        assert rep.acyclic is False
         assert rep.witness
 
         # Arc 0->2 via 1, but 0 and 2 share no host edge: not modest.

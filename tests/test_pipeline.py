@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import sys
@@ -202,11 +201,6 @@ def roundtrip(cert):
     return parse_certificate(certificate_to_json(cert))
 
 
-def bound_report(derived_bound: int):
-    """A bound report whose derived bound is ``derived_bound``."""
-    return dataclasses.replace(chi_bound(1, 1, 1, 1), derived_bound=derived_bound)
-
-
 class TestColorOrFindForest:
     def test_interval_instances_color_exactly_omega(self):
         for seed in range(10):
@@ -246,24 +240,35 @@ class TestColorOrFindForest:
         assert isinstance(cert, ProperColoring)
         g = intersection_graph(boxes)
         assert cert.coloring.is_proper_on(g)
-        assert cert.coloring.palette_size <= cert.report.derived_bound
+        assert (cert.r, cert.k) == (3, 3)
+        assert cert.coloring.palette_size <= chi_bound(2, 3, 3, omega(g)).derived_bound
 
     def test_a_tree_outcome_builds_no_bound(self, monkeypatch):
         # the counter builds nothing: in d = 16 the bound has billions of digits
         calls = []
-        monkeypatch.setattr(pipeline, "chi_bound", lambda *args: calls.append(args))
+        real = chi_bound
+        monkeypatch.setattr(pipeline, "chi_bound", lambda *args: calls.append(args) or real(*args))
         star = [[0, 9, 0, 9], [1, 2, 1, 2], [4, 5, 4, 5], [7, 8, 7, 8]]
         star16 = [[0, 9] * 16] + [[a, a + 1] * 16 for a in (1, 4, 7)]
         for rows, r in ((star, 1), (star16, 1), (star, 0)):
             cert = color_or_find_forest(normalize(boxes_from_rows(rows)), r=r, k=1)
             assert isinstance(cert, InducedTree)
+        # nor does a coloring whose palette has at most 2 * 4^d bits, as
+        # every coloring in d >= 2 below 2^32 colors: the bound is at least
+        # 4^(4^d). In d = 1 that is a palette below 256
+        for d in (1, 2, 3):
+            boxes = random_boxes(12, d, seed=3)
+            cert = color_or_find_forest(boxes, r=3, k=3)
+            assert isinstance(cert, ProperColoring)
+            assert verify_certificate(boxes, roundtrip(cert))[0]
         assert calls == []
-        # a coloring builds its bound once, after it is colored
-        real = chi_bound
-        monkeypatch.setattr(pipeline, "chi_bound", lambda *args: calls.append(args) or real(*args))
-        cert = color_or_find_forest(random_boxes(6, 2, seed=3), r=3, k=3)
-        assert isinstance(cert, ProperColoring)
-        assert calls == [(2, 3, 3, cert.report.omega)]
+        # a palette of 256 or more in d = 1 builds it: here (2 * 2 * 1)^4
+        boxes = grid_disjoint_boxes(3, 1)
+        payload = {"kind": "coloring", "palette": 256, "colors": dict.fromkeys(range(3), 0)}
+        payload.update(r=1, k=1)
+        assert verify_certificate(boxes, payload)[0]
+        assert not verify_certificate(boxes, {**payload, "palette": 257})[0]
+        assert calls == [(1, 1, 1, 1)] * 2
 
     def test_depth_zero_returns_single_box_tree(self):
         boxes = random_boxes(5, 2, seed=1)
@@ -321,7 +326,8 @@ class TestColorOrFindForest:
         ok, msg = verify_certificate(boxes, roundtrip(cert))
         assert ok, msg
         if isinstance(cert, ProperColoring):
-            assert cert.coloring.palette_size <= cert.report.derived_bound
+            w = omega(intersection_graph(boxes))
+            assert cert.coloring.palette_size <= chi_bound(d, r, k, w).derived_bound
 
 
 class TestColoringFromTheBoxes:
@@ -383,7 +389,7 @@ class TestColoringFromTheBoxes:
         w = omega(g)
         assume(tree_vertex_count(r, k**d * w) > n - 1)
         cert = color_or_find_forest(boxes, r, k, omega_bound=w)
-        expected = ProperColoring(smallest_last_coloring(g.adj), chi_bound(d, r, k, w))
+        expected = ProperColoring(smallest_last_coloring(g.adj), r, k)
         assert certificate_to_json(cert) == certificate_to_json(expected)
 
 
@@ -397,48 +403,47 @@ class TestCertificateJson:
         assert a.endswith("\n") and "\n" not in a[:-1]
         assert json.loads(a)["kind"] in ("coloring", "induced_tree")
 
-    def test_bounds_too_long_to_write_are_refused(self):
-        # 3 disjoint boxes, k = 2: the bound of depth 441 has 4298 digits,
-        # the bound of depth 442 more than 4300, the default limit
+    def test_colorings_of_any_depth_are_written_and_verify(self):
+        # 3 disjoint boxes, k = 2: at depth 442 and up the bound has more
+        # than 4300 digits, but no bound is written or built
         boxes = normalize(boxes_from_rows([[0, 1, 0, 1], [2, 3, 2, 3], [4, 5, 4, 5]]))
-        payload = roundtrip(color_or_find_forest(boxes, r=441, k=2))
-        assert payload["bound"] == chi_bound(2, 441, 2, 1).derived_bound
-        for r in (442, 10**6, 10**50):
-            with pytest.raises(ValueError, match="more than 4300 digits"):
-                certificate_to_json(color_or_find_forest(boxes, r=r, k=2))
-        coloring = Coloring({0: 0}, 1)
-        assert certificate_to_json(ProperColoring(coloring, bound_report(10**4300 - 1)))
-        with pytest.raises(ValueError, match="more than 4300 digits"):
-            certificate_to_json(ProperColoring(coloring, bound_report(10**4300)))
-
-    def test_bounds_of_any_length_are_written_without_a_limit(self):
-        cert = ProperColoring(Coloring({0: 0}, 1), bound_report(10**4300))
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            assert json.loads(certificate_to_json(cert))["bound"] == 10**4300
-        finally:
-            sys.set_int_max_str_digits(limit)
+        start = time.perf_counter()
+        for r in (441, 442, 10**6, 10**50):
+            payload = roundtrip(color_or_find_forest(boxes, r=r, k=2))
+            assert (payload["r"], payload["k"], payload["palette"]) == (r, 2, 1)
+            assert verify_certificate(boxes, payload) == (
+                True, "proper coloring with 1 color within bound"
+            )
+        assert time.perf_counter() - start < 1
 
     def test_interpreters_without_a_digit_limit_color_and_verify(self, monkeypatch):
-        """CPython before 3.10.7 has no ``sys.get_int_max_str_digits``; there
-        a coloring is written and verified as where the limit is off."""
+        """CPython before 3.10.7 has no ``sys.get_int_max_str_digits``; a
+        coloring is written and verified there all the same."""
         monkeypatch.delattr(sys, "get_int_max_str_digits")
         boxes = normalize(random_boxes(30, 2, 1))
         cert = color_or_find_forest(boxes, 1, 1, omega_bound=30)
         assert isinstance(cert, ProperColoring)
         text = certificate_to_json(cert)
-        assert json.loads(text)["bound"] == cert.report.derived_bound
+        assert (json.loads(text)["r"], json.loads(text)["k"]) == (1, 1)
         ok, msg = verify_certificate(boxes, parse_certificate(text))
         assert ok, msg
 
     def test_parse_rejects_malformed(self):
-        good = {"kind": "coloring", "palette": 1, "bound": 2, "colors": {"0": 0}}
+        good = {"kind": "coloring", "palette": 1, "r": 1, "k": 1, "colors": {"0": 0}}
+        assert parse_certificate(json.dumps(good))["colors"] == {0: 0}
         cases = [
             "not json",
             json.dumps([1, 2]),
             json.dumps({**good, "kind": "nope"}),
+            json.dumps({**good, "kind": ["coloring"]}),
             json.dumps({k: v for k, v in good.items() if k != "palette"}),
+            json.dumps({k: v for k, v in good.items() if k != "r"}),
+            json.dumps({k: v for k, v in good.items() if k != "k"}),
+            json.dumps({**good, "bound": 2}),
+            json.dumps({**good, "r": -1}),
+            json.dumps({**good, "k": 0}),
+            json.dumps({**good, "r": True}),
+            json.dumps({**good, "k": "1"}),
             json.dumps({**good, "palette": True}),
             json.dumps({**good, "palette": "1"}),
             json.dumps({**good, "colors": {"x": 0}}),
@@ -455,7 +460,7 @@ class TestCertificateJson:
     @pytest.mark.parametrize(
         "head, field",
         [
-            ({"kind": "coloring", "palette": 2, "bound": 2}, "colors"),
+            ({"kind": "coloring", "palette": 2, "r": 1, "k": 1}, "colors"),
             ({"kind": "induced_tree", "r": 1, "k": 1}, "map"),
         ],
     )
@@ -487,12 +492,22 @@ class TestCertificateJson:
         assert not ok and str(u) in msg or str(v) in msg
 
     def test_verify_rejects_palette_overflow(self):
+        # in d = 1 the bound (2 r |T| omega)^4 keys on the intervals' own
+        # clique number: a palette one above it is refuted, one at it holds
         boxes = random_boxes(6, 1, seed=5)
-        cert = color_or_find_forest(boxes, r=1, k=1)
-        payload = roundtrip(cert)
-        payload["bound"] = payload["palette"] - 1
-        ok, _ = verify_certificate(boxes, payload)
-        assert not ok
+        w = omega(intersection_graph(boxes))
+        assert w >= 2
+        payload = roundtrip(color_or_find_forest(boxes, r=1, k=1))
+        bound = chi_bound(1, 1, 1, w).derived_bound
+        for palette, ok in ((bound, True), (bound + 1, False)):
+            verdict, message = verify_certificate(boxes, {**payload, "palette": palette})
+            assert verdict is ok, message
+        assert message == (
+            f"palette {bound + 1} exceeds the bound (2 r |T| w)^(4^d) for d = 1, "
+            f"r = 1, k = 1, w = {w}"
+        )
+        # depth 0 makes the bound 0
+        assert not verify_certificate(boxes, {**payload, "r": 0})[0]
 
     def test_verify_requires_exact_coverage(self):
         boxes = random_boxes(5, 1, seed=6)
@@ -563,3 +578,72 @@ class TestCertificateJson:
         payload = {"kind": "induced_tree", "r": 1, "k": 1, "map": {0: 1, 1: 2}}
         ok, msg = verify_certificate(boxes, payload)
         assert not ok and msg
+
+    @given(
+        st.integers(0, 10**6),
+        st.integers(2, 12),
+        st.integers(1, 3),
+        st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_verify_tree_reports_the_smallest_pair_at_fault(self, seed, n, d, shape):
+        # the sweep over the mapped boxes gives the verdict of a check of
+        # every pair of tree vertices, the smallest pair at fault first
+        r, k = shape
+        tree = complete_kary_tree(r, k)
+        assume(tree.n <= n)
+        boxes = random_boxes(n, d, seed=seed)
+        chosen = random.Random(seed).sample(range(n), tree.n)
+        mapping = dict(enumerate(chosen))
+        payload = {"kind": "induced_tree", "r": r, "k": k, "map": mapping}
+        arcs = set(tree.arcs())
+        expected = (True, f"induced depth-{r} {k}-ary tree on {tree.n} boxes")
+        for u in range(tree.n):
+            faults = [
+                v for v in range(u + 1, tree.n)
+                if ((u, v) in arcs) != intersects(boxes[mapping[u]], boxes[mapping[v]])
+            ]
+            if faults:
+                kind = "missing" if (u, faults[0]) in arcs else "extra"
+                expected = (False, f"{kind} adjacency between tree vertices {u} and {faults[0]}")
+                break
+        assert verify_certificate(boxes, payload) == expected
+
+    def test_verify_tree_checks_a_long_path_at_once(self):
+        # a valid induced path of 3000 boxes: a check of every pair of tree
+        # vertices makes about 4.5M tests, the sweep about 3000
+        n = 3000
+        boxes = normalize(boxes_from_rows([[2 * i, 2 * i + 3] for i in range(n)]))
+        payload = {"kind": "induced_tree", "r": n - 1, "k": 1, "map": {v: v for v in range(n)}}
+        start = time.perf_counter()
+        assert verify_certificate(boxes, payload)[0]
+        assert time.perf_counter() - start < 0.5
+        payload["map"][5], payload["map"][6] = 6, 5
+        assert verify_certificate(boxes, payload) == (
+            False, "missing adjacency between tree vertices 4 and 5"
+        )
+
+    def test_verify_decides_a_vast_palette_at_once(self):
+        # a palette of 9001 bits in d = 6 is past the 2 * 4^6 bits that settle
+        # every real coloring; against a depth of 2^3000 the bound would have
+        # about 24.6M bits, and its base alone shows it is larger
+        boxes = random_boxes(8, 6, seed=1)
+        payload = roundtrip(color_or_find_forest(boxes, r=1, k=1))
+        start = time.perf_counter()
+        assert verify_certificate(boxes, {**payload, "palette": 2**9000, "r": 2**3000})[0]
+        # at depth 1 the bound is (2 * 2 * 1)^4096 = 2^8192
+        assert verify_certificate(boxes, {**payload, "palette": 2**8192})[0]
+        assert not verify_certificate(boxes, {**payload, "palette": 2**8192 + 1})[0]
+        assert time.perf_counter() - start < 0.5
+
+    def test_verify_finds_a_deep_interval_clique_at_once(self):
+        # 12,000 nested intervals, each its own color: the bound keys on
+        # omega = 12,000, found by one pass over the endpoints, with no set
+        # built per depth reached
+        n = 12_000
+        boxes = nested_chain_boxes(n, 1)
+        payload = {"kind": "coloring", "palette": n, "colors": {v: v for v in range(n)}}
+        payload.update(r=1, k=1)
+        start = time.perf_counter()
+        assert verify_certificate(boxes, payload)[0]
+        assert time.perf_counter() - start < 0.2

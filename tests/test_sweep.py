@@ -216,7 +216,7 @@ def test_verify_matches_the_all_pairs_reference(name):
         one_color = dict.fromkeys(range(n), 0)
         for colors in (proper, tampered, one_color):
             palette = max(colors.values()) + 1
-            payload = {"kind": "coloring", "palette": palette, "bound": palette, "colors": colors}
+            payload = {"kind": "coloring", "palette": palette, "colors": colors, "r": 1, "k": 1}
             verdict = verify_certificate(boxes, payload)
             assert verdict == expected_verdict(boxes, colors)
             clashes += not verdict[0]
@@ -228,7 +228,7 @@ def test_verify_cost_follows_the_color_classes():
     # color, so a verifier that walks all intersecting pairs is far too slow
     n = 1500
     boxes = nested_chain_boxes(n, 2)
-    payload = {"kind": "coloring", "palette": n, "bound": n, "colors": {i: i for i in range(n)}}
+    payload = {"kind": "coloring", "palette": n, "colors": {i: i for i in range(n)}, "r": 1, "k": 1}
     start = time.perf_counter()
     ok, message = verify_certificate(boxes, payload)
     assert time.perf_counter() - start < 0.25
@@ -240,7 +240,7 @@ def test_verify_holds_one_clash_not_all():
     # reported, so memory must not grow with the number of clashes
     n = 200
     boxes = nested_chain_boxes(n, 2)
-    payload = {"kind": "coloring", "palette": 1, "bound": 1, "colors": dict.fromkeys(range(n), 0)}
+    payload = {"kind": "coloring", "palette": 1, "colors": dict.fromkeys(range(n), 0), "r": 1, "k": 1}
     tracemalloc.start()
     try:
         ok, message = verify_certificate(boxes, payload)
@@ -380,9 +380,7 @@ def test_long_candidate_lists_match_the_all_pairs_reference(d, monkeypatch):
             tampered[v] = tampered[u]
         for painted in (colors, tampered):
             palette = max(painted.values()) + 1
-            payload = {
-                "kind": "coloring", "palette": palette, "bound": palette, "colors": painted
-            }
+            payload = {"kind": "coloring", "palette": palette, "colors": painted, "r": 1, "k": 1}
             assert verify_certificate(boxes, payload) == expected_verdict(boxes, painted)
 
 
@@ -461,13 +459,17 @@ def test_certify_and_verify_sweep_once(sweep_calls):
         r, k = rng.choice(((0, 1), (1, 1), (1, 2), (2, 2)))
         sweep_calls.clear()
         cert = color_or_find_forest(boxes, r, k)
-        # r = 0 gives the one-vertex tree from the ids alone
-        assert len(sweep_calls) == (0 if r == 0 else 1), (d, r, k)
+        # r = 0 gives the one-vertex tree from the ids alone; any other
+        # outcome sweeps the n boxes once, and a tree is then checked by one
+        # sweep over only the |T| boxes it maps, in certify and in verify
+        tree = isinstance(cert, InducedTree)
+        checked = [len(cert.mapping)] if tree else [len(boxes)]
+        assert sweep_calls == ([] if r == 0 else [len(boxes)] + checked * tree), (d, r, k)
         payload = parse_certificate(certificate_to_json(cert))
         sweep_calls.clear()
         ok, message = verify_certificate(boxes, payload)
         assert ok, message
-        assert len(sweep_calls) == (1 if isinstance(cert, ProperColoring) else 0)
+        assert sweep_calls == checked
         kinds.add(type(cert))
     assert kinds == {ProperColoring, InducedTree}
 
