@@ -131,10 +131,17 @@ def _tree_fits(r: int, branching: int, n: int) -> bool:
     """Whether the complete ``branching``-ary tree of depth ``r`` has at most
     ``n`` vertices.
 
-    A depth-r tree has more than r vertices, and more than ``branching``
-    once r >= 1; refusing those first keeps the count below n ** n.
+    A depth-r tree has more than r vertices, more than ``branching`` once
+    r >= 1, and at least branching^r >= 2^(r (bits of branching - 1));
+    refusing those first keeps the count under 2^(2 (bits of n) + 1),
+    however large r and n are.
     """
-    return r < n and (r == 0 or branching < n) and tree_vertex_count(r, branching) <= n
+    return (
+        r < n
+        and (r == 0 or branching < n)
+        and r * (branching.bit_length() - 1) < n.bit_length()
+        and tree_vertex_count(r, branching) <= n
+    )
 
 
 class _ChildShortfall(InternalInvariantError):
@@ -435,7 +442,6 @@ def color_or_find_forest(
         _require_ids(boxes)
         return InducedTree(RootedTree([None]), {0: 0}, 0, k)
 
-    coloring = None
     if d >= 2 and omega_bound is not None and not _tree_fits(r, k**d * omega_bound, n - 1):
         # Delta <= n - 1 < |T|: no pattern can embed the tree, so the edges
         # are needed only to color, and a dense graph's rows come from the
@@ -449,38 +455,43 @@ def color_or_find_forest(
                 colors = coloring.colors
                 if set(colors) != set(range(n)) or next(_sweep(boxes, colors), None):
                     raise InternalInvariantError("smallest-last coloring improper on the boxes")
+                return _bounded_coloring(boxes, coloring, r, k)
 
-    if coloring is None:
-        g = intersection_graph(boxes)  # checks the ids are 0..n-1
-        if d >= 2:
-            w = omega_bound if omega_bound is not None else omega(g)
-            branching = k**d * w
-            # a pattern out-degree is at most the host degree, so when that is
-            # below |T| every pattern peels out whole in round 1 and none is searched
-            if _tree_fits(r, branching, max(map(len, g.adj))):
-                big_tree = complete_kary_tree(r, branching)
-                for pd in decompose(boxes, g):
-                    result = find_path_induced_tree(
-                        pd.digraph, g, big_tree, host_clique_number=w
-                    )
-                    if isinstance(result, CalmEmbedding):
-                        try:
-                            return prune_children(result, boxes, k)
-                        except _ChildShortfall as exc:
-                            if omega_bound is None:
-                                raise
-                            # with the true clique number the children always suffice
-                            raise CalmSearchError(str(exc)) from None
+    g = intersection_graph(boxes)  # checks the ids are 0..n-1
+    if d >= 2:
+        w = omega_bound if omega_bound is not None else omega(g)
+        branching = k**d * w
+        # a pattern out-degree is at most the host degree, so when that is
+        # below |T| every pattern peels out whole in round 1 and none is searched
+        if _tree_fits(r, branching, max(map(len, g.adj))):
+            big_tree = complete_kary_tree(r, branching)
+            for pd in decompose(boxes, g):
+                result = find_path_induced_tree(
+                    pd.digraph, g, big_tree, host_clique_number=w
+                )
+                if isinstance(result, CalmEmbedding):
+                    try:
+                        return prune_children(result, boxes, k)
+                    except _ChildShortfall as exc:
+                        if omega_bound is None:
+                            raise
+                        # with the true clique number the children always suffice
+                        raise CalmSearchError(str(exc)) from None
 
-        # at most Delta + 1 <= n colors. A dense host graph is colored on
-        # bit rows: the same order and colors from O(n log Delta) operations
-        # on n-bit ints, not O(m) interpreter steps. The self-check reads the
-        # sweep's lists, so it does not trust the rows.
-        dense = _dense(sum(map(len, g.adj)), g.n)
-        coloring = smallest_last_coloring(g.adj, intersection_rows(boxes) if dense else None)
-        if not coloring.is_proper_on(g):
-            raise InternalInvariantError("smallest-last coloring improper on the host graph")
+    # at most Delta + 1 <= n colors. A dense host graph is colored on
+    # bit rows: the same order and colors from O(n log Delta) operations
+    # on n-bit ints, not O(m) interpreter steps. The self-check reads the
+    # sweep's lists, so it does not trust the rows.
+    dense = _dense(sum(map(len, g.adj)), g.n)
+    coloring = smallest_last_coloring(g.adj, intersection_rows(boxes) if dense else None)
+    if not coloring.is_proper_on(g):
+        raise InternalInvariantError("smallest-last coloring improper on the host graph")
+    return _bounded_coloring(boxes, coloring, r, k)
 
+
+def _bounded_coloring(boxes: Sequence[Box], coloring: Coloring, r: int, k: int) -> ProperColoring:
+    """The certificate for a proper coloring whose palette is within the
+    bound, checked as ``verify_certificate`` checks it."""
     # d >= 2 and |T| >= 2 put the bound (2 r |T| w)^(4^d) at 4^16 or more,
     # and in d = 1 the palette is omega
     problem = _bound_violation(boxes, coloring.palette_size, r, k)

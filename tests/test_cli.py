@@ -496,6 +496,26 @@ class TestVerify:
         if code == 5:
             assert "exceeds the bound" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_vast_palette_and_depth_are_decided_at_once(self, tmp_path, d):
+        # a stated palette of 10**200 is far past the 2 * 4^d bits that pass
+        # at once, and the branching is at least 2 (k = 2 in d = 2, three
+        # overlapping intervals in d = 1): the tree of depth 10**100 is
+        # refused from bit lengths, never counted
+        if d == 2:
+            path, cert = self.make_pair(tmp_path)
+        else:
+            path = tmp_path / "overlap.txt"
+            path.write_text("1 3\n0 3\n1 4\n2 5\n")
+            cert = tmp_path / "cert.json"
+            assert main(["color", str(path), "--r", "1", "--k", "1", "--out", str(cert)]) == 0
+        payload = json.loads(cert.read_text())
+        assert payload["kind"] == "coloring"
+        cert.write_text(json.dumps({**payload, "palette": 10**200, "r": 10**100}))
+        start = time.perf_counter()
+        assert main(["verify", str(path), "--certificate", str(cert)]) == 0
+        assert time.perf_counter() - start < 1
+
     def test_interval_palette_above_the_bound_is_refuted(self, tmp_path, capsys):
         # d = 1 keys the bound (2 r |T| omega)^4 on the intervals' clique number
         path = write_instance(tmp_path, "c.txt", "random", n=9, d=1, seed=3)
