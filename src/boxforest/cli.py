@@ -11,7 +11,8 @@ above its size limit, 5 a verification failed.
 
 A coloring certificate carries r and k, not its bound: ``verify`` works
 the bound out from them and the boxes, and ``color`` prints the palette,
-r and k.
+r and k. Certificate entries are JSON arrays by position (box i's color,
+tree vertex v's box), so ``verify`` reads no keys but the top-level ones.
 
 The size limits are fixed: 40 boxes for the clique and independence
 oracles, 20 for the chromatic number and 14 for ``decompose``'s modesty

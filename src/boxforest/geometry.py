@@ -385,7 +385,7 @@ def _require_ids(boxes: Sequence[Box]) -> None:
 
 
 def _sweep(
-    boxes: Sequence[Box], labels: Mapping[int, Hashable] | None
+    boxes: Sequence[Box], labels: Mapping[int, Hashable] | Sequence[Hashable] | None
 ) -> Iterator[tuple[int, list[int]]]:
     """The sweep of ``intersecting_pairs`` in batches ``(j, hits)``: the id
     of an arriving box and the ids of the open boxes that meet it (and share

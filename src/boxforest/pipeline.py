@@ -24,7 +24,10 @@ bound (2 r |T| omega)^(4^d) exists; the certificate needs only one, and
 smallest-last uses at most n colors, below the bound's 4^16 for d >= 2.
 A coloring certificate carries r and k, not the bound: the bound is
 worked out from the boxes wherever it is checked, and built only where
-the palette could reach it.
+the palette could reach it. Certificates list their entries by position,
+as box files list boxes: ``colors[i]`` is box i's color, and the palette
+is one more than the largest; ``map[v]`` is the box of tree vertex v, in
+preorder.
 
 Both outcomes are re-verified from scratch before being returned; a
 verification failure raises InternalInvariantError because it can only
@@ -39,7 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 # ``peel_grading``, ``product_coloring``, ``maximum_independent_set`` and
 # ``intersects`` are imported only to stay module names: perfbench rebinds
@@ -239,10 +242,11 @@ class ProperColoring:
 
 @dataclass(frozen=True)
 class InducedTree:
-    """Induced-copy certificate: tree vertex -> box id, exhaustively checkable."""
+    """Induced-copy certificate: ``mapping[v]`` is the box id of tree vertex
+    v, in preorder; exhaustively checkable."""
 
     tree: RootedTree
-    mapping: Mapping[int, int]
+    mapping: tuple[int, ...]
     r: int
     k: int
 
@@ -265,7 +269,7 @@ def prune_children(emb: CalmEmbedding, boxes: Sequence[Box], k: int) -> InducedT
     big = emb.tree
     r = big.depth()
     parent: list[int | None] = [None]
-    mapping = {0: emb.phi[big.root]}
+    mapping = [emb.phi[big.root]]
     frontier = [(0, big.root)]  # (new vertex, big-tree vertex)
     for _ in range(r):
         next_frontier = []
@@ -280,15 +284,14 @@ def prune_children(emb: CalmEmbedding, boxes: Sequence[Box], k: int) -> InducedT
             chosen_set = set(ext.ids)
             for c in kids:
                 if emb.phi[c] in chosen_set:
+                    next_frontier.append((len(parent), c))
                     parent.append(new_v)
-                    nv = len(parent) - 1
-                    mapping[nv] = emb.phi[c]
-                    next_frontier.append((nv, c))
+                    mapping.append(emb.phi[c])
         frontier = next_frontier
     tree = complete_kary_tree(r, k)
     if tree.n != len(parent):
         raise InternalInvariantError("pruned tree has wrong size")
-    cert = InducedTree(tree, mapping, r, k)
+    cert = InducedTree(tree, tuple(mapping), r, k)
     problem = _induced_tree_violation(cert, boxes)
     if problem:
         raise InternalInvariantError(f"pruned certificate not induced: {problem}")
@@ -300,16 +303,16 @@ def _induced_tree_violation(cert: InducedTree, boxes: Sequence[Box]) -> str | No
     mapped boxes; None when clean, else the smallest tree pair at fault."""
     by_id = {b.id: b for b in boxes}
     t = cert.tree
-    if set(cert.mapping) != set(range(t.n)):
+    if len(cert.mapping) != t.n:
         return "mapping does not cover the tree vertices"
-    if len(set(cert.mapping.values())) != t.n:
+    if len(set(cert.mapping)) != t.n:
         return "mapping is not injective"
-    if any(v not in by_id for v in cert.mapping.values()):
+    if any(b not in by_id for b in cert.mapping):
         return "mapping hits an unknown box id"
     # the mapped boxes renamed by tree vertex: the sweep yields each pair of
     # tree vertices whose boxes meet, and a pair u < v is a tree edge
     # exactly when u is v's parent
-    mapped = _boxes(range(t.n), [by_id[cert.mapping[v]].bounds for v in range(t.n)])
+    mapped = _boxes(range(t.n), [by_id[b].bounds for b in cert.mapping])
     met = [False] * t.n  # whether v's box meets its parent's
     extra = None
     for j, hits in _sweep(mapped, None):
@@ -440,7 +443,7 @@ def color_or_find_forest(
 
     if r == 0:  # box 0 is a one-vertex tree
         _require_ids(boxes)
-        return InducedTree(RootedTree([None]), {0: 0}, 0, k)
+        return InducedTree(RootedTree([None]), (0,), 0, k)
 
     if d >= 2 and omega_bound is not None and not _tree_fits(r, k**d * omega_bound, n - 1):
         # Delta <= n - 1 < |T|: no pattern can embed the tree, so the edges
@@ -501,37 +504,21 @@ def _bounded_coloring(boxes: Sequence[Box], coloring: Coloring, r: int, k: int) 
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    """Canonical single-line JSON; byte-stable for identical certificates."""
+    """Canonical single-line JSON; byte-stable for identical certificates.
+
+    The entries are arrays by position: ``colors[i]`` is box i's color,
+    ``map[v]`` the box of tree vertex v."""
     if isinstance(cert, ProperColoring):
+        colors = cert.coloring.colors
         payload = {
             "kind": "coloring",
             "palette": cert.coloring.palette_size,
-            "colors": {str(v): c for v, c in cert.coloring.colors.items()},
+            "colors": list(map(colors.__getitem__, range(len(colors)))),
         }
     else:
-        payload = {"kind": "induced_tree", "map": {str(v): b for v, b in cert.mapping.items()}}
+        payload = {"kind": "induced_tree", "map": list(cert.mapping)}
     payload.update(r=cert.r, k=cert.k)
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _int_keyed(entries: dict, label: str) -> dict[int, int]:
-    """Decode a JSON object with canonical decimal keys and integer values.
-
-    A key must read back as itself (``"1"``, not ``"01"``, ``"+1"`` or
-    ``"1_0"``), so no two keys can name the same box.
-    """
-    out: dict[int, int] = {}
-    for key, value in entries.items():
-        if type(value) is not int:
-            raise ValueError(f"{label} values must be integers")
-        try:
-            box_id = int(key)
-        except (TypeError, ValueError):
-            box_id = None
-        if box_id is None or str(box_id) != key:
-            raise ValueError(f"{label} keys must be decimal ids, got {key!r}")
-        out[box_id] = value
-    return out
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -567,32 +554,36 @@ def parse_certificate(text: str) -> dict:
             raise ValueError(f"{key} must be an integer")
     if payload["r"] < 0 or payload["k"] < 1:
         raise ValueError("need r >= 0 and k >= 1")
-    if not isinstance(payload[entries], dict):
-        raise ValueError(f"{entries} must be an object")
-    payload[entries] = _int_keyed(payload[entries], entries)
+    if type(payload[entries]) is not list:
+        raise ValueError(f"{entries} must be an array")
+    if not {*map(type, payload[entries])} <= {int}:
+        raise ValueError(f"{entries} entries must be integers")
     return payload
 
 
 def verify_certificate(boxes: Sequence[Box], payload: dict) -> tuple[bool, str]:
     """Re-verify a parsed certificate against the boxes, class by class.
 
-    Returns (ok, message); a mismatched vertex set raises ValueError since
-    that is an input error rather than a refutation. A coloring's palette
-    is checked against the bound worked out from the boxes and its r and
-    k; no number the certificate states as a bound is read.
+    Returns (ok, message); box ids other than 0..n-1 or entries of the
+    wrong length raise ValueError since that is an input error rather than
+    a refutation. A coloring's palette must be one more than its largest
+    color, and is checked against the bound worked out from the boxes and
+    its r and k; no number the certificate states as a bound is read.
     """
     if not boxes:
         raise ValueError("empty box collection")
+    _require_ids(boxes)
     n = len(boxes)
     if payload["kind"] == "coloring":
-        colors: dict[int, int] = payload["colors"]
-        if set(colors) != set(range(n)):
+        colors: list[int] = payload["colors"]
+        if len(colors) != n:
             raise ValueError("certificate colors do not cover the box ids")
         palette = payload["palette"]
-        bad = next((v for v, c in colors.items() if not 0 <= c < palette), None)
+        bad = next((v for v, c in enumerate(colors) if not 0 <= c < palette), None)
         if bad is not None:
             return False, f"color of box {bad} outside the stated palette"
-        _require_ids(boxes)
+        if palette != max(colors) + 1:
+            return False, f"stated palette {palette} but the largest color is {max(colors)}"
         problem = _bound_violation(boxes, palette, payload["r"], payload["k"])
         if problem:
             return False, problem
@@ -609,14 +600,14 @@ def verify_certificate(boxes: Sequence[Box], payload: dict) -> tuple[bool, str]:
     if not _tree_fits(r, k, n):
         raise ValueError("certificate tree has more vertices than there are boxes")
     tree = complete_kary_tree(r, k)
-    mapping: dict[int, int] = payload["map"]
-    if set(mapping) != set(range(tree.n)):
+    mapping: list[int] = payload["map"]
+    if len(mapping) != tree.n:
         raise ValueError(
             f"certificate map must cover tree vertices 0..{tree.n - 1}"
         )
-    if any(not 0 <= b < n for b in mapping.values()):
+    if any(not 0 <= b < n for b in mapping):
         raise ValueError("certificate map hits a box id out of range")
-    cert = InducedTree(tree, mapping, r, k)
+    cert = InducedTree(tree, tuple(mapping), r, k)
     problem = _induced_tree_violation(cert, boxes)
     if problem:
         return False, problem

@@ -405,7 +405,7 @@ def brute_patterns(sides: list[tuple]) -> dict[tuple[int, int], str]:
     return out
 
 
-def brute_first_clash(sides: list[tuple], colors: dict[int, int]) -> tuple[int, int] | None:
+def brute_first_clash(sides: list[tuple], colors: list[int]) -> tuple[int, int] | None:
     """The smallest intersecting pair u < v whose boxes share a color, from a
     scan of all pairs; None when the coloring is proper."""
     return next(
@@ -565,7 +565,7 @@ def brute_coloring_certificate(
     payload = {
         "kind": "coloring",
         "palette": max(colors.values()) + 1,
-        "colors": {str(v): c for v, c in colors.items()},
+        "colors": [colors[v] for v in range(n)],
         "r": r,
         "k": k,
     }

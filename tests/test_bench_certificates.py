@@ -43,15 +43,15 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "per
 import workloads  # noqa: E402
 
 PINNED = {
-    "dense-2d": "dccd4e85dad00d866e98d0363a555a04b36b107ccf2911dbe3d10a2464215dd3",
-    "sparse-2d": "67390eb26383210a6f90cc7e164c40afa9256872eaabd39e2d4b6931d59be201",
-    "fans-3d": "88604f7aadccb0ac907f6ac539bc7048e9934006c5048a55d3d288c30d258b15",
+    "dense-2d": "133e73210d275f15fea73c296852a2a966300b4ca364409cbb05b5dd93b3b548",
+    "sparse-2d": "e51dd9aef62299a7f288f8c8068dc9bb72fa29f2a352a54d787373547711968b",
+    "fans-3d": "7d3385b32f1b329b0b726ff49a274e4981d8d511e61bc7e330864dde1844ef5c",
 }
 
 # (sha256, palette) at r = k = 1; both palettes equal omega
 DECOMPOSED = {
-    "dense-2d": ("b97820add9d05a4da7c10a3b477e2a1ef9503a5f5e4603d9f07722fce33d9965", 216),
-    "sparse-2d": ("4f28b149ee92ec647b70ae6c62deafedbb787af9f494895ff67e8ca0020f591e", 7),
+    "dense-2d": ("143175f288c515aedd7ad49802e3834e132acd4751c88037ae41568cf7f14b94", 216),
+    "sparse-2d": ("017579a9cc55d2221cb3055a01c3e1b52c4d440d1b9b53cbe3a8ed03522bedf9", 7),
 }
 
 

@@ -463,9 +463,11 @@ class TestVerify:
         from boxforest import intersection_graph
 
         u, v = sorted(intersection_graph(boxes).edges)[0]
-        payload["colors"][str(v)] = payload["colors"][str(u)]
+        payload["colors"][v] = payload["colors"][u]
+        payload["palette"] = max(payload["colors"]) + 1
         cert.write_text(json.dumps(payload))
         assert main(["verify", str(path), "--certificate", str(cert)]) == 5
+        assert "share color" in capsys.readouterr().out
 
     # the change to the certificate: a key dropped (None) or set; the exit code
     TAMPERED = {
@@ -511,7 +513,9 @@ class TestVerify:
             assert main(["color", str(path), "--r", "1", "--k", "1", "--out", str(cert)]) == 0
         payload = json.loads(cert.read_text())
         assert payload["kind"] == "coloring"
-        cert.write_text(json.dumps({**payload, "palette": 10**200, "r": 10**100}))
+        # box 0 alone takes the palette's last color, so it stays proper
+        colors = [10**200 - 1, *payload["colors"][1:]]
+        cert.write_text(json.dumps({**payload, "colors": colors, "palette": 10**200, "r": 10**100}))
         start = time.perf_counter()
         assert main(["verify", str(path), "--certificate", str(cert)]) == 0
         assert time.perf_counter() - start < 1
@@ -525,7 +529,8 @@ class TestVerify:
         w = payload["palette"]  # interval graphs get exactly omega colors
         bound = (2 * 1 * (1 + w) * w) ** 4
         for palette, code in ((bound, 0), (bound + 1, 5)):
-            cert.write_text(json.dumps({**payload, "palette": palette}))
+            colors = [palette - 1, *payload["colors"][1:]]
+            cert.write_text(json.dumps({**payload, "colors": colors, "palette": palette}))
             assert main(["verify", str(path), "--certificate", str(cert)]) == code
         assert capsys.readouterr().out.splitlines() == [
             f"proper coloring with {bound} colors within bound",
@@ -558,17 +563,27 @@ class TestVerify:
         return path, cert
 
     @pytest.mark.parametrize("kind", ["coloring", "induced_tree"])
-    def test_keys_naming_one_box_twice_are_input_errors(self, tmp_path, kind):
+    def test_a_repeated_key_is_an_input_error(self, tmp_path, kind):
         path, cert = (self.make_pair if kind == "coloring" else self.make_tree_pair)(tmp_path)
         text = cert.read_text()
-        field = "colors" if kind == "coloring" else "map"
-        entries = json.loads(text)[field]
         assert main(["verify", str(path), "--certificate", str(cert)]) == 0
-        # an alias of box 1 with box 1's own entry, and box 0 listed twice
-        # with its own entry: a parser where the later key wins accepts both
-        for extra in (f'"01":{entries["1"]},', f'"0":{entries["0"]},'):
-            cert.write_text(text.replace(f'"{field}":{{', f'"{field}":{{{extra}', 1))
+        # each key repeated with its own value: a parser where the later key
+        # wins accepts every one
+        for key, value in json.loads(text).items():
+            cert.write_text(f"{{{json.dumps(key)}:{json.dumps(value)},{text[1:]}")
             assert main(["verify", str(path), "--certificate", str(cert)]) == 2
+
+    @pytest.mark.parametrize("kind", ["coloring", "induced_tree"])
+    def test_the_old_keyed_entries_are_input_errors(self, tmp_path, capsys, kind):
+        # entries keyed by decimal ids, as certificates once were written
+        path, cert = (self.make_pair if kind == "coloring" else self.make_tree_pair)(tmp_path)
+        payload = json.loads(cert.read_text())
+        field = "colors" if kind == "coloring" else "map"
+        payload[field] = {str(i): e for i, e in enumerate(payload[field])}
+        cert.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["verify", str(path), "--certificate", str(cert)]) == 2
+        assert capsys.readouterr().err == f"error: {field} must be an array\n"
 
     def test_impossible_tree_size_is_input_error(self, tmp_path):
         path, cert = self.make_tree_pair(tmp_path)

@@ -8,17 +8,35 @@ import re
 import shlex
 from pathlib import Path
 
+from boxforest import boxes_from_rows, save_boxes
 from boxforest.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_library_use_snippet_runs():
+def _library_use() -> dict:
+    """The names the README's "## Library use" snippet leaves behind."""
     text = README.read_text(encoding="utf-8")
     section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
     snippet = re.search(r"```python\n(.*?)```", section, re.DOTALL)
     assert snippet is not None, "README 'Library use' has no python block"
-    exec(compile(snippet.group(1), "README.md", "exec"), {})
+    names: dict = {}
+    exec(compile(snippet.group(1), "README.md", "exec"), names)
+    return names
+
+
+def _session(index: int) -> list[tuple[str, str]]:
+    """Each command of the ``index``-th sh block of "## Command line" with
+    the lines it prints."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```sh\n(.*?)```", section, re.DOTALL)
+    assert len(blocks) > index, "README 'Command line' lacks an sh block"
+    return re.findall(r"^\$ (.*)\n((?:(?!\$ ).*\n)*)", blocks[index], re.MULTILINE)
+
+
+def test_library_use_snippet_runs():
+    _library_use()
 
 
 def _cli_long_options() -> set[str]:
@@ -50,11 +68,7 @@ def test_every_cli_flag_is_documented():
 def test_command_line_session_replays(tmp_path, monkeypatch, capsys):
     # the first session of "## Command line": gen seed 7, color, verify;
     # each command's printed lines, stderr then stdout, are the README's
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Command line\n", 1)[1]
-    session = re.search(r"```sh\n(.*?)```", section, re.DOTALL)
-    assert session is not None, "README 'Command line' has no sh block"
-    steps = re.findall(r"^\$ (.*)\n((?:(?!\$ ).*\n)*)", session.group(1), re.MULTILINE)
+    steps = _session(0)
     assert [shlex.split(command)[1] for command, _ in steps] == ["gen", "color", "verify"]
     monkeypatch.chdir(tmp_path)
     for command, printed in steps:
@@ -63,3 +77,20 @@ def test_command_line_session_replays(tmp_path, monkeypatch, capsys):
         assert main(argv) == 0, command
         out, err = capsys.readouterr()
         assert err + out == printed, command
+
+
+def test_star_session_replays(tmp_path, monkeypatch, capsys):
+    # the tree session of "## Command line" on star.boxes, the rows of
+    # "## Library use": color exits 3, and cat shows the certificate it wrote
+    rows = _library_use()["rows"]
+    (command, printed), (show, shown) = _session(1)
+    program, *argv = shlex.split(command)
+    assert (program, argv[:2]) == ("boxforest", ["color", "star.boxes"])
+    monkeypatch.chdir(tmp_path)
+    save_boxes(boxes_from_rows(rows), "star.boxes")
+    assert main(argv) == 3, command
+    out, err = capsys.readouterr()
+    assert err + out == printed, command
+    program, path = shlex.split(show)
+    assert program == "cat"
+    assert Path(path).read_text(encoding="utf-8") == shown

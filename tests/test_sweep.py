@@ -180,23 +180,23 @@ def test_labelled_sweep_keeps_only_pairs_with_one_label(name):
             assert sorted(intersecting_pairs(boxes, labels)) == sorted(want)
 
 
-def greedy_colors(n: int, pairs) -> dict[int, int]:
+def greedy_colors(n: int, pairs) -> list[int]:
     """A proper coloring: each box in id order takes the smallest color
     unused by its earlier neighbors."""
     earlier: dict[int, set[int]] = {v: set() for v in range(n)}
     for u, v in pairs:
         earlier[v].add(u)
-    colors: dict[int, int] = {}
+    colors: list[int] = []
     for v in range(n):
         used = {colors[u] for u in earlier[v]}
-        colors[v] = next(c for c in range(n) if c not in used)
+        colors.append(next(c for c in range(n) if c not in used))
     return colors
 
 
-def expected_verdict(boxes, colors: dict[int, int]) -> tuple[bool, str]:
+def expected_verdict(boxes, colors: list[int]) -> tuple[bool, str]:
     clash = brute_first_clash(plain(boxes), colors)
     if clash is None:
-        palette = max(colors.values()) + 1
+        palette = max(colors) + 1
         return True, f"proper coloring with {palette} color{'' if palette == 1 else 's'} within bound"
     u, v = clash
     return False, f"adjacent boxes {u} and {v} share color {colors[u]}"
@@ -210,12 +210,12 @@ def test_verify_matches_the_all_pairs_reference(name):
         n = len(boxes)
         pairs = sorted(brute_patterns(plain(boxes)))
         proper = greedy_colors(n, pairs)
-        tampered = dict(proper)
+        tampered = list(proper)
         for u, v in rng.sample(pairs, min(3, len(pairs))):
             tampered[v] = tampered[u]
-        one_color = dict.fromkeys(range(n), 0)
+        one_color = [0] * n
         for colors in (proper, tampered, one_color):
-            palette = max(colors.values()) + 1
+            palette = max(colors) + 1
             payload = {"kind": "coloring", "palette": palette, "colors": colors, "r": 1, "k": 1}
             verdict = verify_certificate(boxes, payload)
             assert verdict == expected_verdict(boxes, colors)
@@ -228,7 +228,7 @@ def test_verify_cost_follows_the_color_classes():
     # color, so a verifier that walks all intersecting pairs is far too slow
     n = 1500
     boxes = nested_chain_boxes(n, 2)
-    payload = {"kind": "coloring", "palette": n, "colors": {i: i for i in range(n)}, "r": 1, "k": 1}
+    payload = {"kind": "coloring", "palette": n, "colors": list(range(n)), "r": 1, "k": 1}
     start = time.perf_counter()
     ok, message = verify_certificate(boxes, payload)
     assert time.perf_counter() - start < 0.25
@@ -240,7 +240,7 @@ def test_verify_holds_one_clash_not_all():
     # reported, so memory must not grow with the number of clashes
     n = 200
     boxes = nested_chain_boxes(n, 2)
-    payload = {"kind": "coloring", "palette": 1, "colors": dict.fromkeys(range(n), 0), "r": 1, "k": 1}
+    payload = {"kind": "coloring", "palette": 1, "colors": [0] * n, "r": 1, "k": 1}
     tracemalloc.start()
     try:
         ok, message = verify_certificate(boxes, payload)
@@ -375,11 +375,11 @@ def test_long_candidate_lists_match_the_all_pairs_reference(d, monkeypatch):
         data = certificate_to_json(cert)
         assert data == brute_coloring_certificate(sides, r, k, omega=w)
         colors = parse_certificate(data)["colors"]
-        tampered = dict(colors)
+        tampered = list(colors)
         for u, v in rng.sample(sorted(want), 3):
             tampered[v] = tampered[u]
         for painted in (colors, tampered):
-            palette = max(painted.values()) + 1
+            palette = max(painted) + 1
             payload = {"kind": "coloring", "palette": palette, "colors": painted, "r": 1, "k": 1}
             assert verify_certificate(boxes, payload) == expected_verdict(boxes, painted)
 
@@ -561,6 +561,7 @@ def test_first_clash_reported_is_the_smallest_pair():
         for u, v in rng.sample(pairs, min(3, len(pairs))):
             payload["colors"][v] = payload["colors"][u]
         colors = payload["colors"]
+        payload["palette"] = max(colors) + 1  # the tampering may drop the largest color
         first = next((a, b) for a, b in pairs if colors[a] == colors[b])
         ok, message = verify_certificate(boxes, payload)
         assert not ok
