@@ -4,6 +4,8 @@ Vertices are always 0..n-1. A graph stores only its adjacency lists and a
 digraph only its out- and in-neighbor sets; edge and arc sets are derived
 when asked for, so no adjacency is held twice. A pattern digraph's
 in-neighbor sets are its mirror's out-neighbor sets (``patterns.decompose``).
+A coloring is one tuple of colors indexed by vertex, as a certificate lists
+them; its palette, one more than the largest color, is worked out from it.
 Building the intersection graph, degeneracy peeling and smallest-last
 coloring scale to thousands of boxes (an axis-0 sweep, a heap and a bucket
 queue). The bucket queue files a vertex only once its remaining degree is
@@ -34,7 +36,7 @@ only over vertices with arcs.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import not_
 from typing import Collection, Iterable, Mapping, Sequence
@@ -100,8 +102,7 @@ class Graph:
     def adjacent(self, u: int, v: int) -> bool:
         """Whether uv is an edge: a scan of u's list, O(deg u). Its callers
         make few lookups: the embedding's checks of a found tree (|T| times
-        its depth), ``patterns.verify_basic`` (n <= ``VERIFY_LIMIT``, 14) and
-        ``complement`` (the exact oracles, n <= ``OMEGA_LIMIT``, 40)."""
+        its depth) and ``patterns.verify_basic`` (n <= ``VERIFY_LIMIT``, 14)."""
         return v in self.adj[u]
 
     def neighbors(self, u: int) -> frozenset[int]:
@@ -110,15 +111,6 @@ class Graph:
 
     def degree(self, u: int) -> int:
         return len(self.adj[u])
-
-    def complement(self) -> "Graph":
-        edges = [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if v not in self.adj[u]
-        ]
-        return Graph(self.n, edges)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={sum(map(len, self.adj)) // 2})"
@@ -305,22 +297,26 @@ def complete_kary_tree(depth: int, branching: int) -> RootedTree:
 
 @dataclass(frozen=True)
 class Coloring:
-    """Vertex coloring with colors 0..palette_size-1."""
+    """Vertex coloring: ``colors[v]`` is vertex v's color, a nonnegative
+    int, and the palette is one more than the largest color (0 when there
+    are no vertices)."""
 
-    colors: Mapping[int, int]
-    palette_size: int
+    colors: tuple[int, ...]
+    palette_size: int = field(init=False)
 
     def __post_init__(self) -> None:
-        for v, c in self.colors.items():
-            if not (0 <= c < self.palette_size):
-                raise ValueError(f"color {c} of vertex {v} outside palette")
+        colors = tuple(self.colors)
+        if min(colors, default=0) < 0:
+            raise ValueError("colors must be nonnegative")
+        object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "palette_size", max(colors, default=-1) + 1)
 
     def is_proper_on(self, g: Graph) -> bool:
         """Whether exactly g's vertices are colored and no edge of g has
         one color at both ends."""
-        if set(self.colors) != set(range(g.n)):
+        col = self.colors
+        if len(col) != g.n:
             return False
-        col = list(map(self.colors.__getitem__, range(g.n)))
         classes: list[set[int]] = [set() for _ in range(self.palette_size)]
         for v, c in enumerate(col):
             classes[c].add(v)
@@ -381,16 +377,13 @@ def intersection_rows(boxes: Sequence[Box]) -> list[int]:
     return by_id
 
 
-def degeneracy_coloring(
-    adj: Mapping[int, Collection[int]], bound: int
-) -> Coloring | None:
+def degeneracy_coloring(adj: Sequence[Collection[int]], bound: int) -> Coloring | None:
     """Greedy coloring along a peeling order, or None if peeling gets stuck.
 
-    ``adj`` maps each vertex to its neighbors, which are all keys; the
-    coloring covers exactly those vertices. Repeatedly removes the smallest
-    vertex whose remaining degree is below ``bound``; coloring the removal
-    order in reverse then sees fewer than ``bound`` colored neighbors per
-    vertex, so at most ``bound`` colors.
+    ``adj[v]`` holds the neighbors of vertex v. Repeatedly removes the
+    smallest vertex whose remaining degree is below ``bound``; coloring the
+    removal order in reverse then sees fewer than ``bound`` colored
+    neighbors per vertex, so at most ``bound`` colors.
     Degrees only fall, so a min-heap of the vertices that dropped below
     ``bound`` always pops that smallest vertex. It colors one peeled layer
     of a pattern digraph in the paper's construction; the pipeline does not
@@ -398,32 +391,31 @@ def degeneracy_coloring(
     """
     if bound < 1:
         raise ValueError("bound must be positive")
-    vertices = sorted(adj)
-    degree = {v: len(adj[v]) for v in vertices}
-    ready = [v for v in vertices if degree[v] < bound]  # sorted: a heap
-    removed: set[int] = set()
+    n = len(adj)
+    degree = list(map(len, adj))
+    ready = [v for v in range(n) if degree[v] < bound]  # sorted: a heap
+    removed = [False] * n
     order: list[int] = []
-    if len(ready) == len(vertices):
+    if len(ready) == n:
         # a vertex is pushed only when its degree falls from bound to
         # bound - 1; with every degree below bound nothing is pushed, and
         # the heap would pop the vertices in ascending order
         order, ready = ready, []
     while ready:
         pick = heapq.heappop(ready)
-        removed.add(pick)
+        removed[pick] = True
         order.append(pick)
         for w in adj[pick]:
-            if w not in removed:
+            if not removed[w]:
                 degree[w] -= 1
                 if degree[w] == bound - 1:
                     heapq.heappush(ready, w)
-    if len(order) < len(vertices):
+    if len(order) < n:
         return None
     # fewer than bound neighbors are colored first, so colors stay below bound
-    colors = dict.fromkeys(vertices, -1)
+    colors = [-1] * n
     _greedy_in_reverse(order, adj, colors)
-    palette = 1 + max(colors.values(), default=-1) if colors else 0
-    return Coloring(colors, max(palette, 1) if vertices else 0)
+    return Coloring(colors)
 
 
 # complements a string of binary digits
@@ -519,7 +511,7 @@ def smallest_last_coloring(
             low -= 1
     col = [-1] * n
     _greedy_in_reverse(order, adj, col)
-    return Coloring(dict(enumerate(col)), max(col, default=-1) + 1)
+    return Coloring(col)
 
 
 def _smallest_last_on_rows(rows: Sequence[int]) -> Coloring:
@@ -594,17 +586,13 @@ def _smallest_last_on_rows(rows: Sequence[int]) -> Coloring:
             if both == blocked[i]:
                 break
             blocked[i] = both
-    return Coloring(dict(enumerate(col)), max(col, default=-1) + 1)
+    return Coloring(col)
 
 
-def _greedy_in_reverse(
-    order: Sequence[int],
-    adj: Mapping[int, Iterable[int]] | Sequence[Iterable[int]],
-    col: dict[int, int] | list[int],
-) -> None:
+def _greedy_in_reverse(order: Sequence[int], adj: Sequence[Iterable[int]], col: list[int]) -> None:
     """Color ``order`` back to front, each vertex with the smallest color
-    unused by its neighbors colored before it. ``col`` maps every vertex to
-    -1 until it is colored and receives the colors."""
+    unused by its neighbors colored before it. ``col[v]`` is -1 until v is
+    colored and then receives its color."""
     for v in reversed(order):
         used = set(map(col.__getitem__, adj[v]))
         c = 0

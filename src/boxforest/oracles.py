@@ -104,7 +104,12 @@ def omega(g: Graph) -> int:
 def maximum_independent_set(g: Graph) -> frozenset[int]:
     if g.n > OMEGA_LIMIT:
         raise OracleLimitError("alpha", g.n, OMEGA_LIMIT)
-    return maximum_clique(g.complement())
+    # a clique of the complement, whose row for v is every vertex but v and
+    # v's neighbors
+    full = (1 << g.n) - 1
+    complement = [full ^ mask ^ (1 << v) for v, mask in enumerate(_adjacency_masks(g))]
+    _, mask = _max_clique_bitset(complement, full)
+    return frozenset(v for v in range(g.n) if mask >> v & 1)
 
 
 def alpha(g: Graph) -> int:

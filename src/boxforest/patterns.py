@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Sequence
 
 # ``intersection_pattern`` is imported only to stay a module name: perfbench
@@ -213,7 +214,6 @@ def product_coloring(
     if not family:
         raise ValueError("empty pattern family")
     n = family[0].digraph.n
-    vertices = set(range(n))
     pieces = []
     for pd in family:
         if pd.pattern not in colorings:
@@ -222,17 +222,12 @@ def product_coloring(
         piece = coloring.colors
         out = pd.digraph.out
         has_arcs = any(out)
-        if piece.keys() != vertices or has_arcs and any(
+        if len(piece) != n or has_arcs and any(
             piece[u] == piece[v] for u in range(n) for v in out[u]
         ):
             raise ValueError(f"coloring improper on pattern {pd.pattern}")
         if has_arcs or coloring.palette_size > 1:
             pieces.append(piece)
     index: dict[tuple[int, ...], int] = {}
-    colors = {}
-    for v in range(n):
-        key = tuple(piece[v] for piece in pieces)
-        if key not in index:
-            index[key] = len(index)
-        colors[v] = index[key]
-    return Coloring(colors, max(len(index), 1) if n else 0)
+    # the leading 0 gives every vertex a tuple even when no piece is left
+    return Coloring([index.setdefault(key, len(index)) for key in zip(repeat(0, n), *pieces)])

@@ -26,8 +26,10 @@ A coloring certificate carries r and k, not the bound: the bound is
 worked out from the boxes wherever it is checked, and built only where
 the palette could reach it. Certificates list their entries by position,
 as box files list boxes: ``colors[i]`` is box i's color, and the palette
-is one more than the largest; ``map[v]`` is the box of tree vertex v, in
-preorder.
+is one more than the largest; ``map[v]`` is the box of tree vertex v,
+numbered level by level as ``complete_kary_tree`` numbers them. The
+certificate objects hold what their JSON holds: a coloring's palette and
+a tree certificate's tree are worked out, not stored.
 
 Both outcomes are re-verified from scratch before being returned; a
 verification failure raises InternalInvariantError because it can only
@@ -57,7 +59,6 @@ from .embedding import (  # noqa: F401
 from .geometry import Box, _boxes, _columns, _id, _require_ids, _sweep, intersects  # noqa: F401
 from .graphs import (
     Coloring,
-    RootedTree,
     complete_kary_tree,
     intersection_graph,
     intersection_rows,
@@ -67,7 +68,6 @@ from .oracles import maximum_independent_set, omega  # noqa: F401
 from .patterns import decompose, product_coloring  # noqa: F401
 
 __all__ = [
-    "BoundReport",
     "Extraction",
     "InducedTree",
     "ProperColoring",
@@ -91,43 +91,14 @@ def tree_vertex_count(depth: int, branching: int) -> int:
     return (branching ** (depth + 1) - 1) // (branching - 1)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Two closed-form palette bounds, exact integers throughout.
-
-    ``stated_bound`` is (2 r k^d w^2)^(4^d), phrased in the raw branching
-    parameter; ``derived_bound`` replaces k^d w by the vertex count of the
-    tree the per-pattern step embeds, (2 r |T| w)^(4^d), and is what the
-    pipeline's coloring obligation is keyed on. The derived form dominates
-    whenever k^d w >= 2.
-    """
-
-    d: int
-    r: int
-    k: int
-    omega: int
-    tree_branching: int
-    tree_size: int
-    stated_bound: int
-    derived_bound: int
-
-
-def chi_bound(d: int, r: int, k: int, omega: int) -> BoundReport:
+def chi_bound(d: int, r: int, k: int, omega: int) -> int:
+    """The derived palette bound (2 r |T| w)^(4^d), an exact integer, where
+    |T| counts the vertices of the complete (k^d w)-ary tree of depth r that
+    the per-pattern step embeds. It dominates the paper's stated form
+    (2 r k^d w^2)^(4^d) whenever k^d w >= 2."""
     if d < 1 or r < 0 or k < 1 or omega < 1:
         raise ValueError("need d >= 1, r >= 0, k >= 1, omega >= 1")
-    branching = k**d * omega
-    size = tree_vertex_count(r, branching)
-    patterns = 4**d
-    return BoundReport(
-        d=d,
-        r=r,
-        k=k,
-        omega=omega,
-        tree_branching=branching,
-        tree_size=size,
-        stated_bound=(2 * r * k**d * omega**2) ** patterns,
-        derived_bound=(2 * r * size * omega) ** patterns,
-    )
+    return (2 * r * tree_vertex_count(r, k**d * omega) * omega) ** (4**d)
 
 
 def _tree_fits(r: int, branching: int, n: int) -> bool:
@@ -242,10 +213,10 @@ class ProperColoring:
 
 @dataclass(frozen=True)
 class InducedTree:
-    """Induced-copy certificate: ``mapping[v]`` is the box id of tree vertex
-    v, in preorder; exhaustively checkable."""
+    """Induced-copy certificate: ``mapping[v]`` is the box id of vertex v of
+    ``complete_kary_tree(r, k)``, whose vertices are numbered level by
+    level; exhaustively checkable."""
 
-    tree: RootedTree
     mapping: tuple[int, ...]
     r: int
     k: int
@@ -268,12 +239,12 @@ def prune_children(emb: CalmEmbedding, boxes: Sequence[Box], k: int) -> InducedT
     by_id = {b.id: b for b in boxes}
     big = emb.tree
     r = big.depth()
-    parent: list[int | None] = [None]
     mapping = [emb.phi[big.root]]
-    frontier = [(0, big.root)]  # (new vertex, big-tree vertex)
+    frontier = [big.root]
+    # level by level, as complete_kary_tree numbers its vertices
     for _ in range(r):
         next_frontier = []
-        for new_v, big_v in frontier:
+        for big_v in frontier:
             kids = big.children[big_v]
             ext = extract_independent([by_id[emb.phi[c]] for c in kids], target=k)
             if ext.shortfall:
@@ -284,14 +255,10 @@ def prune_children(emb: CalmEmbedding, boxes: Sequence[Box], k: int) -> InducedT
             chosen_set = set(ext.ids)
             for c in kids:
                 if emb.phi[c] in chosen_set:
-                    next_frontier.append((len(parent), c))
-                    parent.append(new_v)
+                    next_frontier.append(c)
                     mapping.append(emb.phi[c])
         frontier = next_frontier
-    tree = complete_kary_tree(r, k)
-    if tree.n != len(parent):
-        raise InternalInvariantError("pruned tree has wrong size")
-    cert = InducedTree(tree, tuple(mapping), r, k)
+    cert = InducedTree(tuple(mapping), r, k)
     problem = _induced_tree_violation(cert, boxes)
     if problem:
         raise InternalInvariantError(f"pruned certificate not induced: {problem}")
@@ -299,10 +266,14 @@ def prune_children(emb: CalmEmbedding, boxes: Sequence[Box], k: int) -> InducedT
 
 
 def _induced_tree_violation(cert: InducedTree, boxes: Sequence[Box]) -> str | None:
-    """Whether the mapping is an induced copy, from one sweep over the
-    mapped boxes; None when clean, else the smallest tree pair at fault."""
+    """Whether the mapping is an induced copy of ``complete_kary_tree(r,
+    k)``, from one sweep over the mapped boxes; None when clean, else the
+    smallest tree pair at fault."""
     by_id = {b.id: b for b in boxes}
-    t = cert.tree
+    # a tree with more vertices than the mapping is refused before it is built
+    if not _tree_fits(cert.r, cert.k, len(cert.mapping)):
+        return "mapping does not cover the tree vertices"
+    t = complete_kary_tree(cert.r, cert.k)
     if len(cert.mapping) != t.n:
         return "mapping does not cover the tree vertices"
     if len(set(cert.mapping)) != t.n:
@@ -398,7 +369,7 @@ def _bound_violation(boxes: Sequence[Box], palette: int, r: int, k: int) -> str 
             return None
         if bits <= patterns * ((2 * r * tree_vertex_count(r, branching) * w).bit_length() - 1):
             return None
-        if palette <= chi_bound(d, r, k, w).derived_bound:
+        if palette <= chi_bound(d, r, k, w):
             return None
     return (
         f"palette {palette} exceeds the bound (2 r |T| w)^(4^d) for d = {d}, "
@@ -443,7 +414,7 @@ def color_or_find_forest(
 
     if r == 0:  # box 0 is a one-vertex tree
         _require_ids(boxes)
-        return InducedTree(RootedTree([None]), (0,), 0, k)
+        return InducedTree((0,), 0, k)
 
     if d >= 2 and omega_bound is not None and not _tree_fits(r, k**d * omega_bound, n - 1):
         # Delta <= n - 1 < |T|: no pattern can embed the tree, so the edges
@@ -456,7 +427,7 @@ def color_or_find_forest(
             if _dense(sum(map(int.bit_count, rows)), n):
                 coloring = smallest_last_coloring(None, rows)
                 colors = coloring.colors
-                if set(colors) != set(range(n)) or next(_sweep(boxes, colors), None):
+                if len(colors) != n or next(_sweep(boxes, colors), None):
                     raise InternalInvariantError("smallest-last coloring improper on the boxes")
                 return _bounded_coloring(boxes, coloring, r, k)
 
@@ -509,16 +480,19 @@ def certificate_to_json(cert: Certificate) -> str:
     The entries are arrays by position: ``colors[i]`` is box i's color,
     ``map[v]`` the box of tree vertex v."""
     if isinstance(cert, ProperColoring):
-        colors = cert.coloring.colors
         payload = {
             "kind": "coloring",
             "palette": cert.coloring.palette_size,
-            "colors": list(map(colors.__getitem__, range(len(colors)))),
+            "colors": cert.coloring.colors,
         }
     else:
-        payload = {"kind": "induced_tree", "map": list(cert.mapping)}
+        payload = {"kind": "induced_tree", "map": cert.mapping}
     payload.update(r=cert.r, k=cert.k)
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class _RepeatedKey(ValueError):
+    """A certificate object lists one key twice."""
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -526,7 +500,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     obj = {}
     for key, value in pairs:
         if key in obj:
-            raise ValueError(f"certificate repeats the key {key!r}")
+            raise _RepeatedKey(f"certificate repeats the key {key!r}")
         obj[key] = value
     return obj
 
@@ -535,7 +509,9 @@ def parse_certificate(text: str) -> dict:
     """Parse and schema-check a certificate; ValueError on malformed input."""
     try:
         payload = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except _RepeatedKey:
+        raise
+    except ValueError as exc:  # malformed, or an integer of too many digits to read
         raise ValueError(f"bad certificate JSON: {exc}") from None
     except RecursionError:
         raise ValueError("bad certificate JSON: nested too deeply") from None
@@ -599,16 +575,13 @@ def verify_certificate(boxes: Sequence[Box], payload: dict) -> tuple[bool, str]:
     r, k = payload["r"], payload["k"]
     if not _tree_fits(r, k, n):
         raise ValueError("certificate tree has more vertices than there are boxes")
-    tree = complete_kary_tree(r, k)
+    size = tree_vertex_count(r, k)
     mapping: list[int] = payload["map"]
-    if len(mapping) != tree.n:
-        raise ValueError(
-            f"certificate map must cover tree vertices 0..{tree.n - 1}"
-        )
+    if len(mapping) != size:
+        raise ValueError(f"certificate map must cover tree vertices 0..{size - 1}")
     if any(not 0 <= b < n for b in mapping):
         raise ValueError("certificate map hits a box id out of range")
-    cert = InducedTree(tree, tuple(mapping), r, k)
-    problem = _induced_tree_violation(cert, boxes)
+    problem = _induced_tree_violation(InducedTree(tuple(mapping), r, k), boxes)
     if problem:
         return False, problem
-    return True, f"induced depth-{r} {k}-ary tree on {tree.n} boxes"
+    return True, f"induced depth-{r} {k}-ary tree on {size} boxes"

@@ -403,25 +403,26 @@ class TestThousandDimensions:
         assert "extraction found 3 disjoint boxes, needs 2: PASS" in out
 
 
+@pytest.fixture
+def default_digit_limit():
+    """Sets the default limit of 4300 digits on int-to-string conversion
+    for the test, where the interpreter has such a limit; yields whether it
+    has one."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield False
+        return
+    old = sys.get_int_max_str_digits()
+    set_limit(4300)
+    try:
+        yield True
+    finally:
+        set_limit(old)
+
+
 class TestEightThousandDimensions:
     """A hub holding three disjoint leaves in d = 8000, where 4^d has more
     decimal digits than the interpreter writes at its default limit."""
-
-    @pytest.fixture
-    def default_digit_limit(self):
-        """Sets the default limit of 4300 digits on int-to-string conversion
-        for the test, where the interpreter has such a limit; yields whether
-        it has one."""
-        set_limit = getattr(sys, "set_int_max_str_digits", None)
-        if set_limit is None:
-            yield False
-            return
-        old = sys.get_int_max_str_digits()
-        set_limit(4300)
-        try:
-            yield True
-        finally:
-            set_limit(old)
 
     def test_decompose_writes_the_table_and_the_count_as_a_power(
         self, tmp_path, capsys, default_digit_limit
@@ -572,6 +573,27 @@ class TestVerify:
         for key, value in json.loads(text).items():
             cert.write_text(f"{{{json.dumps(key)}:{json.dumps(value)},{text[1:]}")
             assert main(["verify", str(path), "--certificate", str(cert)]) == 2
+
+    @pytest.mark.parametrize("kind", ["coloring", "induced_tree"])
+    def test_an_integer_of_too_many_digits_is_bad_json(
+        self, tmp_path, capsys, kind, default_digit_limit
+    ):
+        # JSON holds integers of any length, but the reader refuses one past
+        # 4300 digits; that is reported as bad certificate JSON, while a
+        # repeated key keeps its own message
+        if not default_digit_limit:
+            pytest.skip("the interpreter reads integers of any length")
+        path, cert = (self.make_pair if kind == "coloring" else self.make_tree_pair)(tmp_path)
+        text = cert.read_text()
+        capsys.readouterr()
+        cert.write_text(text.replace('"k":', '"k":' + "9" * 5000 + ',"x":', 1))
+        assert main(["verify", str(path), "--certificate", str(cert)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: bad certificate JSON: Exceeds the limit (4300 digits)"
+        )
+        cert.write_text(text.replace('"k":', '"k":1,"k":', 1))
+        assert main(["verify", str(path), "--certificate", str(cert)]) == 2
+        assert capsys.readouterr().err == "error: certificate repeats the key 'k'\n"
 
     @pytest.mark.parametrize("kind", ["coloring", "induced_tree"])
     def test_the_old_keyed_entries_are_input_errors(self, tmp_path, capsys, kind):

@@ -71,10 +71,6 @@ class TestGraph:
         g = Graph(3, [(0, 1), (1, 0), (0, 1)])
         assert g.edges == {(0, 1)}
 
-    def test_complement(self):
-        g = Graph(3, [(0, 1)])
-        assert g.complement().edges == {(0, 2), (1, 2)}
-
     def test_adjacency_is_a_tuple_of_lists(self):
         g = Graph(4, [(2, 1), (0, 1), (1, 0), (3, 1)])
         assert g.adj == ([1], [0, 2, 3], [1], [1])  # sorted, repeats collapsed
@@ -191,17 +187,23 @@ class TestRootedTree:
 
 class TestColoring:
     def test_proper_requires_full_palette_range(self):
+        # the palette is worked out: one more than the largest color
         g = Graph(2, [])
-        ok = Coloring({0: 0, 1: 0}, 1)
+        ok = Coloring((0, 0))
         assert ok.is_proper_on(g)
+        assert ok.palette_size == 1
+        assert Coloring([0, 2]) == Coloring((0, 2))
+        assert Coloring((0, 2)).palette_size == 3
+        assert Coloring(()).palette_size == 0
         with pytest.raises(ValueError):
-            Coloring({0: 0, 1: 2}, 2)  # color outside palette
+            Coloring((0, -1))  # a color below 0
 
     def test_detects_conflicts_and_coverage(self):
         g = Graph(2, [(0, 1)])
-        assert not Coloring({0: 0, 1: 0}, 1).is_proper_on(g)
-        assert Coloring({0: 0, 1: 1}, 2).is_proper_on(g)
-        assert not Coloring({0: 0}, 1).is_proper_on(g)  # missing vertex
+        assert not Coloring((0, 0)).is_proper_on(g)
+        assert Coloring((0, 1)).is_proper_on(g)
+        assert not Coloring((0,)).is_proper_on(g)  # missing vertex
+        assert not Coloring((0, 1, 2)).is_proper_on(g)  # a vertex too many
 
 
 def clique_edges(vertices):
@@ -285,7 +287,7 @@ class TestSmallestLastColoring:
         for g in [*horizon_crossing_graphs(), *tied_graphs(), *complete_graphs()]:
             want = brute_smallest_last_coloring(g.n, g.edges)
             got = smallest_last_coloring(g.adj)
-            assert dict(got.colors) == want
+            assert dict(enumerate(got.colors)) == want
             shuffled = Graph._from_adjacency(rng.sample(near, len(near)) for near in g.adj)
             assert smallest_last_coloring(shuffled.adj) == got
             assert smallest_last_coloring(g.adj, bit_rows(g)) == got
@@ -307,7 +309,7 @@ class TestSmallestLastColoring:
         want = brute_smallest_last_coloring(g.n, g.edges)
         got = smallest_last_coloring([None] * g.n, bit_rows(g))
         assert got == smallest_last_coloring(g.adj)
-        assert dict(got.colors) == want
+        assert dict(enumerate(got.colors)) == want
 
     @given(
         st.builds(
@@ -325,15 +327,14 @@ class TestSmallestLastColoring:
         shuffled = Graph._from_adjacency(rng.sample(near, len(near)) for near in g.adj)
         got = smallest_last_coloring(shuffled.adj)
         assert got == smallest_last_coloring(g.adj)
-        assert dict(got.colors) == brute_smallest_last_coloring(g.n, g.edges)
+        assert dict(enumerate(got.colors)) == brute_smallest_last_coloring(g.n, g.edges)
         assert got.is_proper_on(shuffled)
         for u, v in g.edges:
-            clash = dict(got.colors)
+            clash = list(got.colors)
             clash[v] = clash[u]
-            assert not Coloring(clash, got.palette_size).is_proper_on(shuffled)
+            assert not Coloring(clash).is_proper_on(shuffled)
         if g.n:
-            missing = {v: c for v, c in got.colors.items() if v != g.n - 1}
-            assert not Coloring(missing, got.palette_size).is_proper_on(shuffled)
+            assert not Coloring(got.colors[:-1]).is_proper_on(shuffled)
 
 
 class TestIntersectionGraph:
@@ -362,14 +363,14 @@ class TestIntersectionGraph:
 class TestDegeneracyColoring:
     def test_stuck_when_degrees_large(self):
         k4 = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-        assert degeneracy_coloring(dict(enumerate(k4.adj)), 3) is None
-        col = degeneracy_coloring(dict(enumerate(k4.adj)), 4)
+        assert degeneracy_coloring(k4.adj, 3) is None
+        col = degeneracy_coloring(k4.adj, 4)
         assert col is not None and col.is_proper_on(k4)
 
     @given(graph_strategy, st.integers(1, 8))
     @settings(max_examples=60)
     def test_proper_when_it_succeeds(self, g, bound):
-        col = degeneracy_coloring(dict(enumerate(g.adj)), bound)
+        col = degeneracy_coloring(g.adj, bound)
         if col is not None:
             assert col.palette_size <= bound
             assert col.is_proper_on(g)

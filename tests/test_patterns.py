@@ -175,8 +175,7 @@ class TestProductColoring:
             for v in range(und.n):
                 used = {greedy[u] for u in und.neighbors(v) if u in greedy}
                 greedy[v] = next(c for c in range(und.n + 1) if c not in used)
-            palette = max(greedy.values()) + 1 if greedy else 1
-            colorings[pd.pattern] = Coloring(greedy, palette)
+            colorings[pd.pattern] = Coloring([greedy[v] for v in range(und.n)])
         combined = product_coloring(fam, colorings)
         assert combined.is_proper_on(g)
 
@@ -188,7 +187,7 @@ class TestProductColoring:
         # family, so the arc-free ones are added as empty digraphs
         listed = {pd.pattern: pd for pd in with_arcs}
         fam = [listed.get(p) or PatternDigraph(p, Digraph(n, [])) for p in all_patterns(d)]
-        constant = Coloring(dict.fromkeys(range(n), 0), 1)
+        constant = Coloring([0] * n)
         colorings = {}
         arc_free = [pd.pattern for pd in fam if not any(pd.digraph.out)]
         for pd in fam:
@@ -197,16 +196,16 @@ class TestProductColoring:
             for v in range(n):
                 used = {greedy[u] for u in und.neighbors(v) if u in greedy}
                 greedy[v] = next(c for c in range(n + 1) if c not in used)
-            colorings[pd.pattern] = Coloring(greedy, max(greedy.values()) + 1)
+            colorings[pd.pattern] = Coloring([greedy[v] for v in range(n)])
         for pattern in arc_free[1:]:
             colorings[pattern] = constant
         # an arc-free pattern may still carry a coloring that is not constant
-        colorings[arc_free[0]] = Coloring({v: v % 2 for v in range(n)}, 2)
+        colorings[arc_free[0]] = Coloring([v % 2 for v in range(n)])
         keys = [tuple(colorings[pd.pattern].colors[v] for pd in fam) for v in range(n)]
         first_seen = {key: None for key in keys}
         number = {key: i for i, key in enumerate(first_seen)}
         combined = product_coloring(fam, colorings)
-        assert dict(combined.colors) == {v: number[key] for v, key in enumerate(keys)}
+        assert combined.colors == tuple(map(number.__getitem__, keys))
         assert combined.palette_size == len(number)
         # a constant piece is refused on a pattern with arcs
         with_arcs = next(pd.pattern for pd in fam if any(pd.digraph.out))
@@ -216,7 +215,7 @@ class TestProductColoring:
     def test_rejects_improper_pieces(self):
         boxes, g, fam = make_instance(5, 5, 1)
         flat = {
-            pd.pattern: Coloring({v: 0 for v in range(len(boxes))}, 1)
+            pd.pattern: Coloring([0] * len(boxes))
             for pd in fam
         }
         if any(pd.digraph.arcs for pd in fam):
@@ -226,7 +225,7 @@ class TestProductColoring:
     def test_rejects_pieces_missing_a_vertex(self):
         boxes, g, fam = make_instance(7, 5, 1)
         short = {
-            pd.pattern: Coloring({v: v for v in range(len(boxes) - 1)}, len(boxes))
+            pd.pattern: Coloring(range(len(boxes) - 1))
             for pd in fam
         }
         with pytest.raises(ValueError):

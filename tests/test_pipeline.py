@@ -44,29 +44,26 @@ from boxforest.graphs import smallest_last_coloring
 from bruteforce import brute_alpha, brute_extract_independent, find_induced_copy
 
 
+def stated_bound(d, r, k, w):
+    """The paper's stated bound (2 r k^d w^2)^(4^d), in the raw branching k."""
+    return (2 * r * k**d * w**2) ** (4**d)
+
+
 class TestChiBound:
     def test_reference_values(self):
-        rep = chi_bound(1, 1, 1, 1)
-        assert rep.stated_bound == 16
-        assert rep.derived_bound == 256
-        assert rep.tree_branching == 1 and rep.tree_size == 2
-        rep = chi_bound(1, 1, 2, 1)
-        assert rep.stated_bound == 256
-        assert rep.derived_bound == 1296
-        assert rep.tree_branching == 2 and rep.tree_size == 3
+        # (2 r |T| w)^(4^d) with |T| = 2 and 3; the stated bound is 16 and 256
+        assert chi_bound(1, 1, 1, 1) == 256
+        assert stated_bound(1, 1, 1, 1) == 16
+        assert chi_bound(1, 1, 2, 1) == 1296
+        assert stated_bound(1, 1, 2, 1) == 256
 
     def test_formula_shape(self):
         for d in (1, 2, 3):
             for r in (0, 1, 2, 3):
                 for k in (1, 2, 3):
                     for w in (1, 2, 4):
-                        rep = chi_bound(d, r, k, w)
-                        assert rep.stated_bound == (2 * r * k**d * w**2) ** (4**d)
-                        kk = rep.tree_branching
-                        assert kk == k**d * w
-                        assert rep.tree_size == tree_vertex_count(r, kk)
-                        expected = (2 * r * rep.tree_size * w) ** (4**d)
-                        assert rep.derived_bound == expected
+                        size = tree_vertex_count(r, k**d * w)
+                        assert chi_bound(d, r, k, w) == (2 * r * size * w) ** (4**d)
 
     def test_derived_dominates_stated_when_branching_at_least_two(self):
         for d in (1, 2, 3):
@@ -75,8 +72,7 @@ class TestChiBound:
                     for w in (1, 2, 3, 4):
                         if k**d * w < 2:
                             continue
-                        rep = chi_bound(d, r, k, w)
-                        assert rep.derived_bound >= rep.stated_bound
+                        assert chi_bound(d, r, k, w) >= stated_bound(d, r, k, w)
 
     def test_validation(self):
         for bad in ((0, 1, 1, 1), (1, -1, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)):
@@ -242,7 +238,7 @@ class TestColorOrFindForest:
         g = intersection_graph(boxes)
         assert cert.coloring.is_proper_on(g)
         assert (cert.r, cert.k) == (3, 3)
-        assert cert.coloring.palette_size <= chi_bound(2, 3, 3, omega(g)).derived_bound
+        assert cert.coloring.palette_size <= chi_bound(2, 3, 3, omega(g))
 
     def test_a_tree_outcome_builds_no_bound(self, monkeypatch):
         # the counter builds nothing: in d = 16 the bound has billions of digits
@@ -328,7 +324,7 @@ class TestColorOrFindForest:
         assert ok, msg
         if isinstance(cert, ProperColoring):
             w = omega(intersection_graph(boxes))
-            assert cert.coloring.palette_size <= chi_bound(d, r, k, w).derived_bound
+            assert cert.coloring.palette_size <= chi_bound(d, r, k, w)
 
 
 class TestColoringFromTheBoxes:
@@ -355,8 +351,8 @@ class TestColoringFromTheBoxes:
     @pytest.mark.parametrize(
         "bad",
         [
-            Coloring(dict.fromkeys(range(40), 0), 1),  # every pair clashes
-            Coloring({v: v for v in range(39)}, 39),  # box 39 has no color
+            Coloring([0] * 40),  # every pair clashes
+            Coloring(range(39)),  # box 39 has no color
         ],
         ids=["clash", "missing"],
     )
@@ -392,6 +388,68 @@ class TestColoringFromTheBoxes:
         cert = color_or_find_forest(boxes, r, k, omega_bound=w)
         expected = ProperColoring(smallest_last_coloring(g.adj), r, k)
         assert certificate_to_json(cert) == certificate_to_json(expected)
+
+
+class TestCertificateObjects:
+    """A certificate object holds what its JSON holds, so it cannot state a
+    palette or a tree that ``verify`` works out differently."""
+
+    STAR = [[0, 9, 0, 9], [1, 2, 1, 2], [4, 5, 4, 5], [7, 8, 7, 8]]
+
+    def test_a_coloring_states_no_palette(self):
+        boxes = normalize(boxes_from_rows([[0, 1, 0, 1], [2, 3, 2, 3]]))
+        with pytest.raises(TypeError):
+            Coloring({0: 0, 1: 0}, 5)
+        cert = ProperColoring(Coloring((0, 0)), 1, 1)
+        assert roundtrip(cert)["palette"] == 1
+        assert verify_certificate(boxes, roundtrip(cert)) == (
+            True, "proper coloring with 1 color within bound"
+        )
+
+    def test_a_tree_certificate_states_no_tree(self):
+        boxes = normalize(boxes_from_rows(self.STAR))
+        with pytest.raises(TypeError):
+            InducedTree(complete_kary_tree(1, 2), (0, 1), 1, 1)
+        # the self-check builds the tree of r and k, as verify does: the
+        # 3-vertex star that r = 1, k = 2 name is not covered by 2 boxes
+        short = InducedTree((0, 1), 1, 2)
+        assert pipeline._induced_tree_violation(short, boxes) == (
+            "mapping does not cover the tree vertices"
+        )
+        with pytest.raises(ValueError, match="must cover tree vertices 0..2"):
+            verify_certificate(boxes, roundtrip(short))
+        # three boxes read as a path (r = 2, k = 1) rather than a star
+        path = InducedTree((0, 1, 2), 2, 1)
+        problem = "extra adjacency between tree vertices 0 and 2"
+        assert pipeline._induced_tree_violation(path, boxes) == problem
+        assert verify_certificate(boxes, roundtrip(path)) == (False, problem)
+        star = InducedTree((0, 1, 2), 1, 2)
+        assert pipeline._induced_tree_violation(star, boxes) is None
+        assert verify_certificate(boxes, roundtrip(star))[0]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_verify_agrees_with_the_objects_own_checks(self, data):
+        d = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 7))
+        boxes = random_boxes(n, d, seed=data.draw(st.integers(0, 10**6)))
+        r, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        coloring = Coloring(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        ok, msg = verify_certificate(boxes, roundtrip(ProperColoring(coloring, r, k)))
+        assert ok == coloring.is_proper_on(intersection_graph(boxes)), msg
+        # any mapping and any r and k: verify refuses a map that does not
+        # fit the tree as an input error, and otherwise gives the
+        # self-check's verdict
+        mapping = tuple(data.draw(st.lists(st.integers(0, n - 1), max_size=n)))
+        cert = InducedTree(mapping, data.draw(st.integers(0, 2)), k)
+        problem = pipeline._induced_tree_violation(cert, boxes)
+        try:
+            ok, msg = verify_certificate(boxes, roundtrip(cert))
+        except ValueError:
+            assert problem == "mapping does not cover the tree vertices"
+        else:
+            assert ok == (problem is None)
+            assert problem in (None, msg)
 
 
 class TestCertificateJson:
@@ -495,7 +553,7 @@ class TestCertificateJson:
         w = omega(intersection_graph(boxes))
         assert w >= 2
         payload = roundtrip(color_or_find_forest(boxes, r=1, k=1))
-        bound = chi_bound(1, 1, 1, w).derived_bound
+        bound = chi_bound(1, 1, 1, w)
         for palette, ok in ((bound, True), (bound + 1, False)):
             # box 0 alone takes the palette's last color, so it stays proper
             colors = [palette - 1, *payload["colors"][1:]]

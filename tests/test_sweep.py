@@ -158,10 +158,10 @@ def test_heap_peeler_colors_like_the_sorted_scan(name):
         top = max((g.degree(v) for v in range(g.n)), default=0) + 2
         for bound in range(1, top):
             want = brute_degeneracy_coloring(g.n, g.edges, bound)
-            got = degeneracy_coloring(dict(enumerate(g.adj)), bound)
+            got = degeneracy_coloring(g.adj, bound)
             assert (got is None) == (want is None), bound
             if got is not None:
-                assert dict(got.colors) == want
+                assert dict(enumerate(got.colors)) == want
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -819,7 +819,7 @@ def test_smallest_last_colors_like_the_sorted_scan(name):
     for boxes in family(name):
         g = intersection_graph(boxes)
         got = smallest_last_coloring(g.adj)
-        assert dict(got.colors) == brute_smallest_last_coloring(g.n, g.edges)
+        assert dict(enumerate(got.colors)) == brute_smallest_last_coloring(g.n, g.edges)
         assert got.is_proper_on(g)
         # degeneracy + 1 is the least bound below which every remaining
         # degree can be peeled
