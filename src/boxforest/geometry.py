@@ -14,10 +14,13 @@ The d-tuple of per-axis types is the ordered pair's *pattern*; swapping the
 pair mirrors the pattern coordinatewise (CONTAINS <-> CONTAINED,
 LEFT <-> RIGHT).
 
-One event sweep along axis 0 gathers, per arriving box, the open boxes
-that share a cell of an index on axis 1 and filters them axis by axis, so
-its work follows the pairs that meet on two axes rather than n^2. Only
-``intersecting_pairs`` and the pattern decomposition classify the pairs.
+One sweep files the boxes once, in axis-0 order, into the cells of an
+index on axis 1. Each box takes its partners in a cell as one bisect
+slice of the cell's axis-0 order, so each pair that shares a cell is
+found once, in the later of its two first cells, and the slices are
+filtered axis by axis: the work follows the pairs that meet on two axes
+rather than n^2. Only ``intersecting_pairs`` and the pattern
+decomposition classify the pairs.
 
 A ``Box`` stores its id and one flat tuple ``bounds = (lo_0, hi_0, ...,
 lo_{d-1}, hi_{d-1})``, the row a box file holds; its ``Interval`` sides
@@ -36,6 +39,7 @@ import itertools
 import json
 import operator
 import re
+from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -327,20 +331,24 @@ def intersecting_pairs(
     particular order: the batches of ``_sweep``, classified by
     ``_pattern_codes`` (``code`` is u's pattern relative to v).
 
-    The sweep passes over the 2n axis-0 endpoints and files each open box in
-    a cell index on axis 1, cells one mean axis-1 side wide, under the cell
-    where its axis-1 side starts and each later cell it passes through. An
-    arriving box gathers the open boxes passing through its first cell and
-    those starting in one of its cells: each open box that meets it on axis
-    1, once, and all of them meet it on axis 0. The batch is then filtered
-    axis by axis, axes 1 to d - 1. So the cost is O(n log n), at most about
-    3n cell entries, and a test per axis per pair that overlaps on axis 0
-    and shares a cell on axis 1. Boxes must be normalized (distinct
+    The sweep sorts the boxes once by axis-0 lo and, in that order, files
+    each box in a cell index on axis 1, cells one mean axis-1 side wide,
+    under every cell its axis-1 side spans. A cell lists all its members
+    and, apart, its starters: the boxes whose first cell it is. A pair
+    that shares a cell is found once, in the later of its two first cells,
+    by whichever of the two starts first on axis 0: a starter takes the
+    later members that start before it ends, one ``bisect_left`` slice of
+    the cell's sorted lo keys, and a box that only passes through takes
+    the starters within its axis-0 side, two bisects. Every box in a slice
+    meets it on axis 0, and the slice is then filtered axis by axis, axes
+    1 to d - 1. So the cost is O(n log n), plus at most about 3n cell
+    entries, plus one test per axis per candidate, a pair that overlaps on
+    axis 0 and shares a cell on axis 1. Boxes must be normalized (distinct
     endpoints on every axis); ValueError otherwise.
 
     ``labels`` maps every box id to a label, such as its color. Each label
     then gets cells of its own, as many times wider as there are labels,
-    and only pairs of boxes with one label are gathered and returned.
+    and only pairs of boxes with one label are found and returned.
     """
     return _pattern_codes(
         boxes, ((min(i, j), max(i, j)) for j, hits in _sweep(boxes, labels) for i in hits)
@@ -388,9 +396,9 @@ def _sweep(
     boxes: Sequence[Box], labels: Mapping[int, Hashable] | Sequence[Hashable] | None
 ) -> Iterator[tuple[int, list[int]]]:
     """The sweep of ``intersecting_pairs`` in batches ``(j, hits)``: the id
-    of an arriving box and the ids of the open boxes that meet it (and share
-    its label), in a fixed order. Each pair is in one batch, and a batch
-    holds at most the open boxes of one label."""
+    of a box and the ids of boxes that meet it (and share its label) and
+    that it finds in one cell, in a fixed order. Each pair is in one batch,
+    and a batch holds at most the members of one cell."""
     if not boxes:
         return
     n = len(boxes)
@@ -402,16 +410,17 @@ def _sweep(
             raise ValueError(f"shared endpoint on axis {axis}: normalize the boxes first")
     ids = list(map(_id, boxes))
     renamed = ids != list(range(n))  # positions are not the ids
-    # labels become dense integers 0..kinds-1, and the index key of cell c
-    # for label t is c * kinds + t, so every label has cells of its own
-    if labels is None:
-        kinds, tags = 1, [0] * n
-    else:
-        named = list(map(labels.__getitem__, ids))
-        dense = {label: t for t, label in enumerate(dict.fromkeys(named))}
-        kinds, tags = len(dense), list(map(dense.__getitem__, named))
+    # labels become dense integers 0..kinds-1 (verified colors already are),
+    # and the cell key of cell c for label t is c * kinds + t, so every
+    # label has cells of its own
+    kinds, tags = 1, None
+    if labels is not None:
+        tags = list(map(labels.__getitem__, ids))
+        kinds = len(named := dict.fromkeys(tags))
+        if named.keys() != set(range(kinds)) or {*map(type, named)} != {int}:
+            tags = list(map(dict(zip(named, range(kinds))).__getitem__, tags))
     if d == 1:
-        first = last = tags  # one cell: every open box meets on axis 0
+        first = last = tags or [0] * n  # no axis 1: one cell per label
     else:
         # cells are one mean axis-1 side wide times the number of labels:
         # a label has n / kinds boxes on average, so its cells hold about
@@ -419,43 +428,51 @@ def _sweep(
         base = min(lows[1])
         total = (sum(highs[1]) - sum(lows[1])) * kinds
         width = total // n if isinstance(total, int) else total / n
-        first = [(x - base) // width * kinds + t for x, t in zip(lows[1], tags)]
-        last = [(x - base) // width * kinds + t for x, t in zip(highs[1], tags)]
-        if not isinstance(width, int):  # a float floors to a float
-            first, last = list(map(int, first)), list(map(int, last))
+        first, last = (_cells(ends, base, width, kinds, tags) for ends in (lows[1], highs[1]))
     filters = list(zip(lows[1:], highs[1:]))  # axes 1..d-1
-    ends = lows[0] + highs[0]  # event e < n: box e arrives; e >= n: box e - n leaves
-    # an open box is filed under its first cell in ``starting`` and under
-    # each later cell it spans in ``passing``
-    starting: defaultdict[int, dict[int, None]] = defaultdict(dict)
-    passing: defaultdict[int, dict[int, None]] = defaultdict(dict)
-    for j in sorted(range(2 * n), key=ends.__getitem__):
-        if j >= n:  # box j - n leaves
-            j -= n
-            lo_cell, hi_cell = first[j], last[j]
-            del starting[lo_cell][j]
-            if hi_cell != lo_cell:
-                for c in range(lo_cell + kinds, hi_cell + 1, kinds):
-                    del passing[c][j]
-            continue
-        lo_cell, hi_cell = first[j], last[j]
-        # the open boxes passing through j's first cell, then those that
-        # start in one of j's cells: once each open box that meets j on axis
-        # 1, and every open box meets j on axis 0
-        hits = [*passing.get(lo_cell, ())]
-        for c in range(lo_cell, hi_cell + 1, kinds):
-            hits += starting.get(c, ())
-        for lo, hi in filters:
-            if not hits:
-                break
-            bottom, top = lo[j], hi[j]
-            hits = [i for i in hits if lo[i] < top and bottom < hi[i]]
-        if hits:
-            yield (ids[j], [ids[i] for i in hits]) if renamed else (j, hits)
-        starting[lo_cell][j] = None
-        if hi_cell != lo_cell:
-            for c in range(lo_cell + kinds, hi_cell + 1, kinds):
-                passing[c][j] = None
+    # each cell lists, in axis-0 order, its members and its starters (the
+    # boxes whose first cell it is); see ``intersecting_pairs``
+    lo0, hi0 = lows[0], highs[0]
+    members: defaultdict[int, list[int]] = defaultdict(list)
+    starters: defaultdict[int, list[int]] = defaultdict(list)
+    for j in sorted(range(n), key=lo0.__getitem__):
+        c, end = first[j], last[j]
+        starters[c].append(j)
+        members[c].append(j)
+        while c != end:
+            c += kinds
+            members[c].append(j)
+    for c, starts in starters.items():
+        cell = members[c]
+        keys = list(map(lo0.__getitem__, cell))
+        begins = list(map(lo0.__getitem__, starts)) if len(starts) < len(cell) else ()
+        for p, j in enumerate(cell, 1):
+            if first[j] == c:  # the later members that start before j ends
+                hits = cell[p : bisect_left(keys, hi0[j], p)]
+            else:  # the starters within j's axis-0 side
+                hits = starts[bisect_left(begins, lo0[j]) : bisect_left(begins, hi0[j])]
+            for lo, hi in filters:
+                if not hits:
+                    break
+                bottom, top = lo[j], hi[j]
+                hits = [i for i in hits if lo[i] < top and bottom < hi[i]]
+            if hits:
+                yield (ids[j], [ids[i] for i in hits]) if renamed else (j, hits)
+
+
+def _cells(
+    ends: Sequence[Number], base: Number, width: Number, kinds: int, tags: list[int] | None
+) -> list[int]:
+    """The cell key of each endpoint x: its cell ``(x - base) // width``,
+    times ``kinds`` plus its box's label when there is more than one."""
+    if base:
+        ends = map(operator.sub, ends, itertools.repeat(base))
+    cells = map(operator.floordiv, ends, itertools.repeat(width))
+    if not isinstance(width, int):  # a float floors to a float
+        cells = map(int, cells)
+    if kinds > 1:
+        cells = map(operator.add, map(operator.mul, cells, itertools.repeat(kinds)), tags)
+    return list(cells)
 
 
 def normalize(boxes: Sequence[Box]) -> list[Box]:

@@ -11,9 +11,7 @@ import random
 from itertools import combinations
 
 from boxforest import (
-    CalmEmbedding,
     Grading,
-    InducedTree,
     Layering,
     ProperColoring,
     alpha,

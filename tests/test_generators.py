@@ -13,7 +13,6 @@ from boxforest import (
     burling_size,
     grid_disjoint_boxes,
     intersection_graph,
-    intersects,
     nested_chain_boxes,
     normalize,
     random_boxes,

@@ -6,7 +6,6 @@ import json
 import random
 import sys
 import time
-from math import ceil
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +19,6 @@ from boxforest import (
     InternalInvariantError,
     OracleLimitError,
     ProperColoring,
-    alpha,
     boxes_from_rows,
     certificate_to_json,
     chi,

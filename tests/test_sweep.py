@@ -180,6 +180,33 @@ def test_labelled_sweep_keeps_only_pairs_with_one_label(name):
             assert sorted(intersecting_pairs(boxes, labels)) == sorted(want)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_labels_listed_by_id_match_the_all_pairs_reference(d):
+    # verify and certify's self-check pass the colors as a list indexed by
+    # box id; ints 0..kinds-1 (one color, all distinct) are used as they
+    # are, and a gapped palette or labels that are not ints are renamed
+    rng = random.Random(d)
+    for _ in range(30):
+        boxes = random_instance(rng, d)
+        n = len(boxes)
+        want = brute_patterns(plain(boxes))
+        for labels in (
+            [rng.choice((0, 3, 7)) for _ in range(n)],
+            [0] * n,
+            rng.sample(range(n), n),
+            [rng.choice(("red", 0, 1.0, True)) for _ in range(n)],
+            [rng.choice((0.0, 1.0)) for _ in range(n)],
+        ):
+            same = {p for p in want if labels[p[0]] == labels[p[1]]}
+            for listing in (boxes, rng.sample(boxes, n)):
+                batches = geometry._sweep(listing, labels)
+                found = [(min(i, j), max(i, j)) for j, hits in batches for i in hits]
+                assert len(found) == len(same)
+                assert set(found) == same
+            by_id = intersecting_pairs(boxes, dict(enumerate(labels)))
+            assert {(u, v) for u, v, _ in by_id} == same
+
+
 def greedy_colors(n: int, pairs) -> list[int]:
     """A proper coloring: each box in id order takes the smallest color
     unused by its earlier neighbors."""
@@ -338,8 +365,8 @@ def test_pairs_under_shuffled_ids_match_the_all_pairs_reference(d, rng):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_long_candidate_lists_match_the_all_pairs_reference(d, monkeypatch):
-    # about half of the pairs of 200 random boxes meet on each axis, so an
-    # arrival gathers dozens of open boxes and filters them axis by axis
+    # about half of the pairs of 200 random boxes meet on each axis, so a
+    # box's slice of a cell holds dozens of boxes, filtered axis by axis
     boxes = random_boxes(200, d, seed=d)
     n = len(boxes)
     sides = plain(boxes)
