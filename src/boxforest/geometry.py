@@ -20,7 +20,9 @@ slice of the cell's axis-0 order, so each pair that shares a cell is
 found once, in the later of its two first cells, and the slices are
 filtered axis by axis: the work follows the pairs that meet on two axes
 rather than n^2. Only ``intersecting_pairs`` and the pattern
-decomposition classify the pairs.
+decomposition classify the pairs. The sweep and the classifier read box
+i at position i: each library entry that takes a family with ids 0..n-1
+puts it in id order once, by ``_by_id``.
 
 A ``Box`` stores its id and one flat tuple ``bounds = (lo_0, hi_0, ...,
 lo_{d-1}, hi_{d-1})``, the row a box file holds; its ``Interval`` sides
@@ -105,10 +107,6 @@ class Interval:
     def __post_init__(self) -> None:
         if not self.lo <= self.hi:  # also refuses a NaN endpoint
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-    def overlaps(self, other: "Interval") -> bool:
-        """Strict interior overlap; correct whenever endpoints are distinct."""
-        return self.lo < other.hi and other.lo < self.hi
 
 
 # building blocks of the bulk builds: a bare instance, each slot's
@@ -349,31 +347,31 @@ def intersecting_pairs(
     ``labels`` maps every box id to a label, such as its color. Each label
     then gets cells of its own, as many times wider as there are labels,
     and only pairs of boxes with one label are found and returned.
+
+    The ids may be any distinct ints: the sweep and the classifier read
+    the boxes by position in id order, and the positions are mapped back
+    to ids here.
     """
-    return _pattern_codes(
-        boxes, ((min(i, j), max(i, j)) for j, hits in _sweep(boxes, labels) for i in hits)
-    )
+    ordered = sorted(boxes, key=_id)
+    ids = list(map(_id, ordered))
+    tags = None if labels is None else list(map(labels.__getitem__, ids))
+    pairs = ((min(i, j), max(i, j)) for j, hits in _sweep(ordered, tags) for i in hits)
+    return [(ids[u], ids[v], code) for u, v, code in _pattern_codes(ordered, pairs)]
 
 
 def _pattern_codes(
     boxes: Sequence[Box], pairs: Iterable[tuple[int, int]]
 ) -> list[tuple[int, int, int]]:
-    """``(u, v, code)`` per pair of ids of meeting boxes, where ``code`` is
-    u's pattern relative to v as an index into ``all_patterns``: one base-4
-    digit per axis, axis 0 most significant, 0..3 for CONTAINS, CONTAINED,
-    LEFT, RIGHT. Mirroring flips the low bit of every digit.
-
-    Each axis's endpoints are read once as two columns indexed by id: the
-    columns of ``_columns`` when the boxes are listed with ids 0..n-1 in
-    order, maps from id otherwise."""
+    """``(u, v, code)`` per pair of positions of meeting boxes, where
+    ``code`` is u's pattern relative to v as an index into
+    ``all_patterns``: one base-4 digit per axis, axis 0 most significant,
+    0..3 for CONTAINS, CONTAINED, LEFT, RIGHT. Mirroring flips the low bit
+    of every digit. Each axis's endpoints are read once, as the two
+    columns of ``_columns``."""
     if not boxes:
         return []
-    ids = list(map(_id, boxes))
-    dense = ids == list(range(len(ids)))
     ends = _columns(boxes)
-    columns = []
-    for lo, hi in zip(ends[0::2], ends[1::2]):
-        columns.append((lo, hi) if dense else (dict(zip(ids, lo)), dict(zip(ids, hi))))
+    columns = list(zip(ends[0::2], ends[1::2]))
     out = []
     for u, v in pairs:
         code = 0
@@ -386,19 +384,27 @@ def _pattern_codes(
     return out
 
 
-def _require_ids(boxes: Sequence[Box]) -> None:
-    """ValueError unless the box ids are exactly 0..n-1, in any order."""
-    if sorted(map(_id, boxes)) != list(range(len(boxes))):
+def _by_id(boxes: Sequence[Box]) -> Sequence[Box]:
+    """The family with box i at position i: ``boxes`` itself when it is
+    listed so, sorted by id when its ids are 0..n-1 in another order, and
+    ValueError otherwise. The library's family entries call it once, and
+    everything behind them reads a box's id as its position."""
+    ids = list(map(_id, boxes))
+    if ids == list(range(len(ids))):
+        return boxes
+    if sorted(ids) != list(range(len(ids))):
         raise ValueError("box ids must be 0..n-1")
+    return sorted(boxes, key=_id)
 
 
 def _sweep(
-    boxes: Sequence[Box], labels: Mapping[int, Hashable] | Sequence[Hashable] | None
+    boxes: Sequence[Box], labels: Sequence[Hashable] | None
 ) -> Iterator[tuple[int, list[int]]]:
-    """The sweep of ``intersecting_pairs`` in batches ``(j, hits)``: the id
-    of a box and the ids of boxes that meet it (and share its label) and
-    that it finds in one cell, in a fixed order. Each pair is in one batch,
-    and a batch holds at most the members of one cell."""
+    """The sweep of ``intersecting_pairs`` in batches ``(j, hits)``: the
+    position of a box and the positions of boxes that meet it (and share
+    its label, ``labels[i]`` for box i) and that it finds in one cell, in a
+    fixed order. Each pair is in one batch, and a batch holds at most the
+    members of one cell."""
     if not boxes:
         return
     n = len(boxes)
@@ -408,14 +414,12 @@ def _sweep(
     for axis in range(d):
         if len(set(lows[axis] + highs[axis])) != 2 * n:
             raise ValueError(f"shared endpoint on axis {axis}: normalize the boxes first")
-    ids = list(map(_id, boxes))
-    renamed = ids != list(range(n))  # positions are not the ids
     # labels become dense integers 0..kinds-1 (verified colors already are),
     # and the cell key of cell c for label t is c * kinds + t, so every
     # label has cells of its own
     kinds, tags = 1, None
     if labels is not None:
-        tags = list(map(labels.__getitem__, ids))
+        tags = list(labels)
         kinds = len(named := dict.fromkeys(tags))
         if named.keys() != set(range(kinds)) or {*map(type, named)} != {int}:
             tags = list(map(dict(zip(named, range(kinds))).__getitem__, tags))
@@ -457,7 +461,7 @@ def _sweep(
                 bottom, top = lo[j], hi[j]
                 hits = [i for i in hits if lo[i] < top and bottom < hi[i]]
             if hits:
-                yield (ids[j], [ids[i] for i in hits]) if renamed else (j, hits)
+                yield j, hits
 
 
 def _cells(

@@ -38,12 +38,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from operator import not_
+from operator import not_, xor
 from typing import Collection, Iterable, Mapping, Sequence
 
 # ``intersects`` is imported only to stay a module name: perfbench counts
 # pair tests by rebinding it.
-from .geometry import Box, _columns, _require_ids, _sweep, intersects  # noqa: F401
+from .geometry import Box, _by_id, _columns, _sweep, intersects  # noqa: F401
 
 __all__ = [
     "Coloring",
@@ -57,6 +57,19 @@ __all__ = [
     "is_path_induced",
     "smallest_last_coloring",
 ]
+
+
+def _reach(neighbors: Sequence[Iterable[int]], start: int) -> frozenset[int]:
+    """``start`` and every vertex reachable from it, ``neighbors[v]`` holding
+    the vertices one step from v: one stack walk."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in neighbors[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
 
 
 class Graph:
@@ -184,25 +197,11 @@ class Digraph:
 
     def reachable_from(self, u: int) -> frozenset[int]:
         """Vertices reachable from u, including u itself."""
-        seen = {u}
-        stack = [u]
-        while stack:
-            for w in self.out[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(seen)
+        return _reach(self.out, u)
 
     def coreachable_to(self, v: int) -> frozenset[int]:
         """Vertices that reach v, including v itself."""
-        seen = {v}
-        stack = [v]
-        while stack:
-            for w in self.inn[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(seen)
+        return _reach(self.inn, v)
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={sum(map(len, self.out))})"
@@ -256,13 +255,7 @@ class RootedTree:
         return order
 
     def subtree(self, v: int) -> frozenset[int]:
-        seen = {v}
-        stack = [v]
-        while stack:
-            for c in self.children[stack.pop()]:
-                seen.add(c)
-                stack.append(c)
-        return frozenset(seen)
+        return _reach(self.children, v)
 
     def ancestors(self, v: int) -> list[int]:
         """Proper ancestors of v, nearest first."""
@@ -327,7 +320,7 @@ class Coloring:
 def intersection_graph(boxes: Sequence[Box]) -> Graph:
     """Edge uv iff boxes u and v overlap on every axis (normalized input),
     filled in straight from the batches of ``intersecting_pairs``' sweep."""
-    _require_ids(boxes)
+    boxes = _by_id(boxes)
     near: list[list[int]] = [[] for _ in boxes]
     for j, hits in _sweep(boxes, None):
         near[j] += hits
@@ -340,22 +333,21 @@ def intersection_rows(boxes: Sequence[Box]) -> list[int]:
     """The intersection graph as bit rows, one int per box id: ``rows[v]``
     has bit n-1-u set exactly when boxes u != v overlap on every axis.
 
-    The boxes must be normalized with ids 0..n-1, in any listing order, as
-    ``intersection_graph`` checks. Each axis is one pass over its 2n
-    endpoints in sorted order that keeps two masks, the boxes started so
-    far and the boxes ended so far. Box u meets v on the axis exactly when
-    u starts before v's hi and does not end before v's lo, and every box
-    that ends before v's lo also starts before v's hi. So v's lo records
-    the boxes ended so far, and at v's hi the boxes started so far less
-    those are v's row on the axis, ANDed into v's row in place; beside the
-    rows, only the masks recorded for the boxes still open are held. v's
-    row is the AND of its axis rows, less v's own bit. So the cost is a
-    sort and 2n mask updates per axis, with no step per edge.
+    The boxes must be normalized with ids 0..n-1. Each axis is one pass
+    over its 2n endpoints in sorted order that keeps two masks, the boxes
+    started so far and the boxes ended so far. Box u meets v on the axis
+    exactly when u starts before v's hi and does not end before v's lo,
+    and every box that ends before v's lo also starts before v's hi. So
+    v's lo records the boxes ended so far, and at v's hi the boxes started
+    so far less those are v's row on the axis, ANDed into v's row in
+    place; beside the rows, only the masks recorded for the boxes still
+    open are held. v's row is the AND of its axis rows, less v's own bit.
+    So the cost is a sort and 2n mask updates per axis, with no step per
+    edge.
     """
-    if not boxes:
-        return []
+    boxes = _by_id(boxes)
     n = len(boxes)
-    bits = [1 << (n - 1 - b.id) for b in boxes]
+    bits = [1 << (n - 1 - v) for v in range(n)]
     rows = [-1] * n  # every bit set, until the first axis
     ended_before_lo = [0] * n  # each entry is set at a lo and cleared at its hi
     columns = _columns(boxes)
@@ -371,10 +363,7 @@ def intersection_rows(boxes: Sequence[Box]) -> list[int]:
                 rows[e] &= started ^ ended_before_lo[e]
                 ended_before_lo[e] = 0
                 ended |= bits[e]
-    by_id = [0] * n
-    for b, row, bit in zip(boxes, rows, bits):
-        by_id[b.id] = row ^ bit
-    return by_id
+    return list(map(xor, rows, bits))
 
 
 def degeneracy_coloring(adj: Sequence[Collection[int]], bound: int) -> Coloring | None:
@@ -396,11 +385,6 @@ def degeneracy_coloring(adj: Sequence[Collection[int]], bound: int) -> Coloring 
     ready = [v for v in range(n) if degree[v] < bound]  # sorted: a heap
     removed = [False] * n
     order: list[int] = []
-    if len(ready) == n:
-        # a vertex is pushed only when its degree falls from bound to
-        # bound - 1; with every degree below bound nothing is pushed, and
-        # the heap would pop the vertices in ascending order
-        order, ready = ready, []
     while ready:
         pick = heapq.heappop(ready)
         removed[pick] = True

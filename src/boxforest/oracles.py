@@ -45,8 +45,8 @@ def _adjacency_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _max_clique_bitset(adj: Sequence[int], universe: int) -> tuple[int, int]:
-    """Exact maximum clique inside ``universe``; returns (size, member mask).
+def _max_clique_bitset(adj: Sequence[int], universe: int) -> int:
+    """Exact maximum clique inside ``universe``, as its member mask.
 
     Branch and bound with a greedy-coloring upper bound; vertices are
     consumed in bit order, so results and witnesses are deterministic.
@@ -84,21 +84,18 @@ def _max_clique_bitset(adj: Sequence[int], universe: int) -> tuple[int, int]:
             expand(r_mask | bit, r_size + 1, p & adj[v])
 
     expand(0, 0, universe)
-    return best_size, best_mask
+    return best_mask
 
 
 def maximum_clique(g: Graph) -> frozenset[int]:
     if g.n > OMEGA_LIMIT:
         raise OracleLimitError("omega", g.n, OMEGA_LIMIT)
-    _, mask = _max_clique_bitset(_adjacency_masks(g), (1 << g.n) - 1)
+    mask = _max_clique_bitset(_adjacency_masks(g), (1 << g.n) - 1)
     return frozenset(v for v in range(g.n) if mask >> v & 1)
 
 
 def omega(g: Graph) -> int:
-    if g.n > OMEGA_LIMIT:
-        raise OracleLimitError("omega", g.n, OMEGA_LIMIT)
-    size, _ = _max_clique_bitset(_adjacency_masks(g), (1 << g.n) - 1)
-    return size
+    return len(maximum_clique(g))
 
 
 def maximum_independent_set(g: Graph) -> frozenset[int]:
@@ -108,7 +105,7 @@ def maximum_independent_set(g: Graph) -> frozenset[int]:
     # v's neighbors
     full = (1 << g.n) - 1
     complement = [full ^ mask ^ (1 << v) for v, mask in enumerate(_adjacency_masks(g))]
-    _, mask = _max_clique_bitset(complement, full)
+    mask = _max_clique_bitset(complement, full)
     return frozenset(v for v in range(g.n) if mask >> v & 1)
 
 

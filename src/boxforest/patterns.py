@@ -11,12 +11,11 @@ already built, so the host graph and its pattern digraphs come from one
 sweep, and it builds only the patterns that have arcs.
 
 ``decompose`` reads each axis's endpoints once, into lists indexed by box
-id (maps when the boxes are listed out of id order), classifies each host
-edge once, and files an arc only at a vertex that has one; a pattern's
-neighbor tuple is ``n`` references to one shared empty set, with a
-frozenset only where there are arcs. So it costs one read of the n d
-endpoints, d comparisons per edge and one list of n references per
-pattern with arcs.
+id, classifies each host edge once, and files an arc only at a vertex
+that has one; a pattern's neighbor tuple is ``n`` references to one
+shared empty set, with a frozenset only where there are arcs. So it
+costs one read of the n d endpoints, d comparisons per edge and one list
+of n references per pattern with arcs.
 
 Every pattern digraph of a normalized family is acyclic, *modest* (the
 vertex set of any directed u->v path with uv an arc is a clique in the host
@@ -41,6 +40,7 @@ from .geometry import (  # noqa: F401
     _TYPE_ORDER,
     Box,
     Pattern,
+    _by_id,
     _exhaust,
     _pattern_codes,
     intersection_pattern,
@@ -67,20 +67,21 @@ class PatternDigraph:
 def decompose(boxes: Sequence[Box], g: Graph) -> list[PatternDigraph]:
     """The pattern digraphs that have arcs, in canonical pattern order.
 
-    ``g`` is the host graph of ``boxes``, whose ids are 0..n-1 in any
-    listing order. Each of its edges u < v is classified once by
-    ``geometry._pattern_codes``, whose integer code, one base-4 digit per
-    axis, names the pattern and files the arc in that pattern's
-    out-neighbor lists of the vertices that have arcs. Swapping a pair
-    mirrors its pattern, so a pattern's in-neighbor sets are its mirror's
-    out-neighbor sets and each adjacency is stored once. An arc-free
-    pattern peels out whole and can embed nothing, so none is built: in
-    higher dimensions most of the 4^d are arc-free.
+    ``g`` is the host graph of ``boxes``, whose ids are 0..n-1. Each of
+    its edges u < v is classified once by ``geometry._pattern_codes``,
+    whose integer code, one base-4 digit per axis, names the pattern and
+    files the arc in that pattern's out-neighbor lists of the vertices
+    that have arcs. Swapping a pair mirrors its pattern, so a pattern's
+    in-neighbor sets are its mirror's out-neighbor sets and each adjacency
+    is stored once. An arc-free pattern peels out whole and can embed
+    nothing, so none is built: in higher dimensions most of the 4^d are
+    arc-free.
     """
     if not boxes:
         raise ValueError("empty box collection")
+    boxes = _by_id(boxes)
     n = len(boxes)
-    if g.n != n or sorted(b.id for b in boxes) != list(range(n)):
+    if g.n != n:
         raise ValueError("box ids must be 0..n-1, the host graph's vertices")
     d = boxes[0].dim
     flip = (4**d - 1) // 3  # code ^ flip is the mirrored pattern

@@ -5,17 +5,17 @@ pipeline builds the host graph from one sweep. When the complete
 (k^d * omega)-ary tree of depth r has more vertices |T| than the host
 graph's maximum degree, every pattern peels out whole in its first round,
 since a pattern out-degree is at most the host degree, so no pattern can
-embed the tree. With omega given and |T| > n - 1, that is known before
-any edge is: a dense host graph is then colored on bit rows built from
-the boxes, and no host graph is built at all; the density is tested first
-from the axes' endpoint sums, and rows are built only up to ``_ROWS_CAP``
-boxes. Otherwise the host graph's edges are classified by pattern
-into the pattern digraphs that have arcs, and the grading machinery runs
-on each. The first calm, path-induced embedding is pruned, each vertex's
-children cut to k pairwise-disjoint boxes, into an induced copy of the
-depth-r k-ary tree in the host graph. In d = 1 no tree is sought: interval
-graphs are chordal, so smallest-last colors them with exactly omega
-colors, within the bound.
+embed the tree. No tree is searched for in d = 1, where interval graphs
+are chordal, so smallest-last colors them with exactly omega colors,
+within the bound; nor with omega given and |T| > n - 1, which is known
+before any edge is. On that no-search exit a dense host graph is colored
+on bit rows built from the boxes, and no host graph is built at all; the
+density is tested first from the axes' endpoint sums, and rows are built
+only up to ``_ROWS_CAP`` boxes. Otherwise the host graph's edges are
+classified by pattern into the pattern digraphs that have arcs, and the
+grading machinery runs on each. The first calm, path-induced embedding is
+pruned, each vertex's children cut to k pairwise-disjoint boxes, into an
+induced copy of the depth-r k-ary tree in the host graph.
 
 If no pattern embeds the tree, the host graph is colored smallest-last,
 on bit rows built from the boxes when it is dense. The paper's product of
@@ -56,7 +56,7 @@ from .embedding import (  # noqa: F401
     find_path_induced_tree,
     peel_grading,
 )
-from .geometry import Box, _boxes, _columns, _id, _require_ids, _sweep, intersects  # noqa: F401
+from .geometry import Box, _boxes, _by_id, _columns, _id, _sweep, intersects  # noqa: F401
 from .graphs import (
     Coloring,
     complete_kary_tree,
@@ -236,7 +236,7 @@ def prune_children(emb: CalmEmbedding, boxes: Sequence[Box], k: int) -> InducedT
     """
     if k < 1:
         raise ValueError("k must be positive")
-    by_id = {b.id: b for b in boxes}
+    boxes = _by_id(boxes)
     big = emb.tree
     r = big.depth()
     mapping = [emb.phi[big.root]]
@@ -246,7 +246,7 @@ def prune_children(emb: CalmEmbedding, boxes: Sequence[Box], k: int) -> InducedT
         next_frontier = []
         for big_v in frontier:
             kids = big.children[big_v]
-            ext = extract_independent([by_id[emb.phi[c]] for c in kids], target=k)
+            ext = extract_independent([boxes[emb.phi[c]] for c in kids], target=k)
             if ext.shortfall:
                 raise _ChildShortfall(
                     f"only {len(ext.ids)} disjoint children of tree vertex "
@@ -266,10 +266,10 @@ def prune_children(emb: CalmEmbedding, boxes: Sequence[Box], k: int) -> InducedT
 
 
 def _induced_tree_violation(cert: InducedTree, boxes: Sequence[Box]) -> str | None:
-    """Whether the mapping is an induced copy of ``complete_kary_tree(r,
-    k)``, from one sweep over the mapped boxes; None when clean, else the
-    smallest tree pair at fault."""
-    by_id = {b.id: b for b in boxes}
+    """Whether the mapping, of box ids in range, is an induced copy of
+    ``complete_kary_tree(r, k)``, from one sweep over the mapped boxes of
+    the family listed by id; None when clean, else the smallest tree pair
+    at fault."""
     # a tree with more vertices than the mapping is refused before it is built
     if not _tree_fits(cert.r, cert.k, len(cert.mapping)):
         return "mapping does not cover the tree vertices"
@@ -278,12 +278,10 @@ def _induced_tree_violation(cert: InducedTree, boxes: Sequence[Box]) -> str | No
         return "mapping does not cover the tree vertices"
     if len(set(cert.mapping)) != t.n:
         return "mapping is not injective"
-    if any(b not in by_id for b in cert.mapping):
-        return "mapping hits an unknown box id"
     # the mapped boxes renamed by tree vertex: the sweep yields each pair of
     # tree vertices whose boxes meet, and a pair u < v is a tree edge
     # exactly when u is v's parent
-    mapped = _boxes(range(t.n), [by_id[b].bounds for b in cert.mapping])
+    mapped = _boxes(range(t.n), [boxes[b].bounds for b in cert.mapping])
     met = [False] * t.n  # whether v's box meets its parent's
     extra = None
     for j, hits in _sweep(mapped, None):
@@ -391,17 +389,18 @@ def color_or_find_forest(
     d >= 2 it is then required. With r = 0 the certificate is the trivial
     single-vertex tree (any box is one), and only the ids are checked.
 
-    In d >= 2 with ``omega_bound`` given, a tree with more vertices |T|
-    than n - 1 cannot embed, whatever the edges, so the outcome is a
-    coloring: when the host graph is dense it is colored on bit rows built
-    from the boxes, no host graph is built, and the self-check is a sweep
-    labelled by the colors. Otherwise the host graph comes from one sweep.
-    In d >= 2, when |T| is at most the host graph's maximum degree, its
-    edges are classified and decomposed, and the pattern digraphs with
-    arcs are searched in order until one embeds the tree. Failing that,
-    and in d = 1, the host graph is colored smallest-last, and its palette
-    is checked against the bound as ``verify_certificate`` checks it: in
-    d = 1 interval graphs are chordal, so the palette is omega.
+    No tree is searched for in d = 1, where interval graphs are chordal,
+    so the palette is omega; nor in d >= 2 with ``omega_bound`` given when
+    a tree with more vertices |T| than n - 1 cannot embed, whatever the
+    edges. On that no-search exit the outcome is a coloring: when the host
+    graph is dense it is colored on bit rows built from the boxes, no host
+    graph is built, and the self-check is a sweep labelled by the colors.
+    Otherwise the host graph comes from one sweep. When a tree is sought
+    and |T| is at most the host graph's maximum degree, its edges are
+    classified and decomposed, and the pattern digraphs with arcs are
+    searched in order until one embeds the tree. Failing that, or with no
+    search, the host graph is colored smallest-last. The palette is
+    checked against the bound as ``verify_certificate`` checks it.
     """
     if not boxes:
         raise ValueError("empty box collection")
@@ -409,30 +408,29 @@ def color_or_find_forest(
         raise ValueError("need r >= 0 and k >= 1")
     if omega_bound is not None and omega_bound < 1:
         raise ValueError("omega bound must be positive")
+    boxes = _by_id(boxes)
     d = boxes[0].dim
     n = len(boxes)
 
     if r == 0:  # box 0 is a one-vertex tree
-        _require_ids(boxes)
         return InducedTree((0,), 0, k)
 
-    if d >= 2 and omega_bound is not None and not _tree_fits(r, k**d * omega_bound, n - 1):
-        # Delta <= n - 1 < |T|: no pattern can embed the tree, so the edges
-        # are needed only to color, and a dense graph's rows come from the
-        # boxes. The rows are not trusted: the sweep, labelled by the
-        # colors, must find no pair of one color that meets
-        if _may_be_dense(boxes):
-            _require_ids(boxes)
-            rows = intersection_rows(boxes)
-            if _dense(sum(map(int.bit_count, rows)), n):
-                coloring = smallest_last_coloring(None, rows)
-                colors = coloring.colors
-                if len(colors) != n or next(_sweep(boxes, colors), None):
-                    raise InternalInvariantError("smallest-last coloring improper on the boxes")
-                return _bounded_coloring(boxes, coloring, r, k)
+    # no tree is sought in d = 1, nor where Delta <= n - 1 < |T|
+    search = d >= 2 and (omega_bound is None or _tree_fits(r, k**d * omega_bound, n - 1))
+    if not search and _may_be_dense(boxes):
+        # the edges are needed only to color, and a dense graph's rows come
+        # from the boxes. The rows are not trusted: the sweep, labelled by
+        # the colors, must find no pair of one color that meets
+        rows = intersection_rows(boxes)
+        if _dense(sum(map(int.bit_count, rows)), n):
+            coloring = smallest_last_coloring(None, rows)
+            colors = coloring.colors
+            if len(colors) != n or next(_sweep(boxes, colors), None):
+                raise InternalInvariantError("smallest-last coloring improper on the boxes")
+            return _bounded_coloring(boxes, coloring, r, k)
 
-    g = intersection_graph(boxes)  # checks the ids are 0..n-1
-    if d >= 2:
+    g = intersection_graph(boxes)
+    if search:
         w = omega_bound if omega_bound is not None else omega(g)
         branching = k**d * w
         # a pattern out-degree is at most the host degree, so when that is
@@ -548,7 +546,7 @@ def verify_certificate(boxes: Sequence[Box], payload: dict) -> tuple[bool, str]:
     """
     if not boxes:
         raise ValueError("empty box collection")
-    _require_ids(boxes)
+    boxes = _by_id(boxes)
     n = len(boxes)
     if payload["kind"] == "coloring":
         colors: list[int] = payload["colors"]

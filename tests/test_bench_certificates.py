@@ -140,9 +140,9 @@ def test_tree_search_builds_nothing_for_the_whole_digraph(monkeypatch):
 
 
 def test_smallest_last_pushes_far_fewer_entries_than_edges(monkeypatch):
-    """The bucket queue files a vertex only near the minimum degree, so on
-    dense-2d most of the degree decrements push nothing."""
-    g = intersection_graph(workloads.dense_2d(4))
+    """The bucket queue files a vertex only near the minimum degree, so most
+    of the degree decrements push nothing: on dense-2d, and on a 6-d family
+    sparse enough that certify colors it on the host graph's lists."""
     pushes = 0
     push = heapq.heappush
 
@@ -152,10 +152,15 @@ def test_smallest_last_pushes_far_fewer_entries_than_edges(monkeypatch):
         push(heap, item)
 
     monkeypatch.setattr(heapq, "heappush", counted)
-    smallest_last_coloring(g.adj)
-    edges = sum(map(len, g.adj)) // 2
-    # about 37.5k of 136,891; one push per decrement would be all of them
-    assert 0 < pushes < edges // 2
+    # dense-2d: about 37.5k of 136,891; random 6-d: about 11.3k of 63,173.
+    # One push per decrement would be all of them
+    for boxes, dense in ((workloads.dense_2d(4), True), (random_boxes(1200, 6, seed=1), False)):
+        g = intersection_graph(boxes)
+        two_m = sum(map(len, g.adj))
+        assert pipeline._dense(two_m, g.n) == dense
+        pushes = 0
+        smallest_last_coloring(g.adj)
+        assert 0 < pushes < two_m // 4
 
 
 @pytest.fixture

@@ -182,9 +182,11 @@ def test_labelled_sweep_keeps_only_pairs_with_one_label(name):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_labels_listed_by_id_match_the_all_pairs_reference(d):
-    # verify and certify's self-check pass the colors as a list indexed by
-    # box id; ints 0..kinds-1 (one color, all distinct) are used as they
-    # are, and a gapped palette or labels that are not ints are renamed
+    # verify and certify's self-check pass the sweep a family in id order
+    # and the colors as a list by position; ints 0..kinds-1 (one color, all
+    # distinct) are used as they are, and a gapped palette or labels that
+    # are not ints are renamed. A shuffled listing goes through the public
+    # entry, which puts it in id order
     rng = random.Random(d)
     for _ in range(30):
         boxes = random_instance(rng, d)
@@ -198,13 +200,27 @@ def test_labels_listed_by_id_match_the_all_pairs_reference(d):
             [rng.choice((0.0, 1.0)) for _ in range(n)],
         ):
             same = {p for p in want if labels[p[0]] == labels[p[1]]}
+            batches = geometry._sweep(boxes, labels)
+            found = [(min(i, j), max(i, j)) for j, hits in batches for i in hits]
+            assert len(found) == len(same)
+            assert set(found) == same
             for listing in (boxes, rng.sample(boxes, n)):
-                batches = geometry._sweep(listing, labels)
-                found = [(min(i, j), max(i, j)) for j, hits in batches for i in hits]
-                assert len(found) == len(same)
-                assert set(found) == same
-            by_id = intersecting_pairs(boxes, dict(enumerate(labels)))
-            assert {(u, v) for u, v, _ in by_id} == same
+                pairs = intersecting_pairs(listing, dict(enumerate(labels)))
+                assert len(pairs) == len(same)
+                assert {(u, v) for u, v, _ in pairs} == same
+
+
+def test_a_family_is_put_in_id_order_once():
+    # a family already in id order comes back as the same object, with no
+    # copy; ids 0..n-1 in another order come back sorted; others raise
+    boxes = random_boxes(30, 2, seed=5)
+    assert geometry._by_id(boxes) is boxes
+    assert geometry._by_id(random.Random(5).sample(boxes, 30)) == boxes
+    gapped = [Box(2 * b.id, b.sides) for b in boxes]
+    repeated = [*boxes[:-1], Box(0, boxes[-1].sides)]
+    for bad in (gapped, repeated, boxes[1:]):
+        with pytest.raises(ValueError, match=r"^box ids must be 0\.\.n-1$"):
+            geometry._by_id(bad)
 
 
 def greedy_colors(n: int, pairs) -> list[int]:
