@@ -5,144 +5,69 @@ patterns, gradings and tree embeddings, and either properly colors the
 intersection graph within an explicit bound or returns an induced copy of
 a complete rooted tree. Exact brute-force oracles back every step at
 small scale, and the ``boxforest`` command exposes the whole pipeline.
+
+The namespace is lazy (PEP 562): ``import boxforest`` loads no submodule,
+and the first lookup of a public name, or of a submodule such as
+``boxforest.pipeline``, imports only the module that defines it (with
+whatever that module imports in turn). ``_NAMES`` below is the one list
+of public names, each under its home module.
 """
 
-from .embedding import (
-    CalmEmbedding,
-    CalmSearchError,
-    Grading,
-    HostGraphError,
-    InternalInvariantError,
-    Layering,
-    TournamentOracle,
-    calm_precondition_error,
-    embed_calm_tree,
-    find_path_induced_tree,
-    grading_error,
-    peel_grading,
-    verify_calm,
-)
-from .generators import (
-    burling_like,
-    burling_size,
-    grid_disjoint_boxes,
-    nested_chain_boxes,
-    random_boxes,
-)
-from .geometry import (
-    Box,
-    Interval,
-    OverlapType,
-    Pattern,
-    all_patterns,
-    box,
-    boxes_from_rows,
-    boxes_to_text,
-    classify_overlap,
-    intersecting_pairs,
-    intersection_pattern,
-    intersects,
-    load_boxes,
-    normalize,
-    save_boxes,
-)
-from .graphs import (
-    Coloring,
-    Digraph,
-    Graph,
-    RootedTree,
-    complete_kary_tree,
-    degeneracy_coloring,
-    intersection_graph,
-    is_path_induced,
-)
-from .oracles import (
-    OracleLimitError,
-    alpha,
-    chi,
-    maximum_clique,
-    maximum_independent_set,
-    omega,
-)
-from .patterns import BasicReport, PatternDigraph, decompose, product_coloring, verify_basic
-from .pipeline import (
-    Extraction,
-    InducedTree,
-    ProperColoring,
-    certificate_to_json,
-    chi_bound,
-    color_or_find_forest,
-    extract_independent,
-    parse_certificate,
-    prune_children,
-    tree_vertex_count,
-    verify_certificate,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasicReport",
-    "Box",
-    "CalmEmbedding",
-    "CalmSearchError",
-    "Coloring",
-    "Digraph",
-    "Extraction",
-    "Grading",
-    "Graph",
-    "HostGraphError",
-    "InducedTree",
-    "InternalInvariantError",
-    "Interval",
-    "Layering",
-    "OracleLimitError",
-    "OverlapType",
-    "Pattern",
-    "PatternDigraph",
-    "ProperColoring",
-    "RootedTree",
-    "TournamentOracle",
-    "all_patterns",
-    "alpha",
-    "box",
-    "boxes_from_rows",
-    "boxes_to_text",
-    "burling_like",
-    "burling_size",
-    "calm_precondition_error",
-    "certificate_to_json",
-    "chi",
-    "chi_bound",
-    "classify_overlap",
-    "color_or_find_forest",
-    "complete_kary_tree",
-    "decompose",
-    "degeneracy_coloring",
-    "embed_calm_tree",
-    "extract_independent",
-    "find_path_induced_tree",
-    "grading_error",
-    "grid_disjoint_boxes",
-    "intersection_graph",
-    "intersecting_pairs",
-    "intersection_pattern",
-    "intersects",
-    "is_path_induced",
-    "load_boxes",
-    "maximum_clique",
-    "maximum_independent_set",
-    "nested_chain_boxes",
-    "normalize",
-    "omega",
-    "parse_certificate",
-    "peel_grading",
-    "product_coloring",
-    "prune_children",
-    "random_boxes",
-    "save_boxes",
-    "tree_vertex_count",
-    "verify_basic",
-    "verify_calm",
-    "verify_certificate",
-]
+_NAMES = {
+    "embedding": (
+        "CalmEmbedding", "CalmSearchError", "Grading", "HostGraphError",
+        "InternalInvariantError", "Layering", "TournamentOracle",
+        "calm_precondition_error", "embed_calm_tree", "find_path_induced_tree",
+        "grading_error", "peel_grading", "verify_calm",
+    ),
+    "generators": (
+        "burling_like", "burling_size", "grid_disjoint_boxes",
+        "nested_chain_boxes", "random_boxes",
+    ),
+    "geometry": (
+        "Box", "Interval", "OverlapType", "Pattern", "all_patterns", "box",
+        "boxes_from_rows", "boxes_to_text", "classify_overlap",
+        "intersecting_pairs", "intersection_pattern", "intersects",
+        "load_boxes", "normalize", "save_boxes",
+    ),
+    "graphs": (
+        "Coloring", "Digraph", "Graph", "RootedTree", "complete_kary_tree",
+        "degeneracy_coloring", "intersection_graph", "is_path_induced",
+    ),
+    "oracles": (
+        "OracleLimitError", "alpha", "chi", "maximum_clique",
+        "maximum_independent_set", "omega",
+    ),
+    "patterns": (
+        "BasicReport", "PatternDigraph", "decompose", "product_coloring",
+        "verify_basic",
+    ),
+    "pipeline": (
+        "Extraction", "InducedTree", "ProperColoring", "certificate_to_json",
+        "chi_bound", "color_or_find_forest", "extract_independent",
+        "parse_certificate", "prune_children", "tree_vertex_count",
+        "verify_certificate",
+    ),
+}
+_HOME = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _NAMES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups are plain attribute hits
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
