@@ -47,10 +47,9 @@ _NAMES = {
         "verify_basic",
     ),
     "pipeline": (
-        "Extraction", "InducedTree", "ProperColoring", "certificate_to_json",
-        "chi_bound", "color_or_find_forest", "extract_independent",
-        "parse_certificate", "prune_children", "tree_vertex_count",
-        "verify_certificate",
+        "InducedTree", "ProperColoring", "certificate_to_json", "chi_bound",
+        "color_or_find_forest", "extract_independent", "parse_certificate",
+        "prune_children", "tree_vertex_count", "verify_certificate",
     ),
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names}

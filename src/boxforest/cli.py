@@ -187,12 +187,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     need = 1
     while need**d * w < n:
         need += 1
-    found = extract_independent(boxes)
-    extract_ok = len(found.ids) >= need
+    found = len(extract_independent(boxes))
+    extract_ok = found >= need
     print(f"n = {n}, d = {d}, omega = {w}, alpha = {a}")
     print(f"containment bound alpha^d * omega >= n: {'PASS' if bound_ok else 'FAIL'}")
     print(
-        f"extraction found {len(found.ids)} disjoint boxes, needs {need}: "
+        f"extraction found {found} disjoint boxes, needs {need}: "
         f"{'PASS' if extract_ok else 'FAIL'}"
     )
     return EXIT_OK if bound_ok and extract_ok else EXIT_FAILED

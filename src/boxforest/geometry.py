@@ -41,6 +41,7 @@ import itertools
 import json
 import operator
 import re
+import sys
 from bisect import bisect_left
 from collections import defaultdict, deque
 from dataclasses import dataclass
@@ -429,10 +430,9 @@ def _sweep(
         # cells are one mean axis-1 side wide times the number of labels:
         # a label has n / kinds boxes on average, so its cells hold about
         # as many of them as unlabelled cells hold boxes
-        base = min(lows[1])
         total = (sum(highs[1]) - sum(lows[1])) * kinds
         width = total // n if isinstance(total, int) else total / n
-        first, last = (_cells(ends, base, width, kinds, tags) for ends in (lows[1], highs[1]))
+        first, last = (_cells(ends, width, kinds, tags) for ends in (lows[1], highs[1]))
     filters = list(zip(lows[1:], highs[1:]))  # axes 1..d-1
     # each cell lists, in axis-0 order, its members and its starters (the
     # boxes whose first cell it is); see ``intersecting_pairs``
@@ -465,12 +465,10 @@ def _sweep(
 
 
 def _cells(
-    ends: Sequence[Number], base: Number, width: Number, kinds: int, tags: list[int] | None
+    ends: Sequence[Number], width: Number, kinds: int, tags: list[int] | None
 ) -> list[int]:
-    """The cell key of each endpoint x: its cell ``(x - base) // width``,
-    times ``kinds`` plus its box's label when there is more than one."""
-    if base:
-        ends = map(operator.sub, ends, itertools.repeat(base))
+    """The cell key of each endpoint x: its cell ``x // width``, times
+    ``kinds`` plus its box's label when there is more than one."""
     cells = map(operator.floordiv, ends, itertools.repeat(width))
     if not isinstance(width, int):  # a float floors to a float
         cells = map(int, cells)
@@ -640,13 +638,25 @@ def load_boxes(path: str) -> list[Box]:
 _JSON_TYPE_NAMES = {list: "array", dict: "object", bool: "boolean", type(None): "null"}
 
 
-def _boxes_from_json(text: str) -> list[Box]:
+def _load_json(text: str, what: str, object_pairs_hook=None):
+    """``json.loads``, its failures as one-line ValueErrors led by ``what``.
+    A ValueError subclass that the hook raises passes through as it is."""
     try:
-        payload = json.loads(text)
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"bad JSON box file: {exc}") from None
+        raise ValueError(f"{what}: {exc}") from None
+    except ValueError as exc:
+        if type(exc) is not ValueError:
+            raise
+        # an integer past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{what}: an integer has more than {limit} digits") from None
     except RecursionError:
-        raise ValueError("bad JSON box file: nested too deeply") from None
+        raise ValueError(f"{what}: nested too deeply") from None
+
+
+def _boxes_from_json(text: str) -> list[Box]:
+    payload = _load_json(text, "bad JSON box file")
     if not isinstance(payload, dict) or "boxes" not in payload:
         raise ValueError("JSON box file needs a 'boxes' key")
     entries = payload["boxes"]

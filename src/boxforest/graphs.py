@@ -17,17 +17,17 @@ its one sweep fills, kept as they are, since coloring and the self-check
 only iterate over them. A dense host graph (2m >= n^2 / 8) is colored on
 bit rows instead, one int per vertex that ``intersection_rows`` builds
 from the boxes with a sort and 2n mask updates per axis. Smallest-last
-then keeps the degrees as bit-sliced counters and finds each color in a
+on rows (``_smallest_last_on_rows``, which the pipeline calls by name)
+keeps the degrees as bit-sliced counters and finds each color in a
 binary tree over the color classes whose nodes hold masks of blocked
 vertices: O(n log Delta) operations on n-bit ints rather than O(m)
-interpreter steps. Both paths remove the smallest id of minimum remaining
-degree and give each vertex the smallest color no colored neighbor has,
-so their order and colors are the same.
-Where no tree can fit, the pipeline builds the rows without the lists
-(``smallest_last_coloring(None, rows)``) and checks the colors against
-the boxes; elsewhere the self-check reads the lists. The pattern
-digraphs, when the pipeline needs them, come from the host graph's
-edges, and they hold sets because the grading tests membership.
+interpreter steps. Both kernels remove the smallest id of minimum
+remaining degree and give each vertex the smallest color no colored
+neighbor has, so their order and colors are the same. Where no tree can
+fit, the pipeline builds the rows without the lists and checks the
+colors against the boxes; elsewhere the self-check reads the lists. The
+pattern digraphs, when the pipeline needs them, come from the host
+graph's edges, and they hold sets because the grading tests membership.
 ``Digraph.is_acyclic`` is a Kahn count that reads the in-degrees and picks
 the sources with out-arcs in C and sorts nothing, so its Python loop runs
 only over vertices with arcs.
@@ -410,9 +410,7 @@ _FLIP = str.maketrans("01", "10")
 _HORIZON_STEP = 16
 
 
-def smallest_last_coloring(
-    adj: Sequence[Sequence[int]] | None, rows: Sequence[int] | None = None
-) -> Coloring:
+def smallest_last_coloring(adj: Sequence[Sequence[int]]) -> Coloring:
     """Greedy coloring in smallest-last order (Matula and Beck, 1983).
 
     ``adj[v]`` holds the neighbors of vertex v. Repeatedly removes, among
@@ -422,10 +420,8 @@ def smallest_last_coloring(
     degeneracy + 1. Neither the removal order nor the colors depend on the
     order in which a vertex's neighbors are listed.
 
-    ``rows``, when the caller has them, are the same graph as bit rows
-    (``intersection_rows``); the order and colors are then found on them,
-    identical, by ``_smallest_last_on_rows`` and ``adj`` is not read, so
-    it may be None.
+    On bit rows (``intersection_rows``), ``_smallest_last_on_rows`` finds
+    the same order and colors.
 
     The removal order comes from a bucket queue with a horizon. Bucket
     ``b`` is a min-heap of vertices whose remaining degree was ``b`` when
@@ -442,8 +438,6 @@ def smallest_last_coloring(
     the rescans cost O(n + m / step) in all, while the decrements of the
     many vertices far above the minimum push nothing.
     """
-    if rows is not None:
-        return _smallest_last_on_rows(rows)
     n = len(adj)
     degree = list(map(len, adj))
     buckets: list[list[int]] = [[] for _ in range(max(degree, default=0) + 1)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph
+from .graphs import Graph, smallest_last_coloring
 
 __all__ = [
     "OracleLimitError",
@@ -113,15 +113,6 @@ def alpha(g: Graph) -> int:
     return len(maximum_independent_set(g))
 
 
-def _greedy_palette(g: Graph) -> int:
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    colors: dict[int, int] = {}
-    for v in order:
-        used = {colors[w] for w in g.adj[v] if w in colors}
-        colors[v] = next(c for c in range(g.n) if c not in used)
-    return 1 + max(colors.values(), default=-1)
-
-
 def _k_colorable(g: Graph, k: int) -> bool:
     """DSATUR-ordered backtracking with first-new-color symmetry breaking."""
     n = g.n
@@ -157,13 +148,14 @@ def _k_colorable(g: Graph, k: int) -> bool:
 
 
 def chi(g: Graph) -> int:
-    """Exact chromatic number by binary search on k-colorability."""
+    """Exact chromatic number by binary search on k-colorability, between
+    omega and the smallest-last palette."""
     if g.n > CHI_LIMIT:
         raise OracleLimitError("chi", g.n, CHI_LIMIT)
     if g.n == 0:
         return 0
     lo = omega(g)  # within OMEGA_LIMIT, since CHI_LIMIT is below it
-    hi = _greedy_palette(g)
+    hi = smallest_last_coloring(g.adj).palette_size
     while lo < hi:
         mid = (lo + hi) // 2
         if _k_colorable(g, mid):

@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import repeat
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 # ``peel_grading``, ``product_coloring``, ``maximum_independent_set`` and
 # ``intersects`` are imported only to stay module names: perfbench rebinds
@@ -56,9 +56,19 @@ from .embedding import (  # noqa: F401
     find_path_induced_tree,
     peel_grading,
 )
-from .geometry import Box, _boxes, _by_id, _columns, _id, _sweep, intersects  # noqa: F401
+from .geometry import (  # noqa: F401
+    Box,
+    _boxes,
+    _by_id,
+    _columns,
+    _id,
+    _load_json,
+    _sweep,
+    intersects,
+)
 from .graphs import (
     Coloring,
+    _smallest_last_on_rows,
     complete_kary_tree,
     intersection_graph,
     intersection_rows,
@@ -68,7 +78,6 @@ from .oracles import maximum_independent_set, omega  # noqa: F401
 from .patterns import decompose, product_coloring  # noqa: F401
 
 __all__ = [
-    "Extraction",
     "InducedTree",
     "ProperColoring",
     "certificate_to_json",
@@ -122,11 +131,6 @@ class _ChildShortfall(InternalInvariantError):
     """Too few disjoint children: a bug, unless omega was understated."""
 
 
-class Extraction(NamedTuple):
-    ids: tuple[int, ...]
-    shortfall: bool
-
-
 def _interval_mis(ids: Sequence[int], los: Sequence, his: Sequence) -> list[int]:
     """Exact maximum independent set of the intervals [los[i], his[i]] of
     the boxes ``ids[i]``, greedy by hi (ties by id)."""
@@ -160,9 +164,7 @@ def _interval_max_clique(ids: Sequence[int], los: Sequence, his: Sequence) -> fr
     return frozenset(active)
 
 
-def extract_independent(
-    boxes: Sequence[Box], target: int | None = None
-) -> Extraction:
+def extract_independent(boxes: Sequence[Box]) -> tuple[int, ...]:
     """Pairwise-disjoint boxes, at least ceil((n / omega)^(1/d)) of them.
 
     From the last axis down: each axis's intervals form an interval graph;
@@ -170,14 +172,10 @@ def extract_independent(
     covered by many boxes which all meet there, and only those go on to the
     next axis down. Folding back up, an axis's independent set wins when it
     is at least as large as what the axes below it found. One loop over the
-    axes, so any d runs without recursion. Truncates to ``target`` when
-    given; flags a shortfall (returning everything found) when the target
-    is out of reach.
+    axes, so any d runs without recursion. Returns the ids found, sorted.
     """
     if not boxes:
         raise ValueError("empty box collection")
-    if target is not None and target < 1:
-        raise ValueError("target must be positive")
     d = boxes[0].dim
     if any(b.dim != d for b in boxes):
         raise ValueError("dimension mismatch")
@@ -193,12 +191,7 @@ def extract_independent(
     for option in reversed(upper):
         if len(option) >= len(ids):
             ids = option
-    ids = sorted(ids)
-    if target is None:
-        return Extraction(tuple(ids), False)
-    if len(ids) >= target:
-        return Extraction(tuple(ids[:target]), False)
-    return Extraction(tuple(ids), True)
+    return tuple(sorted(ids))
 
 
 @dataclass(frozen=True)
@@ -246,13 +239,13 @@ def prune_children(emb: CalmEmbedding, boxes: Sequence[Box], k: int) -> InducedT
         next_frontier = []
         for big_v in frontier:
             kids = big.children[big_v]
-            ext = extract_independent([boxes[emb.phi[c]] for c in kids], target=k)
-            if ext.shortfall:
+            found = extract_independent([boxes[emb.phi[c]] for c in kids])
+            if len(found) < k:
                 raise _ChildShortfall(
-                    f"only {len(ext.ids)} disjoint children of tree vertex "
+                    f"only {len(found)} disjoint children of tree vertex "
                     f"{big_v}, needed {k}; contradicts the containment bound"
                 )
-            chosen_set = set(ext.ids)
+            chosen_set = set(found[:k])
             for c in kids:
                 if emb.phi[c] in chosen_set:
                     next_frontier.append(c)
@@ -423,7 +416,7 @@ def color_or_find_forest(
         # the colors, must find no pair of one color that meets
         rows = intersection_rows(boxes)
         if _dense(sum(map(int.bit_count, rows)), n):
-            coloring = smallest_last_coloring(None, rows)
+            coloring = _smallest_last_on_rows(rows)
             colors = coloring.colors
             if len(colors) != n or next(_sweep(boxes, colors), None):
                 raise InternalInvariantError("smallest-last coloring improper on the boxes")
@@ -454,8 +447,10 @@ def color_or_find_forest(
     # bit rows: the same order and colors from O(n log Delta) operations
     # on n-bit ints, not O(m) interpreter steps. The self-check reads the
     # sweep's lists, so it does not trust the rows.
-    dense = _dense(sum(map(len, g.adj)), g.n)
-    coloring = smallest_last_coloring(g.adj, intersection_rows(boxes) if dense else None)
+    if _dense(sum(map(len, g.adj)), g.n):
+        coloring = _smallest_last_on_rows(intersection_rows(boxes))
+    else:
+        coloring = smallest_last_coloring(g.adj)
     if not coloring.is_proper_on(g):
         raise InternalInvariantError("smallest-last coloring improper on the host graph")
     return _bounded_coloring(boxes, coloring, r, k)
@@ -505,14 +500,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def parse_certificate(text: str) -> dict:
     """Parse and schema-check a certificate; ValueError on malformed input."""
-    try:
-        payload = json.loads(text, object_pairs_hook=_unique_keys)
-    except _RepeatedKey:
-        raise
-    except ValueError as exc:  # malformed, or an integer of too many digits to read
-        raise ValueError(f"bad certificate JSON: {exc}") from None
-    except RecursionError:
-        raise ValueError("bad certificate JSON: nested too deeply") from None
+    payload = _load_json(text, "bad certificate JSON", _unique_keys)
     if not isinstance(payload, dict):
         raise ValueError("certificate must be a JSON object")
     kind = payload.get("kind")

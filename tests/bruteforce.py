@@ -51,12 +51,10 @@ def brute_interval_depth(intervals: list[tuple]) -> int:
     )
 
 
-def brute_extract_independent(
-    boxes: dict[int, tuple], target: int | None = None
-) -> tuple[tuple[int, ...], bool]:
+def brute_extract_independent(boxes: dict[int, tuple]) -> tuple[int, ...]:
     """The containment-bound extraction written recursively, one axis per
-    call, as ``(ids, shortfall)``. ``boxes`` maps an id to its per-axis
-    (lo, hi) pairs.
+    call, as its sorted ids. ``boxes`` maps an id to its per-axis (lo, hi)
+    pairs.
 
     The last axis's greedy independent set (by right end, then id) wins
     when it is at least as large as what the recursion finds among the
@@ -81,10 +79,7 @@ def brute_extract_independent(
         below = extract(stack)
         return greedy if len(greedy) >= len(below) else below
 
-    ids = sorted(extract(boxes))
-    if target is None or len(ids) >= target:
-        return tuple(ids[:target]), False
-    return tuple(ids), True
+    return tuple(sorted(extract(boxes)))
 
 
 def brute_alpha(n: int, edges) -> int:

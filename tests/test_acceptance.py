@@ -84,9 +84,9 @@ def test_criterion_2_containment_bound_and_extraction():
         need = 1
         while need**d * w < n:
             need += 1
-        ext = extract_independent(boxes)
-        assert len(ext.ids) >= need, (d, n, w, need, ext)
-        picked = [boxes[i] for i in ext.ids]
+        found = extract_independent(boxes)
+        assert len(found) >= need, (d, n, w, need, found)
+        picked = [boxes[i] for i in found]
         for x, y in combinations(picked, 2):
             assert not intersects(x, y), (d, n, x.id, y.id)
         instances += 1

@@ -222,6 +222,18 @@ class TestColor:
         assert main(["color", str(path), "--r", "1", "--k", "1"]) == 2
         assert "nested too deeply" in capsys.readouterr().err
 
+    def test_json_box_file_with_an_integer_of_too_many_digits_is_input_error(
+        self, tmp_path, capsys, default_digit_limit
+    ):
+        if not default_digit_limit:
+            pytest.skip("the interpreter reads integers of any length")
+        path = tmp_path / "digits.json"
+        path.write_text('{"boxes": [[[0, ' + "9" * 4301 + "]]]}")
+        assert main(["color", str(path), "--r", "1", "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad JSON box file: an integer has more than 4300 digits\n"
+        assert "set_int_max_str_digits" not in err
+
     def test_json_bound_that_is_a_list_gives_a_short_input_error(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         bound = [[[list(range(3000))]]]
@@ -588,9 +600,9 @@ class TestVerify:
         capsys.readouterr()
         cert.write_text(text.replace('"k":', '"k":' + "9" * 5000 + ',"x":', 1))
         assert main(["verify", str(path), "--certificate", str(cert)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: bad certificate JSON: Exceeds the limit (4300 digits)"
-        )
+        err = capsys.readouterr().err
+        assert err == "error: bad certificate JSON: an integer has more than 4300 digits\n"
+        assert "set_int_max_str_digits" not in err
         cert.write_text(text.replace('"k":', '"k":1,"k":', 1))
         assert main(["verify", str(path), "--certificate", str(cert)]) == 2
         assert capsys.readouterr().err == "error: certificate repeats the key 'k'\n"

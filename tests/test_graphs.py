@@ -22,7 +22,7 @@ from boxforest import (
     normalize,
     random_boxes,
 )
-from boxforest.graphs import smallest_last_coloring
+from boxforest.graphs import _smallest_last_on_rows, smallest_last_coloring
 from bruteforce import (
     brute_induced_copy,
     brute_is_path_induced,
@@ -290,7 +290,7 @@ class TestSmallestLastColoring:
             assert dict(enumerate(got.colors)) == want
             shuffled = Graph._from_adjacency(rng.sample(near, len(near)) for near in g.adj)
             assert smallest_last_coloring(shuffled.adj) == got
-            assert smallest_last_coloring(g.adj, bit_rows(g)) == got
+            assert _smallest_last_on_rows(bit_rows(g)) == got
             assert got.is_proper_on(g)
 
     @given(
@@ -304,10 +304,9 @@ class TestSmallestLastColoring:
     @settings(max_examples=120, deadline=None)
     def test_rows_color_like_the_lists(self, g):
         """The bit-sliced degrees and class masks give the lists' removal
-        order and colors, isolated vertices and degree ties included; the
-        lists are not read when rows are given."""
+        order and colors, isolated vertices and degree ties included."""
         want = brute_smallest_last_coloring(g.n, g.edges)
-        got = smallest_last_coloring([None] * g.n, bit_rows(g))
+        got = _smallest_last_on_rows(bit_rows(g))
         assert got == smallest_last_coloring(g.adj)
         assert dict(enumerate(got.colors)) == want
 

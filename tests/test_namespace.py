@@ -1,4 +1,4 @@
-"""The package namespace: the same 63 public names, each loaded on first use.
+"""The package namespace: the same 62 public names, each loaded on first use.
 
 Importing one name must load only the module that defines it, so a
 caller that only generates or loads boxes compiles two modules, not all
@@ -19,7 +19,7 @@ import boxforest
 
 PUBLIC = {
     "BasicReport", "Box", "CalmEmbedding", "CalmSearchError", "Coloring",
-    "Digraph", "Extraction", "Grading", "Graph", "HostGraphError",
+    "Digraph", "Grading", "Graph", "HostGraphError",
     "InducedTree", "InternalInvariantError", "Interval", "Layering",
     "OracleLimitError", "OverlapType", "Pattern", "PatternDigraph",
     "ProperColoring", "RootedTree", "TournamentOracle", "all_patterns",

@@ -93,9 +93,9 @@ class TestExtractIndependent:
     @settings(max_examples=80, deadline=None)
     def test_disjoint_and_large_enough(self, seed, n, d):
         boxes = random_boxes(n, d, seed=seed)
-        ext = extract_independent(boxes)
-        picked = [boxes[i] for i in ext.ids]
-        assert len(set(ext.ids)) == len(ext.ids)
+        found = extract_independent(boxes)
+        picked = [boxes[i] for i in found]
+        assert len(set(found)) == len(found)
         for i, a in enumerate(picked):
             for b in picked[i + 1:]:
                 assert not intersects(a, b)
@@ -103,8 +103,7 @@ class TestExtractIndependent:
         need = 1
         while need**d * w < n:
             need += 1
-        assert len(ext.ids) >= need
-        assert not ext.shortfall
+        assert len(found) >= need
 
     @given(
         st.integers(0, 10**6),
@@ -132,21 +131,16 @@ class TestExtractIndependent:
                 prefix = boxes[:n]
                 break
         assume(prefix is not None)
-        ext = extract_independent(prefix, target=k)
-        assert not ext.shortfall and len(ext.ids) == k
-        picked = [prefix[i] for i in ext.ids]
+        found = extract_independent(prefix)
+        assert len(found) >= k
+        picked = [prefix[i] for i in found]
         for i, a in enumerate(picked):
             for b in picked[i + 1:]:
                 assert not intersects(a, b)
 
-    @given(
-        st.integers(0, 10**6),
-        st.integers(1, 30),
-        st.integers(1, 5),
-        st.none() | st.integers(1, 6),
-    )
+    @given(st.integers(0, 10**6), st.integers(1, 30), st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
-    def test_matches_the_recursive_reference(self, seed, n, d, target):
+    def test_matches_the_recursive_reference(self, seed, n, d):
         # a narrow range gives shared endpoints, and a sample of the boxes
         # gives ids with gaps, as among a tree vertex's children
         rng = random.Random(seed)
@@ -160,32 +154,13 @@ class TestExtractIndependent:
         boxes = boxes_from_rows(rows)
         boxes = rng.sample(boxes, rng.randint(1, n))
         plain = {b.id: tuple((s.lo, s.hi) for s in b.sides) for b in boxes}
-        assert extract_independent(boxes, target) == brute_extract_independent(plain, target)
+        assert extract_independent(boxes) == brute_extract_independent(plain)
 
     def test_exact_on_intervals(self):
         for seed in range(25):
             boxes = random_boxes(10, 1, seed=seed)
-            ext = extract_independent(boxes)
             g = intersection_graph(boxes)
-            assert len(ext.ids) == brute_alpha(g.n, g.edges)
-
-    def test_target_truncates(self):
-        boxes = grid_disjoint_boxes(9, 2)
-        # the guarantee for n=9, d=2, omega=1 is ceil(sqrt(9)) = 3
-        ext = extract_independent(boxes, target=2)
-        assert len(ext.ids) == 2 and not ext.shortfall
-
-    def test_target_beyond_guarantee_may_shortfall(self):
-        boxes = grid_disjoint_boxes(9, 2)
-        ext = extract_independent(boxes, target=4)
-        assert len(ext.ids) >= 3
-        if len(ext.ids) < 4:
-            assert ext.shortfall
-
-    def test_target_shortfall_flag(self):
-        boxes = nested_chain_boxes(5, 2)  # pairwise intersecting
-        ext = extract_independent(boxes, target=3)
-        assert len(ext.ids) == 1 and ext.shortfall
+            assert len(extract_independent(boxes)) == brute_alpha(g.n, g.edges)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -382,7 +357,7 @@ class TestColoringFromTheBoxes:
         ids=["clash", "missing"],
     )
     def test_the_self_check_refuses_a_bad_coloring(self, dense, monkeypatch, bad):
-        monkeypatch.setattr(pipeline, "smallest_last_coloring", lambda adj, rows=None: bad)
+        monkeypatch.setattr(pipeline, "_smallest_last_on_rows", lambda rows: bad)
         with pytest.raises(InternalInvariantError, match="improper on the boxes"):
             color_or_find_forest(dense, 2, 2, omega_bound=16)
 
