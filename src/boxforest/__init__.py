@@ -19,10 +19,9 @@ __version__ = "0.1.0"
 
 _NAMES = {
     "embedding": (
-        "CalmEmbedding", "CalmSearchError", "Grading", "HostGraphError",
-        "InternalInvariantError", "Layering", "TournamentOracle",
-        "calm_precondition_error", "embed_calm_tree", "find_path_induced_tree",
-        "grading_error", "peel_grading", "verify_calm",
+        "CalmEmbedding", "CalmSearchError", "Grading", "InternalInvariantError",
+        "Layering", "TournamentOracle", "embed_calm_tree",
+        "find_path_induced_tree", "peel_grading",
     ),
     "generators": (
         "burling_like", "burling_size", "grid_disjoint_boxes",
@@ -36,7 +35,7 @@ _NAMES = {
     ),
     "graphs": (
         "Coloring", "Digraph", "Graph", "RootedTree", "complete_kary_tree",
-        "degeneracy_coloring", "intersection_graph", "is_path_induced",
+        "degeneracy_coloring", "intersection_graph",
     ),
     "oracles": (
         "OracleLimitError", "alpha", "chi", "maximum_clique",

@@ -5,9 +5,10 @@ per-pattern digraphs and their structural checks, ``color`` runs the full
 dichotomy and emits a certificate, ``verify`` re-checks a certificate
 against an instance, and ``oracle`` exposes the exact solvers.
 
-Exit codes: 0 success (for ``color``: a coloring), 2 bad input, 3 the
-dichotomy produced an induced tree, 4 an exact oracle refused an instance
-above its size limit, 5 a verification failed.
+Exit codes: 0 success (for ``color``: a coloring), 2 bad input or an
+instance too large for the machine's memory, 3 the dichotomy produced an
+induced tree, 4 an exact oracle refused an instance above its size limit,
+5 a verification failed.
 
 A coloring certificate carries r and k, not its bound: ``verify`` works
 the bound out from them and the boxes, and ``color`` prints the palette,
@@ -277,6 +278,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print(
+            "error: out of memory: the instance is too large for this machine",
+            file=sys.stderr,
+        )
         return EXIT_INPUT
 
 

@@ -21,6 +21,12 @@ Peeling's first round, where the remainder is every vertex, reads the
 out-degrees with ``map(len, ...)``; later rounds intersect each remaining
 out-set with the remainder. ``TournamentOracle`` checks the whole digraph
 for cycles once, when it is built (``Digraph.is_acyclic``).
+
+The embedding lemmas are not re-checked at run time: the search builds a
+grading that meets their preconditions, and the tree it certifies is
+checked once, after pruning, by the sweep that ``verify`` runs. The
+checks of a grading, of the preconditions and of a calm embedding are
+test references, in ``tests/lemmas.py``.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Mapping
 
 # ``degeneracy_coloring`` is imported only to stay a module name: perfbench
 # rebinds it to trace calls.
-from .graphs import Digraph, Graph, RootedTree, degeneracy_coloring, is_path_induced  # noqa: F401
+from .graphs import Digraph, RootedTree, degeneracy_coloring  # noqa: F401
 # ``omega`` is imported only to stay a module name: perfbench rebinds it to
 # trace calls.
 from .oracles import omega  # noqa: F401
@@ -40,28 +46,22 @@ __all__ = [
     "CalmEmbedding",
     "CalmSearchError",
     "Grading",
-    "HostGraphError",
     "InternalInvariantError",
     "Layering",
     "TournamentOracle",
     "embed_calm_tree",
     "find_path_induced_tree",
-    "grading_error",
     "peel_grading",
-    "verify_calm",
 ]
 
 
 class CalmSearchError(RuntimeError):
-    """No eligible extension candidate despite valid preconditions."""
+    """No eligible extension candidate: the grading is too shallow for the
+    tree, which from ``find_path_induced_tree`` means omega was understated."""
 
 
 class InternalInvariantError(RuntimeError):
     """A re-verification of our own construction failed; this is a bug."""
-
-
-class HostGraphError(ValueError):
-    """The digraph is not a faithful pattern digraph of the host graph."""
 
 
 @dataclass(frozen=True)
@@ -97,26 +97,6 @@ class Layering:
     """Peeled layers, one per round, partitioning the digraph."""
 
     layers: tuple[frozenset[int], ...]
-
-
-def grading_error(dg: Digraph, grading: Grading) -> str | None:
-    """None when the grading is valid for dg, else the first violation."""
-    levels = grading.levels
-    if not levels[0]:
-        return "X_1 is empty"
-    for i in range(len(levels) - 1):
-        if not levels[i] <= levels[i + 1]:
-            return f"X_{i + 1} not contained in X_{i + 2}"
-    if levels[-1] != frozenset(range(dg.n)):
-        return "X_m is not the full vertex set"
-    for i in range(len(levels) - 1):
-        for v in sorted(levels[i]):
-            if len(dg.out[v] & levels[i + 1]) < grading.k:
-                return (
-                    f"vertex {v} in X_{i + 1} has fewer than k={grading.k} "
-                    f"out-neighbors in X_{i + 2}"
-                )
-    return None
 
 
 def peel_grading(dg: Digraph, k: int, m: int) -> Grading | Layering:
@@ -199,42 +179,19 @@ class CalmEmbedding:
     tournament_sizes: Mapping[tuple[int, int], int]
 
 
-def calm_precondition_error(
-    dg: Digraph, grading: Grading, t: RootedTree, host_clique_number: int
-) -> str | None:
-    """None when the grading is wide and deep enough for the tree, else a reason.
-
-    ``host_clique_number`` is an upper bound on the clique number of dg's
-    underlying graph; a value below 1 raises ValueError.
-    """
-    if host_clique_number < 1:
-        raise ValueError("clique number bound must be positive")
-    err = grading_error(dg, grading)
-    if err is not None:
-        return f"invalid grading: {err}"
-    if grading.k < t.n - 1:
-        return f"k={grading.k} below tree size minus one ({t.n - 1})"
-    needed = 1 + (t.depth() - 1) * (host_clique_number - 1)
-    if grading.m < needed:
-        return f"m={grading.m} below 1+(depth-1)(omega-1)={needed}"
-    return None
-
-
-def embed_calm_tree(
-    dg: Digraph, grading: Grading, t: RootedTree, host_clique_number: int
-) -> CalmEmbedding | None:
-    """Embed the tree calmly, or None when the preconditions fail.
+def embed_calm_tree(dg: Digraph, grading: Grading, t: RootedTree) -> CalmEmbedding:
+    """Embed the tree calmly.
 
     Vertices are placed in preorder, each as one extension step: among the
     unused out-neighbors w of the parent's image with slack
     t(parent, w) - 1 >= level(w) - level(parent), pick the one maximizing
-    the tournament size (ties to the smallest id). Raises CalmSearchError
-    when no candidate exists despite valid preconditions; with the slack
-    the grading guarantees (m >= depth * omega when omega >= 2) that
-    cannot happen, see calm_precondition_error for the diagnosis hook.
+    the tournament size (ties to the smallest id). The caller supplies a
+    (k, m)-grading of dg with k >= |T| - 1 and m >= 1 + (depth - 1)(omega - 1),
+    omega the clique number of dg's underlying graph; the paper's lemma
+    then guarantees a candidate at every step, and ``tests/lemmas.py``
+    checks these preconditions and the result. Otherwise a step may find
+    no candidate, and CalmSearchError is raised.
     """
-    if calm_precondition_error(dg, grading, t, host_clique_number) is not None:
-        return None
     oracle = TournamentOracle(dg)
     phi: dict[int, int] = {t.root: min(grading.levels[0])}
     used = {phi[t.root]}
@@ -264,66 +221,23 @@ def embed_calm_tree(
     return CalmEmbedding(t, phi, sizes)
 
 
-def verify_calm(dg: Digraph, grading: Grading, emb: CalmEmbedding) -> bool:
-    """Recheck every calm-embedding invariant from scratch.
-
-    Recomputes tournament sizes rather than trusting the stored ones, and
-    checks the maximality clause against every competing arc out of each
-    tree vertex's image.
-    """
-    t = emb.tree
-    phi = emb.phi
-    if set(phi) != set(range(t.n)) or len(set(phi.values())) != t.n:
-        return False
-    if not all(0 <= w < dg.n for w in phi.values()):
-        return False
-    if grading_error(dg, grading) is not None:
-        return False
-    if phi[t.root] not in grading.levels[0]:
-        return False
-    for u, v in t.arcs():
-        if not dg.has_arc(phi[u], phi[v]):
-            return False
-    oracle = TournamentOracle(dg)
-    image = set(phi.values())
-    for u, v in t.arcs():
-        t_uv = oracle.size(phi[u], phi[v])
-        if emb.tournament_sizes.get((u, v)) != t_uv:
-            return False
-        if t_uv - 1 < grading.level_of(phi[v]) - grading.level_of(phi[u]):
-            return False
-        # maximality: competitors are all vertices except the embedded
-        # tree minus v's subtree
-        blocked = image - {phi[x] for x in t.subtree(v)}
-        g_u = grading.level_of(phi[u])
-        for w in dg.out[phi[u]]:
-            if w in blocked:
-                continue
-            t_uw = oracle.size(phi[u], w)
-            if t_uw - 1 >= grading.level_of(w) - g_u and t_uv < t_uw:
-                return False
-    return True
-
-
 def find_path_induced_tree(
-    dg: Digraph, g: Graph, t: RootedTree, host_clique_number: int
+    dg: Digraph, t: RootedTree, host_clique_number: int
 ) -> CalmEmbedding | Layering:
-    """Either path-induced-embed the tree into dg or peel dg into layers.
+    """Either calmly embed the tree into dg or peel dg into layers.
 
     Runs the dichotomy with k = t.n and m = depth * omega (bumped to 2
     when the digraph has no arcs so that peeling can exhaust it; a lone
     level would grade trivially and then have nothing to extend along).
     ``host_clique_number`` may be any upper bound on the clique number of
     dg's underlying graph; a larger bound only adds peel rounds, and one
-    below 1 raises ValueError. A returned embedding is re-verified to be
-    path-induced in dg (failure raises InternalInvariantError) and checked
-    against the host graph (adjacency between path endpoints that dg lacks
-    raises HostGraphError, since it means dg is not a faithful, modest
-    pattern digraph of g).
+    below 1 raises ValueError. The grading meets ``embed_calm_tree``'s
+    preconditions by construction (k = |T| and depth * omega >=
+    1 + (depth - 1)(omega - 1)), so in a pattern digraph the embedding is
+    path-induced by the paper's lemma. It is not re-checked here: the
+    pipeline prunes it to a k-ary tree and checks that by the sweep
+    ``verify_certificate`` runs.
     """
-    if dg.n != g.n:
-        raise ValueError("digraph and host graph disagree on vertex count")
-    # checked here as well, since a layering never reaches the precondition
     if host_clique_number < 1:
         raise ValueError("clique number bound must be positive")
     if dg.n == 0:
@@ -333,16 +247,4 @@ def find_path_induced_tree(
     result = peel_grading(dg, t.n, m)
     if isinstance(result, Layering):
         return result
-    emb = embed_calm_tree(dg, result, t, host_clique_number)
-    if emb is None:  # we built the grading, so its preconditions hold
-        raise InternalInvariantError("constructed grading rejected by embedder")
-    if not is_path_induced(dg, t, emb.phi):
-        raise InternalInvariantError("calm embedding is not path-induced")
-    for v in range(t.n):
-        for a in t.ancestors(v)[1:]:
-            if g.adjacent(emb.phi[a], emb.phi[v]):
-                raise HostGraphError(
-                    "path endpoints adjacent in host graph but not in the "
-                    f"pattern digraph (tree vertices {a}, {v})"
-                )
-    return emb
+    return embed_calm_tree(dg, result, t)

@@ -39,7 +39,7 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from operator import not_, xor
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Sequence
 
 # ``intersects`` is imported only to stay a module name: perfbench counts
 # pair tests by rebinding it.
@@ -54,7 +54,6 @@ __all__ = [
     "degeneracy_coloring",
     "intersection_graph",
     "intersection_rows",
-    "is_path_induced",
     "smallest_last_coloring",
 ]
 
@@ -113,9 +112,9 @@ class Graph:
         )
 
     def adjacent(self, u: int, v: int) -> bool:
-        """Whether uv is an edge: a scan of u's list, O(deg u). Its callers
-        make few lookups: the embedding's checks of a found tree (|T| times
-        its depth) and ``patterns.verify_basic`` (n <= ``VERIFY_LIMIT``, 14)."""
+        """Whether uv is an edge: a scan of u's list, O(deg u). Its one caller
+        in the package, ``patterns.verify_basic``, makes few lookups (n <=
+        ``VERIFY_LIMIT``, 14)."""
         return v in self.adj[u]
 
     def neighbors(self, u: int) -> frozenset[int]:
@@ -578,29 +577,3 @@ def _greedy_in_reverse(order: Sequence[int], adj: Sequence[Iterable[int]], col: 
             c += 1
         col[v] = c
 
-
-def is_path_induced(dg: Digraph, t: RootedTree, phi: Mapping[int, int]) -> bool:
-    """True when every directed path of the embedded tree is induced in dg.
-
-    ``phi`` must be an arc-preserving injection of the tree into dg
-    (ValueError otherwise). Directed tree paths are exactly the
-    ancestor-descendant chains, so the condition reduces to: images of
-    ancestor-descendant pairs at tree distance >= 2 are joined by no arc
-    in either direction, which is read off dg's out-neighbor sets.
-    """
-    if set(phi) != set(range(t.n)):
-        raise ValueError("mapping must cover exactly the tree vertices")
-    if len(set(phi.values())) != t.n:
-        raise ValueError("mapping must be injective")
-    for u, v in t.arcs():
-        if not dg.has_arc(phi[u], phi[v]):
-            raise ValueError(f"tree arc ({u},{v}) not preserved")
-    out = dg.out
-    for v in range(t.n):
-        y = phi[v]
-        # the first ancestor is the parent; deeper ones are at distance >= 2
-        for a in t.ancestors(v)[1:]:
-            x = phi[a]
-            if y in out[x] or x in out[y]:
-                return False
-    return True

@@ -431,9 +431,7 @@ def color_or_find_forest(
         if _tree_fits(r, branching, max(map(len, g.adj))):
             big_tree = complete_kary_tree(r, branching)
             for pd in decompose(boxes, g):
-                result = find_path_induced_tree(
-                    pd.digraph, g, big_tree, host_clique_number=w
-                )
+                result = find_path_induced_tree(pd.digraph, big_tree, host_clique_number=w)
                 if isinstance(result, CalmEmbedding):
                     try:
                         return prune_children(result, boxes, k)

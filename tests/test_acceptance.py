@@ -23,7 +23,6 @@ from boxforest import (
     decompose,
     embed_calm_tree,
     extract_independent,
-    grading_error,
     intersection_graph,
     intersects,
     normalize,
@@ -33,7 +32,6 @@ from boxforest import (
     random_boxes,
     tree_vertex_count,
     verify_basic,
-    verify_calm,
     verify_certificate,
 )
 from bruteforce import (
@@ -45,6 +43,7 @@ from bruteforce import (
     check_layering,
     find_induced_copy,
 )
+from lemmas import calm_precondition_error, grading_error, verify_calm
 
 
 def _passed(num: int, detail: str) -> None:
@@ -113,8 +112,10 @@ def test_criterion_3_gradings_calm_embeddings_and_layerings():
                     assert grading_error(dg, result) is None
                     gradings += 1
                     w = brute_omega(dg.n, dg.arcs)
-                    emb = embed_calm_tree(dg, result, complete_kary_tree(*shape), w)
-                    if emb is not None:
+                    t = complete_kary_tree(*shape)
+                    # where the lemma's preconditions hold, its embedding is calm
+                    if calm_precondition_error(dg, result, t, w) is None:
+                        emb = embed_calm_tree(dg, result, t)
                         assert verify_calm(dg, result, emb)
                         embeddings += 1
                 else:

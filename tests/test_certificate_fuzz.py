@@ -1,11 +1,13 @@
-"""Tampered certificates get a documented exit code, never a traceback.
+"""Tampered certificates get the verdict an independent checker gives.
 
 Valid coloring and tree certificates are mutated field by field: keys
 dropped or added, values swapped for other JSON types, entry arrays made
 one too long or too short, entries set out of range, and r, k or the
 palette set to zero, negative or huge values, some of them integers of
-more digits than the reader accepts. ``verify`` must answer each
-with 0 (the certificate still holds), 2 (input error) or 5 (refuted).
+more digits than the reader accepts. ``verify`` must answer each with the
+exit code that ``checker.verdict`` works out without the package: 0 (the
+certificate still holds), 2 (input error) or 5 (refuted), never a
+traceback.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxforest.cli import main
+from checker import verdict
 
 STAR = "2 4\n0 9 0 9\n1 2 1 2\n4 5 4 5\n7 8 7 8\n"
 
@@ -52,6 +55,7 @@ def certified(tmp_path_factory) -> dict[str, tuple[str, dict]]:
         cert = root / f"{name}.json"
         assert _quiet(["color", str(path), *argv, "--out", str(cert)]) == code
         assert _quiet(["verify", str(path), "--certificate", str(cert)]) == 0
+        assert verdict(path, cert) == 0
         out[name] = (str(path), json.loads(cert.read_text()))
     return out
 
@@ -140,7 +144,7 @@ def test_tampered_certificates_get_a_documented_exit_code(
         change(payload)
     cert = tmp_path_factory.getbasetemp() / f"{name}-tampered.json"
     cert.write_text(json.dumps(payload).replace(json.dumps(TOO_LONG), "9" * 5000))
-    assert _quiet(["verify", path, "--certificate", str(cert)]) in (0, 2, 5)
+    assert _quiet(["verify", path, "--certificate", str(cert)]) == verdict(path, cert)
 
 
 @pytest.mark.parametrize("name", INSTANCES)

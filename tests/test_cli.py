@@ -12,6 +12,7 @@ import pytest
 
 import boxforest
 from boxforest import boxes_from_rows, load_boxes, normalize, random_boxes, save_boxes
+from boxforest import cli
 from boxforest.cli import main
 
 
@@ -662,6 +663,28 @@ class TestDeterminism:
             assert code in (0, 3)
             outs.append(cert.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("command", ["gen", "decompose", "color", "verify", "oracle"])
+def test_out_of_memory_is_an_input_error(tmp_path, capsys, monkeypatch, command):
+    # one line on stderr, not a traceback, wherever the allocation fails
+    path = str(write_instance(tmp_path, "m.txt", "random", n=6, d=2, seed=1))
+    argv = {
+        "gen": ["gen", "--kind", "random"],
+        "decompose": ["decompose", path],
+        "color": ["color", path, "--r", "1", "--k", "1"],
+        "verify": ["verify", path, "--certificate", str(tmp_path / "cert.json")],
+        "oracle": ["oracle", path, "--stat", "omega"],
+    }[command]
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "random_boxes" if command == "gen" else "normalize", exhausted)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "error: out of memory: the instance is too large for this machine\n"
 
 
 class TestModuleEntryPoints:

@@ -18,14 +18,12 @@ from boxforest import (
     degeneracy_coloring,
     intersection_graph,
     intersects,
-    is_path_induced,
     normalize,
     random_boxes,
 )
 from boxforest.graphs import _smallest_last_on_rows, smallest_last_coloring
 from bruteforce import (
     brute_induced_copy,
-    brute_is_path_induced,
     brute_smallest_last_coloring,
     find_induced_copy,
     topological_order,
@@ -403,57 +401,3 @@ class TestFindInducedCopy:
         triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
         assert find_induced_copy(triangle, complete_kary_tree(1, 2)) is None
 
-
-class TestIsPathInduced:
-    def test_ancestor_edge_breaks_it(self):
-        t = RootedTree([None, 0, 1])
-        phi = {0: 0, 1: 1, 2: 2}
-        chain = Digraph(3, [(0, 1), (1, 2)])
-        assert is_path_induced(chain, t, phi)
-        shortcut = Digraph(3, [(0, 1), (1, 2), (0, 2)])
-        assert not is_path_induced(shortcut, t, phi)
-
-    @given(
-        st.integers(1, 6),
-        st.integers(0, 5),
-        st.floats(0.0, 1.0),
-        st.booleans(),
-        st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_the_underlying_graph_reference(self, size, extra, p, climb, rng):
-        """A random injection sends tree vertices, in id order, to images of
-        rising rank in a random ranking, and the tree's arcs are added, so
-        the map preserves them. The other arcs climb the ranking, making a
-        DAG, or join any ordered pairs, so that an arc can also run from a
-        descendant's image back to an ancestor's."""
-        parent = [None] + [rng.randrange(v) for v in range(1, size)]
-        t = RootedTree(parent)
-        n = size + extra
-        rank = rng.sample(range(n), n)
-        phi = dict(enumerate(sorted(rng.sample(range(n), size), key=rank.__getitem__)))
-        tree_arcs = {(phi[parent[v]], phi[v]) for v in range(1, size)}
-        arcs = tree_arcs | {
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if u != v and (rank[u] < rank[v] or not climb) and rng.random() < p
-        }
-        dg = Digraph(n, arcs)
-        assert is_path_induced(dg, t, phi) == brute_is_path_induced(arcs, parent, phi)
-        for arc in tree_arcs:
-            with pytest.raises(ValueError):
-                is_path_induced(Digraph(n, arcs - {arc}), t, phi)
-
-    def test_arc_preservation_is_a_precondition(self):
-        t = RootedTree([None, 0])
-        with pytest.raises(ValueError):
-            is_path_induced(Digraph(2, []), t, {0: 0, 1: 1})
-
-    def test_rejects_bad_maps(self):
-        t = RootedTree([None, 0])
-        dg = Digraph(2, [(0, 1)])
-        with pytest.raises(ValueError):
-            is_path_induced(dg, t, {0: 0, 1: 0})
-        with pytest.raises(ValueError):
-            is_path_induced(dg, t, {0: 0})

@@ -1,4 +1,4 @@
-"""The package namespace: the same 62 public names, each loaded on first use.
+"""The package namespace: the same 57 public names, each loaded on first use.
 
 Importing one name must load only the module that defines it, so a
 caller that only generates or loads boxes compiles two modules, not all
@@ -19,22 +19,21 @@ import boxforest
 
 PUBLIC = {
     "BasicReport", "Box", "CalmEmbedding", "CalmSearchError", "Coloring",
-    "Digraph", "Grading", "Graph", "HostGraphError",
-    "InducedTree", "InternalInvariantError", "Interval", "Layering",
-    "OracleLimitError", "OverlapType", "Pattern", "PatternDigraph",
-    "ProperColoring", "RootedTree", "TournamentOracle", "all_patterns",
-    "alpha", "box", "boxes_from_rows", "boxes_to_text", "burling_like",
-    "burling_size", "calm_precondition_error", "certificate_to_json", "chi",
-    "chi_bound", "classify_overlap", "color_or_find_forest",
-    "complete_kary_tree", "decompose", "degeneracy_coloring",
-    "embed_calm_tree", "extract_independent", "find_path_induced_tree",
-    "grading_error", "grid_disjoint_boxes", "intersection_graph",
-    "intersecting_pairs", "intersection_pattern", "intersects",
-    "is_path_induced", "load_boxes", "maximum_clique",
-    "maximum_independent_set", "nested_chain_boxes", "normalize", "omega",
-    "parse_certificate", "peel_grading", "product_coloring",
-    "prune_children", "random_boxes", "save_boxes", "tree_vertex_count",
-    "verify_basic", "verify_calm", "verify_certificate",
+    "Digraph", "Grading", "Graph", "InducedTree",
+    "InternalInvariantError", "Interval", "Layering", "OracleLimitError",
+    "OverlapType", "Pattern", "PatternDigraph", "ProperColoring",
+    "RootedTree", "TournamentOracle", "all_patterns", "alpha", "box",
+    "boxes_from_rows", "boxes_to_text", "burling_like", "burling_size",
+    "certificate_to_json", "chi", "chi_bound", "classify_overlap",
+    "color_or_find_forest", "complete_kary_tree", "decompose",
+    "degeneracy_coloring", "embed_calm_tree", "extract_independent",
+    "find_path_induced_tree", "grid_disjoint_boxes", "intersecting_pairs",
+    "intersection_graph", "intersection_pattern", "intersects",
+    "load_boxes", "maximum_clique", "maximum_independent_set",
+    "nested_chain_boxes", "normalize", "omega", "parse_certificate",
+    "peel_grading", "product_coloring", "prune_children", "random_boxes",
+    "save_boxes", "tree_vertex_count", "verify_basic",
+    "verify_certificate",
 }
 
 
