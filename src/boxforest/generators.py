@@ -1,6 +1,6 @@
 """Instance generators: random, nested, grid-disjoint, and a probed recursion.
 
-All generators return normalized boxes with ids 0..n-1. The probed
+All generators return normalized families with ids 0..n-1. The probed
 recursion (``burling_like``) builds a triangle-free 3d family whose boxes
 are threaded through an explicit list of probe regions; its invariants
 (each probe meets exactly its recorded roots, root sets are independent,
@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .geometry import Box, boxes_from_rows, normalize
 
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-def random_boxes(n: int, d: int, seed: int = 0) -> list[Box]:
+def random_boxes(n: int, d: int, seed: int = 0) -> Sequence[Box]:
     """Uniform random boxes on a coarse integer lattice, then normalized."""
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -44,7 +44,7 @@ def random_boxes(n: int, d: int, seed: int = 0) -> list[Box]:
     return normalize(boxes_from_rows(rows))
 
 
-def nested_chain_boxes(n: int, d: int) -> list[Box]:
+def nested_chain_boxes(n: int, d: int) -> Sequence[Box]:
     """Box i strictly contains box i+1 on every axis; the graph is complete."""
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -52,7 +52,7 @@ def nested_chain_boxes(n: int, d: int) -> list[Box]:
     return normalize(boxes_from_rows(rows))
 
 
-def grid_disjoint_boxes(n: int, d: int) -> list[Box]:
+def grid_disjoint_boxes(n: int, d: int) -> Sequence[Box]:
     """Pairwise disjoint unit cells on a grid; the graph is edgeless."""
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -190,7 +190,7 @@ def _burling_raw(level: int) -> tuple[list[_Row], list[_Probe]]:
     return boxes, probes
 
 
-def burling_like(level: int, limit: int = 2000) -> list[Box]:
+def burling_like(level: int, limit: int = 2000) -> Sequence[Box]:
     """Triangle-free 3d family from the probed recursion, normalized.
 
     Refuses levels whose predicted size exceeds ``limit`` before building

@@ -26,11 +26,10 @@ puts it in id order once, by ``_by_id``.
 
 A ``Box`` stores its id and one flat tuple ``bounds = (lo_0, hi_0, ...,
 lo_{d-1}, hi_{d-1})``, the row a box file holds; its ``Interval`` sides
-are derived on each read. The sides of rows and of a box file are checked
-in one pass; their boxes, and those ``normalize`` rebuilds from ranks, are
-then one tuple and one ``Box`` each, made by ``_boxes`` without a
-Python-level call per box. The library reads endpoints as the columns of
-``_columns``, one transpose of the boxes' ``bounds``. ``box``,
+are derived on each read. A family is a ``_Family``: the ids and the 2d
+endpoint columns, which the kernels read. A box file, rows and
+``normalize`` give one cut straight from their values, every side checked
+in one pass, and it builds ``Box`` objects only when indexed. ``box``,
 ``Interval`` and ``Box`` check each object they build themselves.
 """
 
@@ -44,9 +43,9 @@ import re
 import sys
 from bisect import bisect_left
 from collections import defaultdict, deque
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "OverlapType",
@@ -162,8 +161,6 @@ class Box:
 _set_id = Box.id.__set__
 _set_bounds = Box.bounds.__set__
 _lo_hi = operator.attrgetter("lo", "hi")
-_id = operator.attrgetter("id")
-_bounds = operator.attrgetter("bounds")
 
 
 def box(id: int, *bounds: tuple[Number, Number]) -> Box:
@@ -171,17 +168,17 @@ def box(id: int, *bounds: tuple[Number, Number]) -> Box:
     return Box(id, tuple(Interval(lo, hi) for lo, hi in bounds))
 
 
-def boxes_from_rows(rows: Sequence[Sequence[Number]]) -> list[Box]:
+def boxes_from_rows(rows: Sequence[Sequence[Number]]) -> _Family:
     """Build boxes from rows of 2d flat bounds ``lo_1 hi_1 ... lo_d hi_d``.
 
     Box i comes from row i. Every row must have the first row's even,
     nonzero width. The rows are flattened into one list of endpoints and
-    built by ``_boxes_from_values``, and the first fault in row order is
-    raised: a row of the wrong width, or an empty side (axis by axis
-    within a row), with the messages a row-by-row build would give.
+    read by ``_from_values``, and the first fault in row order is raised:
+    a row of the wrong width, or an empty side (axis by axis within a
+    row), with the messages a row-by-row build would give.
     """
     if not rows:
-        return []
+        return _Family(range(0), ())
     widths = list(map(len, rows))
     width = widths[0]
     if width < 2 or width % 2 or widths.count(width) != len(widths):
@@ -190,58 +187,77 @@ def boxes_from_rows(rows: Sequence[Sequence[Number]]) -> list[Box]:
         if widths[bad] < 2 or widths[bad] % 2:
             raise ValueError(f"row {bad}: expected an even number of bounds, got {widths[bad]}")
         raise ValueError(f"row {bad}: expected {width} bounds, got {widths[bad]}")
-    return _boxes_from_values(list(itertools.chain.from_iterable(rows)), width)
+    return _from_values(list(itertools.chain.from_iterable(rows)), width)
 
 
-def _boxes_from_values(values: list[Number], width: int) -> list[Box]:
-    """Boxes 0, 1, ... whose bounds are the consecutive runs of ``width``
-    (an even, nonzero number) values: box i's are
-    ``values[i * width:(i + 1) * width]``.
-
-    Every side is checked in one pass of ``operator.le`` over the lower
-    and upper endpoints (which also refuses NaN); the first empty side in
-    row order, axis by axis within a row, raises ``Interval``'s
-    ValueError. The bounds are then cut straight from the values and the
-    boxes made by ``_boxes``.
-    """
-    los, his = values[0::2], values[1::2]
-    if not all(map(operator.le, los, his)):
+def _from_values(values: list[Number], width: int) -> _Family:
+    """The family of boxes 0, 1, ... whose bounds are the runs of ``width``
+    (even, nonzero) values, its columns cut straight from them. Each side
+    is checked by ``operator.le`` over two columns (NaN fails too); the
+    first empty side in row order raises ``Interval``'s ValueError."""
+    columns = tuple(tuple(values[a::width]) for a in range(width))
+    if not all(all(map(operator.le, lo, hi)) for lo, hi in zip(columns[0::2], columns[1::2])):
+        los, his = values[0::2], values[1::2]
         k = next(i for i, ok in enumerate(map(operator.le, los, his)) if not ok)
         raise ValueError(f"empty interval [{los[k]}, {his[k]}]")
-    del los, his
-    return _boxes(range(len(values) // width), zip(*[iter(values)] * width))
+    return _Family(range(len(values) // width), columns)
 
 
-def _boxes(ids: Sequence[int], bounds: Iterable[tuple[Number, ...]]) -> list[Box]:
-    """``Box``es of the given ids and bounds tuples, unchecked: made with
-    ``object.__new__`` and their two slots filled through the slot
-    descriptors inside ``map``, so there is no Python-level call per box."""
-    boxes = list(map(_new, itertools.repeat(Box, len(ids))))
-    _exhaust(map(_set_id, boxes, ids))
-    _exhaust(map(_set_bounds, boxes, bounds))
-    return boxes
+@dataclass(frozen=True, slots=True, eq=False)
+class _Family(Sequence):
+    """The library's box family: box i has id ``ids[i]`` and bounds
+    ``tuple(c[i] for c in columns)``, where ``columns`` are the 2d endpoint
+    columns in ``bounds`` order, each a tuple, which the kernels read. A
+    read-only ``Sequence[Box]``, equal to any sequence of equal boxes, it
+    builds ``Box`` objects only when indexed or iterated."""
+
+    ids: Sequence[int]
+    columns: tuple[tuple[Number, ...], ...]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if not isinstance(index, slice):  # a slice of one: IndexError past either end
+            return self[index : index + 1 or None][0]
+        return list(_Family(self.ids[index], tuple(c[index] for c in self.columns)))
+
+    def __iter__(self) -> Iterator[Box]:
+        # unchecked boxes, made with ``object.__new__`` and their two slots
+        # filled through the slot descriptors inside ``map``: no call per box
+        boxes = list(map(_new, itertools.repeat(Box, len(self.ids))))
+        _exhaust(map(_set_id, boxes, self.ids))
+        _exhaust(map(_set_bounds, boxes, zip(*self.columns)))
+        return iter(boxes)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and (
+            len(self) == len(other) and all(map(operator.eq, self, other))
+        )
+
+    def take(self, positions: Sequence[int]) -> _Family:
+        """The boxes at ``positions``, in that order, as a family."""
+        return _Family(
+            list(map(self.ids.__getitem__, positions)),
+            tuple(tuple(map(c.__getitem__, positions)) for c in self.columns),
+        )
 
 
-def _columns(boxes: Sequence[Box]) -> list[tuple[Number, ...]]:
-    """The 2d endpoint columns of the boxes in ``bounds`` order, ``[lo_0,
-    hi_0, lo_1, ...]``, each a tuple in listing order: one transpose of the
-    boxes' ``bounds``, which also checks that they have one dimension
-    (ValueError naming the first box of another)."""
+def _as_family(boxes: Sequence[Box]) -> _Family:
+    """``boxes`` as a family: itself when it is one, else its boxes' ids and
+    the columns of their ``bounds``, one transpose; ValueError names the
+    first box of another dimension than box 0's."""
+    if isinstance(boxes, _Family):
+        return boxes
     try:
-        return list(zip(*map(_bounds, boxes), strict=True))
+        columns = tuple(zip(*(b.bounds for b in boxes), strict=True))
     except ValueError:
-        _width(boxes)  # raises, naming the first box of another dimension
-        raise
-
-
-def _width(boxes: Sequence[Box]) -> int:
-    """The length of every box's ``bounds``, twice their common dimension;
-    ValueError naming the first box of another."""
-    width = len(boxes[0].bounds)
-    if not all(map(width.__eq__, map(len, map(_bounds, boxes)))):
+        width = len(boxes[0].bounds)
         b = next(b for b in boxes if len(b.bounds) != width)
-        raise ValueError(f"dimension mismatch: box {b.id} has {b.dim} axes, expected {width // 2}")
-    return width
+        raise ValueError(
+            f"dimension mismatch: box {b.id} has {b.dim} axes, expected {width // 2}"
+        ) from None
+    return _Family(tuple(b.id for b in boxes), columns)
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,25 +369,21 @@ def intersecting_pairs(
     the boxes by position in id order, and the positions are mapped back
     to ids here.
     """
-    ordered = sorted(boxes, key=_id)
-    ids = list(map(_id, ordered))
+    family = _as_family(boxes)
+    ordered = family.take(sorted(range(len(family)), key=family.ids.__getitem__))
+    ids = ordered.ids
     tags = None if labels is None else list(map(labels.__getitem__, ids))
     pairs = ((min(i, j), max(i, j)) for j, hits in _sweep(ordered, tags) for i in hits)
     return [(ids[u], ids[v], code) for u, v, code in _pattern_codes(ordered, pairs)]
 
 
-def _pattern_codes(
-    boxes: Sequence[Box], pairs: Iterable[tuple[int, int]]
-) -> list[tuple[int, int, int]]:
+def _pattern_codes(boxes: _Family, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int, int]]:
     """``(u, v, code)`` per pair of positions of meeting boxes, where
     ``code`` is u's pattern relative to v as an index into
     ``all_patterns``: one base-4 digit per axis, axis 0 most significant,
     0..3 for CONTAINS, CONTAINED, LEFT, RIGHT. Mirroring flips the low bit
-    of every digit. Each axis's endpoints are read once, as the two
-    columns of ``_columns``."""
-    if not boxes:
-        return []
-    ends = _columns(boxes)
+    of every digit. Each axis's endpoints are read as its two columns."""
+    ends = boxes.columns
     columns = list(zip(ends[0::2], ends[1::2]))
     out = []
     for u, v in pairs:
@@ -385,22 +397,23 @@ def _pattern_codes(
     return out
 
 
-def _by_id(boxes: Sequence[Box]) -> Sequence[Box]:
-    """The family with box i at position i: ``boxes`` itself when it is
-    listed so, sorted by id when its ids are 0..n-1 in another order, and
-    ValueError otherwise. The library's family entries call it once, and
-    everything behind them reads a box's id as its position."""
-    ids = list(map(_id, boxes))
-    if ids == list(range(len(ids))):
-        return boxes
-    if sorted(ids) != list(range(len(ids))):
+def _by_id(boxes: Sequence[Box]) -> _Family:
+    """The family with ids ``range(n)``, box i at position i: ``boxes``
+    itself, in O(1), when it is one (as a loaded or normalized file is),
+    the boxes put in id order when their ids are 0..n-1, and ValueError
+    otherwise. The library's family entries call it once, and everything
+    behind them reads a box's id as its position."""
+    family = _as_family(boxes)
+    n = len(family)
+    if family.ids == range(n):
+        return family
+    order = sorted(range(n), key=family.ids.__getitem__)
+    if list(map(family.ids.__getitem__, order)) != list(range(n)):
         raise ValueError("box ids must be 0..n-1")
-    return sorted(boxes, key=_id)
+    return _Family(range(n), family.take(order).columns)
 
 
-def _sweep(
-    boxes: Sequence[Box], labels: Sequence[Hashable] | None
-) -> Iterator[tuple[int, list[int]]]:
+def _sweep(boxes: _Family, labels: Sequence[Hashable] | None) -> Iterator[tuple[int, list[int]]]:
     """The sweep of ``intersecting_pairs`` in batches ``(j, hits)``: the
     position of a box and the positions of boxes that meet it (and share
     its label, ``labels[i]`` for box i) and that it finds in one cell, in a
@@ -409,7 +422,7 @@ def _sweep(
     if not boxes:
         return
     n = len(boxes)
-    columns = _columns(boxes)
+    columns = boxes.columns
     d = len(columns) // 2
     lows, highs = columns[0::2], columns[1::2]
     for axis in range(d):
@@ -477,7 +490,7 @@ def _cells(
     return list(cells)
 
 
-def normalize(boxes: Sequence[Box]) -> list[Box]:
+def normalize(boxes: Sequence[Box]) -> _Family:
     """Replace coordinates by per-axis integer ranks; exact and idempotent.
 
     On each axis the 2n endpoints are ranked 0..2n-1 by (value, box id,
@@ -486,35 +499,26 @@ def normalize(boxes: Sequence[Box]) -> list[Box]:
     shared endpoints deterministically (the earlier box id wins the smaller
     rank) and widens zero-width sides, since a box's lo always ranks before
     its own equal hi. Each axis is ranked by one stable sort of endpoint
-    indices, with the endpoints laid out ``lo, hi`` box by box in ascending
-    id order, so the sort's own tie order is the tie rule.
+    indices, laid out ``lo, hi`` box by box in ascending id order, so the
+    sort's own tie order is the tie rule.
 
-    Boxes come back in input order, each built once. The endpoints are
-    read as the columns of ``_columns``, one transpose of the boxes'
-    ``bounds``. When the input is already normalized (on every axis its
-    coordinates are the ints 0..2n-1, which are then their own ranks), the
-    result is a new list of the same box objects. Otherwise every box gets
-    one new ``bounds`` tuple, cut from the columns with each ranked axis's
-    columns replaced by its ranks, so a coordinate such as ``Fraction(3)``,
-    ``3.0`` or ``True`` becomes an int; ranks are ordered sides, so no
-    check runs. Each axis's endpoint and rank lists are dropped once its
-    columns are cut from them.
+    The result lists the boxes in input order, each ranked axis's columns
+    replaced by its ranks, so ``Fraction(3)``, ``3.0`` or ``True`` becomes
+    an int. An axis whose coordinates are the ints 0..2n-1 is its own
+    ranks, so a normalized family comes back as it is. No ``Box`` is built.
     """
     if not boxes:
         raise ValueError("empty box collection")
-    columns = _columns(boxes)
-    d = len(columns) // 2
-    ids = list(map(_id, boxes))
-    ordered = boxes
+    family = _as_family(boxes)
+    ids, columns = family.ids, list(family.columns)
+    size = 2 * len(ids)
+    order: list[int] = []  # the boxes' positions in id order, when not ascending
     if not all(map(operator.lt, ids, ids[1:])):  # strictly ascending ids are distinct
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate box ids")
-        ordered = sorted(boxes, key=_id)
-        ids = list(map(_id, ordered))
-        columns = _columns(ordered)
-    size = 2 * len(ids)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
     positions: list[int] = []  # one int object per rank, shared by every axis's sort and ranks
-    for axis in range(d):
+    for axis in range(len(columns) // 2):
         lo, hi = columns[2 * axis], columns[2 * axis + 1]
         # 2n distinct ints between 0 and 2n - 1 (every lo <= its hi) are
         # the ints 0..2n-1, their own ranks
@@ -525,22 +529,16 @@ def normalize(boxes: Sequence[Box]) -> list[Box]:
             and {*map(type, lo), *map(type, hi)} == {int}
         ):
             continue
-        positions = positions or list(range(size))
+        if not positions:
+            positions = list(range(size))
+            layout = [positions[e] for p in order for e in (2 * p, 2 * p + 1)] or positions
         vals: list[Number] = [0] * size
         vals[0::2], vals[1::2] = lo, hi
         ranks = [0] * size
-        _exhaust(map(ranks.__setitem__, sorted(positions, key=vals.__getitem__), positions))
-        columns[2 * axis], columns[2 * axis + 1] = ranks[0::2], ranks[1::2]
+        _exhaust(map(ranks.__setitem__, sorted(layout, key=vals.__getitem__), positions))
+        columns[2 * axis], columns[2 * axis + 1] = tuple(ranks[0::2]), tuple(ranks[1::2])
         del vals, ranks
-    if not positions:
-        return list(boxes)
-    del positions
-    built = _boxes(ids, zip(*columns))
-    del columns
-    if ordered is boxes:
-        return built
-    by_id = dict(zip(ids, built))
-    return [by_id[b.id] for b in boxes]
+    return _Family(ids, tuple(columns)) if positions else family
 
 
 # a plain ASCII integer token, which int() reads far faster than Fraction()
@@ -586,7 +584,7 @@ def _numbers(tokens: list[str], parse) -> list[Number]:
         raise
 
 
-def load_boxes(path: str) -> list[Box]:
+def load_boxes(path: str) -> _Family:
     """Read a box file (header ``d n``, then n rows of 2d decimals).
 
     A JSON mirror is accepted: an object with a ``boxes`` key whose entries
@@ -597,7 +595,7 @@ def load_boxes(path: str) -> list[Box]:
     once and read in one pass, by ``int`` when the file is made of plain
     ASCII integers and by ``_parse_number`` otherwise. Each run of ``2d``
     consecutive numbers is one box's ``bounds``, and
-    ``_boxes_from_values`` checks the sides and builds the boxes. The first
+    ``_from_values`` checks the sides and cuts the columns. The first
     fault in row order is raised: a row of the wrong width or a bad number,
     and only then an empty side.
     """
@@ -632,7 +630,7 @@ def load_boxes(path: str) -> list[Box]:
     del text, tokens[:2]  # the header's two tokens
     values = _numbers(tokens, parse)
     del tokens
-    return _boxes_from_values(values, width)
+    return _from_values(values, width)
 
 
 _JSON_TYPE_NAMES = {list: "array", dict: "object", bool: "boolean", type(None): "null"}
@@ -655,7 +653,7 @@ def _load_json(text: str, what: str, object_pairs_hook=None):
         raise ValueError(f"{what}: nested too deeply") from None
 
 
-def _boxes_from_json(text: str) -> list[Box]:
+def _boxes_from_json(text: str) -> _Family:
     payload = _load_json(text, "bad JSON box file")
     if not isinstance(payload, dict) or "boxes" not in payload:
         raise ValueError("JSON box file needs a 'boxes' key")
@@ -690,11 +688,13 @@ def boxes_to_text(boxes: Sequence[Box]) -> str:
     """Text box file format (header ``d n``, ids follow row order)."""
     if not boxes:
         raise ValueError("empty box collection")
-    width = _width(boxes)
+    family = _as_family(boxes)
+    ordered = family.take(sorted(range(len(family)), key=family.ids.__getitem__))
     # one row per box in id order, its bounds each written by str, all
     # filled in by one format
+    width = len(ordered.columns)
     row = " ".join(["%s"] * width) + "\n"
-    values = tuple(itertools.chain.from_iterable(map(_bounds, sorted(boxes, key=_id))))
+    values = tuple(itertools.chain.from_iterable(zip(*ordered.columns)))
     return f"{width // 2} {len(boxes)}\n" + row * len(boxes) % values
 
 

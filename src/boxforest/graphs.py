@@ -43,7 +43,7 @@ from typing import Collection, Iterable, Sequence
 
 # ``intersects`` is imported only to stay a module name: perfbench counts
 # pair tests by rebinding it.
-from .geometry import Box, _by_id, _columns, _sweep, intersects  # noqa: F401
+from .geometry import Box, _by_id, _sweep, intersects  # noqa: F401
 
 __all__ = [
     "Coloring",
@@ -53,8 +53,6 @@ __all__ = [
     "complete_kary_tree",
     "degeneracy_coloring",
     "intersection_graph",
-    "intersection_rows",
-    "smallest_last_coloring",
 ]
 
 
@@ -320,7 +318,7 @@ def intersection_graph(boxes: Sequence[Box]) -> Graph:
     """Edge uv iff boxes u and v overlap on every axis (normalized input),
     filled in straight from the batches of ``intersecting_pairs``' sweep."""
     boxes = _by_id(boxes)
-    near: list[list[int]] = [[] for _ in boxes]
+    near: list[list[int]] = [[] for _ in range(len(boxes))]
     for j, hits in _sweep(boxes, None):
         near[j] += hits
         for i in hits:
@@ -349,7 +347,7 @@ def intersection_rows(boxes: Sequence[Box]) -> list[int]:
     bits = [1 << (n - 1 - v) for v in range(n)]
     rows = [-1] * n  # every bit set, until the first axis
     ended_before_lo = [0] * n  # each entry is set at a lo and cleared at its hi
-    columns = _columns(boxes)
+    columns = boxes.columns
     for lo, hi in zip(columns[0::2], columns[1::2]):
         ends = lo + hi
         started = ended = 0

@@ -83,7 +83,7 @@ def decompose(boxes: Sequence[Box], g: Graph) -> list[PatternDigraph]:
     n = len(boxes)
     if g.n != n:
         raise ValueError("box ids must be 0..n-1, the host graph's vertices")
-    d = boxes[0].dim
+    d = len(boxes.columns) // 2
     flip = (4**d - 1) // 3  # code ^ flip is the mirrored pattern
     pairs = ((u, v) for u, near in enumerate(g.adj) for v in near if u < v)
     # per pattern code, the out-neighbors of each vertex that has some

@@ -58,10 +58,9 @@ from .embedding import (  # noqa: F401
 )
 from .geometry import (  # noqa: F401
     Box,
-    _boxes,
+    _as_family,
     _by_id,
-    _columns,
-    _id,
+    _Family,
     _load_json,
     _sweep,
     intersects,
@@ -176,18 +175,14 @@ def extract_independent(boxes: Sequence[Box]) -> tuple[int, ...]:
     """
     if not boxes:
         raise ValueError("empty box collection")
-    d = boxes[0].dim
-    if any(b.dim != d for b in boxes):
-        raise ValueError("dimension mismatch")
-    pool: Sequence[Box] = boxes
+    pool = _as_family(boxes)
     upper: list[list[int]] = []  # the interval MIS of axes d-1 down to 1
-    for axis in range(d - 1, 0, -1):
-        ids, columns = list(map(_id, pool)), _columns(pool)
-        upper.append(_interval_mis(ids, columns[2 * axis], columns[2 * axis + 1]))
-        stack = _interval_max_clique(ids, columns[2 * axis], columns[2 * axis + 1])
-        pool = [b for b in pool if b.id in stack]
-    columns = _columns(pool)
-    ids = _interval_mis(list(map(_id, pool)), columns[0], columns[1])
+    for axis in range(len(pool.columns) // 2 - 1, 0, -1):
+        ids, lo, hi = pool.ids, *pool.columns[2 * axis : 2 * axis + 2]
+        upper.append(_interval_mis(ids, lo, hi))
+        stack = _interval_max_clique(ids, lo, hi)
+        pool = pool.take([p for p, b in enumerate(ids) if b in stack])
+    ids = _interval_mis(pool.ids, *pool.columns[:2])
     for option in reversed(upper):
         if len(option) >= len(ids):
             ids = option
@@ -239,7 +234,7 @@ def prune_children(emb: CalmEmbedding, boxes: Sequence[Box], k: int) -> InducedT
         next_frontier = []
         for big_v in frontier:
             kids = big.children[big_v]
-            found = extract_independent([boxes[emb.phi[c]] for c in kids])
+            found = extract_independent(boxes.take([emb.phi[c] for c in kids]))
             if len(found) < k:
                 raise _ChildShortfall(
                     f"only {len(found)} disjoint children of tree vertex "
@@ -258,7 +253,7 @@ def prune_children(emb: CalmEmbedding, boxes: Sequence[Box], k: int) -> InducedT
     return cert
 
 
-def _induced_tree_violation(cert: InducedTree, boxes: Sequence[Box]) -> str | None:
+def _induced_tree_violation(cert: InducedTree, boxes: _Family) -> str | None:
     """Whether the mapping, of box ids in range, is an induced copy of
     ``complete_kary_tree(r, k)``, from one sweep over the mapped boxes of
     the family listed by id; None when clean, else the smallest tree pair
@@ -271,13 +266,12 @@ def _induced_tree_violation(cert: InducedTree, boxes: Sequence[Box]) -> str | No
         return "mapping does not cover the tree vertices"
     if len(set(cert.mapping)) != t.n:
         return "mapping is not injective"
-    # the mapped boxes renamed by tree vertex: the sweep yields each pair of
+    # the mapped boxes listed by tree vertex: the sweep yields each pair of
     # tree vertices whose boxes meet, and a pair u < v is a tree edge
     # exactly when u is v's parent
-    mapped = _boxes(range(t.n), [boxes[b].bounds for b in cert.mapping])
     met = [False] * t.n  # whether v's box meets its parent's
     extra = None
-    for j, hits in _sweep(mapped, None):
+    for j, hits in _sweep(boxes.take(cert.mapping), None):
         for i in hits:
             u, v = (i, j) if i < j else (j, i)
             if t.parent[v] == u:
@@ -308,7 +302,7 @@ def _dense(two_m: int, n: int) -> bool:
     return 8 * two_m >= n * n
 
 
-def _may_be_dense(boxes: Sequence[Box]) -> bool:
+def _may_be_dense(boxes: _Family) -> bool:
     """False when rows are not worth building up front: above ``_ROWS_CAP``
     boxes, or when one axis alone shows the graph sparse.
 
@@ -324,7 +318,7 @@ def _may_be_dense(boxes: Sequence[Box]) -> bool:
     n = len(boxes)
     if n > _ROWS_CAP:
         return False
-    columns = _columns(boxes)
+    columns = boxes.columns
     for lows, highs in zip(columns[0::2], columns[1::2]):
         # distinct ints in 0..2n-1 are the ranks; shared ones fail the sweep later
         if {*map(type, lows), *map(type, highs)} != {int} or min(lows) < 0 or max(highs) >= 2 * n:
@@ -334,7 +328,7 @@ def _may_be_dense(boxes: Sequence[Box]) -> bool:
     return True
 
 
-def _bound_violation(boxes: Sequence[Box], palette: int, r: int, k: int) -> str | None:
+def _bound_violation(boxes: _Family, palette: int, r: int, k: int) -> str | None:
     """Why ``palette`` (at least 1) exceeds the coloring bound
     (2 r |T| w)^(4^d) for depth ``r`` and branching ``k``; None if within.
 
@@ -345,7 +339,7 @@ def _bound_violation(boxes: Sequence[Box], palette: int, r: int, k: int) -> str 
     exceeds, or of at most 4^d * (bits of the base - 1) bits. What is left
     builds a bound less than 1.5 times as long as the palette.
     """
-    d = boxes[0].dim
+    d = len(boxes.columns) // 2
     w = 1
     if r:  # depth 0 makes the bound 0, below any palette of a box
         patterns = 4**d
@@ -353,8 +347,7 @@ def _bound_violation(boxes: Sequence[Box], palette: int, r: int, k: int) -> str 
         if bits <= 2 * patterns:
             return None
         if d == 1:
-            columns = _columns(boxes)
-            w = len(_interval_max_clique(list(map(_id, boxes)), columns[0], columns[1]))
+            w = len(_interval_max_clique(boxes.ids, *boxes.columns))
         branching = k**d * w
         if not _tree_fits(r, branching, palette):
             return None
@@ -402,7 +395,7 @@ def color_or_find_forest(
     if omega_bound is not None and omega_bound < 1:
         raise ValueError("omega bound must be positive")
     boxes = _by_id(boxes)
-    d = boxes[0].dim
+    d = len(boxes.columns) // 2
     n = len(boxes)
 
     if r == 0:  # box 0 is a one-vertex tree
@@ -454,7 +447,7 @@ def color_or_find_forest(
     return _bounded_coloring(boxes, coloring, r, k)
 
 
-def _bounded_coloring(boxes: Sequence[Box], coloring: Coloring, r: int, k: int) -> ProperColoring:
+def _bounded_coloring(boxes: _Family, coloring: Coloring, r: int, k: int) -> ProperColoring:
     """The certificate for a proper coloring whose palette is within the
     bound, checked as ``verify_certificate`` checks it."""
     # d >= 2 and |T| >= 2 put the bound (2 r |T| w)^(4^d) at 4^16 or more,

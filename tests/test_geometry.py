@@ -159,7 +159,7 @@ class TestFlatBounds:
             b.side(2)
 
     def test_a_box_rebuilt_from_its_sides_is_equal(self):
-        family = random_boxes(30, 3, 1) + [box(7, (Fraction(1, 3), 2), (-1, 0.5))]
+        family = [*random_boxes(30, 3, 1), box(7, (Fraction(1, 3), 2), (-1, 0.5))]
         for b in family:
             again = Box(b.id, b.sides)
             assert again == b and hash(again) == hash(b) and again.bounds == b.bounds
@@ -247,7 +247,7 @@ class TestNormalize:
         bs = boxes_from_rows([[2 + shift, 3 + shift, 0, 3], [shift, 1 + shift, 1, 2]])
         out = normalize(bs)
         assert out == [box(0, (2, 3), (0, 3)), box(1, (0, 1), (1, 2))]
-        assert all(a is b for a, b in zip(out, bs)) == (shift == 0)
+        assert (out is bs) == (shift == 0)
 
     @given(st.data())
     @settings(max_examples=60)
@@ -313,15 +313,15 @@ class TestNormalizeAgainstTupleSort:
         got = normalize(bs)
         assert [(b.id, tuple((s.lo, s.hi) for s in b.sides)) for b in got] == brute_normalize(bs)
         assert all(type(v) is int for b in got for s in b.sides for v in (s.lo, s.hi))
-        again = normalize(got)
-        assert again is not got
-        assert all(a is b for a, b in zip(again, got)) and len(again) == len(got)
+        assert normalize(got) is got
+        assert normalize(list(got)) == got
 
     def test_normalized_input_is_not_rebuilt(self):
         bs = random_boxes(2000, 3, 1)
-        out = normalize(bs)
-        assert out is not bs
-        assert len(out) == len(bs) and all(a is b for a, b in zip(out, bs))
+        assert normalize(bs) is bs
+        listed = list(bs)
+        out = normalize(listed)
+        assert out == listed and listed == out and normalize(out) is out
 
     @pytest.mark.parametrize("value", [Fraction(0), 0.0, False])
     def test_int_equal_coordinates_are_rebuilt_as_int(self, value):

@@ -1,5 +1,7 @@
 """Bulk box building: the same boxes and the same first error as a
-row-by-row build, no ``Interval`` built on the way, and lossless round trips."""
+row-by-row build, no ``Interval`` built on the way, lossless round trips,
+and the family's sequence contract, with no ``Box`` built by certify or
+verify."""
 
 from __future__ import annotations
 
@@ -16,11 +18,15 @@ from boxforest import (
     Interval,
     box,
     boxes_from_rows,
+    certificate_to_json,
+    color_or_find_forest,
     geometry,
     load_boxes,
     normalize,
+    parse_certificate,
     random_boxes,
     save_boxes,
+    verify_certificate,
 )
 from bruteforce import brute_boxes_from_rows, brute_load_boxes
 
@@ -247,3 +253,89 @@ def test_save_then_load_gives_the_same_boxes(tmp_path, name):
     assert back == boxes
     assert {type(v) for b in back for s in b.sides for v in (s.lo, s.hi)} == {int}
 
+
+
+# rows with decimal and fractional tokens, shared endpoints and a
+# zero-width side: normalize ranks every axis
+SHARED_ROWS = [["0.5", "2", "1", "3"], ["2", "4.25", "1", "1"], ["1/2", "3", "0", "2.5"]]
+
+
+class TestFamily:
+    """The family ``load_boxes``, ``boxes_from_rows`` and ``normalize``
+    return is a read-only sequence of boxes, equal to a list of them."""
+
+    def test_index_slice_and_iteration_give_boxes(self):
+        family = normalize(boxes_from_rows([[0, 3, 1, 2], [1, 2, 0, 3], [4, 5, 4, 5]]))
+        listed = [box(0, (0, 3), (1, 2)), box(1, (1, 2), (0, 3)), box(2, (4, 5), (4, 5))]
+        assert len(family) == 3 and list(family) == listed
+        assert family[0] == listed[0] and family[-1] == family[2] == listed[2]
+        assert family[-3] == listed[0]
+        for past in (3, -4, 10**6):
+            with pytest.raises(IndexError):
+                family[past]
+        assert family[1:] == listed[1:] and type(family[1:]) is list
+        assert family[::-1] == listed[::-1] and family[5:] == []
+        assert family == listed and listed == family
+        assert family != listed[:2] and listed[:2] != family and family != 3
+        assert [*family[:1], box(5, (0, 1), (0, 1))] != family
+
+    def test_a_family_cannot_be_assigned(self):
+        family = boxes_from_rows([[0, 1]])
+        with pytest.raises(TypeError):
+            family[0] = box(0, (0, 2))  # type: ignore[index]
+        with pytest.raises(AttributeError):
+            family.ids = range(2)  # type: ignore[misc]
+
+    def test_normalize_returns_a_normalized_family_itself(self):
+        raw = boxes_from_rows([[float(x) for x in row] for row in [[0, 7, 1, 1], [3, 9, 0, 4]]])
+        once = normalize(raw)
+        assert once != raw and normalize(once) is once
+        assert normalize(list(once)) == once and normalize(raw) == once
+
+    def test_text_json_and_rows_give_equal_families_and_certificates(self, tmp_path):
+        text = tmp_path / "shared.txt"
+        text.write_text("2 3\n" + "".join(" ".join(row) + "\n" for row in SHARED_ROWS))
+        mirror = tmp_path / "shared.json"
+        pairs = [[[row[0], row[1]], [row[2], row[3]]] for row in SHARED_ROWS]
+        mirror.write_text(json.dumps({"boxes": pairs}))
+        rows = [[geometry._parse_number(t) for t in row] for row in SHARED_ROWS]
+        families = [load_boxes(text), load_boxes(mirror), boxes_from_rows(rows)]
+        assert families[0] == families[1] == families[2]
+        certificates = {
+            certificate_to_json(color_or_find_forest(normalize(f), 1, 1)) for f in families
+        }
+        assert len(certificates) == 1
+
+
+@pytest.fixture
+def box_builds(monkeypatch):
+    """The size of each ``Box`` build of a family: a family builds boxes
+    only in ``__iter__``, which indexing and slicing go through too."""
+    sizes = []
+    build = geometry._Family.__iter__
+
+    def counted(self):
+        sizes.append(len(self))
+        return build(self)
+
+    monkeypatch.setattr(geometry._Family, "__iter__", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_certify_and_verify_of_a_loaded_family_build_no_box(tmp_path, box_builds, name):
+    # fans-3d ends in a tree, which prunes children and checks the mapped
+    # boxes; the others color. None of it needs a Box object
+    workload = workloads.WORKLOADS[name]
+    path = tmp_path / "boxes.txt"
+    save_boxes(workload.make(4), path)
+    w = workloads.max_depth(workload.make(4))
+    box_builds.clear()
+    cert = color_or_find_forest(normalize(load_boxes(path)), workload.r, workload.k, omega_bound=w)
+    payload = parse_certificate(certificate_to_json(cert))
+    assert payload["kind"] == workload.kind
+    assert verify_certificate(normalize(load_boxes(path)), payload)[0]
+    assert box_builds == []
+    # the counter does see a build
+    family = load_boxes(path)
+    assert family[-1].id == len(family) - 1 and box_builds == [1]

@@ -89,6 +89,13 @@ def test_every_name_is_its_home_modules_object():
         assert getattr(home, name) is value, name
 
 
+def test_every_submodule_exports_only_public_names():
+    # ``from boxforest.<module> import *`` binds nothing the package lacks
+    for module in boxforest._NAMES:
+        exported = set(importlib.import_module(f"boxforest.{module}").__all__)
+        assert exported <= set(boxforest.__all__), (module, exported - set(boxforest.__all__))
+
+
 def test_dir_lists_every_public_name():
     assert PUBLIC <= set(dir(boxforest))
 

@@ -52,7 +52,7 @@ class TestDecompose:
                 intersection_pattern(a, b)
                 for a in boxes
                 for b in boxes
-                if a is not b and intersects(a, b)
+                if a != b and intersects(a, b)
             }
             assert [pd.pattern for pd in fam] == [p for p in all_patterns(2) if p in found]
             assert all(pd.digraph.arcs for pd in fam)
@@ -114,9 +114,7 @@ class TestDecompose:
         }
 
     def test_rejects_mixed_dimension(self):
-        bad = normalize(boxes_from_rows([[0, 1]])) + normalize(
-            boxes_from_rows([[0, 1, 0, 1]])
-        )
+        bad = [*normalize(boxes_from_rows([[0, 1]])), *normalize(boxes_from_rows([[0, 1, 0, 1]]))]
         bad[1] = bad[1].__class__(1, bad[1].sides)
         with pytest.raises(ValueError):
             decompose(bad, intersection_graph(bad))

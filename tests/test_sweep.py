@@ -453,7 +453,7 @@ def test_sweep_cost_follows_the_pairs_that_meet_on_two_axes():
 def test_sweep_rejects_shared_endpoints_and_mixed_dimensions():
     with pytest.raises(ValueError):
         intersecting_pairs(boxes_from_rows([[0, 2], [2, 3]]))
-    mixed = normalize(boxes_from_rows([[0, 1]])) + normalize(boxes_from_rows([[0, 1, 0, 1]]))
+    mixed = [*normalize(boxes_from_rows([[0, 1]])), *normalize(boxes_from_rows([[0, 1, 0, 1]]))]
     with pytest.raises(ValueError):
         intersecting_pairs(mixed)
 
