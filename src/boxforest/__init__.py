@@ -3,8 +3,9 @@
 The package decomposes a box family's intersections into directional
 patterns, gradings and tree embeddings, and either properly colors the
 intersection graph within an explicit bound or returns an induced copy of
-a complete rooted tree. Exact brute-force oracles back every step at
-small scale, and the ``boxforest`` command exposes the whole pipeline.
+a complete rooted tree, as a certificate that is re-checked from the
+boxes alone. An exact clique oracle gives omega at small scale, and the
+``boxforest`` command exposes the whole pipeline.
 
 The namespace is lazy (PEP 562): ``import boxforest`` loads no submodule,
 and the first lookup of a public name, or of a submodule such as
@@ -38,13 +39,10 @@ _NAMES = {
         "degeneracy_coloring", "intersection_graph",
     ),
     "oracles": (
-        "OracleLimitError", "alpha", "chi", "maximum_clique",
-        "maximum_independent_set", "omega",
+        "OracleLimitError", "maximum_clique", "maximum_independent_set",
+        "omega",
     ),
-    "patterns": (
-        "BasicReport", "PatternDigraph", "decompose", "product_coloring",
-        "verify_basic",
-    ),
+    "patterns": ("PatternDigraph", "decompose", "product_coloring"),
     "pipeline": (
         "InducedTree", "ProperColoring", "certificate_to_json", "chi_bound",
         "color_or_find_forest", "extract_independent", "parse_certificate",

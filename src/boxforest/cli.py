@@ -1,24 +1,22 @@
 """Command line front end.
 
-Subcommands: ``gen`` writes instance files, ``decompose`` tables the
-per-pattern digraphs and their structural checks, ``color`` runs the full
-dichotomy and emits a certificate, ``verify`` re-checks a certificate
-against an instance, and ``oracle`` exposes the exact solvers.
+Subcommands: ``gen`` writes instance files, ``decompose`` tables the arcs
+of each pattern digraph, ``color`` runs the full dichotomy and emits a
+certificate, ``verify`` re-checks a certificate against an instance, and
+``oracle`` runs the exact clique solver.
 
 Exit codes: 0 success (for ``color``: a coloring), 2 bad input or an
 instance too large for the machine's memory, 3 the dichotomy produced an
-induced tree, 4 an exact oracle refused an instance above its size limit,
-5 a verification failed.
+induced tree, 4 the clique oracle refused an instance above its size
+limit, 5 ``verify`` refuted a certificate.
 
 A coloring certificate carries r and k, not its bound: ``verify`` works
 the bound out from them and the boxes, and ``color`` prints the palette,
 r and k. Certificate entries are JSON arrays by position (box i's color,
 tree vertex v's box), so ``verify`` reads no keys but the top-level ones.
 
-The size limits are fixed: 40 boxes for the clique and independence
-oracles, 20 for the chromatic number and 14 for ``decompose``'s modesty
-and divergence checks. ``color`` in d >= 2 goes past 40 boxes only with
-``--omega-bound``.
+The clique oracle's size limit is fixed at 40 boxes. ``color`` in d >= 2
+goes past it only with ``--omega-bound``.
 """
 
 from __future__ import annotations
@@ -36,14 +34,12 @@ from .generators import (
 )
 from .geometry import _quote, boxes_to_text, load_boxes, normalize
 from .graphs import intersection_graph
-from .oracles import OracleLimitError, alpha, chi, omega
-from .patterns import VERIFY_LIMIT, verify_basic
+from .oracles import OracleLimitError, omega
 from .patterns import decompose as decompose_boxes
 from .pipeline import (
     ProperColoring,
     certificate_to_json,
     color_or_find_forest,
-    extract_independent,
     parse_certificate,
     verify_certificate,
 )
@@ -100,12 +96,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _flag(value: bool | None) -> str:
-    if value is None:
-        return "skipped"
-    return "yes" if value else "NO"
-
-
 def _pattern_count(d: int) -> str:
     """4^d in decimal, or as the power where the decimal has more digits than
     the interpreter writes (from d = 7143 at its default limit of 4300)."""
@@ -118,32 +108,13 @@ def _pattern_count(d: int) -> str:
 def cmd_decompose(args: argparse.Namespace) -> int:
     boxes = _load_normalized(args.input)
     d = boxes[0].dim
-    g = intersection_graph(boxes)
-    family = decompose_boxes(boxes, g)
+    family = decompose_boxes(boxes, intersection_graph(boxes))
     width = max(len("pattern"), d)
-    print(f"{'pattern':<{width}}  {'arcs':>6}  acyclic  modest  divergent")
-    failed = False
-    skipped = False
+    print(f"{'pattern':<{width}}  {'arcs':>6}")
     for pd in family:
-        report = verify_basic(pd, g)
-        skipped = skipped or report.modest is None
-        failed = failed or report.acyclic is False
-        failed = failed or report.modest is False or report.divergent is False
-        line = (
-            f"{str(pd.pattern):<{width}}  {sum(map(len, pd.digraph.out)):>6}  "
-            f"{_flag(report.acyclic):<7}  {_flag(report.modest):<6}  "
-            f"{_flag(report.divergent)}"
-        )
-        if report.witness:
-            line += f"  [{report.witness}]"
-        print(line)
+        print(f"{str(pd.pattern):<{width}}  {sum(map(len, pd.digraph.out)):>6}")
     print(f"{_pattern_count(d)} patterns, {len(family)} with arcs, n={len(boxes)}")
-    if skipped:
-        print(
-            f"note: structural checks skipped, n={len(boxes)} exceeds the "
-            f"verification limit {VERIFY_LIMIT}"
-        )
-    return EXIT_FAILED if failed else EXIT_OK
+    return EXIT_OK
 
 
 def cmd_color(args: argparse.Namespace) -> int:
@@ -175,28 +146,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    boxes = _load_normalized(args.input)
-    g = intersection_graph(boxes)
-    if args.stat in ("chi", "omega", "alpha"):
-        fn = {"chi": chi, "omega": omega, "alpha": alpha}[args.stat]
-        print(f"{args.stat} = {fn(g)}")
-        return EXIT_OK
-    n, d = len(boxes), boxes[0].dim
-    w = omega(g)
-    a = alpha(g)
-    bound_ok = a**d * w >= n
-    need = 1
-    while need**d * w < n:
-        need += 1
-    found = len(extract_independent(boxes))
-    extract_ok = found >= need
-    print(f"n = {n}, d = {d}, omega = {w}, alpha = {a}")
-    print(f"containment bound alpha^d * omega >= n: {'PASS' if bound_ok else 'FAIL'}")
-    print(
-        f"extraction found {found} disjoint boxes, needs {need}: "
-        f"{'PASS' if extract_ok else 'FAIL'}"
-    )
-    return EXIT_OK if bound_ok and extract_ok else EXIT_FAILED
+    print(f"omega = {omega(intersection_graph(_load_normalized(args.input)))}")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,9 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None, help="output path (default stdout)")
     gen.set_defaults(func=cmd_gen)
 
-    dec = sub.add_parser(
-        "decompose", help="table the per-pattern digraphs and structural checks"
-    )
+    dec = sub.add_parser("decompose", help="table the arcs of each pattern digraph")
     dec.add_argument("input", help="box file")
     dec.set_defaults(func=cmd_decompose)
 
@@ -247,11 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--certificate", required=True, help="certificate JSON path")
     ver.set_defaults(func=cmd_verify)
 
-    orc = sub.add_parser("oracle", help="run an exact solver on an instance")
+    orc = sub.add_parser("oracle", help="run the exact clique solver on an instance")
     orc.add_argument("input", help="box file")
-    orc.add_argument(
-        "--stat", required=True, choices=("chi", "omega", "alpha", "ehcheck")
-    )
+    orc.add_argument("--stat", required=True, choices=("omega",))
     orc.set_defaults(func=cmd_oracle)
     return parser
 
@@ -262,7 +209,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except OracleLimitError as exc:
-        # on color only the clique oracle refuses, and a bound replaces it
+        # only the clique oracle refuses, and on color a bound replaces it
         hint = (
             "; pass --omega-bound, an upper bound on the clique number"
             if args.func is cmd_color

@@ -110,9 +110,8 @@ class Graph:
         )
 
     def adjacent(self, u: int, v: int) -> bool:
-        """Whether uv is an edge: a scan of u's list, O(deg u). Its one caller
-        in the package, ``patterns.verify_basic``, makes few lookups (n <=
-        ``VERIFY_LIMIT``, 14)."""
+        """Whether uv is an edge: a scan of u's list, O(deg u). The package
+        never calls it; the pipeline iterates over the lists instead."""
         return v in self.adj[u]
 
     def neighbors(self, u: int) -> frozenset[int]:
@@ -191,14 +190,6 @@ class Digraph:
                 if not indeg[w]:
                     ready.append(w)
         return not any(indeg)
-
-    def reachable_from(self, u: int) -> frozenset[int]:
-        """Vertices reachable from u, including u itself."""
-        return _reach(self.out, u)
-
-    def coreachable_to(self, v: int) -> frozenset[int]:
-        """Vertices that reach v, including v itself."""
-        return _reach(self.inn, v)
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={sum(map(len, self.out))})"

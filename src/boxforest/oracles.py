@@ -1,22 +1,20 @@
-"""Exact clique, independence, and chromatic number oracles.
+"""Exact clique and independence oracles.
 
-These are the ground truth the rest of the package is validated against, so
-they are exhaustive branch-and-bound searches with deterministic order and
-fixed size limits: OMEGA_LIMIT vertices for the clique and independence
-oracles, CHI_LIMIT for the chromatic number. Above a limit they refuse
-(OracleLimitError) rather than approximate.
+``color`` in d >= 2 reads the clique number from ``omega`` when no bound
+is given. ``maximum_independent_set`` is the same search on the
+complement. Both are exhaustive branch-and-bound searches with a
+deterministic order and a fixed size limit of OMEGA_LIMIT vertices; above
+it they refuse (OracleLimitError) rather than approximate.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .graphs import Graph, smallest_last_coloring
+from .graphs import Graph
 
 __all__ = [
     "OracleLimitError",
-    "alpha",
-    "chi",
     "maximum_clique",
     "maximum_independent_set",
     "omega",
@@ -24,7 +22,6 @@ __all__ = [
 
 
 OMEGA_LIMIT = 40  # max n for the clique and independence oracles (same engine)
-CHI_LIMIT = 20  # max n for the chromatic number oracle
 
 
 class OracleLimitError(Exception):
@@ -88,6 +85,12 @@ def _max_clique_bitset(adj: Sequence[int], universe: int) -> int:
 
 
 def maximum_clique(g: Graph) -> frozenset[int]:
+    """A largest clique of ``g``, as its vertex set.
+
+    Exact for up to ``OMEGA_LIMIT`` (40) vertices; above that it raises
+    ``OracleLimitError``. The witness is deterministic: the search takes
+    vertices in bit order, so one graph always gives the same clique.
+    """
     if g.n > OMEGA_LIMIT:
         raise OracleLimitError("omega", g.n, OMEGA_LIMIT)
     mask = _max_clique_bitset(_adjacency_masks(g), (1 << g.n) - 1)
@@ -95,10 +98,24 @@ def maximum_clique(g: Graph) -> frozenset[int]:
 
 
 def omega(g: Graph) -> int:
+    """The clique number of ``g``: the size of ``maximum_clique(g)``.
+
+    Exact for up to ``OMEGA_LIMIT`` (40) vertices; above that it raises
+    ``OracleLimitError``. Its clique is the deterministic witness of
+    ``maximum_clique``, vertices taken in bit order.
+    """
     return len(maximum_clique(g))
 
 
 def maximum_independent_set(g: Graph) -> frozenset[int]:
+    """A largest independent set of ``g``; its size is the independence
+    number.
+
+    Exact for up to ``OMEGA_LIMIT`` (40) vertices; above that it raises
+    ``OracleLimitError`` as the "alpha" oracle. The witness is
+    deterministic: the clique search on the complement takes vertices in
+    bit order, so one graph always gives the same set.
+    """
     if g.n > OMEGA_LIMIT:
         raise OracleLimitError("alpha", g.n, OMEGA_LIMIT)
     # a clique of the complement, whose row for v is every vertex but v and
@@ -107,59 +124,3 @@ def maximum_independent_set(g: Graph) -> frozenset[int]:
     complement = [full ^ mask ^ (1 << v) for v, mask in enumerate(_adjacency_masks(g))]
     mask = _max_clique_bitset(complement, full)
     return frozenset(v for v in range(g.n) if mask >> v & 1)
-
-
-def alpha(g: Graph) -> int:
-    return len(maximum_independent_set(g))
-
-
-def _k_colorable(g: Graph, k: int) -> bool:
-    """DSATUR-ordered backtracking with first-new-color symmetry breaking."""
-    n = g.n
-    colors = [-1] * n
-
-    def pick() -> int:
-        best_v = -1
-        best_key: tuple[int, int, int] | None = None
-        for v in range(n):
-            if colors[v] != -1:
-                continue
-            sat = len({colors[w] for w in g.adj[v] if colors[w] != -1})
-            key = (-sat, -g.degree(v), v)
-            if best_key is None or key < best_key:
-                best_key, best_v = key, v
-        return best_v
-
-    def backtrack(assigned: int, palette_used: int) -> bool:
-        if assigned == n:
-            return True
-        v = pick()
-        forbidden = {colors[w] for w in g.adj[v] if colors[w] != -1}
-        for c in range(min(k, palette_used + 1)):
-            if c in forbidden:
-                continue
-            colors[v] = c
-            if backtrack(assigned + 1, max(palette_used, c + 1)):
-                return True
-            colors[v] = -1
-        return False
-
-    return backtrack(0, 0)
-
-
-def chi(g: Graph) -> int:
-    """Exact chromatic number by binary search on k-colorability, between
-    omega and the smallest-last palette."""
-    if g.n > CHI_LIMIT:
-        raise OracleLimitError("chi", g.n, CHI_LIMIT)
-    if g.n == 0:
-        return 0
-    lo = omega(g)  # within OMEGA_LIMIT, since CHI_LIMIT is below it
-    hi = smallest_last_coloring(g.adj).palette_size
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _k_colorable(g, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo

@@ -24,7 +24,9 @@ non-adjacent first steps end in distinct, non-adjacent vertices). It is
 acyclic because the axis-0 type fixes the sign of lo_0(v) - lo_0(u) along
 every arc u -> v: positive for CONTAINS and LEFT, negative for CONTAINED
 and RIGHT, so lo_0 rises (or falls) strictly along every directed path.
-``verify_basic`` checks all three from scratch.
+These are proof facts, not run-time checks: the tests check them against
+the subset-scan references in ``tests/bruteforce.py``, and
+``embedding.TournamentOracle`` refuses a cyclic digraph.
 """
 
 from __future__ import annotations
@@ -48,11 +50,9 @@ from .geometry import (  # noqa: F401
 from .graphs import Coloring, Digraph, Graph
 
 __all__ = [
-    "BasicReport",
     "PatternDigraph",
     "decompose",
     "product_coloring",
-    "verify_basic",
 ]
 
 
@@ -104,94 +104,6 @@ def decompose(boxes: Sequence[Box], g: Graph) -> list[PatternDigraph]:
         )
         for c in sorted(frozen)
     ]
-
-
-VERIFY_LIMIT = 14  # max n for the modesty and divergence checks
-
-
-@dataclass(frozen=True)
-class BasicReport:
-    """Outcome of the three structural checks; None means skipped, n above
-    ``VERIFY_LIMIT``."""
-
-    acyclic: bool
-    modest: bool | None
-    divergent: bool | None
-    witness: str | None = None
-
-
-def verify_basic(pd: PatternDigraph, g: Graph) -> BasicReport:
-    """Check acyclicity, modesty, and divergence of one pattern digraph.
-
-    Acyclicity is always checked. The other two run when n is at most
-    ``VERIFY_LIMIT`` and use reachability cones, which is equivalent to
-    quantifying over all directed paths: two vertices lie on a common
-    u->v path iff both sit between u and v and one reaches the other.
-    """
-    dg = pd.digraph
-    if dg.n != g.n:
-        raise ValueError("pattern digraph and host graph disagree on n")
-    acyclic = dg.is_acyclic()
-    if dg.n > VERIFY_LIMIT:
-        return BasicReport(acyclic, None, None)
-    if not acyclic:
-        return BasicReport(False, False, False, witness="cycle")
-
-    reach = [dg.reachable_from(v) for v in range(dg.n)]
-    coreach = [dg.coreachable_to(v) for v in range(dg.n)]
-
-    modest = True
-    witness = None
-    for u, v in sorted(dg.arcs):
-        between = reach[u] & coreach[v]
-        for w1 in sorted(between):
-            for w2 in sorted(reach[w1] & between):
-                if w2 != w1 and not g.adjacent(w1, w2):
-                    modest = False
-                    witness = f"arc {u}->{v}: path vertices {w1},{w2} non-adjacent"
-                    break
-            if not modest:
-                break
-        if not modest:
-            break
-
-    divergent = True
-    for u in range(dg.n):
-        outs = sorted(dg.out[u])
-        for i, x1 in enumerate(outs):
-            for y1 in outs[i + 1 :]:
-                if g.adjacent(x1, y1):
-                    continue
-                # every endpoint pair of paths through x1 / y1 must stay
-                # distinct and non-adjacent
-                shared = reach[x1] & reach[y1]
-                if shared:
-                    divergent = False
-                    witness = witness or (
-                        f"paths from {u} via {x1},{y1} share vertex {min(shared)}"
-                    )
-                    break
-                bad = next(
-                    (
-                        (xa, yb)
-                        for xa in sorted(reach[x1])
-                        for yb in sorted(reach[y1])
-                        if g.adjacent(xa, yb)
-                    ),
-                    None,
-                )
-                if bad is not None:
-                    divergent = False
-                    witness = witness or (
-                        f"paths from {u} via {x1},{y1} end adjacent at {bad}"
-                    )
-                    break
-            if not divergent:
-                break
-        if not divergent:
-            break
-
-    return BasicReport(acyclic, modest, divergent, witness)
 
 
 def product_coloring(

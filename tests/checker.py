@@ -13,9 +13,11 @@ verify`` documents for the certificate:
   whose boxes meet where the tree has no edge or miss where it has one;
 - 0 otherwise.
 
-The box file is read as text rows of integers, with distinct endpoints on
-each axis, so closed sides meet as their ranks do; every pair of boxes is
-scanned by the references in ``bruteforce``. The bound is
+The box file is read as text rows of integers, and each axis is ranked as
+``normalize`` documents: its 2n endpoints by value, then box id (row
+order), then lo before hi. So shared endpoints and zero-width sides get
+distinct ranks, and closed sides meet as their ranks do; every pair of
+boxes is scanned by the references in ``bruteforce``. The bound is
 (2 r |T| w)^(4^d), |T| the vertex count of the complete (k^d w)-ary tree
 of depth r, with w = 1 in d >= 2 and the exact interval depth in d = 1.
 Only its comparison with the palette is read, and it grows with |T|, so
@@ -32,16 +34,19 @@ INPUT, REFUTED = 2, 5
 
 
 def read_sides(path) -> list[tuple]:
-    """Each box's per-axis (lo, hi) pairs, in file order, from a text box
+    """Each box's per-axis (lo, hi) ranks, in file order, from a text box
     file whose first row is ``d n``."""
     with open(path, encoding="utf-8") as fh:
         rows = [line.split() for line in fh if line.strip()]
     d = int(rows[0][0])
-    sides = [tuple((int(row[2 * a]), int(row[2 * a + 1])) for a in range(d)) for row in rows[1:]]
+    values = [[int(token) for token in row] for row in rows[1:]]
+    ranks = [[0] * (2 * d) for _ in values]
     for a in range(d):
-        ends = [end for box in sides for end in box[a]]
-        assert len(set(ends)) == len(ends), "endpoints repeat on an axis"
-    return sides
+        # (value, box id, 0 for lo and 1 for hi), as normalize breaks ties
+        ends = sorted((row[2 * a + end], i, end) for i, row in enumerate(values) for end in (0, 1))
+        for rank, (_, i, end) in enumerate(ends):
+            ranks[i][2 * a + end] = rank
+    return [tuple((row[2 * a], row[2 * a + 1]) for a in range(d)) for row in ranks]
 
 
 def tree_size_past(r: int, branching: int, cap: int) -> int:

@@ -7,7 +7,10 @@ palette set to zero, negative or huge values, some of them integers of
 more digits than the reader accepts. ``verify`` must answer each with the
 exit code that ``checker.verdict`` works out without the package: 0 (the
 certificate still holds), 2 (input error) or 5 (refuted), never a
-traceback.
+traceback. The same changes, none to three of them, are also applied to
+certificates of drawn box families: up to 12 boxes in up to 4 dimensions
+with bounds from a small range, so that shared endpoints and zero-width
+sides occur, each colored at a drawn depth and branching.
 """
 
 from __future__ import annotations
@@ -145,6 +148,40 @@ def test_tampered_certificates_get_a_documented_exit_code(
     cert = tmp_path_factory.getbasetemp() / f"{name}-tampered.json"
     cert.write_text(json.dumps(payload).replace(json.dumps(TOO_LONG), "9" * 5000))
     assert _quiet(["verify", path, "--certificate", str(cert)]) == verdict(path, cert)
+
+
+@st.composite
+def box_file(draw):
+    """The text of a box file of 1 to 12 boxes in d = 1 to 4, every bound
+    from 0..6."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    side = st.tuples(st.integers(0, 6), st.integers(0, 6)).map(sorted)
+    rows = draw(st.lists(st.lists(side, min_size=d, max_size=d), min_size=n, max_size=n))
+    return f"{d} {n}\n" + "".join(" ".join(f"{lo} {hi}" for lo, hi in row) + "\n" for row in rows)
+
+
+@given(
+    text=box_file(),
+    r=st.integers(0, 2),
+    k=st.integers(1, 3),
+    changes=st.lists(mutation(), max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_certificates_of_drawn_families_get_the_checkers_verdict(
+    tmp_path_factory, text, r, k, changes
+):
+    root = tmp_path_factory.getbasetemp()
+    path, cert = root / "drawn.txt", root / "drawn.json"
+    path.write_text(text)
+    argv = ["color", str(path), "--r", str(r), "--k", str(k), "--out", str(cert)]
+    assert _quiet(argv) in (0, 3)
+    payload = json.loads(cert.read_text())
+    for change in changes:
+        change(payload)
+    cert.write_text(json.dumps(payload).replace(json.dumps(TOO_LONG), "9" * 5000))
+    want = verdict(path, cert)
+    assert _quiet(["verify", str(path), "--certificate", str(cert)]) == want
+    assert want == 0 or changes  # an untouched certificate holds
 
 
 @pytest.mark.parametrize("name", INSTANCES)

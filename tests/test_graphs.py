@@ -21,7 +21,7 @@ from boxforest import (
     normalize,
     random_boxes,
 )
-from boxforest.graphs import _smallest_last_on_rows, smallest_last_coloring
+from boxforest.graphs import _reach, _smallest_last_on_rows, smallest_last_coloring
 from bruteforce import (
     brute_induced_copy,
     brute_smallest_last_coloring,
@@ -132,7 +132,7 @@ class TestDigraph:
         assert dg.is_acyclic() == (order is not None)
         if order is None:
             assert not climb
-            assert any(u in dg.reachable_from(v) for u, v in arcs)
+            assert any(u in _reach(dg.out, v) for u, v in arcs)
         else:
             assert sorted(order) == list(range(n))
             place = {v: i for i, v in enumerate(order)}
@@ -140,9 +140,9 @@ class TestDigraph:
 
     def test_reach_includes_self(self):
         dg = Digraph(4, [(0, 1), (1, 2)])
-        assert dg.reachable_from(0) == frozenset({0, 1, 2})
-        assert dg.reachable_from(3) == frozenset({3})
-        assert dg.coreachable_to(2) == frozenset({0, 1, 2})
+        assert _reach(dg.out, 0) == frozenset({0, 1, 2})
+        assert _reach(dg.out, 3) == frozenset({3})
+        assert _reach(dg.inn, 2) == frozenset({0, 1, 2})
 
 
 class TestRootedTree:

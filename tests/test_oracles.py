@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 from boxforest import (
     Graph,
     OracleLimitError,
-    alpha,
-    chi,
     maximum_clique,
     maximum_independent_set,
     omega,
     oracles,
 )
-from bruteforce import brute_alpha, brute_chi, brute_omega
+from bruteforce import brute_alpha, brute_omega
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -53,23 +51,19 @@ class TestWitnesses:
         assert len(w) == brute_alpha(g.n, g.edges)
 
 
-class TestValuesAgainstBruteforce:
-    @given(graph_strategy)
-    @settings(max_examples=100, deadline=None)
-    def test_omega_alpha_chi(self, g):
-        assert omega(g) == brute_omega(g.n, g.edges)
-        assert alpha(g) == brute_alpha(g.n, g.edges)
-        assert chi(g) == brute_chi(g.n, g.edges)
+def values(g: Graph) -> tuple[int, int]:
+    """omega and alpha, the latter as the size of the independent witness."""
+    return omega(g), len(maximum_independent_set(g))
 
+
+class TestValuesAgainstBruteforce:
     def test_known_values(self):
         k5 = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
-        assert (omega(k5), alpha(k5), chi(k5)) == (5, 1, 5)
+        assert values(k5) == (5, 1)
         c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-        assert (omega(c5), alpha(c5), chi(c5)) == (2, 2, 3)
-        empty = Graph(0, [])
-        assert (omega(empty), alpha(empty), chi(empty)) == (0, 0, 0)
-        lonely = Graph(1, [])
-        assert (omega(lonely), alpha(lonely), chi(lonely)) == (1, 1, 1)
+        assert values(c5) == (2, 2)
+        assert values(Graph(0, [])) == (0, 0)
+        assert values(Graph(1, [])) == (1, 1)
 
     def test_deterministic_witnesses(self):
         g = random_graph(random.Random(99), 9, 0.5)
@@ -80,14 +74,15 @@ class TestValuesAgainstBruteforce:
 @pytest.fixture
 def limits_of_five(monkeypatch):
     monkeypatch.setattr(oracles, "OMEGA_LIMIT", 5)
-    monkeypatch.setattr(oracles, "CHI_LIMIT", 5)
 
 
 @pytest.mark.usefixtures("limits_of_five")
 class TestRefusals:
     def test_each_oracle_refuses_above_limit(self):
         g = random_graph(random.Random(1), 6, 0.5)
-        for fn, name in ((omega, "omega"), (alpha, "alpha"), (chi, "chi")):
+        for fn, name in (
+            (maximum_clique, "omega"), (omega, "omega"), (maximum_independent_set, "alpha")
+        ):
             with pytest.raises(OracleLimitError) as exc:
                 fn(g)
             assert exc.value.size == 6 and exc.value.oracle == name
@@ -95,6 +90,4 @@ class TestRefusals:
 
     def test_at_limit_is_allowed(self):
         g = random_graph(random.Random(2), 5, 0.5)
-        assert omega(g) == brute_omega(g.n, g.edges)
-        assert alpha(g) == brute_alpha(g.n, g.edges)
-        assert chi(g) == brute_chi(g.n, g.edges)
+        assert values(g) == (brute_omega(g.n, g.edges), brute_alpha(g.n, g.edges))

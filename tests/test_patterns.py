@@ -1,4 +1,4 @@
-"""Pattern decomposition and the structural checks on each piece."""
+"""Pattern decomposition and the structure of each piece."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from boxforest import (
     normalize,
     product_coloring,
     random_boxes,
-    verify_basic,
 )
 from bruteforce import brute_divergent, brute_modest
 
@@ -121,46 +120,17 @@ class TestDecompose:
 
 
 class TestVerifyBasic:
+    """Every pattern digraph is acyclic, modest and divergent."""
+
     @given(st.integers(0, 10**6), st.integers(2, 8), st.integers(1, 2))
     @settings(max_examples=60, deadline=None)
     def test_always_holds_and_matches_bruteforce(self, seed, n, d):
         boxes, g, fam = make_instance(seed, n, d)
         for pd in fam:
-            rep = verify_basic(pd, g)
-            assert (rep.acyclic, rep.modest, rep.divergent) == (True,) * 3, (str(pd.pattern), rep)
             dg = pd.digraph
-            assert brute_modest(dg.n, set(dg.arcs), g.edges)
-            assert brute_divergent(dg.n, set(dg.arcs), g.edges)
-
-    def test_skips_above_verify_limit(self):
-        # the limit is 14 boxes
-        _, g, fam = make_instance(3, 14, 1)
-        rep = verify_basic(fam[0], g)
-        assert (rep.acyclic, rep.modest, rep.divergent) == (True,) * 3
-        _, g, fam = make_instance(3, 15, 1)
-        rep = verify_basic(fam[0], g)
-        assert rep.acyclic is True
-        assert rep.modest is None and rep.divergent is None
-
-    def test_flags_planted_violations(self):
-        # Hand-built digraphs that cannot come from real box families.
-        pat = all_patterns(1)[0]
-
-        cyc = PatternDigraph(pat, Digraph(2, [(0, 1), (1, 0)]))
-        rep = verify_basic(cyc, Graph(2, [(0, 1)]))
-        assert rep.acyclic is False
-        assert rep.witness
-
-        # Arc 0->2 via 1, but 0 and 2 share no host edge: not modest.
-        chain = PatternDigraph(pat, Digraph(3, [(0, 1), (1, 2), (0, 2)]))
-        rep = verify_basic(chain, Graph(3, [(0, 1), (1, 2)]))
-        assert rep.modest is False
-        assert rep.witness
-
-        # Two non-adjacent out-neighbors reach a shared vertex: not divergent.
-        vee = PatternDigraph(pat, Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
-        rep = verify_basic(vee, Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
-        assert rep.divergent is False
+            assert dg.is_acyclic(), str(pd.pattern)
+            assert brute_modest(dg.n, set(dg.arcs), g.edges), str(pd.pattern)
+            assert brute_divergent(dg.n, set(dg.arcs), g.edges), str(pd.pattern)
 
 
 class TestProductColoring:

@@ -71,6 +71,12 @@ def test_command_line_session_replays(tmp_path, monkeypatch, capsys):
     steps = _session(0)
     assert [shlex.split(command)[1] for command, _ in steps] == ["gen", "color", "verify"]
     monkeypatch.chdir(tmp_path)
+    _replay(steps, capsys)
+
+
+def _replay(steps: list[tuple[str, str]], capsys) -> None:
+    """Run each ``boxforest`` command of a session, which must exit 0 and
+    print, stderr then stdout, the lines the README shows."""
     for command, printed in steps:
         program, *argv = shlex.split(command)
         assert program == "boxforest"
@@ -94,3 +100,16 @@ def test_star_session_replays(tmp_path, monkeypatch, capsys):
     program, path = shlex.split(show)
     assert program == "cat"
     assert Path(path).read_text(encoding="utf-8") == shown
+
+
+def test_decompose_and_oracle_sessions_replay(tmp_path, monkeypatch, capsys):
+    # the decompose and oracle sessions of "## Command line" on demo.boxes,
+    # written by the first session's gen: every line each command prints
+    (gen, _), *_ = _session(0)
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(gen)[1:]) == 0
+    steps = _session(2) + _session(3)
+    assert [shlex.split(command)[1:3] for command, _ in steps] == [
+        ["decompose", "demo.boxes"], ["oracle", "demo.boxes"],
+    ]
+    _replay(steps, capsys)
