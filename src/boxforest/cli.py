@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Sequence
 
 from .embedding import CalmSearchError
@@ -51,24 +52,20 @@ EXIT_REFUSED = 4
 EXIT_FAILED = 5
 
 
-def _positive(text: str) -> int:
+def _at_least(minimum: int, text: str) -> int:
+    """An integer flag's value, refused below ``minimum``, which is 0 or 1."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{_quote(text)} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+    if value < minimum:
+        kind = "positive" if minimum else "nonnegative"
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer")
     return value
 
 
-def _nonnegative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{_quote(text)} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a nonnegative integer")
-    return value
+_positive = partial(_at_least, 1)
+_nonnegative = partial(_at_least, 0)
 
 
 def _write_text(text: str, out: str | None) -> None:

@@ -20,9 +20,9 @@ slice of the cell's axis-0 order, so each pair that shares a cell is
 found once, in the later of its two first cells, and the slices are
 filtered axis by axis: the work follows the pairs that meet on two axes
 rather than n^2. Only ``intersecting_pairs`` and the pattern
-decomposition classify the pairs. The sweep and the classifier read box
-i at position i: each library entry that takes a family with ids 0..n-1
-puts it in id order once, by ``_by_id``.
+decomposition classify the pairs. The sweep and the classifier read
+ranks, and box i at position i: each library entry that takes a family
+with ids 0..n-1 ranks it and puts it in id order once, by ``_by_id``.
 
 A ``Box`` stores its id and one flat tuple ``bounds = (lo_0, hi_0, ...,
 lo_{d-1}, hi_{d-1})``, the row a box file holds; its ``Interval`` sides
@@ -243,6 +243,12 @@ class _Family(Sequence):
         )
 
 
+class _Ranked(_Family):
+    """A family ``normalize`` returned: each axis's ends are the ints 0..2n-1."""
+
+    __slots__ = ()
+
+
 def _as_family(boxes: Sequence[Box]) -> _Family:
     """``boxes`` as a family: itself when it is one, else its boxes' ids and
     the columns of their ``bounds``, one transpose; ValueError names the
@@ -358,8 +364,8 @@ def intersecting_pairs(
     meets it on axis 0, and the slice is then filtered axis by axis, axes
     1 to d - 1. So the cost is O(n log n), plus at most about 3n cell
     entries, plus one test per axis per candidate, a pair that overlaps on
-    axis 0 and shares a cell on axis 1. Boxes must be normalized (distinct
-    endpoints on every axis); ValueError otherwise.
+    axis 0 and shares a cell on axis 1. The boxes are ranked first, by
+    ``normalize``, so raw input gives the pairs and patterns of its ranks.
 
     ``labels`` maps every box id to a label, such as its color. Each label
     then gets cells of its own, as many times wider as there are labels,
@@ -369,7 +375,7 @@ def intersecting_pairs(
     the boxes by position in id order, and the positions are mapped back
     to ids here.
     """
-    family = _as_family(boxes)
+    family = normalize(boxes)
     ordered = family.take(sorted(range(len(family)), key=family.ids.__getitem__))
     ids = ordered.ids
     tags = None if labels is None else list(map(labels.__getitem__, ids))
@@ -397,20 +403,21 @@ def _pattern_codes(boxes: _Family, pairs: Iterable[tuple[int, int]]) -> list[tup
     return out
 
 
-def _by_id(boxes: Sequence[Box]) -> _Family:
-    """The family with ids ``range(n)``, box i at position i: ``boxes``
-    itself, in O(1), when it is one (as a loaded or normalized file is),
-    the boxes put in id order when their ids are 0..n-1, and ValueError
-    otherwise. The library's family entries call it once, and everything
-    behind them reads a box's id as its position."""
+def _by_id(boxes: Sequence[Box]) -> _Ranked:
+    """The family ranked and in id order, box i at position i, when its ids
+    are 0..n-1, and ValueError otherwise: ``boxes`` itself, in O(1), when
+    ``normalize`` returned it and it is in id order, as a loaded file is.
+    The library's family entries call it once, and everything behind them
+    reads ranks, and a box's id as its position."""
     family = _as_family(boxes)
     n = len(family)
-    if family.ids == range(n):
-        return family
-    order = sorted(range(n), key=family.ids.__getitem__)
-    if list(map(family.ids.__getitem__, order)) != list(range(n)):
-        raise ValueError("box ids must be 0..n-1")
-    return _Family(range(n), family.take(order).columns)
+    if family.ids != range(n) and list(family.ids) != list(range(n)):
+        order = sorted(range(n), key=family.ids.__getitem__)
+        if list(map(family.ids.__getitem__, order)) != list(range(n)):
+            raise ValueError("box ids must be 0..n-1")
+        # a permutation of a ranked family's boxes keeps its ranks
+        family = type(family)(range(n), family.take(order).columns)
+    return normalize(family)
 
 
 def _sweep(boxes: _Family, labels: Sequence[Hashable] | None) -> Iterator[tuple[int, list[int]]]:
@@ -418,16 +425,14 @@ def _sweep(boxes: _Family, labels: Sequence[Hashable] | None) -> Iterator[tuple[
     position of a box and the positions of boxes that meet it (and share
     its label, ``labels[i]`` for box i) and that it finds in one cell, in a
     fixed order. Each pair is in one batch, and a batch holds at most the
-    members of one cell."""
+    members of one cell. ``boxes`` is a ``_Ranked`` family or a ``take``
+    of one, so the endpoints on each axis are distinct ints."""
     if not boxes:
         return
     n = len(boxes)
     columns = boxes.columns
     d = len(columns) // 2
     lows, highs = columns[0::2], columns[1::2]
-    for axis in range(d):
-        if len(set(lows[axis] + highs[axis])) != 2 * n:
-            raise ValueError(f"shared endpoint on axis {axis}: normalize the boxes first")
     # labels become dense integers 0..kinds-1 (verified colors already are),
     # and the cell key of cell c for label t is c * kinds + t, so every
     # label has cells of its own
@@ -443,8 +448,7 @@ def _sweep(boxes: _Family, labels: Sequence[Hashable] | None) -> Iterator[tuple[
         # cells are one mean axis-1 side wide times the number of labels:
         # a label has n / kinds boxes on average, so its cells hold about
         # as many of them as unlabelled cells hold boxes
-        total = (sum(highs[1]) - sum(lows[1])) * kinds
-        width = total // n if isinstance(total, int) else total / n
+        width = (sum(highs[1]) - sum(lows[1])) * kinds // n
         first, last = (_cells(ends, width, kinds, tags) for ends in (lows[1], highs[1]))
     filters = list(zip(lows[1:], highs[1:]))  # axes 1..d-1
     # each cell lists, in axis-0 order, its members and its starters (the
@@ -477,36 +481,34 @@ def _sweep(boxes: _Family, labels: Sequence[Hashable] | None) -> Iterator[tuple[
                 yield j, hits
 
 
-def _cells(
-    ends: Sequence[Number], width: Number, kinds: int, tags: list[int] | None
-) -> list[int]:
+def _cells(ends: Sequence[int], width: int, kinds: int, tags: list[int] | None) -> list[int]:
     """The cell key of each endpoint x: its cell ``x // width``, times
     ``kinds`` plus its box's label when there is more than one."""
     cells = map(operator.floordiv, ends, itertools.repeat(width))
-    if not isinstance(width, int):  # a float floors to a float
-        cells = map(int, cells)
     if kinds > 1:
         cells = map(operator.add, map(operator.mul, cells, itertools.repeat(kinds)), tags)
     return list(cells)
 
 
-def normalize(boxes: Sequence[Box]) -> _Family:
+def normalize(boxes: Sequence[Box]) -> _Ranked:
     """Replace coordinates by per-axis integer ranks; exact and idempotent.
 
     On each axis the 2n endpoints are ranked 0..2n-1 by (value, box id,
-    lo-before-hi), so all endpoints become distinct while the relative
-    order of distinct input values is preserved. The tie rule resolves
-    shared endpoints deterministically (the earlier box id wins the smaller
-    rank) and widens zero-width sides, since a box's lo always ranks before
-    its own equal hi. Each axis is ranked by one stable sort of endpoint
-    indices, laid out ``lo, hi`` box by box in ascending id order, so the
-    sort's own tie order is the tie rule.
+    lo before hi): one stable sort of endpoint indices, laid out ``lo, hi``
+    box by box in ascending id order. So all endpoints become distinct, the
+    order of distinct values is kept, and a zero-width side is widened.
+    Two touching sides, one box's hi equal to another's lo, meet exactly
+    when the box with the smaller id is on the right, so whether they meet
+    can depend on the order in which a file lists the boxes.
 
     The result lists the boxes in input order, each ranked axis's columns
     replaced by its ranks, so ``Fraction(3)``, ``3.0`` or ``True`` becomes
-    an int. An axis whose coordinates are the ints 0..2n-1 is its own
-    ranks, so a normalized family comes back as it is. No ``Box`` is built.
+    an int; an axis whose coordinates are the ints 0..2n-1 keeps its
+    columns. No ``Box`` is built. The result is a ``_Ranked`` family,
+    which comes back as it is, in O(1).
     """
+    if isinstance(boxes, _Ranked):
+        return boxes
     if not boxes:
         raise ValueError("empty box collection")
     family = _as_family(boxes)
@@ -538,7 +540,7 @@ def normalize(boxes: Sequence[Box]) -> _Family:
         _exhaust(map(ranks.__setitem__, sorted(layout, key=vals.__getitem__), positions))
         columns[2 * axis], columns[2 * axis + 1] = tuple(ranks[0::2]), tuple(ranks[1::2])
         del vals, ranks
-    return _Family(ids, tuple(columns)) if positions else family
+    return _Ranked(ids, tuple(columns))
 
 
 # a plain ASCII integer token, which int() reads far faster than Fraction()

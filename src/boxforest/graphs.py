@@ -306,8 +306,8 @@ class Coloring:
 
 
 def intersection_graph(boxes: Sequence[Box]) -> Graph:
-    """Edge uv iff boxes u and v overlap on every axis (normalized input),
-    filled in straight from the batches of ``intersecting_pairs``' sweep."""
+    """Edge uv iff boxes u and v, ids 0..n-1 ranked by ``normalize``, overlap
+    on every axis: filled in straight from ``intersecting_pairs``' sweep."""
     boxes = _by_id(boxes)
     near: list[list[int]] = [[] for _ in range(len(boxes))]
     for j, hits in _sweep(boxes, None):
@@ -321,17 +321,17 @@ def intersection_rows(boxes: Sequence[Box]) -> list[int]:
     """The intersection graph as bit rows, one int per box id: ``rows[v]``
     has bit n-1-u set exactly when boxes u != v overlap on every axis.
 
-    The boxes must be normalized with ids 0..n-1. Each axis is one pass
-    over its 2n endpoints in sorted order that keeps two masks, the boxes
-    started so far and the boxes ended so far. Box u meets v on the axis
-    exactly when u starts before v's hi and does not end before v's lo,
-    and every box that ends before v's lo also starts before v's hi. So
-    v's lo records the boxes ended so far, and at v's hi the boxes started
-    so far less those are v's row on the axis, ANDed into v's row in
-    place; beside the rows, only the masks recorded for the boxes still
-    open are held. v's row is the AND of its axis rows, less v's own bit.
-    So the cost is a sort and 2n mask updates per axis, with no step per
-    edge.
+    The boxes need ids 0..n-1 and are ranked first, by ``normalize``. Each
+    axis is one pass over its 2n endpoints in sorted order that keeps two
+    masks, the boxes started so far and the boxes ended so far. Box u meets
+    v on the axis exactly when u starts before v's hi and does not end
+    before v's lo, and every box that ends before v's lo also starts before
+    v's hi. So v's lo records the boxes ended so far, and at v's hi the
+    boxes started so far less those are v's row on the axis, ANDed into v's
+    row in place; beside the rows, only the masks recorded for the boxes
+    still open are held. v's row is the AND of its axis rows, less v's own
+    bit. So the cost is a sort and 2n mask updates per axis, with no step
+    per edge.
     """
     boxes = _by_id(boxes)
     n = len(boxes)

@@ -17,7 +17,7 @@ shared empty set, with a frozenset only where there are arcs. So it
 costs one read of the n d endpoints, d comparisons per edge and one list
 of n references per pattern with arcs.
 
-Every pattern digraph of a normalized family is acyclic, *modest* (the
+Every pattern digraph of a ranked family is acyclic, *modest* (the
 vertex set of any directed u->v path with uv an arc is a clique in the host
 graph), and *divergent* (directed paths leaving a vertex through two
 non-adjacent first steps end in distinct, non-adjacent vertices). It is
@@ -67,18 +67,16 @@ class PatternDigraph:
 def decompose(boxes: Sequence[Box], g: Graph) -> list[PatternDigraph]:
     """The pattern digraphs that have arcs, in canonical pattern order.
 
-    ``g`` is the host graph of ``boxes``, whose ids are 0..n-1. Each of
-    its edges u < v is classified once by ``geometry._pattern_codes``,
-    whose integer code, one base-4 digit per axis, names the pattern and
-    files the arc in that pattern's out-neighbor lists of the vertices
-    that have arcs. Swapping a pair mirrors its pattern, so a pattern's
-    in-neighbor sets are its mirror's out-neighbor sets and each adjacency
-    is stored once. An arc-free pattern peels out whole and can embed
-    nothing, so none is built: in higher dimensions most of the 4^d are
-    arc-free.
+    ``g`` is the host graph of ``boxes``, whose ids are 0..n-1 and which
+    are ranked first, by ``normalize``. Each of its edges u < v is
+    classified once by ``geometry._pattern_codes``, whose integer code, one
+    base-4 digit per axis, names the pattern and files the arc in that
+    pattern's out-neighbor lists of the vertices that have arcs. Swapping a
+    pair mirrors its pattern, so a pattern's in-neighbor sets are its
+    mirror's out-neighbor sets and each adjacency is stored once. An
+    arc-free pattern peels out whole and can embed nothing, so none is
+    built: in higher dimensions most of the 4^d are arc-free.
     """
-    if not boxes:
-        raise ValueError("empty box collection")
     boxes = _by_id(boxes)
     n = len(boxes)
     if g.n != n:

@@ -1,7 +1,8 @@
 """End-to-end dichotomy: color within the proven bound or emit a tree.
 
-Given normalized boxes and tree parameters (depth r, branching k), the
-pipeline builds the host graph from one sweep. When the complete
+Given boxes and tree parameters (depth r, branching k), the pipeline
+ranks the boxes by ``normalize`` and builds the host graph from one
+sweep. When the complete
 (k^d * omega)-ary tree of depth r has more vertices |T| than the host
 graph's maximum degree, every pattern peels out whole in its first round,
 since a pattern out-degree is at most the host degree, so no pattern can
@@ -60,8 +61,8 @@ from .geometry import (  # noqa: F401
     Box,
     _as_family,
     _by_id,
-    _Family,
     _load_json,
+    _Ranked,
     _sweep,
     intersects,
 )
@@ -253,7 +254,7 @@ def prune_children(emb: CalmEmbedding, boxes: Sequence[Box], k: int) -> InducedT
     return cert
 
 
-def _induced_tree_violation(cert: InducedTree, boxes: _Family) -> str | None:
+def _induced_tree_violation(cert: InducedTree, boxes: _Ranked) -> str | None:
     """Whether the mapping, of box ids in range, is an induced copy of
     ``complete_kary_tree(r, k)``, from one sweep over the mapped boxes of
     the family listed by id; None when clean, else the smallest tree pair
@@ -302,33 +303,29 @@ def _dense(two_m: int, n: int) -> bool:
     return 8 * two_m >= n * n
 
 
-def _may_be_dense(boxes: _Family) -> bool:
+def _may_be_dense(boxes: _Ranked) -> bool:
     """False when rows are not worth building up front: above ``_ROWS_CAP``
     boxes, or when one axis alone shows the graph sparse.
 
     An edge meets on every axis, so m is at most the number of pairs that
-    meet on any one axis. Normalized, an axis's endpoints are the ints
+    meet on any one axis. Ranked, an axis's endpoints are the ints
     0..2n-1, so hi - lo - 1 endpoints lie strictly inside a side, and a
     pair that meets on the axis puts exactly two of its endpoints inside
     its sides (one in each when they cross, both in the outer one when one
     holds the other): twice the axis's pairs is sum(hi) - sum(lo) - n,
-    counted in O(n). Boxes that are not normalized get no rows up front;
-    the host graph's lists decide for them.
+    counted in O(n).
     """
     n = len(boxes)
     if n > _ROWS_CAP:
         return False
     columns = boxes.columns
     for lows, highs in zip(columns[0::2], columns[1::2]):
-        # distinct ints in 0..2n-1 are the ranks; shared ones fail the sweep later
-        if {*map(type, lows), *map(type, highs)} != {int} or min(lows) < 0 or max(highs) >= 2 * n:
-            return False
         if not _dense(sum(highs) - sum(lows) - n, n):
             return False
     return True
 
 
-def _bound_violation(boxes: _Family, palette: int, r: int, k: int) -> str | None:
+def _bound_violation(boxes: _Ranked, palette: int, r: int, k: int) -> str | None:
     """Why ``palette`` (at least 1) exceeds the coloring bound
     (2 r |T| w)^(4^d) for depth ``r`` and branching ``k``; None if within.
 
@@ -369,7 +366,8 @@ def color_or_find_forest(
 ) -> Certificate:
     """Proper coloring within the derived bound, or an induced tree.
 
-    Expects normalized boxes with ids 0..n-1. ``omega_bound`` may supply a
+    The boxes need ids 0..n-1 and are ranked first, by ``normalize``.
+    ``omega_bound`` may supply a
     caller-guaranteed upper bound on the clique number to skip the exact
     oracle, which refuses more than ``oracles.OMEGA_LIMIT`` (40) boxes; in
     d >= 2 it is then required. With r = 0 the certificate is the trivial
@@ -447,7 +445,7 @@ def color_or_find_forest(
     return _bounded_coloring(boxes, coloring, r, k)
 
 
-def _bounded_coloring(boxes: _Family, coloring: Coloring, r: int, k: int) -> ProperColoring:
+def _bounded_coloring(boxes: _Ranked, coloring: Coloring, r: int, k: int) -> ProperColoring:
     """The certificate for a proper coloring whose palette is within the
     bound, checked as ``verify_certificate`` checks it."""
     # d >= 2 and |T| >= 2 put the bound (2 r |T| w)^(4^d) at 4^16 or more,
@@ -523,8 +521,6 @@ def verify_certificate(boxes: Sequence[Box], payload: dict) -> tuple[bool, str]:
     color, and is checked against the bound worked out from the boxes and
     its r and k; no number the certificate states as a bound is read.
     """
-    if not boxes:
-        raise ValueError("empty box collection")
     boxes = _by_id(boxes)
     n = len(boxes)
     if payload["kind"] == "coloring":

@@ -667,6 +667,28 @@ def test_out_of_memory_is_an_input_error(tmp_path, capsys, monkeypatch, command)
     assert err == "error: out of memory: the instance is too large for this machine\n"
 
 
+@pytest.mark.parametrize(
+    ("flag", "value", "message"),
+    [
+        *((flag, "0", "must be a positive integer")
+          for flag in ("--n", "--d", "--level", "--limit", "--k", "--omega-bound")),
+        ("--r", "-1", "must be a nonnegative integer"),
+    ],
+)
+def test_integer_flags_below_their_minimum_exit_2(tmp_path, capsys, flag, value, message):
+    path = str(write_instance(tmp_path, "f.txt", "random", n=5, d=2, seed=1))
+    argv = {
+        "--n": ["gen", "--kind", "random"],
+        "--d": ["gen", "--kind", "random"],
+        "--level": ["gen", "--kind", "burling"],
+        "--limit": ["gen", "--kind", "burling"],
+    }.get(flag, ["color", path, "--r", "1", "--k", "1"])
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"argument {flag}: {message}\n")
+
+
 class TestModuleEntryPoints:
     @pytest.mark.parametrize("module", ["boxforest", "boxforest.cli"])
     def test_help(self, module):

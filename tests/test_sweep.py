@@ -450,9 +450,11 @@ def test_sweep_cost_follows_the_pairs_that_meet_on_two_axes():
     assert {(u, v) for u, v, _ in pairs} == want
 
 
-def test_sweep_rejects_shared_endpoints_and_mixed_dimensions():
-    with pytest.raises(ValueError):
-        intersecting_pairs(boxes_from_rows([[0, 2], [2, 3]]))
+def test_sweep_ranks_shared_endpoints_and_rejects_mixed_dimensions():
+    # raw input is ranked: the shared endpoint 2 goes to box 0 first, so
+    # [0, 2] ends before [2, 3] starts; listed the other way round they meet
+    assert intersecting_pairs(boxes_from_rows([[0, 2], [2, 3]])) == []
+    assert intersecting_pairs(boxes_from_rows([[2, 3], [0, 2]])) == [(0, 1, 3)]
     mixed = [*normalize(boxes_from_rows([[0, 1]])), *normalize(boxes_from_rows([[0, 1, 0, 1]]))]
     with pytest.raises(ValueError):
         intersecting_pairs(mixed)
